@@ -10,7 +10,7 @@ constant target, printing the contraction record.
 import numpy as np
 
 from fronttrack import (
-    Box, GasModel, dense_shock_initial_data, stabilize, steer_constant_states,
+    Box, GasModel, dense_initial_data, stabilize, steer_constant_states,
 )
 
 gas = GasModel(K=1.0, gamma=2.0, box=Box([0.85, -0.10], [1.20, 0.10]))
@@ -34,8 +34,8 @@ print("\n== stabilization of a shock-laden profile ==")
 slow = GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),
                 ref_state=[1.0, 0.98], min_speed=0.002)
 u_star = np.array([1.0, 0.98])
-profile = dense_shock_initial_data(slow, 15, 0.05, (0.0, 1.0),
-                                   base_state=u_star)
+profile = dense_initial_data(slow, 15, -0.05, (0.0, 1.0),
+                             base_state=u_star)
 print(f"initial profile: 15 shocks, total strength 0.05, "
       f"TV = {profile.total_variation():.4f}")
 

@@ -9,7 +9,7 @@ refuses to decay: the profile cannot be flattened in finite time.
 import numpy as np
 
 from fronttrack import (
-    Box, GasModel, Simulation, dense_shock_initial_data,
+    Box, GasModel, Simulation, dense_initial_data,
     same_family_collision_compliance, shock_census, strongest_front,
     track_shock_strength,
 )
@@ -19,8 +19,8 @@ gas = GasModel(K=1.0, gamma=2.0, box=Box([0.96, 0.90], [1.08, 1.00]),
 base = np.array([1.0, 0.995])
 interval = (0.0, 0.13)
 
-profile = dense_shock_initial_data(gas, 31, 0.05, interval, base_state=base,
-                                   level_decay=8.0)
+profile = dense_initial_data(gas, 31, -0.05, interval, base_state=base,
+                             level_decay=8.0)
 print(f"31 one-family shocks on {interval}, strengths sum to 0.05, "
       f"largest gap {0.13 / 32:.5f}")
 

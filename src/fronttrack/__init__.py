@@ -10,9 +10,9 @@ controllability counterexample.
 from .analysis import (
     CensusReport, CharacteristicPath, DensityReport, ShockTrack, SpreadReport,
     backward_characteristic, characteristic_spread, creation_events,
-    dense_rarefaction_initial_data, dense_shock_initial_data, density_series,
-    kappa_trend, positive_wave_density, same_family_collision_compliance,
-    shock_census, strongest_front, track_shock_strength,
+    dense_initial_data, density_series, kappa_trend, positive_wave_density,
+    same_family_collision_compliance, shock_census, strongest_front,
+    track_shock_strength,
 )
 from .control import (
     ContractionRecord, ControlPlan, LinearControlSolution, StabilizeResult,
@@ -29,19 +29,17 @@ from .errors import (
 )
 from .models import (
     Box, EigenStructure, FluxModel, GasModel, HypothesisReport, LinearModel,
-    TableModel, eigen_structure, eval_flux, from_riemann_coordinates,
-    riemann_coordinates, verify_hypotheses,
+    TableModel, verify_hypotheses,
 )
 from .profiles import LineProfile, PiecewiseConstant, constant_profile
 from .riemann import (
     BoundarySplit, RiemannSolution, Wave, compose_waves, solve_riemann,
     split_boundary_pair, split_boundary_pair_reverse,
 )
-from .scenarios import run_scenario, run_scenario_file, validate_config
+from .scenarios import run_scenario, validate_config
 from .tracking import (
     Front, InteractionRecord, Simulation, Snapshot, WaveMeasure,
-    calibrate_interaction_constant, check_upsilon, glimm_functionals,
-    init_simulation, wave_measures,
+    calibrate_interaction_constant, check_upsilon, wave_measures,
 )
 
 __version__ = "0.1.0"

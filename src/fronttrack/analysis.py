@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import shock_curve, rarefaction_curve
+from .curves import lax_curve
 from .errors import DomainError
 from .profiles import PiecewiseConstant
 from .tracking import TIME_TIE, wave_measures
@@ -386,33 +386,16 @@ def _dyadic_positions(n, a, b):
     return [(a + frac * (b - a), lvl) for frac, lvl in out]
 
 
-def dense_shock_initial_data(model, n_shocks, budget, interval,
-                             base_state=None, family=1, level_decay=2.0):
-    """Profile of n pure shocks of one family at dyadic positions.
+def dense_initial_data(model, n_waves, strength, interval, base_state=None,
+                       family=1, level_decay=2.0):
+    """Profile of n elementary waves of one family at dyadic positions.
 
-    Strengths decrease geometrically with the dyadic level of the position
-    and sum to the budget (in Riemann-coordinate units), so refining n
-    keeps adding weaker shocks in the remaining gaps.  The result carries no
-    rarefaction content at all.
+    The signed strengths (in Riemann-coordinate units) decrease
+    geometrically with the dyadic level of the position and sum to
+    ``strength``: a negative total gives pure shocks with no rarefaction
+    content, a positive one pure rarefactions.  Refining n keeps adding
+    weaker waves in the remaining gaps.
     """
-    if level_decay <= 1.0:
-        raise ValueError("level_decay must exceed 1")
-    a, b = interval
-    base = np.asarray(base_state if base_state is not None
-                      else model.ref_state, dtype=float)
-    placed = _dyadic_positions(n_shocks, a, b)
-    weights = np.array([level_decay ** -lvl for _, lvl in placed])
-    sigmas = -budget * weights / float(np.sum(weights))
-    states = [base]
-    for s in sigmas:
-        states.append(shock_curve(model, states[-1], family, float(s)).state)
-    xs = np.array([x for x, _ in placed])
-    return PiecewiseConstant(a, b, xs, np.vstack(states))
-
-
-def dense_rarefaction_initial_data(model, n_waves, budget, interval,
-                                   base_state=None, family=1, level_decay=2.0):
-    """Rarefaction-only counterpart of the dense shock construction."""
     if level_decay <= 1.0:
         raise ValueError("level_decay must exceed 1")
     a, b = interval
@@ -420,9 +403,9 @@ def dense_rarefaction_initial_data(model, n_waves, budget, interval,
                       else model.ref_state, dtype=float)
     placed = _dyadic_positions(n_waves, a, b)
     weights = np.array([level_decay ** -lvl for _, lvl in placed])
-    sigmas = budget * weights / float(np.sum(weights))
+    sigmas = strength * weights / float(np.sum(weights))
     states = [base]
     for s in sigmas:
-        states.append(rarefaction_curve(model, states[-1], family, float(s)).state)
+        states.append(lax_curve(model, states[-1], family, float(s)).state)
     xs = np.array([x for x, _ in placed])
     return PiecewiseConstant(a, b, xs, np.vstack(states))

@@ -32,7 +32,6 @@ def _build_parser():
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--epsilon", type=float, default=None,
                        help="override front-tracking accuracy")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
         p.add_argument("--quiet", action="store_true")
 
     add_common(sub.add_parser("run", help="run a scenario and write reports"))
@@ -59,8 +58,6 @@ def _overrides(args):
     ov = {}
     if getattr(args, "epsilon", None) is not None:
         ov["epsilon"] = args.epsilon
-    if getattr(args, "seed", None) is not None:
-        ov["seed"] = args.seed
     return ov
 
 
@@ -117,19 +114,7 @@ def _cmd_riemann(args):
         return EXIT_CONFIG
     config = scenarios.resolve_config(_load(args.config))
     model = scenarios.build_model(config["model"])
-    import numpy as np
-    from .riemann import solve_riemann
-    blk = config["riemann"]
-    sol = solve_riemann(model, np.asarray(blk["ul"], dtype=float),
-                        np.asarray(blk["ur"], dtype=float))
-    payload = {
-        "sigmas": [float(s) for s in sol.sigmas],
-        "residual": sol.residual,
-        "states": [[float(x) for x in s] for s in sol.states],
-        "waves": [{"family": w.family, "sigma": w.sigma, "kind": w.kind,
-                   "speed_lo": w.speed_lo, "speed_hi": w.speed_hi,
-                   "rh_residual": w.rh_residual} for w in sol.waves],
-    }
+    payload = scenarios.riemann_payload(config, model)
     if args.as_json:
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:

@@ -7,7 +7,7 @@ none are hard-coded.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class SteerResult:
 
 
 def steer_constant_states(model, omega, omega_prime, interval, eps_fronts,
-                          chain_step=0.05, delta_split=None):
+                          chain_step=0.05):
     """Drive the constant state omega to omega_prime in time 2 N tau.
 
     Each chain hop imposes the boundary split state at x = b (left-moving
@@ -228,8 +228,7 @@ def steer_constant_states(model, omega, omega_prime, interval, eps_fronts,
     t = 0.0
     prev = omega
     for target in chain:
-        split = split_boundary_pair(model, prev, target,
-                                    radius=delta_split or sim.delta_riemann)
+        split = split_boundary_pair(model, prev, target)
         sim.inject_boundary_riemann("b", split.state)
         actions.append(ControlAction(t, "b", split.state))
         sim.advance_to(t + tau)
@@ -312,16 +311,10 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
     if stuck:
         violations.append(("phase3_injected_survivors", stuck))
 
-    snap = sim.snapshot()
-    out = _retimed(snap, t0 + 3 * tau)
+    # the step runs its own clock; relabel to absolute time
+    out = replace(sim.snapshot(), time=t0 + 3 * tau)
     return StepResult(out, sim, ControlPlan(actions, t0 + 3 * tau),
                       out.sup_distance(u_star), out.tv(), violations)
-
-
-def _retimed(snap, t):
-    """Snapshot relabeled to absolute time t (steps run their own clock)."""
-    from dataclasses import replace
-    return replace(snap, time=t)
 
 
 @dataclass

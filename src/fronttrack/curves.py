@@ -131,10 +131,6 @@ def lax_curve(model, u0, family, sigma):
     return shock_curve(model, u0, family, sigma)
 
 
-def lax_state(model, u0, family, sigma):
-    return lax_curve(model, u0, family, sigma).state
-
-
 def rarefaction_at_speed_offset(model, u0, family, dlam):
     """Rarefaction-curve point where lambda_family has moved by dlam.
 

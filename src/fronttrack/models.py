@@ -406,37 +406,6 @@ class TableModel(FluxModel):
         return J
 
 
-# -- module-level operations ------------------------------------------------
-
-
-def eval_flux(model, u):
-    """Flux f(u); raises DomainError outside the admissible domain."""
-    u = np.asarray(u, dtype=float)
-    model.check_domain(u)
-    return model.flux(u)
-
-
-def eigen_structure(model, u):
-    """Sorted, biorthonormal eigenstructure of Df(u)."""
-    u = np.asarray(u, dtype=float)
-    model.check_domain(u)
-    return model.eigen(u)
-
-
-def riemann_coordinates(model, u):
-    """Chart value w(u), anchored so the model's reference state maps to 0."""
-    u = np.asarray(u, dtype=float)
-    model.check_domain(u)
-    return model.to_riemann(u)
-
-
-def from_riemann_coordinates(model, w):
-    """Inverse chart; raises DomainError when w leaves the chart range."""
-    u = model.from_riemann(w)
-    model.check_domain(u)
-    return u
-
-
 def _directional(fn, u, direction, h):
     return (fn(u + h * direction) - fn(u - h * direction)) / (2 * h)
 

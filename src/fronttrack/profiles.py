@@ -29,10 +29,6 @@ class PiecewiseConstant:
         if len(xs) and np.any(np.diff(xs) < 0):
             raise ValueError("breakpoints must be non-decreasing")
 
-    @property
-    def ncomp(self):
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
     def __call__(self, x):
         idx = np.searchsorted(self.xs, x, side="right")
         return self.values[idx]

@@ -16,7 +16,7 @@ from . import analysis, control
 from .errors import ConfigError, ContractViolationError
 from .models import (Box, GasModel, LinearModel, TableModel,
                      verify_hypotheses)
-from .profiles import PiecewiseConstant, constant_profile
+from .profiles import PiecewiseConstant, constant_profile, profile_from_jumps
 from .riemann import solve_riemann
 from .tracking import Simulation, calibrate_interaction_constant, check_upsilon
 
@@ -27,7 +27,7 @@ EXPERIMENTS = ("evolve", "riemann", "curves", "steer", "stabilize",
 FLOAT_FMT = "%.17g"
 
 _TOP_KEYS = {
-    "schema", "experiment", "seed", "epsilon", "domain", "model", "initial",
+    "schema", "experiment", "epsilon", "domain", "model", "initial",
     "horizon", "snapshot_times", "u_star", "k_max", "delta_chain", "delta0",
     "omega", "omega_prime", "T", "phi", "psi", "riemann", "curves", "census",
     "density", "sweep", "workers",
@@ -45,7 +45,6 @@ _BLOCK_KEYS = {
     "psi": {"xs", "values"},
 }
 _DEFAULTS = {
-    "seed": 0,
     "epsilon": 0.01,
     "horizon": 1.0,
     "k_max": 4,
@@ -123,9 +122,6 @@ def validate_config(config):
     eps = config.get("epsilon", _DEFAULTS["epsilon"])
     if not isinstance(eps, (int, float)) or eps <= 0:
         diags.append(f"epsilon={eps!r} must be positive")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        diags.append(f"seed={seed!r} must be a non-negative integer")
     dom = config.get("domain")
     if exp not in ("riemann", "curves"):
         if not (_is_vector(dom, 2) and dom[0] < dom[1]):
@@ -230,23 +226,16 @@ def build_initial(block, model, domain):
     if kind == "constant":
         return constant_profile(a, b, np.asarray(block["value"], dtype=float))
     if kind == "jumps":
-        left = np.asarray(block["left"], dtype=float)
-        xs = [float(j[0]) for j in block["jumps"]]
-        vals = [left] + [np.asarray(j[1], dtype=float) for j in block["jumps"]]
-        return PiecewiseConstant(a, b, np.asarray(xs), np.vstack(vals))
+        return profile_from_jumps(a, b, block["left"], block["jumps"])
+    signs = {"dense_shocks": -1.0, "rarefaction_only": 1.0}
+    if kind not in signs:
+        raise ConfigError(f"unknown initial kind {kind!r}")
     base = np.asarray(block["base"], dtype=float) if "base" in block \
         else model.ref_state
-    if kind == "dense_shocks":
-        return analysis.dense_shock_initial_data(
-            model, int(block["n"]), float(block["budget"]), (a, b),
-            base_state=base, family=int(block.get("family", 1)),
-            level_decay=float(block.get("level_decay", 2.0)))
-    if kind == "rarefaction_only":
-        return analysis.dense_rarefaction_initial_data(
-            model, int(block["n"]), float(block["budget"]), (a, b),
-            base_state=base, family=int(block.get("family", 1)),
-            level_decay=float(block.get("level_decay", 2.0)))
-    raise ConfigError(f"unknown initial kind {kind!r}")
+    return analysis.dense_initial_data(
+        model, int(block["n"]), signs[kind] * float(block["budget"]), (a, b),
+        base_state=base, family=int(block.get("family", 1)),
+        level_decay=float(block.get("level_decay", 2.0)))
 
 
 # -- writers ---------------------------------------------------------------------
@@ -392,6 +381,8 @@ def _run_counterexample(config, model, out):
     for family in range(1, model.n + 1):
         reps = analysis.density_series(sim, dtimes, family, cells=cells,
                                        probe=dprobe)
+        if family == 1:
+            slope, err = analysis.kappa_trend(reps)
         out.write_csv(f"density_f{family}.csv",
                       ["t", "max_density", "kappa_hat", "total_mass"],
                       [[r.time, r.max_density, r.kappa_hat, r.total_mass]
@@ -401,8 +392,6 @@ def _run_counterexample(config, model, out):
             "max_density": r.max_density, "kappa_hat": r.kappa_hat,
             "densities": list(map(float, r.densities)),
         } for r in reps])
-    slope, err = analysis.kappa_trend(
-        analysis.density_series(sim, dtimes, 1, cells=cells, probe=dprobe))
 
     n_ev, n_ok, n_unres = analysis.same_family_collision_compliance(sim)
     sid = analysis.strongest_front(sim, 1)
@@ -539,11 +528,12 @@ def _run_linear_control(config, model, out):
     return metrics, None
 
 
-def _run_riemann(config, model, out):
+def riemann_payload(config, model):
+    """JSON-ready solution of the config's riemann block."""
     blk = config["riemann"]
     sol = solve_riemann(model, np.asarray(blk["ul"], dtype=float),
                         np.asarray(blk["ur"], dtype=float))
-    payload = {
+    return {
         "sigmas": [float(s) for s in sol.sigmas],
         "residual": sol.residual,
         "states": [[float(x) for x in s] for s in sol.states],
@@ -553,8 +543,12 @@ def _run_riemann(config, model, out):
             "rh_residual": w.rh_residual,
         } for w in sol.waves],
     }
+
+
+def _run_riemann(config, model, out):
+    payload = riemann_payload(config, model)
     out.write_json("riemann.json", payload)
-    return {"sigmas": payload["sigmas"], "residual": sol.residual}, None
+    return {"sigmas": payload["sigmas"], "residual": payload["residual"]}, None
 
 
 def format_riemann_table(payload):
@@ -649,14 +643,6 @@ def run_scenario(config, out_dir):
     }
     out.write_json("manifest.json", manifest)
     return manifest
-
-
-def run_scenario_file(path, out_dir, overrides=None):
-    with open(path) as fh:
-        config = json.load(fh)
-    if overrides:
-        config.update(overrides)
-    return run_scenario(config, out_dir)
 
 
 def run_sweep(config, out_dir, overrides_list, workers=1):

@@ -11,19 +11,22 @@ simulation advances.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import SIGMA_NULL, lax_curve, rarefaction_curve
-from .errors import ContractViolationError, ConvergenceError
+from .errors import (ContractViolationError, ConvergenceError, DomainError,
+                     HyperbolicityError)
 from .profiles import PiecewiseConstant
-from .riemann import DELTA_RIEMANN, solve_riemann
+from .riemann import solve_riemann
 
 TIME_TIE = 1e-12        # events closer than this are simultaneous
 SPACE_TIE = 1e-9        # simultaneous events closer than this share a point
 WRONG_FAMILY_TOL = 1e-8  # injected waves of the wrong side above this abort
 MAX_INSTANT_EVENTS = 10000
+MAX_EVENTS = 2_000_000
+CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
 
 
 @dataclass
@@ -64,10 +67,6 @@ class Snapshot:
 
     def profile(self):
         return PiecewiseConstant(self.a, self.b, self.xs, self.states)
-
-    def value_at(self, x):
-        idx = int(np.searchsorted(self.xs, x, side="right"))
-        return self.states[idx]
 
     def tv(self):
         if self.n_fronts == 0:
@@ -150,24 +149,19 @@ class WaveMeasure:
 class Simulation:
     """Mutable front-tracking run over one model and interval."""
 
-    def __init__(self, model, profile, eps_fronts, delta_riemann=DELTA_RIEMANN,
-                 keep_history=True, max_events=2_000_000):
+    def __init__(self, model, profile, eps_fronts):
         if eps_fronts <= 0:
             raise ValueError("eps_fronts must be positive")
         self.model = model
         self.a = float(profile.a)
         self.b = float(profile.b)
         self.eps = float(eps_fronts)
-        self.delta_riemann = float(delta_riemann)
-        self.keep_history = keep_history
-        self.max_events = max_events
         self.time = 0.0
         self.fronts = []
         self.records = []
         self.functional_history = []
         self.history = []
         self.dropped_mass = 0.0
-        self.violations = []
         self.boundary_flux_integral = np.zeros((2, model.n))
         self._next_uid = 0
         self._event_count = 0
@@ -178,11 +172,11 @@ class Simulation:
         left = self.left_state
         for j, x in enumerate(profile.xs):
             right = np.asarray(values[j + 1], dtype=float)
-            sol = solve_riemann(model, left, right, radius=self.delta_riemann)
+            sol = solve_riemann(model, left, right)
             self.fronts.extend(self._fronts_from_waves(sol.waves, float(x), {}, 1))
             left = right
         self._log_functionals()
-        self._push_history()
+        self.history.append(self.snapshot())
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -190,13 +184,21 @@ class Simulation:
         self._next_uid += 1
         return self._next_uid - 1
 
-    def _push_history(self):
-        if self.keep_history:
-            self.history.append(self.snapshot())
-
     def _log_functionals(self):
         V, Q, TV = self.glimm_functionals()
         self.functional_history.append((self.time, V, Q, TV))
+
+    def _record(self, rec):
+        """Log the functionals after an event, set the record's changes from
+        the last two rows, and store the record and the new snapshot.  Only
+        positions move between events, and V and Q do not read positions, so
+        the previous row holds the values just before this event."""
+        self._log_functionals()
+        (_, V0, Q0, _), (_, V1, Q1, _) = self.functional_history[-2:]
+        rec.dV = V1 - V0
+        rec.dQ = Q1 - Q0
+        self.records.append(rec)
+        self.history.append(self.snapshot())
 
     def _fronts_from_waves(self, waves, x, generation_by_family, default_gen):
         """Materialize Riemann-solution waves as fronts, fanning rarefactions
@@ -280,21 +282,12 @@ class Simulation:
         return snap.states[idx]
 
     def snapshot_before(self, t):
-        if not self.history:
-            raise RuntimeError("history disabled for this simulation")
         times = [s.time for s in self.history]
         idx = int(np.searchsorted(times, t + TIME_TIE, side="right")) - 1
         return self.history[max(idx, 0)]
 
-    def fronts_at(self, t):
-        """(ids, xs, families, sigmas, speeds) arrays at an arbitrary past time."""
-        snap = self.snapshot_before(t)
-        xs = snap.xs + snap.speeds * (t - snap.time)
-        return snap.ids, xs, snap.families, snap.sigmas, snap.speeds
-
     def snapshot_at(self, t):
         """Snapshot at any time covered by the history, positions advanced."""
-        from dataclasses import replace
         snap = self.snapshot_before(t)
         return replace(snap, time=t, xs=snap.xs + snap.speeds * (t - snap.time))
 
@@ -358,10 +351,9 @@ class Simulation:
         else:
             self._instant_events = 0
         self._event_count += 1
-        if self._event_count > self.max_events:
-            raise RuntimeError(f"exceeded max_events={self.max_events}")
+        if self._event_count > MAX_EVENTS:
+            raise RuntimeError(f"exceeded MAX_EVENTS={MAX_EVENTS}")
         self._advance_positions(event.time)
-        V0, Q0, _ = self.glimm_functionals()
 
         if event.kind in ("exit_a", "exit_b"):
             front = self.fronts.pop(event.lo)
@@ -376,7 +368,7 @@ class Simulation:
             ul = incoming[0].left
             ur = incoming[-1].right
             try:
-                sol = solve_riemann(self.model, ul, ur, radius=self.delta_riemann)
+                sol = solve_riemann(self.model, ul, ur)
             except ConvergenceError:
                 self.records.append(InteractionRecord(
                     self.time, event.x, "error",
@@ -411,13 +403,7 @@ class Simulation:
                 [f.uid for f in new], [f.family for f in new],
                 [f.sigma for f in new], [f.kind for f in new],
                 0.0, 0.0, inherits)
-
-        V1, Q1, _ = self.glimm_functionals()
-        rec.dV = V1 - V0
-        rec.dQ = Q1 - Q0
-        self.records.append(rec)
-        self._log_functionals()
-        self._push_history()
+        self._record(rec)
 
     def advance_to(self, t):
         """Resolve every event up to time t and move fronts there."""
@@ -444,15 +430,13 @@ class Simulation:
         outer = np.asarray(outer_state, dtype=float)
         p = self.model.p
         if side == "b":
-            sol = solve_riemann(self.model, self.trace("b"), outer,
-                                radius=self.delta_riemann)
+            sol = solve_riemann(self.model, self.trace("b"), outer)
             entering = [w for w in sol.waves if w.family <= p]
             wrong = [w for w in sol.waves
                      if w.family > p and abs(w.sigma) > WRONG_FAMILY_TOL]
             position = self.b
         elif side == "a":
-            sol = solve_riemann(self.model, outer, self.trace("a"),
-                                radius=self.delta_riemann)
+            sol = solve_riemann(self.model, outer, self.trace("a"))
             entering = [w for w in sol.waves if w.family > p]
             wrong = [w for w in sol.waves
                      if w.family <= p and abs(w.sigma) > WRONG_FAMILY_TOL]
@@ -478,59 +462,17 @@ class Simulation:
             [f.uid for f in new], [f.family for f in new],
             [f.sigma for f in new], [f.kind for f in new],
             0.0, 0.0, {})
-        V, Q, _ = self.glimm_functionals()
-        rec.dV = V - self.functional_history[-1][1]
-        rec.dQ = Q - self.functional_history[-1][2]
-        self.records.append(rec)
-        self._log_functionals()
-        self._push_history()
+        self._record(rec)
         return [f.uid for f in new]
 
 
-# -- module-level operations ---------------------------------------------------
-
-
-def init_simulation(model, profile, eps_fronts, **kw):
-    """Resolve every initial jump and return a generation-1 Simulation."""
-    return Simulation(model, profile, eps_fronts, **kw)
-
-
-def next_event(sim):
-    return sim.next_event()
-
-
-def resolve_interaction(sim, event):
-    sim._resolve(event)
-    return sim
-
-
-def advance_to(sim, t):
-    return sim.advance_to(t)
-
-
-def inject_boundary_riemann(sim, side, outer_state):
-    sim.inject_boundary_riemann(side, outer_state)
-    return sim
-
-
-def glimm_functionals(sim):
-    return sim.glimm_functionals()
-
-
 def wave_measures(snapshot):
-    """Per-family atomic wave measures of a snapshot: each jump is resolved
-    into elementary waves whose signed sizes become atoms at the jump point."""
-    model = snapshot.model
-    positions = {i: [] for i in range(1, model.n + 1)}
-    sizes = {i: [] for i in range(1, model.n + 1)}
-    for j in range(snapshot.n_fronts):
-        sol = solve_riemann(model, snapshot.states[j], snapshot.states[j + 1])
-        for wave in sol.waves:
-            positions[wave.family].append(float(snapshot.xs[j]))
-            sizes[wave.family].append(float(wave.sigma))
+    """Per-family atomic wave measures of a snapshot: every front is one
+    elementary wave, so its signed strength is an atom at its position."""
+    families = range(1, snapshot.model.n + 1)
     return WaveMeasure(
-        {i: np.asarray(positions[i]) for i in positions},
-        {i: np.asarray(sizes[i]) for i in sizes})
+        {i: snapshot.xs[snapshot.families == i] for i in families},
+        {i: snapshot.sigmas[snapshot.families == i] for i in families})
 
 
 def check_upsilon(sim, c0, tol, q_noise=1e-12):
@@ -562,13 +504,22 @@ def calibrate_interaction_constant(model, n_samples=200, seed=0,
 
     Samples random approaching two-wave interactions in the shrunken working
     box and returns twice the worst observed production-to-potential ratio.
+    Raises ContractViolationError when fewer than n_samples of
+    CALIBRATION_DRAWS_PER_SAMPLE * n_samples draws are admissible.
     """
     rng = np.random.default_rng(seed)
     inner = model.box.shrunk(box_margin)
     lo, hi = sigma_range
     worst = 0.0
-    tried = 0
+    tried = draws = 0
     while tried < n_samples:
+        if draws == CALIBRATION_DRAWS_PER_SAMPLE * n_samples:
+            raise ContractViolationError(
+                f"interaction-constant calibration accepted {tried} of "
+                f"{draws} draws, short of {n_samples} samples: the working "
+                f"box shrunk by {box_margin} holds too few admissible states",
+                {"accepted": tried, "attempted": draws})
+        draws += 1
         u0 = rng.uniform(inner.lows, inner.highs)
         if not model.in_domain(u0):
             continue
@@ -582,7 +533,7 @@ def calibrate_interaction_constant(model, n_samples=200, seed=0,
             um = lax_curve(model, u0, int(fa), sa).state
             ur = lax_curve(model, um, int(fb), sb).state
             sol = solve_riemann(model, u0, ur)
-        except Exception:
+        except (DomainError, ConvergenceError, HyperbolicityError):
             continue
         tried += 1
         dV = float(np.sum(np.abs(sol.sigmas))) - (abs(sa) + abs(sb))

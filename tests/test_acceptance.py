@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fronttrack.analysis import (
-    dense_shock_initial_data, density_series, kappa_trend,
+    dense_initial_data, density_series, kappa_trend,
     same_family_collision_compliance, shock_census, strongest_front,
     track_shock_strength,
 )
@@ -56,9 +56,9 @@ def stab_gas():
 
 @pytest.fixture(scope="module")
 def counterexample_run(near_sonic):
-    profile = dense_shock_initial_data(near_sonic, 31, 0.05, (0.0, 0.13),
-                                       base_state=[1.0, 0.995],
-                                       level_decay=8.0)
+    profile = dense_initial_data(near_sonic, 31, -0.05, (0.0, 0.13),
+                                 base_state=[1.0, 0.995],
+                                 level_decay=8.0)
     sim = Simulation(near_sonic, profile, 0.01)
     sim.advance_to(2.0)
     return profile, sim
@@ -82,8 +82,8 @@ def stabilize_sweep(stab_gas):
     u_star = np.array([1.0, 0.98])
     out = {}
     for delta in (0.08, 0.04, 0.02, 0.01):
-        profile = dense_shock_initial_data(stab_gas, 15, delta, (0.0, 1.0),
-                                           base_state=u_star)
+        profile = dense_initial_data(stab_gas, 15, -delta, (0.0, 1.0),
+                                     base_state=u_star)
         t0 = time.perf_counter()
         res = stabilize(stab_gas, profile, u_star, k_max=3, eps0=delta / 8.0,
                         raise_on_failure=False)

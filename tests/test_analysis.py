@@ -3,14 +3,14 @@ import pytest
 
 from fronttrack.analysis import (
     backward_characteristic, characteristic_spread, creation_events,
-    dense_shock_initial_data, density_series,
+    dense_initial_data, density_series,
     kappa_trend, positive_wave_density, same_family_collision_compliance,
     shock_census, strongest_front, track_shock_strength,
 )
 from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.profiles import constant_profile, profile_from_jumps
 from fronttrack.riemann import solve_riemann
-from fronttrack.tracking import init_simulation, wave_measures
+from fronttrack.tracking import Simulation, wave_measures
 
 U0 = np.array([1.0, 0.0])
 
@@ -19,8 +19,8 @@ U0 = np.array([1.0, 0.0])
 
 
 def test_density_zero_for_shock_only_profile(gas):
-    prof = dense_shock_initial_data(gas, 7, 0.05, (0.0, 1.0), base_state=U0)
-    sim = init_simulation(gas, prof, 0.01)
+    prof = dense_initial_data(gas, 7, -0.05, (0.0, 1.0), base_state=U0)
+    sim = Simulation(gas, prof, 0.01)
     rep = positive_wave_density(sim.snapshot(), 1, probe=(0.1, 0.9))
     assert rep.max_density == 0.0
     assert rep.total_mass == 0.0
@@ -31,7 +31,7 @@ def test_density_of_spread_fan_is_near_one(gas):
     # the fan occupies about 0.3 of space, then density should be about 1
     cp = lax_curve(gas, U0, 2, 0.3)
     prof = profile_from_jumps(0.0, 4.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.002)   # 150 pieces resolve the bins
+    sim = Simulation(gas, prof, 0.002)   # 150 pieces resolve the bins
     lam_lo = gas.eigen(U0).lam(2)
     lam_hi = cp.speed
     t = 0.3 / (lam_hi - lam_lo)      # fan width grows at the speed spread
@@ -50,7 +50,7 @@ def test_kappa_stays_bounded_for_rarefaction_only_run(gas):
     # reciprocal of the speed-per-strength rate, (gamma + 1)/4
     cp = lax_curve(gas, U0, 2, 0.3)
     prof = profile_from_jumps(0.0, 12.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.002)
+    sim = Simulation(gas, prof, 0.002)
     sim.advance_to(5.0)
     times = [2.0, 3.0, 4.0, 5.0]
     reps = density_series(sim, times, 2, cells=200, probe=(0.0, 12.0))
@@ -67,7 +67,7 @@ def test_kappa_stays_bounded_for_rarefaction_only_run(gas):
 def test_lone_shock_keeps_strength(gas):
     cp = shock_curve(gas, U0, 1, -0.15)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.7, cp.state)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     sid = strongest_front(sim, 1)
     sim.advance_to(0.3)
     track = track_shock_strength(sim, sid)
@@ -81,7 +81,7 @@ def test_strength_dips_slightly_when_crossed_by_opposite_shock(gas):
     u1 = shock_curve(gas, U0, 2, s2).state        # 2-shock first (left)
     u2 = shock_curve(gas, u1, 1, -0.2).state      # 1-shock to its right
     prof = profile_from_jumps(0.0, 2.0, U0, [(0.4, u1), (0.6, u2)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     sid = strongest_front(sim, 1)
     sim.advance_to(2.0)
     track = track_shock_strength(sim, sid)
@@ -93,7 +93,7 @@ def test_strength_grows_when_absorbing_same_family(gas):
     u1 = shock_curve(gas, U0, 1, -0.06).state
     u2 = shock_curve(gas, u1, 1, -0.05).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.9, u1), (0.91, u2)])
-    sim = init_simulation(gas, prof, 0.05)
+    sim = Simulation(gas, prof, 0.05)
     sid = strongest_front(sim, 1)
     sim.advance_to(0.5)
     track = track_shock_strength(sim, sid)
@@ -106,7 +106,7 @@ def test_strength_grows_when_absorbing_same_family(gas):
 
 
 def test_backward_characteristic_through_constant_state(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     sim.advance_to(0.4)
     path = backward_characteristic(sim, 2, 0.4, 0.5)
     assert not path.exited
@@ -120,7 +120,7 @@ def test_backward_characteristic_through_constant_state(gas):
 def test_backward_characteristic_refracts_once_at_opposite_shock(gas):
     cp = shock_curve(gas, U0, 2, -0.1)            # right-moving 2-shock
     prof = profile_from_jumps(0.0, 3.0, U0, [(0.8, cp.state)])
-    sim = init_simulation(gas, prof, 0.05)
+    sim = Simulation(gas, prof, 0.05)
     sim.advance_to(0.5)
     # a left-running 1-characteristic from ahead of the shock crosses it once
     path = backward_characteristic(sim, 1, 0.5, 0.9)
@@ -134,9 +134,9 @@ def test_backward_characteristic_refracts_once_at_opposite_shock(gas):
 
 
 def test_same_family_characteristics_do_not_cross(gas_slow):
-    prof = dense_shock_initial_data(gas_slow, 15, 0.05, (0.0, 0.13),
-                                    base_state=[1.0, 0.98], level_decay=8.0)
-    sim = init_simulation(gas_slow, prof, 0.01)
+    prof = dense_initial_data(gas_slow, 15, -0.05, (0.0, 0.13),
+                              base_state=[1.0, 0.98], level_decay=8.0)
+    sim = Simulation(gas_slow, prof, 0.01)
     sim.advance_to(1.5)
     points = np.linspace(0.02, 0.12, 5)
     paths = [backward_characteristic(sim, 2, 1.5, float(x)) for x in points]
@@ -149,7 +149,7 @@ def test_same_family_characteristics_do_not_cross(gas_slow):
 
 
 def test_spread_ratio_constant_solution(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     sim.advance_to(0.3)
     rep = characteristic_spread(sim, 2, 0.4, 0.5, 0.3)
     assert np.allclose(rep.ratios, 1.0, atol=1e-10)
@@ -158,7 +158,7 @@ def test_spread_ratio_constant_solution(gas):
 def test_spread_ratio_exceeds_one_through_rarefaction(gas):
     cp = lax_curve(gas, U0, 2, 0.2)
     prof = profile_from_jumps(0.0, 6.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.02)
+    sim = Simulation(gas, prof, 0.02)
     sim.advance_to(1.0)
     snap = sim.snapshot()
     lo, hi = snap.xs[0], snap.xs[-1]
@@ -172,7 +172,7 @@ def test_spread_ratio_stable_under_accuracy_refinement(gas):
     prof = profile_from_jumps(0.0, 6.0, U0, [(0.5, cp.state)])
     maxima = []
     for eps in (0.04, 0.02, 0.01):
-        sim = init_simulation(gas, prof, eps)
+        sim = Simulation(gas, prof, eps)
         sim.advance_to(1.0)
         snap = sim.snapshot()
         rep = characteristic_spread(sim, 2, snap.xs[0] - 0.05,
@@ -185,9 +185,9 @@ def test_spread_ratio_stable_under_accuracy_refinement(gas):
 
 
 def _counterexample_run(gas_slow, horizon=2.0):
-    prof = dense_shock_initial_data(gas_slow, 31, 0.05, (0.0, 0.13),
-                                    base_state=[1.0, 0.995], level_decay=8.0)
-    sim = init_simulation(gas_slow, prof, 0.01)
+    prof = dense_initial_data(gas_slow, 31, -0.05, (0.0, 0.13),
+                              base_state=[1.0, 0.995], level_decay=8.0)
+    sim = Simulation(gas_slow, prof, 0.01)
     sim.advance_to(horizon)
     return prof, sim
 
@@ -242,7 +242,7 @@ def test_positive_mass_never_increases_across_interactions(gas):
     u3 = lax_curve(gas, u2, 1, -0.08).state
     prof = profile_from_jumps(0.0, 1.0, U0,
                               [(0.85, u1), (0.87, u2), (0.89, u3)])
-    sim = init_simulation(gas, prof, 0.02)
+    sim = Simulation(gas, prof, 0.02)
     sim.advance_to(3.0)
     collisions = [r for r in sim.records if r.kind == "collision"]
     assert collisions
@@ -262,13 +262,13 @@ def test_compressive_adjacency_diagnostic(gas):
     u1 = lax_curve(gas, U0, 1, +0.05).state
     u2 = lax_curve(gas, u1, 1, -0.12).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.85, u1), (0.87, u2)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     assert sim.snapshot().compressive_pairs() == [0]
 
     v1 = lax_curve(gas, U0, 1, -0.06).state
     v2 = lax_curve(gas, v1, 1, -0.05).state
     prof2 = profile_from_jumps(0.0, 1.0, U0, [(0.85, v1), (0.87, v2)])
-    sim2 = init_simulation(gas, prof2, 0.1)
+    sim2 = Simulation(gas, prof2, 0.1)
     assert sim2.snapshot().compressive_pairs() == []
 
 
@@ -276,7 +276,7 @@ def test_compressive_adjacency_diagnostic(gas):
 
 
 def test_dense_single_shock_is_centered(gas):
-    prof = dense_shock_initial_data(gas, 1, 0.05, (0.0, 1.0), base_state=U0)
+    prof = dense_initial_data(gas, 1, -0.05, (0.0, 1.0), base_state=U0)
     assert len(prof.xs) == 1
     assert prof.xs[0] == pytest.approx(0.5)
     sol = solve_riemann(gas, prof.values[0], prof.values[1])
@@ -284,7 +284,7 @@ def test_dense_single_shock_is_centered(gas):
 
 
 def test_dense_shocks_classify_clean(gas):
-    prof = dense_shock_initial_data(gas, 15, 0.05, (0.0, 1.0), base_state=U0)
+    prof = dense_initial_data(gas, 15, -0.05, (0.0, 1.0), base_state=U0)
     total = 0.0
     for j in range(15):
         sol = solve_riemann(gas, prof.values[j], prof.values[j + 1])
@@ -292,7 +292,7 @@ def test_dense_shocks_classify_clean(gas):
         assert sol.waves[0].kind == "shock"
         total += sol.sigma(1)
     assert total == pytest.approx(-0.05, abs=1e-10)
-    sim = init_simulation(gas, prof, 0.01)
+    sim = Simulation(gas, prof, 0.01)
     assert len(sim.fronts) == 15
     m = wave_measures(sim.snapshot())
     assert m.mass(1, +1) == 0.0
@@ -301,15 +301,15 @@ def test_dense_shocks_classify_clean(gas):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 15, 31])
 def test_dense_shock_gap_bound(gas, n):
-    prof = dense_shock_initial_data(gas, n, 0.02, (0.0, 1.0), base_state=U0)
+    prof = dense_initial_data(gas, n, -0.02, (0.0, 1.0), base_state=U0)
     pts = np.concatenate(([0.0], prof.xs, [1.0]))
     largest = float(np.max(np.diff(pts)))
     assert largest <= 1.0 / np.ceil((n + 1) / 2) + 1e-12
 
 
 def test_dense_strengths_decrease_with_level(gas):
-    prof = dense_shock_initial_data(gas, 7, 0.05, (0.0, 1.0), base_state=U0,
-                                    level_decay=4.0)
+    prof = dense_initial_data(gas, 7, -0.05, (0.0, 1.0), base_state=U0,
+                              level_decay=4.0)
     sizes = {}
     for j in range(7):
         sol = solve_riemann(gas, prof.values[j], prof.values[j + 1])

@@ -226,3 +226,23 @@ def test_validate_config_function_directly():
         "model": dict(GAS_BLOCK),
         "riemann": {"ul": [1.0, 0.0], "ur": [1.0, 0.0]}})
     assert diags == []
+
+
+def test_calibration_without_admissible_states_exits_4(tmp_path, capsys):
+    # the calibration box (the working box shrunk by a quarter per side) is
+    # entirely supersonic, so no draw is admissible: the run must stop with
+    # an invariant violation instead of drawing forever
+    config = {
+        "schema": "scenario-v1",
+        "experiment": "evolve",
+        "model": {"kind": "gas", "K": 1.0, "gamma": 2.0,
+                  "box": [[0.5, 1.0], [0.8, 1.6]]},
+        "domain": [0.0, 1.0],
+        "initial": {"kind": "constant", "value": [0.9, 0.85]},
+    }
+    cfg = _write(tmp_path, "no_calibration.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert "accepted 0 of 20000 draws" in err

@@ -8,7 +8,7 @@ from fronttrack.control import (
 from fronttrack.errors import ContractViolationError
 from fronttrack.models import LinearModel
 from fronttrack.profiles import PiecewiseConstant, constant_profile
-from fronttrack.analysis import dense_shock_initial_data
+from fronttrack.analysis import dense_initial_data
 
 U0 = np.array([1.0, 0.0])
 
@@ -138,8 +138,8 @@ def test_stabilization_step_fixed_point(gas_slow):
 
 def test_stabilization_step_contracts_dense_shocks(gas_slow):
     u_star = np.array([1.0, 0.98])
-    prof = dense_shock_initial_data(gas_slow, 15, 0.04, (0.0, 1.0),
-                                    base_state=u_star)
+    prof = dense_initial_data(gas_slow, 15, -0.04, (0.0, 1.0),
+                              base_state=u_star)
     delta0 = max(prof.sup_distance(u_star), prof.total_variation())
     step = stabilization_step(gas_slow, prof, u_star, 0.005)
     assert step.violations == []
@@ -149,8 +149,8 @@ def test_stabilization_step_contracts_dense_shocks(gas_slow):
 
 def test_stabilization_step_precondition(gas_slow):
     u_star = np.array([1.0, 0.98])
-    prof = dense_shock_initial_data(gas_slow, 15, 0.05, (0.0, 1.0),
-                                    base_state=u_star)
+    prof = dense_initial_data(gas_slow, 15, -0.05, (0.0, 1.0),
+                              base_state=u_star)
     with pytest.raises(ContractViolationError):
         stabilization_step(gas_slow, prof, u_star, 0.01, delta0=0.01)
 
@@ -164,8 +164,8 @@ def test_stabilize_fixed_point(gas_slow):
 
 def test_stabilize_dense_shock_run(gas_slow):
     u_star = np.array([1.0, 0.98])
-    prof = dense_shock_initial_data(gas_slow, 15, 0.05, (0.0, 1.0),
-                                    base_state=u_star)
+    prof = dense_initial_data(gas_slow, 15, -0.05, (0.0, 1.0),
+                              base_state=u_star)
     res = stabilize(gas_slow, prof, u_star, k_max=4, eps0=0.006)
     deltas = res.record.deltas
     assert len(deltas) >= 2
@@ -184,8 +184,8 @@ def test_stabilize_dense_shock_run(gas_slow):
 
 def test_stabilize_pre_phase_reaches_far_target(gas_slow):
     u_star = np.array([1.04, 0.93])
-    prof = dense_shock_initial_data(gas_slow, 7, 0.01, (0.0, 1.0),
-                                    base_state=[1.0, 0.98])
+    prof = dense_initial_data(gas_slow, 7, -0.01, (0.0, 1.0),
+                              base_state=[1.0, 0.98])
     res = stabilize(gas_slow, prof, u_star, k_max=2, eps0=0.002, delta0=0.03)
     assert len(res.pre_plan.actions) >= 2
     assert res.record.rows[0].delta < 0.03

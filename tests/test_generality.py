@@ -13,7 +13,7 @@ from fronttrack.riemann import (
     split_boundary_pair_reverse,
 )
 from fronttrack.control import crossing_time, steer_constant_states
-from fronttrack.tracking import init_simulation
+from fronttrack.tracking import Simulation
 
 
 @pytest.fixture(params=[1.3, 1.5, 2.5, 2.9], scope="module")
@@ -66,7 +66,7 @@ def test_merge_sign_other_exponents(gas_gamma):
     u1 = shock_curve(gas_gamma, u0, 1, -0.06).state
     u2 = shock_curve(gas_gamma, u1, 1, -0.05).state
     prof = profile_from_jumps(0.0, 1.0, u0, [(0.9, u1), (0.91, u2)])
-    sim = init_simulation(gas_gamma, prof, 0.05)
+    sim = Simulation(gas_gamma, prof, 0.05)
     ev = sim.next_event()
     assert ev.kind == "collision"
     sim.advance_to(ev.time)

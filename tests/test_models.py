@@ -3,30 +3,28 @@ import pytest
 
 from fronttrack.errors import DomainError
 from fronttrack.models import (
-    Box, GasModel, LinearModel, TableModel, crossing_time, eigen_structure,
-    eval_flux, from_riemann_coordinates, riemann_coordinates,
-    verify_hypotheses,
+    Box, GasModel, LinearModel, TableModel, crossing_time, verify_hypotheses,
 )
 
 
 def test_linear_flux_is_matrix_product(diag_linear):
-    out = eval_flux(diag_linear, np.array([2.0, 3.0]))
+    out = diag_linear.flux(np.array([2.0, 3.0]))
     assert np.allclose(out, [-2.0, 3.0], atol=1e-15)
 
 
 def test_gas_flux_reference_point(gas):
     # (rho u, u^2/2 + K^2 rho^(gamma-1)/(gamma-1)) at (1, 0) with K=1, gamma=2
-    out = eval_flux(gas, np.array([1.0, 0.0]))
+    out = gas.flux(np.array([1.0, 0.0]))
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
 
 def test_negative_density_rejected(gas):
     with pytest.raises(DomainError):
-        eval_flux(gas, np.array([-1.0, 0.0]))
+        gas.check_domain(np.array([-1.0, 0.0]))
 
 
 def test_diagonal_eigenstructure(diag_linear):
-    eig = eigen_structure(diag_linear, np.zeros(2))
+    eig = diag_linear.eigen(np.zeros(2))
     assert np.allclose(eig.lams, [-1.0, 1.0])
     assert np.allclose(eig.r(1), [1.0, 0.0])
     assert np.allclose(eig.r(2), [0.0, 1.0])
@@ -37,7 +35,7 @@ def test_diagonal_eigenstructure(diag_linear):
     ([1.0, 0.5], [-0.5, 1.5]),
 ])
 def test_gas_eigenvalues_closed_form(gas, u, expected):
-    eig = eigen_structure(gas, np.array(u))
+    eig = gas.eigen(np.array(u))
     assert np.allclose(eig.lams, expected, atol=1e-12)
 
 
@@ -95,7 +93,7 @@ def test_hypotheses_linear_diagonal(diag_linear):
 
 
 def test_chart_anchored_at_reference(gas):
-    assert np.allclose(riemann_coordinates(gas, gas.ref_state), [0.0, 0.0],
+    assert np.allclose(gas.to_riemann(gas.ref_state), [0.0, 0.0],
                        atol=1e-14)
 
 
@@ -103,7 +101,7 @@ def test_chart_matches_velocity_soundspeed_combination(gas):
     rng = np.random.default_rng(7)
     for _ in range(20):
         rho, v = rng.uniform([0.7, -0.2], [1.3, 0.2])
-        w = riemann_coordinates(gas, np.array([rho, v]))
+        w = gas.to_riemann(np.array([rho, v]))
         raw1 = v - 2.0 * np.sqrt(rho)     # u - 2K rho^((gamma-1)/2)/(gamma-1)
         raw2 = v + 2.0 * np.sqrt(rho)
         anchor1, anchor2 = -2.0, 2.0      # raw chart at the (1, 0) reference
@@ -116,7 +114,7 @@ def test_opposite_coordinate_constant_along_integral_curves(gas):
     from scipy.integrate import solve_ivp
 
     u0 = np.array([1.0, 0.0])
-    w2_0 = riemann_coordinates(gas, u0)[1]
+    w2_0 = gas.to_riemann(u0)[1]
 
     def field(_s, u):
         eig = gas.eigen(u)
@@ -126,14 +124,14 @@ def test_opposite_coordinate_constant_along_integral_curves(gas):
     sol = solve_ivp(field, (0.0, -0.3), u0, method="DOP853",
                     rtol=1e-12, atol=1e-13, t_eval=np.linspace(0, -0.3, 7))
     for u in sol.y.T:
-        assert abs(riemann_coordinates(gas, u)[1] - w2_0) < 1e-6
+        assert abs(gas.to_riemann(u)[1] - w2_0) < 1e-6
 
 
 def test_chart_round_trip(gas):
     rng = np.random.default_rng(11)
     for _ in range(50):
         u = rng.uniform([0.6, -0.3], [1.4, 0.3])
-        back = from_riemann_coordinates(gas, riemann_coordinates(gas, u))
+        back = gas.from_riemann(gas.to_riemann(u))
         assert np.max(np.abs(back - u)) < 1e-10
 
 

@@ -5,10 +5,9 @@ from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.errors import ContractViolationError
 from fronttrack.models import LinearModel
 from fronttrack.profiles import constant_profile, profile_from_jumps
-from fronttrack.riemann import split_boundary_pair
+from fronttrack.riemann import solve_riemann, split_boundary_pair
 from fronttrack.tracking import (
-    calibrate_interaction_constant, check_upsilon, init_simulation,
-    wave_measures,
+    Simulation, calibrate_interaction_constant, check_upsilon, wave_measures,
 )
 
 U0 = np.array([1.0, 0.0])
@@ -20,7 +19,7 @@ PRODUCTION = (0.75 ** 3) * (1.0 / 36.0)
 
 
 def test_constant_data_has_no_fronts(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     assert sim.fronts == []
     assert sim.next_event() is None
     snap = sim.advance_to(10.0)
@@ -31,7 +30,7 @@ def test_constant_data_has_no_fronts(gas):
 def test_single_shock_jump_resolves_to_one_front(gas):
     cp = shock_curve(gas, U0, 1, -0.2)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     assert len(sim.fronts) == 1
     front = sim.fronts[0]
     assert front.kind == "shock"
@@ -43,7 +42,7 @@ def test_single_shock_jump_resolves_to_one_front(gas):
 def test_rarefaction_jump_fans_into_pieces(gas):
     cp = lax_curve(gas, U0, 2, 0.25)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     sigmas = [f.sigma for f in sim.fronts]
     assert len(sigmas) == 3
     assert all(0 < s <= 0.1 + 1e-12 for s in sigmas)
@@ -60,7 +59,7 @@ def test_next_event_collision_of_opposite_contacts():
     mid = left + 0.1 * r2           # family-2 contact first (moves right)
     right = mid + 0.1 * r1          # family-1 contact second (moves left)
     prof = profile_from_jumps(-2.0, 3.0, left, [(0.0, mid), (1.0, right)])
-    sim = init_simulation(lin, prof, 0.1)
+    sim = Simulation(lin, prof, 0.1)
     ev = sim.next_event()
     assert ev.kind == "collision"
     assert ev.time == pytest.approx(0.5)
@@ -71,7 +70,7 @@ def test_next_event_boundary_exit():
     lin = LinearModel([[-1.0, 0.0], [0.0, 1.0]])
     r2 = lin.eigen(None).r(2)
     prof = profile_from_jumps(0.0, 1.0, np.zeros(2), [(0.25, 0.1 * r2)])
-    sim = init_simulation(lin, prof, 0.1)
+    sim = Simulation(lin, prof, 0.1)
     ev = sim.next_event()
     assert ev.kind == "exit_b"
     assert ev.time == pytest.approx(0.75)   # (b - x0) / speed
@@ -82,7 +81,7 @@ def test_same_family_shock_merge_emits_opposite_shock(gas):
     u1 = shock_curve(gas, U0, 1, sa).state
     u2 = shock_curve(gas, u1, 1, sb).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.9, u1), (0.91, u2)])
-    sim = init_simulation(gas, prof, 0.05)
+    sim = Simulation(gas, prof, 0.05)
     ev = sim.next_event()
     assert ev.kind == "collision"
     sim.advance_to(ev.time)
@@ -102,7 +101,7 @@ def test_shock_absorbing_same_family_rarefaction_emits_rarefaction(gas):
     u1 = shock_curve(gas, U0, 1, ss).state
     u2 = lax_curve(gas, u1, 1, sr).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.9, u1), (0.905, u2)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     sim.advance_to(5.0)
     rec = [r for r in sim.records if r.kind == "collision"][0]
     out = dict(zip(rec.out_families, rec.out_sigmas))
@@ -117,7 +116,7 @@ def test_shock_absorbing_same_family_rarefaction_emits_rarefaction(gas):
 def test_boundary_exit_is_absorbing(gas):
     cp = shock_curve(gas, U0, 1, -0.1)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     sim.advance_to(5.0)
     assert sim.fronts == []
     assert [r.kind for r in sim.records] == ["exit_a"]
@@ -131,7 +130,7 @@ def test_advance_logs_exactly_one_interaction(gas):
     u1 = shock_curve(gas, U0, 1, sa).state
     u2 = shock_curve(gas, u1, 1, sb).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.9, u1), (0.91, u2)])
-    sim = init_simulation(gas, prof, 0.05)
+    sim = Simulation(gas, prof, 0.05)
     ev = sim.next_event()
     before = len(sim.records)
     sim.advance_to(ev.time + 1e-6)
@@ -140,14 +139,14 @@ def test_advance_logs_exactly_one_interaction(gas):
 
 
 def test_injection_of_trace_is_a_no_op(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     new = sim.inject_boundary_riemann("b", sim.trace("b"))
     assert new == []
     assert sim.fronts == []
 
 
 def test_injection_of_split_state_sends_low_families_only(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.05)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.05)
     target = np.array([1.04, 0.02])
     split = split_boundary_pair(gas, sim.trace("b"), target)
     new_ids = sim.inject_boundary_riemann("b", split.state)
@@ -160,14 +159,14 @@ def test_injection_of_split_state_sends_low_families_only(gas):
 
 
 def test_injection_of_wrong_side_state_is_rejected(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     bad_outer = lax_curve(gas, sim.trace("b"), 2, -0.05).state
     with pytest.raises(ContractViolationError):
         sim.inject_boundary_riemann("b", bad_outer)
 
 
 def test_functionals_empty(gas):
-    sim = init_simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
+    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     assert sim.glimm_functionals() == (0.0, 0.0, 0.0)
 
 
@@ -176,7 +175,7 @@ def test_functionals_non_approaching_pair(gas):
     u1 = shock_curve(gas, U0, 1, -0.2).state
     u2 = lax_curve(gas, u1, 2, 0.1).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.4, u1), (0.6, u2)])
-    sim = init_simulation(gas, prof, 0.2)
+    sim = Simulation(gas, prof, 0.2)
     V, Q, _ = sim.glimm_functionals()
     assert V == pytest.approx(0.3, abs=1e-9)
     assert Q == 0.0
@@ -186,7 +185,7 @@ def test_functionals_approaching_same_family(gas):
     u1 = shock_curve(gas, U0, 1, -0.1).state
     u2 = shock_curve(gas, u1, 1, -0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.4, u1), (0.6, u2)])
-    sim = init_simulation(gas, prof, 0.3)
+    sim = Simulation(gas, prof, 0.3)
     V, Q, _ = sim.glimm_functionals()
     assert V == pytest.approx(0.3, abs=1e-9)
     assert Q == pytest.approx(0.02, abs=1e-9)
@@ -195,7 +194,7 @@ def test_functionals_approaching_same_family(gas):
 def test_wave_measures_single_shock(gas):
     u1 = shock_curve(gas, U0, 1, -0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, u1)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     m = wave_measures(sim.snapshot())
     assert m.mass(1, -1) == pytest.approx(0.2, abs=1e-10)
     assert m.mass(1, +1) == 0.0
@@ -205,7 +204,7 @@ def test_wave_measures_single_shock(gas):
 def test_wave_measures_fan_pieces(gas):
     cp = lax_curve(gas, U0, 2, 0.3)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     m = wave_measures(sim.snapshot())
     assert m.mass(2, +1) == pytest.approx(0.3, abs=1e-9)
     assert m.mass(2, -1) == pytest.approx(0.0, abs=1e-10)
@@ -215,19 +214,71 @@ def test_wave_measures_match_construction(gas):
     u1 = lax_curve(gas, U0, 1, -0.12).state
     u2 = lax_curve(gas, u1, 2, 0.07).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.3, u1), (0.7, u2)])
-    sim = init_simulation(gas, prof, 0.2)
+    sim = Simulation(gas, prof, 0.2)
     m = wave_measures(sim.snapshot())
     assert m.mass(1, -1) == pytest.approx(0.12, abs=1e-8)
     assert m.mass(2, +1) == pytest.approx(0.07, abs=1e-8)
 
 
 def _cascade(gas_slow, n=15, budget=0.05, eps=0.01, horizon=25.0):
-    from fronttrack.analysis import dense_shock_initial_data
-    prof = dense_shock_initial_data(gas_slow, n, budget, (0.0, 0.13),
-                                    base_state=[1.0, 0.98], level_decay=8.0)
-    sim = init_simulation(gas_slow, prof, eps)
+    from fronttrack.analysis import dense_initial_data
+    prof = dense_initial_data(gas_slow, n, -budget, (0.0, 0.13),
+                              base_state=[1.0, 0.98], level_decay=8.0)
+    sim = Simulation(gas_slow, prof, eps)
     sim.advance_to(horizon)
     return sim
+
+
+def test_functionals_evaluated_once_per_event(gas_slow, monkeypatch):
+    calls = []
+    original = Simulation.glimm_functionals
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+    monkeypatch.setattr(Simulation, "glimm_functionals", counted)
+    sim = _cascade(gas_slow, horizon=5.0)
+    assert len(sim.records) >= 10
+    assert len(calls) == len(sim.records) + 1
+
+    def v_and_q(snap):
+        # V and Q recomputed pair by pair from a history snapshot
+        sig = np.abs(snap.sigmas)
+        V = float(np.sum(sig))
+        Q = 0.0
+        for i in range(snap.n_fronts):
+            for j in range(i + 1, snap.n_fronts):
+                fi, fj = snap.families[i], snap.families[j]
+                both_rar = snap.kinds[i] == snap.kinds[j] == "rarefaction"
+                if fi > fj or (fi == fj and not both_rar):
+                    Q += sig[i] * sig[j]
+        return V, Q
+
+    assert len(sim.history) == len(sim.records) + 1
+    for k, rec in enumerate(sim.records):
+        V0, Q0 = v_and_q(sim.history[k])
+        V1, Q1 = v_and_q(sim.history[k + 1])
+        assert abs(rec.dV - (V1 - V0)) <= 1e-12
+        assert abs(rec.dQ - (Q1 - Q0)) <= 1e-12
+
+
+def test_wave_measures_match_riemann_resolve_of_every_jump(gas_slow):
+    sim = _cascade(gas_slow)
+    for snap in sim.history:
+        # reference: resolve every jump of the profile into its waves
+        ref = np.zeros((snap.n_fronts, gas_slow.n))
+        for j in range(snap.n_fronts):
+            sol = solve_riemann(gas_slow, snap.states[j], snap.states[j + 1])
+            for wave in sol.waves:
+                ref[j, wave.family - 1] += wave.sigma
+        m = wave_measures(snap)
+        for family in range(1, gas_slow.n + 1):
+            xs, sizes = m.atoms(family)
+            at = snap.families == family
+            assert np.array_equal(xs, snap.xs[at])
+            assert np.max(np.abs(sizes - ref[at, family - 1]),
+                          initial=0.0) <= 1e-10
+            assert np.max(np.abs(ref[~at, family - 1]), initial=0.0) <= 1e-10
 
 
 def test_upsilon_monotone_on_cascade(gas_slow):
@@ -257,7 +308,7 @@ def test_conservation_between_boundary_flux_ledgers(gas):
     u1 = lax_curve(gas, U0, 1, -0.15).state
     u2 = lax_curve(gas, u1, 2, 0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.35, u1), (0.65, u2)])
-    sim = init_simulation(gas, prof, 0.02)
+    sim = Simulation(gas, prof, 0.02)
     state_int0 = sim.snapshot().profile().integral()
     flux0 = sim.boundary_flux_integral.copy()
     sim.advance_to(0.4)
@@ -272,7 +323,7 @@ def test_conservation_between_boundary_flux_ledgers(gas):
 def test_state_reconstruction_from_history(gas):
     cp = shock_curve(gas, U0, 1, -0.1)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
-    sim = init_simulation(gas, prof, 0.1)
+    sim = Simulation(gas, prof, 0.1)
     sim.advance_to(0.3)
     x_front = 0.5 + cp.speed * 0.2
     assert np.allclose(sim.state_at(0.2, x_front - 0.01), U0)
