@@ -208,9 +208,7 @@ def backward_characteristic(sim, family, t, x):
     exited = False
     exit_point = None
 
-    times = [s.time for s in sim.history]
-    k = int(np.searchsorted(times, t_cur + TIME_TIE, side="right")) - 1
-    k = max(k, 0)
+    k = sim.history_index(t_cur)
     while t_cur > TIME_TIE and not exited:
         snap = sim.history[k]
         t_lo = snap.time

@@ -1,7 +1,7 @@
 """Command-line entry point: scenario runner and report utilities.
 
-Exit codes: 0 success, 2 config error, 3 solver divergence, 4 invariant
-violation.
+Exit codes: 0 success, 2 config error, 3 solver divergence or a state
+leaving the admissible domain, 4 invariant violation.
 """
 
 import argparse
@@ -10,7 +10,8 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ContractViolationError, ConvergenceError
+from .errors import (ConfigError, ContractViolationError, ConvergenceError,
+                     DomainError)
 from . import scenarios
 
 EXIT_OK = 0
@@ -189,6 +190,9 @@ def main(argv=None):
         return EXIT_INVARIANT
     except ConvergenceError as exc:
         print(f"solver divergence: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

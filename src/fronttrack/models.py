@@ -5,6 +5,7 @@ and a working box in state space.  Characteristic speeds must keep their sign
 pattern (families 1..p negative, p+1..n positive) on the admissible domain.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,12 @@ class Box:
             raise ValueError("box must have lows < highs")
 
     def contains(self, u, slack=0.0):
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= self.lows - slack) and np.all(u <= self.highs + slack))
+        """Whether the point u lies in the box widened by slack; NaN never
+        does.  Compares Python floats: numpy reductions on a 2-vector cost
+        more than the comparisons."""
+        return all(lo - slack <= x <= hi + slack for x, lo, hi in zip(
+            np.asarray(u, dtype=float).tolist(), self.lows.tolist(),
+            self.highs.tolist(), strict=True))
 
     def grid(self, samples_per_axis):
         axes = [np.linspace(lo, hi, samples_per_axis)
@@ -195,7 +200,7 @@ class FluxModel:
 
     def structurally_valid(self, u):
         """Positivity-type constraints that make the flux evaluable."""
-        return bool(np.all(np.isfinite(u)))
+        return all(map(math.isfinite, np.asarray(u, dtype=float).tolist()))
 
     def in_domain(self, u, slack=1e-9):
         u = np.asarray(u, dtype=float)
@@ -354,9 +359,9 @@ class GasModel(FluxModel):
         return np.array([-e, 1.0]) if family == 1 else np.array([e, 1.0])
 
     def structurally_valid(self, u):
-        if not np.all(np.isfinite(u)):
+        rho, v = np.asarray(u, dtype=float).tolist()
+        if not (math.isfinite(rho) and math.isfinite(v)):
             return False
-        rho, v = u
         if rho <= 0.0:
             return False
         # keep the declared sign pattern lambda_1 < 0 < lambda_2

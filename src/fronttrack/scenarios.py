@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, control
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError, ContractViolationError, HyperbolicityError
 from .models import (Box, GasModel, LinearModel, TableModel,
                      verify_hypotheses)
 from .profiles import PiecewiseConstant, constant_profile, profile_from_jumps
@@ -81,6 +81,7 @@ def validate_config(config):
         diags.append(f"unknown experiment kind {exp!r}; "
                      f"expected one of {sorted(EXPERIMENTS)}")
 
+    n_before_model = len(diags)
     model = config.get("model")
     if not isinstance(model, dict):
         diags.append("missing model block")
@@ -111,6 +112,12 @@ def validate_config(config):
                         for pair in box)):
             diags.append("model.box must be per-component [low, high] pairs "
                          "with low < high")
+    built = None
+    if len(diags) == n_before_model:
+        try:
+            built = build_model(model)
+        except (TypeError, ValueError, KeyError, HyperbolicityError) as exc:
+            diags.append(f"model block rejected: {exc}")
 
     for block_name, allowed in _BLOCK_KEYS.items():
         block = config.get(block_name)
@@ -151,6 +158,8 @@ def validate_config(config):
                 budget = initial.get("budget")
                 if not isinstance(budget, (int, float)) or budget <= 0:
                     diags.append("initial.budget must be positive")
+            if built is not None:
+                diags.extend(_initial_state_diags(initial, built))
     if exp == "stabilize" and not _is_vector(config.get("u_star")):
         diags.append("stabilize needs u_star")
     if exp == "steer":
@@ -179,6 +188,36 @@ def validate_config(config):
             diags.append("curves needs block with u0")
         elif blk.get("branch", "lax") not in ("lax", "shock", "rarefaction"):
             diags.append("curves.branch must be lax | shock | rarefaction")
+    return diags
+
+
+def _initial_state_diags(initial, model):
+    """Every state the initial block names must be an admissible state of
+    the model: a run would otherwise stop on a DomainError."""
+    diags = []
+    states = []
+    if initial.get("kind") == "constant":
+        states.append(("initial.value", initial.get("value")))
+    elif initial.get("kind") == "jumps":
+        states.append(("initial.left", initial.get("left")))
+        jumps = initial.get("jumps")
+        if not isinstance(jumps, list):
+            diags.append("initial.jumps must be a list of [x, state] pairs")
+            jumps = []
+        for k, jump in enumerate(jumps):
+            if isinstance(jump, list) and len(jump) == 2 \
+                    and isinstance(jump[0], (int, float)):
+                states.append((f"initial.jumps[{k}]", jump[1]))
+            else:
+                diags.append(f"initial.jumps[{k}] must be an [x, state] pair")
+    if "base" in initial:
+        states.append(("initial.base", initial["base"]))
+    for name, u in states:
+        if not _is_vector(u, model.n):
+            diags.append(f"{name}={u!r} must be a state of {model.n} numbers")
+        elif not model.in_domain(u):
+            diags.append(f"{name}={u} lies outside the admissible domain "
+                         "of the model")
     return diags
 
 
@@ -627,10 +666,7 @@ def run_scenario(config, out_dir):
     if diags:
         raise ConfigError(diags)
     config = resolve_config(config)
-    try:
-        model = build_model(config["model"])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"model block rejected: {exc}") from exc
+    model = build_model(config["model"])
     _admission_gate(model, config["experiment"])
     out = _OutputSet(out_dir)
     out.out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,8 +10,9 @@ history, snapshot history, boundary flux integrals) is accumulated as the
 simulation advances.
 """
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class Front:
     kind: str              # shock | rarefaction | contact
     generation: int
     x: float               # position at the owning simulation's clock
+    jump: float = field(init=False)   # |right - left|, fixed at birth
+
+    def __post_init__(self):
+        self.jump = np.linalg.norm(self.right - self.left)
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,10 @@ class Simulation:
         V, Q, TV = self.glimm_functionals()
         self.functional_history.append((self.time, V, Q, TV))
 
+    def _where(self):
+        """Diagnostics of an engine contract violation."""
+        return {"time": float(self.time), "events": self._event_count}
+
     def _record(self, rec):
         """Log the functionals after an event, set the record's changes from
         the last two rows, and store the record and the new snapshot.  Only
@@ -260,18 +269,38 @@ class Simulation:
         raise ValueError("side must be 'a' or 'b'")
 
     def glimm_functionals(self):
-        """Total wave strength V, interaction potential Q, and profile TV."""
+        """Total wave strength V, interaction potential Q, and profile TV.
+
+        With s_j = |sigma_j| over the fronts in left-to-right order, a pair
+        i < j approaches unless fam_i < fam_j or both are rarefactions of
+        one family, so
+
+            Q = sum_j s_j (sum_{i<j, fam_i >= fam_j} s_i
+                           - rar_j sum_{i<j, fam_i = fam_j, rar_i} s_i),
+
+        read off exclusive per-family prefix sums of s: O(k n) work for k
+        fronts and n families.  TV sums the jumps the fronts stored at birth.
+        """
         k = len(self.fronts)
         if k == 0:
             return 0.0, 0.0, 0.0
         sig = np.abs([f.sigma for f in self.fronts])
-        fam = np.array([f.family for f in self.fronts])
+        fam = np.array([f.family for f in self.fronts]) - 1
         rar = np.array([f.kind == "rarefaction" for f in self.fronts])
         V = float(np.sum(sig))
-        i, j = np.triu_indices(k, 1)
-        approaching = (fam[i] > fam[j]) | ((fam[i] == fam[j]) & ~(rar[i] & rar[j]))
-        Q = float(np.sum(sig[i] * sig[j] * approaching))
-        TV = float(np.sum([np.linalg.norm(f.right - f.left) for f in self.fronts]))
+        cols = np.arange(k)
+        # own[g, j] = s_j if front j is of family g + 1; before[g, j] sums
+        # own[g, i] over i < j, and at_or_above[g] sums before over g' >= g
+        own = np.zeros((self.model.n, k))
+        own[fam, cols] = sig
+        before = np.zeros_like(own)
+        np.cumsum(own[:, :-1], axis=1, out=before[:, 1:])
+        rar_before = np.zeros_like(own)
+        np.cumsum(own[:, :-1] * rar[:-1], axis=1, out=rar_before[:, 1:])
+        at_or_above = np.cumsum(before[::-1], axis=0)[::-1]
+        Q = float(np.sum(sig * (at_or_above[fam, cols]
+                                - rar * rar_before[fam, cols])))
+        TV = float(np.sum([f.jump for f in self.fronts]))
         return V, Q, TV
 
     def state_at(self, t, x):
@@ -281,10 +310,16 @@ class Simulation:
         idx = int(np.searchsorted(xs, x, side="right"))
         return snap.states[idx]
 
+    def history_index(self, t):
+        """Index of the last history snapshot taken at or before t, within
+        TIME_TIE; 0 when t precedes them all.  History times never
+        decrease, so this is a bisection."""
+        idx = bisect.bisect_right(self.history, t + TIME_TIE,
+                                  key=lambda s: s.time)
+        return max(idx - 1, 0)
+
     def snapshot_before(self, t):
-        times = [s.time for s in self.history]
-        idx = int(np.searchsorted(times, t + TIME_TIE, side="right")) - 1
-        return self.history[max(idx, 0)]
+        return self.history[self.history_index(t)]
 
     def snapshot_at(self, t):
         """Snapshot at any time covered by the history, positions advanced."""
@@ -294,42 +329,44 @@ class Simulation:
     # -- core loop -----------------------------------------------------------
 
     def next_event(self):
-        """Earliest future collision or boundary crossing, ties merged."""
-        k = len(self.fronts)
-        if k == 0:
+        """Earliest future collision or boundary crossing, ties merged.
+
+        Candidates are the collisions of adjacent approaching fronts and the
+        boundary exits of moving fronts.  Among the candidates within
+        TIME_TIE of the earliest, the leftmost point wins, then collisions
+        before exits, then the leftmost front.  A winning collision absorbs
+        every candidate collision within SPACE_TIE of its point: the event
+        spans all their fronts and takes the earliest of their times.
+        """
+        if not self.fronts:
             return None
         xs = np.array([f.x for f in self.fronts])
         sp = np.array([f.speed for f in self.fronts])
-        candidates = []
-        for j in range(k - 1):
-            ds = sp[j] - sp[j + 1]
-            if ds > 1e-14:
-                dt = max((xs[j + 1] - xs[j]) / ds, 0.0)
-                candidates.append((self.time + dt, xs[j] + sp[j] * dt,
-                                   "collision", j, j + 1))
-        for j in range(k):
-            if sp[j] < -1e-14:
-                dt = max((self.a - xs[j]) / sp[j], 0.0)
-                candidates.append((self.time + dt, self.a, "exit_a", j, j))
-            elif sp[j] > 1e-14:
-                dt = max((self.b - xs[j]) / sp[j], 0.0)
-                candidates.append((self.time + dt, self.b, "exit_b", j, j))
-        if not candidates:
+        ds = sp[:-1] - sp[1:]
+        cj = np.flatnonzero(ds > 1e-14)        # pair (j, j + 1) approaches
+        dt = (xs[cj + 1] - xs[cj]) / ds[cj]
+        dt = np.where(dt < 0.0, 0.0, dt)       # max(dt, 0.0), keeping -0.0
+        ej = np.flatnonzero(np.abs(sp) > 1e-14)
+        walls = np.where(sp[ej] < 0.0, self.a, self.b)
+        edt = (walls - xs[ej]) / sp[ej]
+        edt = np.where(edt < 0.0, 0.0, edt)
+        times = np.concatenate((self.time + dt, self.time + edt))
+        if len(times) == 0:
             return None
-        t_min = min(c[0] for c in candidates)
-        near = [c for c in candidates if c[0] <= t_min + TIME_TIE]
-        # leftmost point first; collisions win ties against exits
-        near.sort(key=lambda c: (c[1], c[2] != "collision"))
-        x0, kind0 = near[0][1], near[0][2]
-        if kind0 != "collision":
-            j = near[0][3]
-            return Event(near[0][0], x0, kind0, j, j)
-        group = [c for c in near
-                 if c[2] == "collision" and abs(c[1] - x0) <= SPACE_TIE]
-        lo = min(c[3] for c in group)
-        hi = max(c[4] for c in group)
-        t_ev = min(c[0] for c in group)
-        return Event(t_ev, x0, "collision", lo, hi)
+        points = np.concatenate((xs[cj] + sp[cj] * dt, walls))
+        is_exit = np.arange(len(times)) >= len(cj)
+        near = np.flatnonzero(times <= times.min() + TIME_TIE)
+        # lexsort is stable: equal keys keep collisions, then exits, in
+        # front order
+        first = near[np.lexsort((is_exit[near], points[near]))[0]]
+        if is_exit[first]:
+            j = int(ej[first - len(cj)])
+            kind = "exit_a" if sp[j] < 0.0 else "exit_b"
+            return Event(times[first], points[first], kind, j, j)
+        x0 = points[first]
+        group = near[~is_exit[near] & (np.abs(points[near] - x0) <= SPACE_TIE)]
+        return Event(times[group].min(), x0, "collision",
+                     int(cj[group].min()), int(cj[group].max()) + 1)
 
     def _advance_positions(self, t):
         dt = t - self.time
@@ -347,12 +384,16 @@ class Simulation:
         if event.time - self.time < TIME_TIE:
             self._instant_events += 1
             if self._instant_events > MAX_INSTANT_EVENTS:
-                raise RuntimeError("event cascade did not advance time")
+                raise ContractViolationError(
+                    f"event cascade did not advance time past t={self.time}",
+                    self._where())
         else:
             self._instant_events = 0
         self._event_count += 1
         if self._event_count > MAX_EVENTS:
-            raise RuntimeError(f"exceeded MAX_EVENTS={MAX_EVENTS}")
+            raise ContractViolationError(
+                f"exceeded MAX_EVENTS={MAX_EVENTS} at t={self.time}",
+                self._where())
         self._advance_positions(event.time)
 
         if event.kind in ("exit_a", "exit_b"):
@@ -387,8 +428,9 @@ class Simulation:
                                           gen_by_family, default_gen)
             speeds = [f.speed for f in new]
             if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
-                raise RuntimeError(
-                    f"outgoing wave speeds not ordered at t={self.time}")
+                raise ContractViolationError(
+                    f"outgoing wave speeds not ordered at t={self.time}",
+                    self._where())
             inherits = {}
             for f in new:
                 same = [g for g in incoming if g.family == f.family]

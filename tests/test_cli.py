@@ -1,6 +1,8 @@
 import json
 
+from fronttrack import scenarios, tracking
 from fronttrack.cli import main
+from fronttrack.errors import DomainError
 from fronttrack.scenarios import validate_config
 
 GAS_BLOCK = {"kind": "gas", "K": 1.0, "gamma": 2.0,
@@ -246,3 +248,56 @@ def test_calibration_without_admissible_states_exits_4(tmp_path, capsys):
                  "--quiet"]) == 4
     err = capsys.readouterr().err
     assert "accepted 0 of 20000 draws" in err
+
+
+def test_out_of_domain_initial_state_exits_2(tmp_path, capsys):
+    config = _evolve_config()
+    config["model"] = dict(GAS_BLOCK)
+    config["initial"] = {"kind": "jumps", "left": [1.0, 0.0],
+                         "jumps": [[0.5, [3.0, 0.0]]]}
+    cfg = _write(tmp_path, "outside.json", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert "initial.jumps[0]" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert not out_dir.exists()
+
+
+def test_initial_states_are_checked_per_kind():
+    config = _evolve_config()
+    config["initial"] = {"kind": "constant", "value": [1.0, 2.0]}
+    assert any("initial.value" in d for d in validate_config(config))
+    config["initial"] = {"kind": "jumps", "left": [1.0], "jumps": [[0.5]]}
+    diags = validate_config(config)
+    assert any("initial.left" in d for d in diags)
+    assert any("initial.jumps[0]" in d for d in diags)
+    config["initial"] = {"kind": "dense_shocks", "n": 7, "budget": 0.03,
+                         "base": [1.0, 0.5]}
+    assert any("initial.base" in d for d in validate_config(config))
+
+
+def test_domain_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
+    def leaves_domain(config, model, out):
+        raise DomainError("state [3. 0.] outside admissible domain")
+    monkeypatch.setitem(scenarios._RUNNERS, "evolve", leaves_domain)
+    cfg = _write(tmp_path, "evolve.json", _evolve_config())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "domain error: state [3. 0.] outside admissible domain\n"
+
+
+def test_event_budget_exceeded_exits_4(tmp_path, monkeypatch, capsys):
+    # the waves of the two jumps collide and leave the interval in 67
+    # events when the budget is not cut
+    config = _evolve_config()
+    config["model"] = dict(GAS_BLOCK)
+    config["domain"] = [0.0, 1.0]
+    config["initial"] = {"kind": "jumps", "left": [1.0, 0.0],
+                         "jumps": [[0.3, [1.05, 0.0]], [0.6, [1.0, 0.05]]]}
+    monkeypatch.setattr(tracking, "MAX_EVENTS", 3)
+    cfg = _write(tmp_path, "evolve.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 4
+    assert "exceeded MAX_EVENTS=3" in capsys.readouterr().err

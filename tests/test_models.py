@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fronttrack.errors import DomainError
 from fronttrack.models import (
@@ -165,3 +166,82 @@ def test_crossing_time_rejects_vanishing_speeds():
     model = LinearModel([[1e-9, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError):
         crossing_time(model, (0.0, 1.0))
+
+
+# -- scalar domain checks against the numpy reference ------------------------
+
+SLACK = 1e-9
+GAS_BOX = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.4], [1.5, 0.4]))
+GAS_SONIC = GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),
+                     ref_state=[1.0, 0.98], min_speed=0.002)
+LINEAR3 = LinearModel(np.diag([-1.0, 0.5, 1.0]),
+                      box=Box([-1.0, -2.0, 0.0], [1.0, 0.5, 3.0]),
+                      predicate=lambda u: u[0] + u[1] < 1.0)
+TABLE = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], 1,
+                   Box([0.5, -0.6], [1.5, 0.6]))
+DOMAIN_MODELS = [GAS_BOX, GAS_SONIC, LINEAR3, TABLE]
+
+
+def numpy_in_domain(model, u, slack=SLACK):
+    """The domain check as numpy reductions over the whole point."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        return False
+    if isinstance(model, GasModel):
+        rho, v = u
+        if rho <= 0.0 or not abs(v) < model.sound_speed(rho) - model.min_speed:
+            return False
+    box = model.box
+    if not (np.all(u >= box.lows - slack) and np.all(u <= box.highs + slack)):
+        return False
+    return model.predicate is None or bool(model.predicate(u))
+
+
+def edge_values(model):
+    """Components that sit exactly on a decision boundary of the check, one
+    ulp either side of it, and the non-finite values."""
+    lows, highs = model.box.lows, model.box.highs
+    vals = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    for edge in list(lows - SLACK) + list(highs + SLACK) + list(lows) + list(highs):
+        vals += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    if isinstance(model, GasModel):
+        for rho in (lows[0], 1.0, highs[0]):
+            cap = model.sound_speed(np.float64(rho)) - model.min_speed
+            for v in (cap, -cap):
+                vals += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    return [float(v) for v in vals]
+
+
+def points(model):
+    component = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(min_value=float(np.min(model.box.lows)) - 1.0,
+                  max_value=float(np.max(model.box.highs)) + 1.0),
+        st.sampled_from(edge_values(model)))
+    return st.lists(component, min_size=model.n, max_size=model.n)
+
+
+@pytest.mark.parametrize("model", DOMAIN_MODELS,
+                         ids=["gas", "gas_sonic", "linear3", "table"])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_in_domain_matches_numpy_reference(model, data):
+    u = data.draw(points(model))
+    assert model.in_domain(u) == numpy_in_domain(model, u)
+    assert model.in_domain(np.array(u)) == numpy_in_domain(model, u)
+
+
+@pytest.mark.parametrize("model", DOMAIN_MODELS,
+                         ids=["gas", "gas_sonic", "linear3", "table"])
+def test_in_domain_matches_numpy_reference_on_every_edge(model):
+    edges = edge_values(model)
+    for k in range(model.n):
+        for e in edges:
+            u = np.array(model.ref_state, dtype=float)
+            u[k] = e
+            assert model.in_domain(u) == numpy_in_domain(model, u), u
+    if isinstance(model, GasModel):
+        for rho in (model.box.lows[0], 1.0, model.box.highs[0]):
+            for v in edges:
+                u = np.array([rho, v])
+                assert model.in_domain(u) == numpy_in_domain(model, u), u

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.errors import ContractViolationError
-from fronttrack.models import LinearModel
+from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.profiles import constant_profile, profile_from_jumps
 from fronttrack.riemann import solve_riemann, split_boundary_pair
 from fronttrack.tracking import (
-    Simulation, calibrate_interaction_constant, check_upsilon, wave_measures,
+    SPACE_TIE, TIME_TIE, Event, Front, Simulation,
+    calibrate_interaction_constant, check_upsilon, wave_measures,
 )
 
 U0 = np.array([1.0, 0.0])
@@ -330,3 +332,170 @@ def test_state_reconstruction_from_history(gas):
     assert np.allclose(sim.state_at(0.2, x_front + 0.01), cp.state)
     snap = sim.snapshot_at(0.2)
     assert snap.xs[0] == pytest.approx(x_front)
+
+
+# -- the O(k) engine against the pairwise and looping references ---------------
+
+
+def pairwise_functionals(fronts):
+    """V, Q over all k^2 pairs, and TV from the front jumps."""
+    k = len(fronts)
+    if k == 0:
+        return 0.0, 0.0, 0.0
+    sig = np.abs([f.sigma for f in fronts])
+    fam = np.array([f.family for f in fronts])
+    rar = np.array([f.kind == "rarefaction" for f in fronts])
+    V = float(np.sum(sig))
+    i, j = np.triu_indices(k, 1)
+    approaching = (fam[i] > fam[j]) | ((fam[i] == fam[j]) & ~(rar[i] & rar[j]))
+    Q = float(np.sum(sig[i] * sig[j] * approaching))
+    TV = float(np.sum([np.linalg.norm(f.right - f.left) for f in fronts]))
+    return V, Q, TV
+
+
+def front_lists(n):
+    front = st.tuples(
+        st.integers(1, n),
+        st.floats(-0.3, 0.3, allow_subnormal=False),
+        st.sampled_from(["shock", "rarefaction", "contact"]),
+        st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return st.lists(front, max_size=40)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_prefix_sum_functionals_match_pairwise(n, data):
+    model = LinearModel(np.diag({2: [-1.0, 1.0], 3: [-1.0, 0.5, 1.0]}[n]))
+    sim = Simulation(model, constant_profile(0.0, 1.0, np.zeros(n)), 0.1)
+    left = np.zeros(n)
+    for uid, (family, sigma, kind, dright) in enumerate(data.draw(front_lists(n))):
+        right = left + np.array(dright)
+        sim.fronts.append(Front(uid, family, left, right, 0.0, sigma, kind,
+                                1, 0.5))
+        left = right
+    V, Q, TV = sim.glimm_functionals()
+    V_ref, Q_ref, TV_ref = pairwise_functionals(sim.fronts)
+    assert V == V_ref
+    assert TV == TV_ref
+    assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
+
+
+def loop_next_event(sim):
+    """Earliest collision or exit found by a loop over every front; also
+    returns how many candidates tied with the earliest within TIME_TIE."""
+    k = len(sim.fronts)
+    if k == 0:
+        return None, 0
+    xs = np.array([f.x for f in sim.fronts])
+    sp = np.array([f.speed for f in sim.fronts])
+    candidates = []
+    for j in range(k - 1):
+        ds = sp[j] - sp[j + 1]
+        if ds > 1e-14:
+            dt = max((xs[j + 1] - xs[j]) / ds, 0.0)
+            candidates.append((sim.time + dt, xs[j] + sp[j] * dt,
+                               "collision", j, j + 1))
+    for j in range(k):
+        if sp[j] < -1e-14:
+            dt = max((sim.a - xs[j]) / sp[j], 0.0)
+            candidates.append((sim.time + dt, sim.a, "exit_a", j, j))
+        elif sp[j] > 1e-14:
+            dt = max((sim.b - xs[j]) / sp[j], 0.0)
+            candidates.append((sim.time + dt, sim.b, "exit_b", j, j))
+    if not candidates:
+        return None, 0
+    t_min = min(c[0] for c in candidates)
+    near = [c for c in candidates if c[0] <= t_min + TIME_TIE]
+    near.sort(key=lambda c: (c[1], c[2] != "collision"))
+    x0, kind0 = near[0][1], near[0][2]
+    if kind0 != "collision":
+        j = near[0][3]
+        return Event(near[0][0], x0, kind0, j, j), len(near)
+    group = [c for c in near
+             if c[2] == "collision" and abs(c[1] - x0) <= SPACE_TIE]
+    lo = min(c[3] for c in group)
+    hi = max(c[4] for c in group)
+    t_ev = min(c[0] for c in group)
+    return Event(t_ev, x0, "collision", lo, hi), len(near)
+
+
+@pytest.fixture
+def checked_next_event(monkeypatch):
+    """Make every next_event call assert equality with the loop; yields the
+    list of (event, tied candidates) it saw."""
+    seen = []
+    original = Simulation.next_event
+
+    def checked(self):
+        ref, ties = loop_next_event(self)
+        ev = original(self)
+        assert ev == ref
+        seen.append((ev, ties))
+        return ev
+    monkeypatch.setattr(Simulation, "next_event", checked)
+    return seen
+
+
+def test_next_event_matches_loop_on_cascade(gas_slow, checked_next_event):
+    sim = _cascade(gas_slow)
+    assert len(checked_next_event) == len(sim.records) + 1
+
+
+def contact_profile(model, a, b, jumps):
+    """Profile whose jumps (x, family) each carry one contact of size 0.1."""
+    r = model.eigen(None).right
+    states = [np.zeros(model.n)]
+    for _, family in jumps:
+        states.append(states[-1] + 0.1 * r[:, family - 1])
+    return profile_from_jumps(a, b, states[0],
+                              [(x, u) for (x, _), u in zip(jumps, states[1:])])
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.45])
+def test_next_event_matches_loop_on_three_front_meeting(x0, checked_next_event):
+    # contacts of speeds 1, 0.3 and -0.7 meet at (t, x) = (0.1, x0 + 0.1) up
+    # to roundoff: from x0 = 0 the two collision points are 1.4e-17 apart,
+    # from x0 = 0.45 they coincide and the left collision is 4e-17 later
+    lin = LinearModel(np.diag([-0.7, 0.3, 1.0]))
+    T = 0.1
+    X = x0 + T
+    jumps = [(x0, 3), (X - 0.3 * T, 2), (X + 0.7 * T, 1)]
+    sim = Simulation(lin, contact_profile(lin, -1.0, 2.0, jumps), 0.1)
+    sim.advance_to(10.0)
+    ev, ties = checked_next_event[0]
+    assert (ev.kind, ev.lo, ev.hi, ties) == ("collision", 0, 2, 2)
+    assert sim.fronts == []
+
+
+def test_next_event_matches_loop_on_collision_at_boundary(checked_next_event):
+    # contacts of speeds 1 and 0.5 from x = 0.5 and 0.75 reach each other
+    # and x = b = 1 at t = 0.5 exactly: the collision beats both exits
+    lin = LinearModel(np.diag([-1.0, 0.5, 1.0]))
+    sim = Simulation(lin, contact_profile(lin, 0.0, 1.0, [(0.5, 3), (0.75, 2)]),
+                     0.1)
+    sim.advance_to(5.0)
+    ev, ties = checked_next_event[0]
+    assert (ev.kind, ev.time, ev.x, ties) == ("collision", 0.5, 1.0, 3)
+
+
+def test_next_event_matches_loop_on_mirrored_gas_jumps(checked_next_event):
+    # jumps of the wide gas box as in a dense evolve, mirrored about x = 1/2
+    # with v -> -v: every interaction has a mirror image at the same time
+    gas = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
+    w = np.array([-2.0, 2.0])                 # (v - 2 sqrt(rho), v + 2 sqrt(rho))
+    half = []
+    for signs in ([1, -1], [-1, -1], [1, 1], [-1, 1]):
+        w = w + 0.08 * np.array(signs)
+        s = 0.5 * (w[1] - w[0])
+        half.append(np.array([(0.5 * s) ** 2, 0.5 * (w[0] + w[1])]))
+    mirror = [np.array([u[0], -u[1]]) for u in half]
+    left = np.array([1.0, 0.0])
+    xs = [0.1, 0.2, 0.3, 0.4]
+    jumps = list(zip(xs, half)) + [(0.5, mirror[-1])]
+    jumps += [(1.0 - x, u) for x, u in zip(xs[::-1][:-1], mirror[::-1][1:])]
+    jumps += [(0.9, left)]
+    sim = Simulation(gas, profile_from_jumps(0.0, 1.0, left, jumps), 0.01)
+    sim.advance_to(0.15)
+    assert len(sim.records) >= 100
+    assert sum(ties > 1 for _, ties in checked_next_event) >= 20
