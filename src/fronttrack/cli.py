@@ -1,7 +1,8 @@
 """Command-line entry point: scenario runner and report utilities.
 
-Exit codes: 0 success, 2 config error, 3 solver divergence or a state
-leaving the admissible domain, 4 invariant violation.
+Exit codes: 0 success, 2 config error, 3 solver divergence, a state
+leaving the admissible domain or characteristic speeds that are not real and
+distinct, 4 invariant violation.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
-                     DomainError)
+                     DomainError, HyperbolicityError)
 from . import scenarios
 
 EXIT_OK = 0
@@ -193,6 +194,9 @@ def main(argv=None):
         return EXIT_SOLVER
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except HyperbolicityError as exc:
+        print(f"hyperbolicity error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,21 +81,35 @@ def _strength(model, u0, u, family, l_row):
 def shock_curve(model, u0, family, sigma):
     """Point of the Hugoniot locus through u0 at strength sigma.
 
-    Solves Rankine-Hugoniot together with the strength normalization by
-    Newton, seeded at the rarefaction point (second-order tangency makes the
-    seed quadratically convergent).  Admissibility is not enforced here;
-    sigma > 0 parametrizes the non-entropic branch.
+    The gas model gives the point in closed form up to a scalar root
+    (``GasModel.hugoniot_point``).  Other models solve Rankine-Hugoniot
+    together with the strength normalization by Newton, seeded at the
+    rarefaction point (second-order tangency makes the seed quadratically
+    convergent).  Either way the RH residual is measured from the flux.
+    Admissibility is not enforced here; sigma > 0 parametrizes the
+    non-entropic branch.
     """
     u0 = np.asarray(u0, dtype=float)
     model.check_domain(u0)
     _check_radius(model, sigma)
+    if sigma == 0.0:
+        return CurvePoint(u0.copy(), model.eigen(u0).lam(family), 0.0)
+    f0 = model.flux(u0)
+    if model.kind == "gas":
+        state, speed = model.hugoniot_point(u0, family, sigma)
+    else:
+        state, speed = _newton_shock(model, u0, f0, family, sigma)
+    model.check_domain(state)
+    residual = float(np.max(np.abs(model.flux(state) - f0 - speed * (state - u0))))
+    return CurvePoint(state, speed, float(sigma), residual)
+
+
+def _newton_shock(model, u0, f0, family, sigma):
+    """State and speed from Newton on Rankine-Hugoniot plus the strength
+    equation, for models without a closed-form locus."""
     n = model.n
     eig0 = model.eigen(u0)
-    if sigma == 0.0:
-        return CurvePoint(u0.copy(), eig0.lam(family), 0.0)
-    f0 = model.flux(u0)
     l_row = eig0.l(family)
-
     seed = rarefaction_curve(model, u0, family, sigma)
     x0 = np.concatenate([seed.state, [0.5 * (eig0.lam(family) + seed.speed)]])
 
@@ -118,10 +132,7 @@ def shock_curve(model, u0, family, sigma):
         return J
 
     x = newton_solve(fn, x0, jac=jac, context=f"(shock curve family {family})")
-    state, speed = x[:n], float(x[n])
-    model.check_domain(state)
-    residual = float(np.max(np.abs(model.flux(state) - f0 - speed * (state - u0))))
-    return CurvePoint(state, speed, float(sigma), residual)
+    return x[:n], float(x[n])
 
 
 def lax_curve(model, u0, family, sigma):

@@ -17,6 +17,12 @@ class RadiusError(ConvergenceError):
     """Requested jump exceeds the declared solvable radius; no solve attempted."""
 
 
+# What a solve raises when its data admit no solution.  Code that probes
+# candidate states (line searches, sampling) skips a candidate on these and
+# lets every other exception through.
+SOLVER_ERRORS = (DomainError, ConvergenceError, HyperbolicityError)
+
+
 class ContractViolationError(RuntimeError):
     """A structural contract was violated (wrong-family injection, failed contraction)."""
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HyperbolicityError
+from .errors import SOLVER_ERRORS, DomainError, HyperbolicityError
+from .newton import scalar_root
 
 FD_JAC_STEP = 1e-6     # relative step for fallback flux Jacobians
 FD_WEDGE_STEP = 1e-5   # central-difference step for hypothesis sweeps
@@ -169,7 +170,7 @@ class FluxModel:
                 lp = self._lambda_i(u + h * r, i)
                 lm = self._lambda_i(u - h * r, i)
                 g = (lp - lm) / (2 * h)
-            except Exception:
+            except SOLVER_ERRORS:
                 g = 0.0
             if abs(g) > 1e-7:
                 if g < 0:
@@ -357,6 +358,98 @@ class GasModel(FluxModel):
         rho = u[0]
         e = self.K * rho ** (self.theta - 1.0)
         return np.array([-e, 1.0]) if family == 1 else np.array([e, 1.0])
+
+    # -- closed-form wave curves -------------------------------------------
+    #
+    # With h(rho) = (K/theta) rho^theta (so w1 = v - h, w2 = v + h) and
+    # P(rho) = K^2 rho^(gamma-1)/(gamma-1), the Hugoniot locus through
+    # (rho0, v0) is |v - v0| = phi(rho; rho0) with
+    # phi = sqrt(2 (rho - rho0)(P(rho) - P(rho0)) / (rho + rho0)).  Both
+    # curves are written in the density offset x = rho - rho0, with every
+    # difference formed from log1p/expm1, so nothing cancels as x -> 0.
+
+    def _wave_terms(self, rho0, x):
+        """Chart and Hugoniot terms at density rho0 + x, relative to rho0.
+
+        Returns (dh, dh', q, (x q)') with dh = h(rho0 + x) - h(rho0) and
+        q = phi / |x|, so that x q is the signed Hugoniot velocity jump;
+        primes are derivatives in x.  Smooth through x = 0.
+        """
+        g1 = self.gamma - 1.0
+        th = self.theta
+        lg = math.log1p(x / rho0)
+        rho = rho0 + x
+        h0 = self.K / th * rho0 ** th
+        p0 = self.K * self.K * rho0 ** g1 / g1
+        # (P(rho) - P(rho0)) / x, whose limit at x = 0 is P'(rho0)
+        secant = p0 * math.expm1(g1 * lg) / x if x else g1 * p0 / rho0
+        total = rho + rho0
+        q = math.sqrt(2.0 * secant / total)
+        dp = g1 * p0 * math.exp(g1 * lg) / rho
+        return (h0 * math.expm1(th * lg), th * h0 * math.exp(th * lg) / rho,
+                q, (2.0 * rho0 * secant + total * dp) / (total * total * q))
+
+    def hugoniot_point(self, u0, family, sigma):
+        """State on the Hugoniot locus of ``family`` through u0 where w_family
+        has moved by sigma (either sign), and the shock speed.
+
+        Along the locus v - v0 = e x q(x) with e = -1 for family 1 and +1 for
+        family 2, so the strength equation reads x q + dh = e sigma, which is
+        increasing in x.  It is solved from the chart rarefaction point,
+        which has third-order contact with the locus.  The mass jump
+        condition gives the speed v0 + rho (v - v0) / x = v0 + e rho q.
+        """
+        rho0, v0 = float(u0[0]), float(u0[1])
+        e = -1.0 if family == 1 else 1.0
+        tau = e * float(sigma)
+        h0 = self.K / self.theta * rho0 ** self.theta
+        if 0.5 * tau <= -h0:
+            raise DomainError("Riemann coordinates hit vacuum (w2 <= w1)")
+        seed = rho0 * math.expm1(math.log1p(0.5 * tau / h0) / self.theta)
+
+        def strength(x):
+            dh, ddh, q, dxq = self._wave_terms(rho0, x)
+            return x * q + dh - tau, dxq + ddh
+
+        lo, hi = (0.0, math.inf) if tau > 0.0 else (-rho0, 0.0)
+        x = scalar_root(strength, seed, lo, hi,
+                        context=f"(gas shock family {family})")
+        q = self._wave_terms(rho0, x)[2]
+        rho = rho0 + x
+        return np.array([rho, v0 + e * x * q]), v0 + e * rho * q
+
+    def riemann_strengths(self, ul, ur):
+        """Strengths (sigma_1, sigma_2) of the Riemann solution from ul to ur.
+
+        The middle density is the root of vL(rho) - vR(rho), where
+        vL = v_l - f(rho; rho_l) and vR = v_r + f(rho; rho_r), and f is the
+        chart jump dh for rho below the base density and the Hugoniot jump
+        phi above it.  The root is seeded at the two-rarefaction state
+        (w1 of ul, w2 of ur).
+        """
+        rho_l, v_l = float(ul[0]), float(ul[1])
+        rho_r, v_r = float(ur[0]), float(ur[1])
+        th = self.theta
+        h_mid = 0.5 * (v_r - v_l) + 0.5 * self.K / th * (rho_l ** th + rho_r ** th)
+        if h_mid <= 0.0:
+            raise DomainError("Riemann coordinates hit vacuum (w2 <= w1)")
+        seed = (th * h_mid / self.K) ** (1.0 / th)
+
+        def jump(rho0, x):
+            """f(rho0 + x; rho0), its slope, and dh."""
+            dh, ddh, q, dxq = self._wave_terms(rho0, x)
+            return (dh, ddh, dh) if x <= 0.0 else (x * q, dxq, dh)
+
+        def gap(rho):
+            f_l, df_l, _ = jump(rho_l, rho - rho_l)
+            f_r, df_r, _ = jump(rho_r, rho - rho_r)
+            return f_l + f_r + v_r - v_l, df_l + df_r
+
+        rho = scalar_root(gap, seed, 0.0, math.inf, context="(gas riemann)")
+        f_l, _, dh_l = jump(rho_l, rho - rho_l)
+        f_r, _, dh_r = jump(rho_r, rho - rho_r)
+        v_m = 0.5 * (v_l - f_l + v_r + f_r)
+        return np.array([v_m - v_l - dh_l, v_r - v_m - dh_r])
 
     def structurally_valid(self, u):
         rho, v = np.asarray(u, dtype=float).tolist()

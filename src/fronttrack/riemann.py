@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SIGMA_NULL, lax_curve
-from .errors import RadiusError
+from .errors import ConvergenceError, RadiusError
 from .newton import newton_solve
 
 DELTA_RIEMANN = 0.3   # default solvable radius, in Riemann-coordinate units
@@ -97,9 +97,14 @@ def _solution_from_sigmas(model, ul, sigmas, ur=None):
 def solve_riemann(model, ul, ur, radius=DELTA_RIEMANN):
     """Strengths sigma_1..sigma_n with Psi_n o ... o Psi_1 (ul) = ur.
 
-    Newton on the strength vector with a finite-difference Jacobian of the
-    curve composition; the initial guess is the Riemann-coordinate jump.
-    Raises RadiusError when the data jump exceeds ``radius``.
+    Linear models project on the left eigenbasis.  The gas model solves
+    one scalar equation for the middle density
+    (``GasModel.riemann_strengths``).  Other models run Newton on the
+    strength vector with a finite-difference Jacobian of the curve
+    composition, from the Riemann-coordinate jump.  The strengths are then
+    recomposed along the Lax curves, and a recomposition that misses ur by
+    more than RESIDUAL_TOL raises ConvergenceError.  Raises RadiusError when
+    the data jump exceeds ``radius``.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -118,22 +123,17 @@ def solve_riemann(model, ul, ur, radius=DELTA_RIEMANN):
     if float(np.max(np.abs(ur - ul))) == 0.0:
         return _solution_from_sigmas(model, ul, np.zeros(model.n), ur=ur)
 
-    def fn(sig):
-        return compose_waves(model, ul, sig) - ur
+    if model.kind == "gas":
+        sig = model.riemann_strengths(ul, ur)
+    else:
+        def fn(sig):
+            return compose_waves(model, ul, sig) - ur
 
-    sig = newton_solve(fn, dw, context="(riemann)")
+        sig = newton_solve(fn, dw, context="(riemann)")
     sol = _solution_from_sigmas(model, ul, sig, ur=ur)
     if sol.residual > RESIDUAL_TOL:
-        from .errors import ConvergenceError
         raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")
     return sol
-
-
-def _down(model, v, sig_low):
-    u = np.asarray(v, dtype=float)
-    for i in range(1, model.p + 1):
-        u = lax_curve(model, u, i, float(sig_low[i - 1])).state
-    return u
 
 
 def _up(model, v, sig_high):
@@ -158,15 +158,15 @@ def split_boundary_pair(model, v, v_prime, radius=DELTA_RIEMANN):
     if float(np.max(np.abs(dw))) > radius:
         raise RadiusError(
             f"|v - v'| = {np.max(np.abs(dw)):.3g} exceeds split radius {radius}")
-    p, n = model.p, model.n
+    p = model.p
 
     sig0 = np.concatenate([dw[:p], -dw[p:]])
 
     def fn(sig):
-        return _up(model, vp, sig[p:]) - _down(model, v, sig[:p])
+        return _up(model, vp, sig[p:]) - compose_waves(model, v, sig[:p])
 
     sig = newton_solve(fn, sig0, context="(boundary split)")
-    mid = _down(model, v, sig[:p])
+    mid = compose_waves(model, v, sig[:p])
     residual = float(np.max(np.abs(_up(model, vp, sig[p:]) - mid)))
     return BoundarySplit(mid, sig, residual)
 
@@ -196,10 +196,10 @@ def split_boundary_pair_reverse(model, w, u_star, radius=DELTA_RIEMANN):
     def fn(x):
         v3, sig = x[:n], x[n:]
         return np.concatenate([_up(model, v3, sig[p:]) - w,
-                               _down(model, v3, sig[:p]) - us])
+                               compose_waves(model, v3, sig[:p]) - us])
 
     x = newton_solve(fn, np.concatenate([v0, sig0]), context="(reverse split)")
     v3, sig = x[:n], x[n:]
     residual = max(float(np.max(np.abs(_up(model, v3, sig[p:]) - w))),
-                   float(np.max(np.abs(_down(model, v3, sig[:p]) - us))))
+                   float(np.max(np.abs(compose_waves(model, v3, sig[:p]) - us))))
     return BoundarySplit(v3, sig, residual)

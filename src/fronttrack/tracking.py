@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import SIGMA_NULL, lax_curve, rarefaction_curve
-from .errors import (ContractViolationError, ConvergenceError, DomainError,
-                     HyperbolicityError)
+from .errors import SOLVER_ERRORS, ContractViolationError, ConvergenceError
 from .profiles import PiecewiseConstant
 from .riemann import solve_riemann
 
@@ -575,7 +574,7 @@ def calibrate_interaction_constant(model, n_samples=200, seed=0,
             um = lax_curve(model, u0, int(fa), sa).state
             ur = lax_curve(model, um, int(fb), sb).state
             sol = solve_riemann(model, u0, ur)
-        except (DomainError, ConvergenceError, HyperbolicityError):
+        except SOLVER_ERRORS:
             continue
         tried += 1
         dV = float(np.sum(np.abs(sol.sigmas))) - (abs(sa) + abs(sb))

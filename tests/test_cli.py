@@ -301,3 +301,22 @@ def test_event_budget_exceeded_exits_4(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 4
     assert "exceeded MAX_EVENTS=3" in capsys.readouterr().err
+
+
+def test_hyperbolicity_error_during_run_exits_3(tmp_path, capsys):
+    # f = (u^2/2, v) has speeds u and 1, which coincide at ul = (1, 0): the
+    # config is valid, the Riemann solve is not
+    config = {
+        "schema": "scenario-v1",
+        "experiment": "riemann",
+        "model": {"kind": "custom-table",
+                  "terms": [[[0.5, [2, 0]]], [[1, [0, 1]]]], "p": 0,
+                  "box": [[0.5, 1.5], [-1, 1]]},
+        "riemann": {"ul": [1, 0], "ur": [1.05, 0]},
+    }
+    cfg = _write(tmp_path, "coincident.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "hyperbolicity error: coincident characteristic speeds at [1. 0.]\n"

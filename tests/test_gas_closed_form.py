@@ -1,0 +1,176 @@
+"""Property tests for the closed-form gas waves: GasModel.hugoniot_point and
+GasModel.riemann_strengths on random gases, against the jump conditions, the
+Riemann chart, the 3x3 Newton shock solve they replace, and the generic
+Riemann solver on the custom-table twin of the gamma = 2 gas."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from fronttrack.curves import lax_curve, rarefaction_curve, shock_curve
+from fronttrack.errors import DomainError
+from fronttrack.models import Box, GasModel, TableModel
+from fronttrack.newton import newton_solve
+from fronttrack.riemann import compose_waves, solve_riemann
+
+# wide enough that only the subsonic predicate limits the domain
+WIDE = Box([1e-3, -50.0], [50.0, 50.0])
+
+
+@st.composite
+def gases(draw):
+    return GasModel(K=draw(st.floats(0.5, 2.0)),
+                    gamma=draw(st.floats(1.05, 2.95, exclude_min=True,
+                                         exclude_max=True)),
+                    box=WIDE)
+
+
+@st.composite
+def subsonic_states(draw, gas, mach=0.8):
+    rho = draw(st.floats(0.5, 1.5))
+    return np.array([rho, draw(st.floats(-mach, mach)) * gas.sound_speed(rho)])
+
+
+def strengths(radius):
+    """Signed strengths with magnitudes log-uniform from 1e-16 to radius."""
+    return st.builds(lambda e, s: s * 10.0 ** e,
+                     st.floats(-16.0, math.log10(radius)),
+                     st.sampled_from([-1.0, 1.0]))
+
+
+def newton_shock(gas, u0, family, sigma):
+    """The 3x3 Newton solve of Rankine-Hugoniot plus the strength equation
+    that shock_curve ran for the gas before the closed form, seeded at the
+    chart rarefaction point; the reference for hugoniot_point."""
+    f0 = gas.flux(u0)
+    eig0 = gas.eigen(u0)
+    w = gas.to_riemann(u0)
+    w[family - 1] += sigma
+    seed = gas.from_riemann(w)
+    x0 = np.concatenate([seed, [0.5 * (eig0.lam(family)
+                                       + gas.eigen(seed).lam(family))]])
+
+    def fn(x):
+        u, s = x[:2], x[2]
+        return np.concatenate([gas.flux(u) - f0 - s * (u - u0),
+                               [gas.to_riemann(u)[family - 1]
+                                - gas.to_riemann(u0)[family - 1] - sigma]])
+
+    def jac(x):
+        u, s = x[:2], x[2]
+        J = np.zeros((3, 3))
+        J[:2, :2] = gas.jacobian(u) - s * np.eye(2)
+        J[:2, 2] = -(u - u0)
+        J[2, :2] = gas.chart_gradient(u, family)
+        return J
+
+    x = newton_solve(fn, x0, jac=jac)
+    return x[:2], float(x[2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_hugoniot_point_jump_conditions_strength_and_lax(data):
+    gas = data.draw(gases())
+    u0 = data.draw(subsonic_states(gas))
+    family = data.draw(st.sampled_from([1, 2]))
+    sigma = data.draw(strengths(gas.curve_radius))
+    state, speed = gas.hugoniot_point(u0, family, sigma)
+    assert state[0] > 0.0
+    f = gas.flux(state)
+    rh = f - gas.flux(u0) - speed * (state - u0)
+    assert np.max(np.abs(rh)) <= 1e-12 * max(1.0, float(np.max(np.abs(f))))
+    dw = gas.to_riemann(state) - gas.to_riemann(u0)
+    assert abs(dw[family - 1] - sigma) <= 1e-13
+    if sigma < 0.0:
+        # the margins are about (gamma + 1) |sigma| / 8; below |sigma| ~ 1e-14
+        # they are smaller than the roundoff of the speeds themselves
+        lam0 = gas.lambdas(u0)[family - 1]
+        lam1 = gas.lambdas(state)[family - 1]
+        floor = 0.05 * abs(sigma) - 1e-15
+        assert lam0 - speed > floor
+        assert speed - lam1 > floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hugoniot_point_matches_newton_reference(data):
+    gas = data.draw(gases())
+    u0 = data.draw(subsonic_states(gas))
+    family = data.draw(st.sampled_from([1, 2]))
+    sigma = data.draw(strengths(0.3))
+    state, speed = gas.hugoniot_point(u0, family, sigma)
+    ref_state, ref_speed = newton_shock(gas, u0, family, sigma)
+    assert np.max(np.abs(state - ref_state)) <= 1e-10
+    # Newton stops on the flux residual, which pins its speed only to
+    # residual / |u - u0|
+    dist = float(np.max(np.abs(state - u0)))
+    assert abs(speed - ref_speed) * dist <= 1e-10 * dist + 1e-11
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lax_curve_is_c1_across_zero(data):
+    gas = data.draw(gases())
+    u0 = data.draw(subsonic_states(gas))
+    family = data.draw(st.sampled_from([1, 2]))
+    eig = gas.eigen(u0)
+    r = eig.r(family)
+    tangent = r / float(gas.chart_gradient(u0, family) @ r)
+    # branch values meet at zero and the one-sided second-order difference
+    # quotients of both branches reproduce the chart tangent
+    h = 1e-4
+    assert np.array_equal(lax_curve(gas, u0, family, 0.0).state, u0)
+
+    def point(s):
+        return lax_curve(gas, u0, family, s).state
+    d_plus = (4 * point(h) - 3 * u0 - point(2 * h)) / (2 * h)
+    d_minus = (3 * u0 - 4 * point(-h) + point(-2 * h)) / (2 * h)
+    scale = max(1.0, float(np.max(np.abs(tangent))))
+    assert np.max(np.abs(d_plus - tangent)) <= 1e-6 * scale
+    assert np.max(np.abs(d_minus - tangent)) <= 1e-6 * scale
+    # third-order contact: the shock branch leaves the rarefaction branch
+    # as |sigma|^3
+    gap = np.max(np.abs(shock_curve(gas, u0, family, -h).state
+                        - rarefaction_curve(gas, u0, family, -h).state))
+    assert gap <= 1e-9 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gas_riemann_round_trip(data):
+    gas = data.draw(gases())
+    ul = data.draw(subsonic_states(gas, mach=0.5))
+    sig = np.array([data.draw(strengths(0.12)), data.draw(strengths(0.12))])
+    try:
+        ur = compose_waves(gas, ul, sig)
+    except DomainError:
+        assume(False)
+    sol = solve_riemann(gas, ul, ur)
+    assert np.max(np.abs(sol.sigmas - sig)) <= 1e-10
+    assert sol.residual <= 1e-10
+
+
+GAS2 = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
+# the same flux as GAS2 written as a monomial table: (rho v, v^2/2 + rho)
+TWIN = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], p=1,
+                  box=Box([0.5, -0.6], [1.5, 0.6]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rho=st.floats(0.8, 1.2), v=st.floats(-0.2, 0.2),
+       s1=st.floats(-0.1, 0.1), s2=st.floats(-0.1, 0.1))
+def test_gas_riemann_matches_generic_solver_on_table_twin(rho, v, s1, s2):
+    ul = np.array([rho, v])
+    ur = compose_waves(GAS2, ul, [s1, s2])
+    gas = solve_riemann(GAS2, ul, ur)
+    table = solve_riemann(TWIN, ul, ur)
+    assert np.max(np.abs(gas.states[1] - table.states[1])) <= 1e-9
+    # the table's Newton shock solve pins a speed only to its flux residual
+    # over the jump, so compare shocks that are not tiny
+    table_waves = {w.family: w for w in table.waves}
+    for w in gas.waves:
+        if w.kind == "shock" and abs(w.sigma) >= 1e-2:
+            assert table_waves[w.family].kind == "shock"
+            assert abs(w.speed_lo - table_waves[w.family].speed_lo) <= 1e-9

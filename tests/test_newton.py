@@ -1,0 +1,66 @@
+import math
+
+import numpy as np
+import pytest
+
+from fronttrack.errors import ConvergenceError, DomainError
+from fronttrack.newton import ROOT_MAX_ITER, newton_solve, scalar_root
+
+
+def test_newton_line_search_skips_solver_errors():
+    # the full first step lands beyond x = 1.5, where the "curve" leaves
+    # its domain; the line search backtracks instead of failing
+    def fn(x):
+        if x[0] > 1.5:
+            raise DomainError("outside")
+        return np.array([x[0] ** 2 - 2.0])
+
+    x = newton_solve(fn, np.array([0.5]))
+    assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_newton_line_search_lets_programming_errors_through():
+    x0 = np.array([0.5])
+
+    def fn(x):
+        if x[0] != x0[0]:
+            raise TypeError("bad operand")
+        return np.array([x[0] ** 2 - 2.0])
+
+    with pytest.raises(TypeError, match="bad operand"):
+        newton_solve(fn, x0, jac=lambda x: np.array([[2.0 * x[0]]]))
+
+
+def test_scalar_root_stops_at_roundoff():
+    # a value that is pure noise within a few ulps of the root must not
+    # keep the iteration going
+    rng = np.random.default_rng(5)
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return (x - 1.0 / 3.0) * 1e3 + rng.uniform(-1e-12, 1e-12), 1e3
+
+    x = scalar_root(fn, 0.9, 0.0, math.inf)
+    assert abs(x - 1.0 / 3.0) < 1e-14
+    assert len(calls) <= 20
+
+
+def test_scalar_root_bisects_without_a_usable_slope():
+    def fn(x):
+        return x ** 3 - 0.125, 0.0
+
+    x = scalar_root(fn, 2.0, 0.0, 4.0)
+    assert x == pytest.approx(0.5, abs=1e-15)
+
+
+def test_scalar_root_gives_up_after_max_iterations():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 1e-300, 1e-310   # Newton steps far past hi: bisection
+
+    with pytest.raises(ConvergenceError):
+        scalar_root(fn, 1.0, -1e308, 1e308)
+    assert len(calls) == ROOT_MAX_ITER
