@@ -26,11 +26,13 @@ profile = profile_from_jumps(0.0, 0.5, u0,
                              [(0.30, u1), (0.34, u2), (0.38, u3)])
 
 sim = Simulation(gas, profile, eps_fronts=0.002)
-print(f"initial fronts: {len(sim.fronts)}  "
+snap = sim.snapshot()
+print(f"initial fronts: {snap.n_fronts}  "
       f"(rarefaction split into pieces of strength <= {sim.eps})")
-for f in sim.fronts:
-    print(f"  x={f.x:.3f} family={f.family} {f.kind:11s} "
-          f"sigma={f.sigma:+.5f} speed={f.speed:+.5f}")
+for x, family, kind, sigma, speed in zip(snap.xs, snap.families, snap.kinds,
+                                         snap.sigmas, snap.speeds):
+    print(f"  x={x:.3f} family={family} {kind:11s} "
+          f"sigma={sigma:+.5f} speed={speed:+.5f}")
 
 sim.advance_to(7.0)
 

@@ -29,7 +29,7 @@ sid = strongest_front(sim, 1)
 sim.advance_to(2.0)
 
 print(f"\nran to t = 2.0: {len(sim.records)} events, "
-      f"{len(sim.fronts)} fronts still inside")
+      f"{sim.snapshot().n_fronts} fronts still inside")
 
 reports = shock_census(sim, [0.0, 0.5, 1.0, 1.5, 2.0], probe=interval,
                        strength_floor=1e-9, creation_floor=1e-10)

@@ -38,7 +38,7 @@ from .riemann import (
 )
 from .scenarios import run_scenario, validate_config
 from .tracking import (
-    Front, InteractionRecord, Simulation, Snapshot, WaveMeasure,
+    InteractionRecord, Simulation, Snapshot, WaveMeasure,
     calibrate_interaction_constant, check_upsilon, wave_measures,
 )
 

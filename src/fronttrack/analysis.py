@@ -113,16 +113,19 @@ def track_shock_strength(sim, front_id, t_span=None):
         for uid in rec.out_ids:
             born[uid] = rec
 
-    def _front_info(uid):
-        for snap in sim.history:
-            hit = np.nonzero(snap.ids == uid)[0]
-            if len(hit):
-                j = int(hit[0])
-                return snap.time, float(snap.xs[j]), int(snap.families[j]), \
-                    float(snap.sigmas[j])
-        raise KeyError(f"front {front_id} never appears in the history")
-
-    t0, x0, family, sigma0 = _front_info(front_id)
+    if front_id in born:        # the record that created it
+        rec = born[front_id]
+        j = rec.out_ids.index(front_id)
+        t0, x0, family, sigma0 = (rec.time, rec.x, rec.out_families[j],
+                                  rec.out_sigmas[j])
+    else:                       # an initial front
+        first = sim.history[0]
+        hit = np.flatnonzero(first.ids == front_id)
+        if len(hit) == 0:
+            raise KeyError(f"front {front_id} never appears in the history")
+        j = hit[0]
+        t0, x0, family, sigma0 = (first.time, first.xs[j], first.families[j],
+                                  first.sigmas[j])
     lineage = [front_id]
     samples = [(t0, x0, abs(sigma0))]
     merges = []
@@ -152,9 +155,8 @@ def track_shock_strength(sim, front_id, t_span=None):
         lineage.append(uid)
         cur = uid
     if fate == "alive":
-        alive = {f.uid: f for f in sim.fronts}
-        if cur in alive:
-            samples.append((sim.time, alive[cur].x, abs(alive[cur].sigma)))
+        for j in np.flatnonzero(sim.now.ids == cur):     # at most one
+            samples.append((sim.time, sim.now.xs[j], abs(sim.now.sigmas[j])))
 
     arr = np.asarray(samples)
     if t_span is not None:

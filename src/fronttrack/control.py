@@ -289,7 +289,7 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
     violations = []
 
     sim.advance_to(tau)
-    leftover = [f.uid for f in sim.fronts if f.generation == 1]
+    leftover = sim.now.ids[sim.now.generations == 1].tolist()
     if leftover:
         violations.append(("phase1_gen1_survivors", leftover))
 
@@ -297,8 +297,7 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
     ids_b = sim.inject_boundary_riemann("b", v2.state)
     actions = [ControlAction(t0 + tau, "b", v2.state)]
     sim.advance_to(2 * tau)
-    alive = {f.uid for f in sim.fronts}
-    stuck = [i for i in ids_b if i in alive]
+    stuck = [i for i in ids_b if i in sim.now.ids]
     if stuck:
         violations.append(("phase2_injected_survivors", stuck))
 
@@ -306,8 +305,7 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
     ids_a = sim.inject_boundary_riemann("a", v3.state)
     actions.append(ControlAction(t0 + 2 * tau, "a", v3.state))
     sim.advance_to(3 * tau)
-    alive = {f.uid for f in sim.fronts}
-    stuck = [i for i in ids_a if i in alive]
+    stuck = [i for i in ids_a if i in sim.now.ids]
     if stuck:
         violations.append(("phase3_injected_survivors", stuck))
 

@@ -66,9 +66,15 @@ def _is_vector(v, n=None):
 
 def validate_config(config):
     """Schema and range diagnostics; an empty list means the config runs."""
+    return _validate(config)[0]
+
+
+def _validate(config):
+    """Diagnostics of the config, and the model its model block builds
+    (None when the block is rejected)."""
     diags = []
     if not isinstance(config, dict):
-        return ["config must be a JSON object"]
+        return ["config must be a JSON object"], None
     for key in config:
         if key not in _TOP_KEYS:
             diags.append(f"unknown key '{key}'")
@@ -188,7 +194,18 @@ def validate_config(config):
             diags.append("curves needs block with u0")
         elif blk.get("branch", "lax") not in ("lax", "shock", "rarefaction"):
             diags.append("curves.branch must be lax | shock | rarefaction")
-    return diags
+    sweep = config.get("sweep", [])
+    if not (isinstance(sweep, list) and all(isinstance(o, dict) for o in sweep)):
+        diags.append(f"sweep={sweep!r} must be a list of objects of "
+                     "top-level overrides")
+    else:
+        diags.extend(f"sweep[{k}]: unknown key '{key}'"
+                     for k, overrides in enumerate(sweep)
+                     for key in overrides if key not in _TOP_KEYS)
+    workers = config.get("workers", _DEFAULTS["workers"])
+    if not isinstance(workers, int) or workers < 1:
+        diags.append(f"workers={workers!r} must be a positive integer")
+    return diags, built
 
 
 def _initial_state_diags(initial, model):
@@ -372,7 +389,7 @@ def _run_evolve(config, model, out):
     metrics = {
         "tv": {_fmt(t): tv for t, tv in tv_series},
         "events": len(sim.records),
-        "fronts_final": len(sim.fronts),
+        "fronts_final": sim.now.n_fronts,
         "upsilon_c0": c0,
         "upsilon_worst_increment": worst,
         "upsilon_events_checked": n_checked,
@@ -662,11 +679,10 @@ def run_scenario(config, out_dir):
     Raises ConfigError before producing any output when the config is
     invalid; solver and invariant failures propagate after partial output.
     """
-    diags = validate_config(config)
+    diags, model = _validate(config)
     if diags:
         raise ConfigError(diags)
     config = resolve_config(config)
-    model = build_model(config["model"])
     _admission_gate(model, config["experiment"])
     out = _OutputSet(out_dir)
     out.out_dir.mkdir(parents=True, exist_ok=True)

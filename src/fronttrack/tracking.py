@@ -1,10 +1,13 @@
 """Event-driven front tracking on a bounded interval.
 
-A Simulation carries a sorted list of straight-line fronts between the
-absorbing boundaries x = a and x = b.  The next event is the earliest
-adjacent-front collision or boundary crossing; collisions are resolved with
-the exact Riemann solver, outgoing rarefactions are fanned into pieces of
-strength at most eps_fronts, and fronts reaching a boundary leave without
+A Simulation carries a piecewise-constant profile between the absorbing
+boundaries x = a and x = b as one Snapshot of columns: straight-line fronts,
+sorted by position, exist only as its per-front columns, and front j
+separates cells j and j + 1 of its cell states.  The next event is the
+earliest adjacent-front collision or boundary crossing.  A collision poses
+the Riemann problem between the cell states on either side of the colliding
+fronts and solves it exactly; outgoing rarefactions are fanned into pieces
+of strength at most eps_fronts, and fronts reaching a boundary leave without
 reflection.  Everything the diagnostics need (interaction log, functional
 history, snapshot history, boundary flux integrals) is accumulated as the
 simulation advances.
@@ -12,7 +15,7 @@ simulation advances.
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,30 +30,14 @@ WRONG_FAMILY_TOL = 1e-8  # injected waves of the wrong side above this abort
 MAX_INSTANT_EVENTS = 10000
 MAX_EVENTS = 2_000_000
 CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
-
-
-@dataclass
-class Front:
-    """One moving discontinuity."""
-
-    uid: int
-    family: int
-    left: np.ndarray
-    right: np.ndarray
-    speed: float
-    sigma: float
-    kind: str              # shock | rarefaction | contact
-    generation: int
-    x: float               # position at the owning simulation's clock
-    jump: float = field(init=False)   # |right - left|, fixed at birth
-
-    def __post_init__(self):
-        self.jump = np.linalg.norm(self.right - self.left)
+# numeric per-front columns of a Snapshot, in the order new fronts list them
+_FRONT_COLUMNS = ("ids", "xs", "families", "sigmas", "speeds", "generations")
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Immutable piecewise-constant profile at a fixed time."""
+    """Immutable piecewise-constant profile at a fixed time; front j
+    separates cells j and j + 1 of ``states``."""
 
     model: object
     time: float
@@ -151,7 +138,9 @@ class WaveMeasure:
 
 
 class Simulation:
-    """Mutable front-tracking run over one model and interval."""
+    """Front-tracking run over one model and interval.  Its profile is the
+    Snapshot ``now``, which every event replaces by splicing its columns;
+    arrays are never written in place, because ``history`` shares them."""
 
     def __init__(self, model, profile, eps_fronts):
         if eps_fronts <= 0:
@@ -160,8 +149,6 @@ class Simulation:
         self.a = float(profile.a)
         self.b = float(profile.b)
         self.eps = float(eps_fronts)
-        self.time = 0.0
-        self.fronts = []
         self.records = []
         self.functional_history = []
         self.history = []
@@ -171,16 +158,21 @@ class Simulation:
         self._event_count = 0
         self._instant_events = 0
 
-        values = np.atleast_2d(profile.values)
-        self.left_state = np.asarray(values[0], dtype=float)
-        left = self.left_state
+        values = np.array(np.atleast_2d(profile.values), dtype=float)
+        ints, floats = np.empty(0, dtype=int), np.empty(0)
+        self.now = Snapshot(model, 0.0, self.a, self.b, ints, floats, ints,
+                            floats, floats, ints, (), values[:1])
         for j, x in enumerate(profile.xs):
-            right = np.asarray(values[j + 1], dtype=float)
-            sol = solve_riemann(model, left, right)
-            self.fronts.extend(self._fronts_from_waves(sol.waves, float(x), {}, 1))
-            left = right
+            sol = solve_riemann(model, values[j], values[j + 1])
+            k = self.now.n_fronts
+            self._splice(k, k, self.now.states[k],
+                         self._fronts_from_waves(sol.waves, x, {}, 1))
         self._log_functionals()
-        self.history.append(self.snapshot())
+        self.history.append(self.now)
+
+    @property
+    def time(self):
+        return self.now.time
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -206,13 +198,19 @@ class Simulation:
         rec.dV = V1 - V0
         rec.dQ = Q1 - Q0
         self.records.append(rec)
-        self.history.append(self.snapshot())
+        self.history.append(self.now)
 
     def _fronts_from_waves(self, waves, x, generation_by_family, default_gen):
-        """Materialize Riemann-solution waves as fronts, fanning rarefactions
-        into pieces of strength at most eps.  Pieces move at the
-        characteristic speed of their left state."""
-        out = []
+        """Columns of the fronts that materialize Riemann-solution waves at
+        x, with the right state of each, fanning rarefactions into pieces of
+        strength at most eps.  Pieces move at the characteristic speed of
+        their left state."""
+        new = {name: [] for name in _FRONT_COLUMNS + ("kinds", "rights")}
+
+        def add(*row):
+            for name, val in zip(new, (self._uid(), x) + row):
+                new[name].append(val)
+
         for wave in waves:
             gen = generation_by_family.get(wave.family, default_gen)
             if abs(wave.sigma) < SIGMA_NULL:
@@ -228,44 +226,42 @@ class Simulation:
                 chain.append(wave.right)
                 for k in range(m):
                     lam = self.model.eigen(chain[k]).lam(wave.family)
-                    out.append(Front(self._uid(), wave.family, chain[k],
-                                     chain[k + 1], float(lam), piece,
-                                     "rarefaction", gen, x))
+                    add(wave.family, piece, float(lam), gen, "rarefaction",
+                        chain[k + 1])
             else:
                 speed = wave.speed_lo if wave.kind != "rarefaction" else \
                     float(self.model.eigen(wave.left).lam(wave.family))
-                out.append(Front(self._uid(), wave.family, wave.left,
-                                 wave.right, float(speed), wave.sigma,
-                                 wave.kind, gen, x))
-        return out
+                add(wave.family, wave.sigma, float(speed), gen, wave.kind,
+                    wave.right)
+        return new
+
+    def _splice(self, lo, hi, left, new):
+        """Replace fronts lo..hi - 1 by the ``new`` ones (none when it is
+        empty), and cells lo..hi by ``left`` and the new right states."""
+        s = self.now
+
+        def put(col, vals):
+            return np.concatenate((col[:lo], np.asarray(vals, dtype=col.dtype),
+                                   col[hi:]))
+
+        self.now = replace(
+            s, **{name: put(getattr(s, name), new.get(name, ()))
+                  for name in _FRONT_COLUMNS},
+            kinds=s.kinds[:lo] + tuple(new.get("kinds", ())) + s.kinds[hi:],
+            states=np.concatenate((s.states[:lo], [left, *new.get("rights", ())],
+                                   s.states[hi + 1:])))
 
     # -- views ---------------------------------------------------------------
 
     def snapshot(self):
-        k = len(self.fronts)
-        n = self.model.n
-        states = np.empty((k + 1, n))
-        states[0] = self.left_state
-        for j, f in enumerate(self.fronts):
-            states[j + 1] = f.right
-        return Snapshot(
-            model=self.model, time=self.time, a=self.a, b=self.b,
-            ids=np.array([f.uid for f in self.fronts], dtype=int),
-            xs=np.array([f.x for f in self.fronts], dtype=float),
-            families=np.array([f.family for f in self.fronts], dtype=int),
-            sigmas=np.array([f.sigma for f in self.fronts], dtype=float),
-            speeds=np.array([f.speed for f in self.fronts], dtype=float),
-            generations=np.array([f.generation for f in self.fronts], dtype=int),
-            kinds=tuple(f.kind for f in self.fronts),
-            states=states)
+        """The current profile; the engine never alters a snapshot."""
+        return self.now
 
     def trace(self, side):
         """Profile value adjacent to a boundary; no ghost cells."""
-        if side == "a":
-            return self.left_state.copy()
-        if side == "b":
-            return (self.fronts[-1].right if self.fronts else self.left_state).copy()
-        raise ValueError("side must be 'a' or 'b'")
+        if side not in ("a", "b"):
+            raise ValueError("side must be 'a' or 'b'")
+        return self.now.states[0 if side == "a" else -1].copy()
 
     def glimm_functionals(self):
         """Total wave strength V, interaction potential Q, and profile TV.
@@ -278,14 +274,15 @@ class Simulation:
                            - rar_j sum_{i<j, fam_i = fam_j, rar_i} s_i),
 
         read off exclusive per-family prefix sums of s: O(k n) work for k
-        fronts and n families.  TV sums the jumps the fronts stored at birth.
+        fronts and n families.  TV is the snapshot's.
         """
-        k = len(self.fronts)
+        s = self.now
+        k = s.n_fronts
         if k == 0:
             return 0.0, 0.0, 0.0
-        sig = np.abs([f.sigma for f in self.fronts])
-        fam = np.array([f.family for f in self.fronts]) - 1
-        rar = np.array([f.kind == "rarefaction" for f in self.fronts])
+        sig = np.abs(s.sigmas)
+        fam = s.families - 1
+        rar = np.array([kind == "rarefaction" for kind in s.kinds])
         V = float(np.sum(sig))
         cols = np.arange(k)
         # own[g, j] = s_j if front j is of family g + 1; before[g, j] sums
@@ -299,8 +296,7 @@ class Simulation:
         at_or_above = np.cumsum(before[::-1], axis=0)[::-1]
         Q = float(np.sum(sig * (at_or_above[fam, cols]
                                 - rar * rar_before[fam, cols])))
-        TV = float(np.sum([f.jump for f in self.fronts]))
-        return V, Q, TV
+        return V, Q, s.tv()
 
     def state_at(self, t, x):
         """Profile value at (t, x), reconstructed from the snapshot history."""
@@ -337,10 +333,9 @@ class Simulation:
         every candidate collision within SPACE_TIE of its point: the event
         spans all their fronts and takes the earliest of their times.
         """
-        if not self.fronts:
+        xs, sp = self.now.xs, self.now.speeds
+        if len(xs) == 0:
             return None
-        xs = np.array([f.x for f in self.fronts])
-        sp = np.array([f.speed for f in self.fronts])
         ds = sp[:-1] - sp[1:]
         cj = np.flatnonzero(ds > 1e-14)        # pair (j, j + 1) approaches
         dt = (xs[cj + 1] - xs[cj]) / ds[cj]
@@ -368,16 +363,15 @@ class Simulation:
                      int(cj[group].min()), int(cj[group].max()) + 1)
 
     def _advance_positions(self, t):
-        dt = t - self.time
+        s = self.now
+        dt = t - s.time
         if dt < 0:
             raise ValueError("cannot move backwards in time")
         if dt == 0.0:
             return
-        self.boundary_flux_integral[0] += self.model.flux(self.trace("a")) * dt
-        self.boundary_flux_integral[1] += self.model.flux(self.trace("b")) * dt
-        for f in self.fronts:
-            f.x += f.speed * dt
-        self.time = t
+        self.boundary_flux_integral[0] += self.model.flux(s.states[0]) * dt
+        self.boundary_flux_integral[1] += self.model.flux(s.states[-1]) * dt
+        self.now = replace(s, time=t, xs=s.xs + s.speeds * dt)
 
     def _resolve(self, event):
         if event.time - self.time < TIME_TIE:
@@ -395,54 +389,47 @@ class Simulation:
                 self._where())
         self._advance_positions(event.time)
 
+        s = self.now
+        lo, hi = event.lo, event.hi
+        in_ids, in_families, in_sigmas, in_generations = (
+            col[lo:hi + 1].tolist()
+            for col in (s.ids, s.families, s.sigmas, s.generations))
+        incoming = (in_ids, in_families, in_sigmas, list(s.kinds[lo:hi + 1]),
+                    in_generations)
         if event.kind in ("exit_a", "exit_b"):
-            front = self.fronts.pop(event.lo)
-            if event.kind == "exit_a":
-                self.left_state = np.asarray(front.right, dtype=float)
-            rec = InteractionRecord(
-                self.time, event.x, event.kind,
-                [front.uid], [front.family], [front.sigma], [front.kind],
-                [front.generation], [], [], [], [], 0.0, 0.0, {})
+            # the cell on the boundary side of the front leaves with it
+            self._splice(lo, lo + 1,
+                         s.states[lo + (event.kind == "exit_a")], {})
+            rec = InteractionRecord(self.time, event.x, event.kind, *incoming,
+                                    [], [], [], [], 0.0, 0.0, {})
         else:
-            incoming = self.fronts[event.lo:event.hi + 1]
-            ul = incoming[0].left
-            ur = incoming[-1].right
             try:
-                sol = solve_riemann(self.model, ul, ur)
+                sol = solve_riemann(self.model, s.states[lo], s.states[hi + 1])
             except ConvergenceError:
                 self.records.append(InteractionRecord(
-                    self.time, event.x, "error",
-                    [f.uid for f in incoming], [f.family for f in incoming],
-                    [f.sigma for f in incoming], [f.kind for f in incoming],
-                    [f.generation for f in incoming],
+                    self.time, event.x, "error", *incoming,
                     [], [], [], [], 0.0, 0.0, {}))
                 raise
-            in_gens = [f.generation for f in incoming]
             gen_by_family = {}
-            for fam in {f.family for f in incoming}:
-                gen_by_family[fam] = min(f.generation for f in incoming
-                                         if f.family == fam)
-            default_gen = 1 + min(in_gens)
-            new = self._fronts_from_waves(sol.waves, event.x,
-                                          gen_by_family, default_gen)
-            speeds = [f.speed for f in new]
+            for fam, gen in zip(in_families, in_generations):
+                gen_by_family[fam] = min(gen, gen_by_family.get(fam, gen))
+            new = self._fronts_from_waves(sol.waves, event.x, gen_by_family,
+                                          1 + min(in_generations))
+            speeds = new["speeds"]
             if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
                 raise ContractViolationError(
                     f"outgoing wave speeds not ordered at t={self.time}",
                     self._where())
             inherits = {}
-            for f in new:
-                same = [g for g in incoming if g.family == f.family]
+            for uid, fam in zip(new["ids"], new["families"]):
+                same = [i for i, f in enumerate(in_families) if f == fam]
                 if same:
-                    inherits[f.uid] = max(same, key=lambda g: abs(g.sigma)).uid
-            self.fronts[event.lo:event.hi + 1] = new
+                    strongest = max(same, key=lambda i: abs(in_sigmas[i]))
+                    inherits[uid] = in_ids[strongest]
+            self._splice(lo, hi + 1, s.states[lo], new)
             rec = InteractionRecord(
-                self.time, event.x, "collision",
-                [f.uid for f in incoming], [f.family for f in incoming],
-                [f.sigma for f in incoming], [f.kind for f in incoming],
-                [f.generation for f in incoming],
-                [f.uid for f in new], [f.family for f in new],
-                [f.sigma for f in new], [f.kind for f in new],
+                self.time, event.x, "collision", *incoming,
+                new["ids"], new["families"], new["sigmas"], new["kinds"],
                 0.0, 0.0, inherits)
         self._record(rec)
 
@@ -476,12 +463,14 @@ class Simulation:
             wrong = [w for w in sol.waves
                      if w.family > p and abs(w.sigma) > WRONG_FAMILY_TOL]
             position = self.b
+            k, left = self.now.n_fronts, self.now.states[-1]
         elif side == "a":
             sol = solve_riemann(self.model, outer, self.trace("a"))
             entering = [w for w in sol.waves if w.family > p]
             wrong = [w for w in sol.waves
                      if w.family <= p and abs(w.sigma) > WRONG_FAMILY_TOL]
             position = self.a
+            k, left = 0, outer      # the outer state becomes cell 0
         else:
             raise ValueError("side must be 'a' or 'b'")
         if wrong:
@@ -491,20 +480,13 @@ class Simulation:
                 {"sigmas": [w.sigma for w in wrong]})
 
         new = self._fronts_from_waves(entering, position, {}, 1)
-        if side == "b":
-            self.fronts.extend(new)
-        else:
-            self.fronts[:0] = new
-            if new:
-                self.left_state = np.asarray(new[0].left, dtype=float)
+        self._splice(k, k, left, new)
         rec = InteractionRecord(
-            self.time, position, f"inject_{side}",
-            [], [], [], [], [],
-            [f.uid for f in new], [f.family for f in new],
-            [f.sigma for f in new], [f.kind for f in new],
+            self.time, position, f"inject_{side}", [], [], [], [], [],
+            new["ids"], new["families"], new["sigmas"], new["kinds"],
             0.0, 0.0, {})
         self._record(rec)
-        return [f.uid for f in new]
+        return new["ids"]
 
 
 def wave_measures(snapshot):

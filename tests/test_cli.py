@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fronttrack import scenarios, tracking
 from fronttrack.cli import main
 from fronttrack.errors import DomainError
@@ -204,6 +206,27 @@ def test_sweep_mode_with_worker_pool(tmp_path):
         horizons.append(manifest["config"]["horizon"])
         assert manifest["metrics"]["events"] >= 0
     assert horizons == [0.4, 0.8]
+
+
+@pytest.mark.parametrize("key, value, diagnostic", [
+    ("sweep", 3, "sweep=3 must be a list"),
+    ("sweep", ["x"], "sweep=['x'] must be a list of objects"),
+    ("sweep", [{"epsilon": 0.02}, {"speed": 2}], "sweep[1]: unknown key 'speed'"),
+    ("workers", "two", "workers='two' must be a positive integer"),
+    ("workers", 0, "workers=0 must be a positive integer"),
+])
+def test_malformed_sweep_or_workers_exits_2(tmp_path, capsys, key, value,
+                                            diagnostic):
+    config = _evolve_config()
+    config[key] = value
+    cfg = _write(tmp_path, "bad_sweep.json", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert diagnostic in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert diagnostic in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_jumps_initial_kind(tmp_path):

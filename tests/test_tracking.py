@@ -6,9 +6,10 @@ from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.errors import ContractViolationError
 from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.profiles import constant_profile, profile_from_jumps
-from fronttrack.riemann import solve_riemann, split_boundary_pair
+from fronttrack.riemann import (solve_riemann, split_boundary_pair,
+                               split_boundary_pair_reverse)
 from fronttrack.tracking import (
-    SPACE_TIE, TIME_TIE, Event, Front, Simulation,
+    SPACE_TIE, TIME_TIE, Event, Simulation, Snapshot,
     calibrate_interaction_constant, check_upsilon, wave_measures,
 )
 
@@ -22,7 +23,7 @@ PRODUCTION = (0.75 ** 3) * (1.0 / 36.0)
 
 def test_constant_data_has_no_fronts(gas):
     sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    assert sim.fronts == []
+    assert sim.snapshot().n_fronts == 0
     assert sim.next_event() is None
     snap = sim.advance_to(10.0)
     assert snap.tv() == 0.0
@@ -33,25 +34,26 @@ def test_single_shock_jump_resolves_to_one_front(gas):
     cp = shock_curve(gas, U0, 1, -0.2)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
-    assert len(sim.fronts) == 1
-    front = sim.fronts[0]
-    assert front.kind == "shock"
-    assert front.family == 1
-    assert front.generation == 1
-    assert front.speed == pytest.approx(cp.speed, abs=1e-12)
+    snap = sim.snapshot()
+    assert snap.n_fronts == 1
+    assert snap.kinds[0] == "shock"
+    assert snap.families[0] == 1
+    assert snap.generations[0] == 1
+    assert snap.speeds[0] == pytest.approx(cp.speed, abs=1e-12)
 
 
 def test_rarefaction_jump_fans_into_pieces(gas):
     cp = lax_curve(gas, U0, 2, 0.25)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
-    sigmas = [f.sigma for f in sim.fronts]
+    snap = sim.snapshot()
+    sigmas = list(snap.sigmas)
     assert len(sigmas) == 3
     assert all(0 < s <= 0.1 + 1e-12 for s in sigmas)
     assert sum(sigmas) == pytest.approx(0.25, abs=1e-12)
     # pieces travel at the characteristic speed of their left state
-    for f in sim.fronts:
-        assert f.speed == pytest.approx(gas.eigen(f.left).lam(2), abs=1e-12)
+    for speed, left in zip(snap.speeds, snap.states):
+        assert speed == pytest.approx(gas.eigen(left).lam(2), abs=1e-12)
 
 
 def test_next_event_collision_of_opposite_contacts():
@@ -94,7 +96,7 @@ def test_same_family_shock_merge_emits_opposite_shock(gas):
     predicted = PRODUCTION * sa * sb * (sa + sb)
     assert out[2] == pytest.approx(predicted, rel=0.25)
     # merged wave keeps the smaller generation, the new family starts at 2
-    new = {f.family: f.generation for f in sim.fronts}
+    new = dict(zip(sim.snapshot().families, sim.snapshot().generations))
     assert new == {1: 1, 2: 2}
 
 
@@ -120,10 +122,10 @@ def test_boundary_exit_is_absorbing(gas):
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
     sim.advance_to(5.0)
-    assert sim.fronts == []
+    assert sim.snapshot().n_fronts == 0
     assert [r.kind for r in sim.records] == ["exit_a"]
     # the state that stays behind is the right side of the leaving front
-    assert np.allclose(sim.left_state, cp.state)
+    assert np.allclose(sim.trace("a"), cp.state)
     assert np.allclose(sim.trace("b"), cp.state)
 
 
@@ -137,14 +139,14 @@ def test_advance_logs_exactly_one_interaction(gas):
     before = len(sim.records)
     sim.advance_to(ev.time + 1e-6)
     assert len(sim.records) == before + 1
-    assert sorted(f.family for f in sim.fronts) == [1, 2]
+    assert sorted(sim.snapshot().families) == [1, 2]
 
 
 def test_injection_of_trace_is_a_no_op(gas):
     sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     new = sim.inject_boundary_riemann("b", sim.trace("b"))
     assert new == []
-    assert sim.fronts == []
+    assert sim.snapshot().n_fronts == 0
 
 
 def test_injection_of_split_state_sends_low_families_only(gas):
@@ -153,10 +155,11 @@ def test_injection_of_split_state_sends_low_families_only(gas):
     split = split_boundary_pair(gas, sim.trace("b"), target)
     new_ids = sim.inject_boundary_riemann("b", split.state)
     assert new_ids
-    injected = [f for f in sim.fronts if f.uid in new_ids]
-    assert all(f.family <= gas.p for f in injected)
-    assert all(f.generation == 1 for f in injected)
-    assert sum(f.sigma for f in injected) == pytest.approx(
+    snap = sim.snapshot()
+    injected = np.isin(snap.ids, new_ids)
+    assert all(snap.families[injected] <= gas.p)
+    assert all(snap.generations[injected] == 1)
+    assert sum(snap.sigmas[injected]) == pytest.approx(
         float(split.sigmas[0]), abs=1e-8)
 
 
@@ -283,6 +286,36 @@ def test_wave_measures_match_riemann_resolve_of_every_jump(gas_slow):
             assert np.max(np.abs(ref[~at, family - 1]), initial=0.0) <= 1e-10
 
 
+def test_functional_history_tv_is_snapshot_tv(gas_slow):
+    sim = _cascade(gas_slow)
+    assert len(sim.functional_history) == len(sim.history)
+    for (_t, _V, _Q, tv), snap in zip(sim.functional_history, sim.history):
+        assert tv == snap.tv()
+
+
+def test_advance_to_snapshot_unchanged_by_later_events(gas):
+    # a 2-shock and a 1-shock that approach each other
+    u1 = lax_curve(gas, U0, 2, -0.1).state
+    u2 = lax_curve(gas, u1, 1, -0.1).state
+    prof = profile_from_jumps(0.0, 1.0, U0, [(0.4, u1), (0.6, u2)])
+    sim = Simulation(gas, prof, 0.02)
+    snap = sim.advance_to(0.02)
+    before = {name: np.copy(getattr(snap, name)) for name in (
+        "ids", "xs", "families", "sigmas", "speeds", "generations", "states")}
+    time, kinds, n_records = snap.time, snap.kinds, len(sim.records)
+    sim.advance_to(0.3)
+    assert len(sim.records) > n_records
+    target = np.array([1.04, 0.02])
+    sim.inject_boundary_riemann(
+        "b", split_boundary_pair(gas, sim.trace("b"), target).state)
+    sim.inject_boundary_riemann(
+        "a", split_boundary_pair_reverse(gas, sim.trace("a"), target).state)
+    sim.advance_to(1.0)
+    assert (snap.time, snap.kinds) == (time, kinds)
+    for name, values in before.items():
+        assert np.array_equal(getattr(snap, name), values), name
+
+
 def test_upsilon_monotone_on_cascade(gas_slow):
     sim = _cascade(gas_slow)
     c0 = calibrate_interaction_constant(gas_slow, n_samples=80, seed=1)
@@ -337,19 +370,20 @@ def test_state_reconstruction_from_history(gas):
 # -- the O(k) engine against the pairwise and looping references ---------------
 
 
-def pairwise_functionals(fronts):
+def pairwise_functionals(snap):
     """V, Q over all k^2 pairs, and TV from the front jumps."""
-    k = len(fronts)
+    k = snap.n_fronts
     if k == 0:
         return 0.0, 0.0, 0.0
-    sig = np.abs([f.sigma for f in fronts])
-    fam = np.array([f.family for f in fronts])
-    rar = np.array([f.kind == "rarefaction" for f in fronts])
+    sig = np.abs(snap.sigmas)
+    fam = snap.families
+    rar = np.array([kind == "rarefaction" for kind in snap.kinds])
     V = float(np.sum(sig))
     i, j = np.triu_indices(k, 1)
     approaching = (fam[i] > fam[j]) | ((fam[i] == fam[j]) & ~(rar[i] & rar[j]))
     Q = float(np.sum(sig[i] * sig[j] * approaching))
-    TV = float(np.sum([np.linalg.norm(f.right - f.left) for f in fronts]))
+    # the jump of front j is states[j + 1] - states[j]
+    TV = float(np.sum(np.linalg.norm(np.diff(snap.states, axis=0), axis=1)))
     return V, Q, TV
 
 
@@ -368,14 +402,16 @@ def front_lists(n):
 def test_prefix_sum_functionals_match_pairwise(n, data):
     model = LinearModel(np.diag({2: [-1.0, 1.0], 3: [-1.0, 0.5, 1.0]}[n]))
     sim = Simulation(model, constant_profile(0.0, 1.0, np.zeros(n)), 0.1)
-    left = np.zeros(n)
-    for uid, (family, sigma, kind, dright) in enumerate(data.draw(front_lists(n))):
-        right = left + np.array(dright)
-        sim.fronts.append(Front(uid, family, left, right, 0.0, sigma, kind,
-                                1, 0.5))
-        left = right
+    fronts = data.draw(front_lists(n))
+    k = len(fronts)
+    states = np.cumsum([np.zeros(n)] + [np.array(d) for *_, d in fronts], axis=0)
+    sim.now = Snapshot(
+        model, 0.0, 0.0, 1.0, np.arange(k), np.full(k, 0.5),
+        np.array([f[0] for f in fronts], dtype=int),
+        np.array([f[1] for f in fronts], dtype=float), np.zeros(k),
+        np.ones(k, dtype=int), tuple(f[2] for f in fronts), states)
     V, Q, TV = sim.glimm_functionals()
-    V_ref, Q_ref, TV_ref = pairwise_functionals(sim.fronts)
+    V_ref, Q_ref, TV_ref = pairwise_functionals(sim.snapshot())
     assert V == V_ref
     assert TV == TV_ref
     assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
@@ -384,11 +420,11 @@ def test_prefix_sum_functionals_match_pairwise(n, data):
 def loop_next_event(sim):
     """Earliest collision or exit found by a loop over every front; also
     returns how many candidates tied with the earliest within TIME_TIE."""
-    k = len(sim.fronts)
+    k = sim.snapshot().n_fronts
     if k == 0:
         return None, 0
-    xs = np.array([f.x for f in sim.fronts])
-    sp = np.array([f.speed for f in sim.fronts])
+    xs = sim.snapshot().xs
+    sp = sim.snapshot().speeds
     candidates = []
     for j in range(k - 1):
         ds = sp[j] - sp[j + 1]
@@ -465,7 +501,7 @@ def test_next_event_matches_loop_on_three_front_meeting(x0, checked_next_event):
     sim.advance_to(10.0)
     ev, ties = checked_next_event[0]
     assert (ev.kind, ev.lo, ev.hi, ties) == ("collision", 0, 2, 2)
-    assert sim.fronts == []
+    assert sim.snapshot().n_fronts == 0
 
 
 def test_next_event_matches_loop_on_collision_at_boundary(checked_next_event):
