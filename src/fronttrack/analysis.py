@@ -291,22 +291,27 @@ class CensusReport:
     tv: float
 
 
-def creation_events(sim, floor=DEFAULT_SIGN_FLOOR, family=1):
-    """Interactions where same-family shocks collide and emit a resolvable
-    shock of the other family."""
+def _same_family_shock_collisions(sim, family):
+    """(record, opposite-family output strength) of every collision of two
+    or more fronts that are all shocks of ``family``; the strength is 0.0
+    when the collision emits no wave of the other family."""
     other = 2 if family == 1 else 1
-    events = []
     for rec in sim.records:
-        if rec.kind != "collision":
+        if rec.kind != "collision" or len(rec.in_ids) < 2:
             continue
-        shocks_in = [f for f, k in zip(rec.in_families, rec.in_kinds)
-                     if f == family and k == "shock"]
-        if len(shocks_in) < 2 or len(shocks_in) != len(rec.in_ids):
+        if not all(f == family and k == "shock"
+                   for f, k in zip(rec.in_families, rec.in_kinds)):
             continue
         out = [s for f, s in zip(rec.out_families, rec.out_sigmas) if f == other]
-        if out and out[0] < -floor:
-            events.append((rec.time, rec.x))
-    return events
+        yield rec, out[0] if out else 0.0
+
+
+def creation_events(sim, floor=DEFAULT_SIGN_FLOOR, family=1):
+    """Interactions where same-family shocks collide and emit a resolvable
+    shock of the other family: strength below -floor."""
+    return [(rec.time, rec.x)
+            for rec, sig in _same_family_shock_collisions(sim, family)
+            if sig < -floor]
 
 
 def same_family_collision_compliance(sim, family=1,
@@ -314,23 +319,15 @@ def same_family_collision_compliance(sim, family=1,
     """Sign audit of pure same-family shock collisions.
 
     Returns (events, compliant, unresolved): every collision of family-i
-    shocks must emit a strictly negative (shock) wave of the other family;
-    outputs below the sign floor are counted unresolved rather than judged.
+    shocks must emit a strictly negative (shock) wave of the other family.
+    An output is resolved when its magnitude exceeds the sign floor, the
+    rule ``creation_events`` applies; outputs at or below the floor are
+    counted unresolved rather than judged.
     """
-    other = 2 if family == 1 else 1
     n_events = n_compliant = n_unresolved = 0
-    for rec in sim.records:
-        if rec.kind != "collision":
-            continue
-        if not all(f == family and k == "shock"
-                   for f, k in zip(rec.in_families, rec.in_kinds)):
-            continue
-        if len(rec.in_ids) < 2:
-            continue
+    for _rec, sig in _same_family_shock_collisions(sim, family):
         n_events += 1
-        out = [s for f, s in zip(rec.out_families, rec.out_sigmas) if f == other]
-        sig = out[0] if out else 0.0
-        if abs(sig) < sign_floor:
+        if abs(sig) <= sign_floor:
             n_unresolved += 1
         elif sig < 0:
             n_compliant += 1

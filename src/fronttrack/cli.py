@@ -44,9 +44,6 @@ def _build_parser():
     r = sub.add_parser("riemann", help="print a Riemann solution table")
     r.add_argument("--config", required=True)
     r.add_argument("--json", action="store_true", dest="as_json")
-    r.add_argument("--quiet", action="store_true")
-
-    add_common(sub.add_parser("curves", help="dump sampled wave curves to CSV"))
 
     p = sub.add_parser("plots", help="emit gnuplot-ready .dat files from a "
                                      "finished run directory")
@@ -68,21 +65,14 @@ def _say(args, message):
         print(message)
 
 
-def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _cmd_run(args):
-    diags = scenarios.validate_config_file(args.config)
-    if diags:
-        for d in diags:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
-    config = _load(args.config)
+    # validation builds the model, so each config is validated once: by
+    # run_scenario, or here before a sweep fans out
+    config = scenarios.read_config(args.config)
     config.update(_overrides(args))
-    sweep = config.pop("sweep", None)
+    sweep = config.get("sweep")
     if sweep:
+        scenarios.checked_model(config)
         manifests = scenarios.run_sweep(config, args.out, sweep,
                                         workers=int(config.get("workers", 1)))
         _say(args, f"ran {len(manifests)} sweep scenarios into {args.out}")
@@ -95,11 +85,7 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    try:
-        diags = scenarios.validate_config_file(args.config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    diags = scenarios.validate_config_file(args.config)
     for d in diags:
         print(d)
     if diags:
@@ -109,23 +95,13 @@ def _cmd_validate(args):
 
 
 def _cmd_riemann(args):
-    diags = scenarios.validate_config_file(args.config)
-    if diags:
-        for d in diags:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
-    config = scenarios.resolve_config(_load(args.config))
-    model = scenarios.build_model(config["model"])
-    payload = scenarios.riemann_payload(config, model)
+    config = scenarios.read_config(args.config)
+    payload = scenarios.riemann_payload(config, scenarios.checked_model(config))
     if args.as_json:
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:
         print(scenarios.format_riemann_table(payload))
     return EXIT_OK
-
-
-def _cmd_curves(args):
-    return _cmd_run(args)
 
 
 def _cmd_plots(args):
@@ -177,7 +153,6 @@ def main(argv=None):
         "run": _cmd_run,
         "validate": _cmd_validate,
         "riemann": _cmd_riemann,
-        "curves": _cmd_curves,
         "plots": _cmd_plots,
     }[args.command]
     try:

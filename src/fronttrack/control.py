@@ -1,5 +1,12 @@
-"""Boundary control: exact linear control, constant-state steering, and the
-three-phase stabilization step iterated to quadratic-type contraction.
+"""Boundary control: exact linear control, and nonlinear control built from
+one boundary hop.
+
+A hop splits the x = b trace so that only families <= p enter, waits one
+crossing time tau, reverse-splits the x = a trace so that only families
+>= p+1 enter, and waits tau again.  Steering between constant states is N
+hops along a Riemann-coordinate chain; the 3 tau stabilization step is a
+tau wait followed by one hop toward u_star, iterated to quadratic-type
+contraction.  Plans, actions and step snapshots carry absolute time.
 
 All constants of the contraction estimates (step constant, admissible
 smallness, doubly-exponential rate) are measured from runs and reported;
@@ -116,7 +123,7 @@ class LinearControlSolution:
             values[row] = right @ coeff
         return PiecewiseConstant(self.a, self.b, xs, values)
 
-    def boundary_data(self, samples_per_unit=None):
+    def boundary_data(self):
         """Induced boundary controls as scalar step functions of time.
 
         Families moving right are prescribed at x = a, families moving left
@@ -137,16 +144,15 @@ class LinearControlSolution:
         return out
 
 
-def linear_exact_control(model_or_matrix, phi, psi, T):
-    """Solution of the constant-coefficient system taking profile phi at
-    time 0 to profile psi at time T >= tau, by decoupled transport.
+def linear_exact_control(model, phi, psi, T):
+    """Solution of the constant-coefficient system of the LinearModel
+    ``model`` taking profile phi at time 0 to profile psi at time T >= tau,
+    by decoupled transport.
 
     Each characteristic component carries phi inside [a, b] and the
     back-propagated psi on the adjacent interval; the overlap is empty as
     soon as T is at least the crossing time.
     """
-    model = model_or_matrix if isinstance(model_or_matrix, LinearModel) \
-        else LinearModel(model_or_matrix)
     if np.min(np.abs(model.lambdas(None))) <= 0:
         raise DomainError("linear control requires nonzero characteristic speeds")
     a, b = float(phi.a), float(phi.b)
@@ -180,7 +186,7 @@ def linear_exact_control(model_or_matrix, phi, psi, T):
     return LinearControlSolution(model, a, b, float(T), tau, components)
 
 
-# -- nonlinear steering --------------------------------------------------------
+# -- boundary hops: steering and stabilization ---------------------------------
 
 
 def _riemann_chain(model, omega, omega_prime, chain_step):
@@ -199,6 +205,36 @@ def _riemann_chain(model, omega, omega_prime, chain_step):
     return chain
 
 
+def _hop(sim, target, tau, actions, t0=0.0):
+    """One boundary hop of ``sim`` toward ``target``, taking 2 tau.
+
+    Imposes the split of the x = b trace, so that only families <= p enter,
+    waits tau, imposes the reverse split of the x = a trace, so that only
+    families >= p+1 enter, and waits tau again.  Appends both actions at
+    absolute time t0 + ``sim.time`` and returns, per side, the injected ids
+    still inside at its deadline.
+    """
+    t = sim.time
+    stuck = []
+    for k, (side, split) in enumerate((("b", split_boundary_pair),
+                                       ("a", split_boundary_pair_reverse))):
+        state = split(sim.model, sim.trace(side), target).state
+        ids = sim.inject_boundary_riemann(side, state)
+        actions.append(ControlAction(t0 + sim.time, side, state))
+        # deadlines count from the hop's start: the hop ends at t + 2 tau
+        # exactly, not at (t + tau) + tau
+        sim.advance_to(t + (k + 1) * tau)
+        stuck.append([i for i in ids if i in sim.now.ids])
+    return stuck
+
+
+def _profile_and_time(snapshot_or_profile):
+    """A snapshot's profile and time; a bare profile starts at t = 0."""
+    if hasattr(snapshot_or_profile, "profile"):
+        return snapshot_or_profile.profile(), snapshot_or_profile.time
+    return snapshot_or_profile, 0.0
+
+
 @dataclass
 class SteerResult:
     plan: ControlPlan
@@ -210,40 +246,25 @@ class SteerResult:
 
 def steer_constant_states(model, omega, omega_prime, interval, eps_fronts,
                           chain_step=0.05):
-    """Drive the constant state omega to omega_prime in time 2 N tau.
+    """Drive the constant state omega to omega_prime in time 2 N tau: one
+    hop toward each of the N points of a Riemann-coordinate chain.
 
-    Each chain hop imposes the boundary split state at x = b (left-moving
-    families sweep the domain and leave the middle state behind), then the
-    next chain point at x = a (right-moving families finish the hop).
+    The x = a trace after a hop's first half lies on the upper-family curve
+    through the chain point, so the reverse split imposes the chain point
+    itself (bitwise on a Riemann chart) and each hop ends on it.
     """
     omega = np.asarray(omega, dtype=float)
-    omega_prime = np.asarray(omega_prime, dtype=float)
     a, b = interval
     tau = crossing_time(model, interval)
-    chain = _riemann_chain(model, omega, omega_prime, chain_step)
-
     sim = Simulation(model, constant_profile(a, b, omega), eps_fronts)
     actions = []
     hop_errors = []
-    t = 0.0
-    prev = omega
-    for target in chain:
-        split = split_boundary_pair(model, prev, target)
-        sim.inject_boundary_riemann("b", split.state)
-        actions.append(ControlAction(t, "b", split.state))
-        sim.advance_to(t + tau)
-        sim.inject_boundary_riemann("a", target)
-        actions.append(ControlAction(t + tau, "a", target))
-        sim.advance_to(t + 2 * tau)
-        t += 2 * tau
-        snap = sim.snapshot()
-        hop_errors.append(snap.sup_distance(target))
-        prev = target
+    for target in _riemann_chain(model, omega, omega_prime, chain_step):
+        _hop(sim, target, tau, actions)
+        hop_errors.append(sim.now.sup_distance(target))
     final = sim.snapshot()
-    return SteerResult(ControlPlan(actions, t), sim, tau, final, hop_errors)
-
-
-# -- stabilization -------------------------------------------------------------
+    return SteerResult(ControlPlan(actions, final.time), sim, tau, final,
+                       hop_errors)
 
 
 @dataclass
@@ -258,22 +279,19 @@ class StepResult:
 
 def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
                        interval=None, delta0=0.1, tau=None):
-    """One 3 tau stabilization round toward the constant state u_star.
+    """One 3 tau stabilization round toward the constant state u_star: a
+    tau wait, then one hop toward u_star.
 
-    Phase 1 lets every generation-1 front leave through the absorbing
-    boundaries; phase 2 imposes the boundary split of the x = b trace toward
-    u_star; phase 3 imposes the reverse split at x = a.  Returns the profile
-    at +3 tau with its distance metrics; timing violations (generation-1
-    fronts surviving phase 1, injected fronts missing their exit deadline)
-    are recorded, not raised.
+    The wait lets every generation-1 front leave through the absorbing
+    boundaries.  Returns the profile at +3 tau with its distance metrics;
+    timing violations (generation-1 fronts surviving the wait, injected
+    fronts missing their exit deadline) are recorded, not raised.  The
+    step's simulation runs its own clock from 0, but the snapshot, the
+    actions and the plan carry absolute times, counted from the time of
+    ``snapshot_or_profile`` (0 for a bare profile).
     """
     u_star = np.asarray(u_star, dtype=float)
-    if hasattr(snapshot_or_profile, "profile"):
-        profile = snapshot_or_profile.profile()
-        t0 = snapshot_or_profile.time
-    else:
-        profile = snapshot_or_profile
-        t0 = 0.0
+    profile, t0 = _profile_and_time(snapshot_or_profile)
     if interval is None:
         interval = (profile.a, profile.b)
     rho = profile.sup_distance(u_star)
@@ -293,23 +311,12 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
     if leftover:
         violations.append(("phase1_gen1_survivors", leftover))
 
-    v2 = split_boundary_pair(model, sim.trace("b"), u_star)
-    ids_b = sim.inject_boundary_riemann("b", v2.state)
-    actions = [ControlAction(t0 + tau, "b", v2.state)]
-    sim.advance_to(2 * tau)
-    stuck = [i for i in ids_b if i in sim.now.ids]
-    if stuck:
-        violations.append(("phase2_injected_survivors", stuck))
+    actions = []
+    stuck = _hop(sim, u_star, tau, actions, t0)
+    for phase, ids in zip((2, 3), stuck):
+        if ids:
+            violations.append((f"phase{phase}_injected_survivors", ids))
 
-    v3 = split_boundary_pair_reverse(model, sim.trace("a"), u_star)
-    ids_a = sim.inject_boundary_riemann("a", v3.state)
-    actions.append(ControlAction(t0 + 2 * tau, "a", v3.state))
-    sim.advance_to(3 * tau)
-    stuck = [i for i in ids_a if i in sim.now.ids]
-    if stuck:
-        violations.append(("phase3_injected_survivors", stuck))
-
-    # the step runs its own clock; relabel to absolute time
     out = replace(sim.snapshot(), time=t0 + 3 * tau)
     return StepResult(out, sim, ControlPlan(actions, t0 + 3 * tau),
                       out.sup_distance(u_star), out.tv(), violations)
@@ -318,7 +325,6 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
 @dataclass
 class StabilizeResult:
     record: ContractionRecord
-    trajectory: list       # snapshots at the step boundaries
     steps: list            # StepResult per iteration
     pre_plan: ControlPlan
     tau: float
@@ -331,40 +337,30 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
     front-tracking accuracy (eps_k = eps0 * eps_factor^k).
 
     When the initial profile sits farther than delta0 from u_star, a
-    steering pre-phase first walks a Riemann-coordinate chain toward it.
-    Records delta_k = max(sup distance, TV) at each step boundary; a
-    non-decreasing delta above the floor is a contraction failure.
+    steering pre-phase first waits tau and then hops along a
+    Riemann-coordinate chain toward it.  Records delta_k = max(sup distance,
+    TV) at each step boundary, at absolute times; a non-decreasing delta
+    above the floor is a contraction failure.
     """
     u_star = np.asarray(u_star, dtype=float)
     if interval is None:
         interval = (phi.a, phi.b)
     tau = crossing_time(model, interval)
     record = ContractionRecord()
-    trajectory = []
     steps = []
-    pre_actions = []
-    t = 0.0
+    pre_plan = ControlPlan([], 0.0)
 
-    profile = phi
-    if profile.sup_distance(u_star) > delta0:
-        sim = Simulation(model, profile, eps0)
+    current = phi           # a bare profile at t = 0, later a snapshot
+    if phi.sup_distance(u_star) > delta0:
+        sim = Simulation(model, phi, eps0)
         sim.advance_to(tau)
-        t = tau
-        chain = _riemann_chain(model, profile.mean(), u_star, chain_step)
-        for target in chain:
-            split = split_boundary_pair(model, sim.trace("b"), target)
-            sim.inject_boundary_riemann("b", split.state)
-            pre_actions.append(ControlAction(t, "b", split.state))
-            sim.advance_to(t + tau)
-            rev = split_boundary_pair_reverse(model, sim.trace("a"), target)
-            sim.inject_boundary_riemann("a", rev.state)
-            pre_actions.append(ControlAction(t + tau, "a", rev.state))
-            sim.advance_to(t + 2 * tau)
-            t += 2 * tau
-        profile = sim.snapshot().profile()
+        for target in _riemann_chain(model, phi.mean(), u_star, chain_step):
+            _hop(sim, target, tau, pre_plan.actions)
+        current = sim.snapshot()
+        pre_plan.horizon = current.time
 
-    snap = None
     for k in range(k_max + 1):
+        profile, t = _profile_and_time(current)
         sup = profile.sup_distance(u_star)
         tv = profile.total_variation()
         delta = max(sup, tv)
@@ -373,17 +369,13 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
             prev = record.rows[-1].delta
             ratio = delta / prev ** 2 if prev > 0 else float("nan")
         record.rows.append(ContractionRow(k, t, sup, tv, delta, ratio))
-        if snap is not None:
-            trajectory.append(snap)
         if k == k_max or delta < floor:
             break
         eps_k = max(eps0 * eps_factor ** k, 1e-11)
-        step = stabilization_step(model, profile, u_star, eps_k,
+        step = stabilization_step(model, current, u_star, eps_k,
                                   interval=interval, delta0=delta0, tau=tau)
         steps.append(step)
-        profile = step.snapshot.profile()
-        snap = step.snapshot
-        t += 3 * tau
+        current = step.snapshot
 
     deltas = record.deltas
     for k in range(1, len(deltas)):
@@ -392,8 +384,7 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
             record.failure = (f"delta did not decrease at step {k}: "
                               f"{deltas[k - 1]:.3e} -> {deltas[k]:.3e}")
             break
-    result = StabilizeResult(record, trajectory, steps,
-                             ControlPlan(pre_actions, t), tau, u_star)
+    result = StabilizeResult(record, steps, pre_plan, tau, u_star)
     if record.failure and raise_on_failure:
         raise ContractViolationError(record.failure,
                                      {"record": record, "result": result})

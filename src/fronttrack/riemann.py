@@ -174,6 +174,10 @@ def split_boundary_pair(model, v, v_prime, radius=DELTA_RIEMANN):
 def split_boundary_pair_reverse(model, w, u_star, radius=DELTA_RIEMANN):
     """State v''' from which families >= p+1 reach w and families <= p
     reach u_star; used to steer the x = a boundary toward u_star.
+
+    Newton starts at v''' = u_star with the whole coordinate jump on the
+    upper families.  On a Riemann chart that start is exact when w lies on
+    the upper-family curve through u_star, and u_star is returned bitwise.
     """
     w = np.asarray(w, dtype=float)
     us = np.asarray(u_star, dtype=float)
@@ -184,21 +188,14 @@ def split_boundary_pair_reverse(model, w, u_star, radius=DELTA_RIEMANN):
         raise RadiusError(
             f"|w - u*| = {np.max(np.abs(dw)):.3g} exceeds split radius {radius}")
     p, n = model.p, model.n
-
-    cw, cs = _coords(model, w), _coords(model, us)
-    base0 = np.concatenate([cw[:p], cs[p:]])
-    if model.has_chart:
-        v0 = model.from_riemann(base0)
-    else:
-        v0 = 0.5 * (w + us)
-    sig0 = np.concatenate([cs[:p] - cw[:p], cw[p:] - cs[p:]])
+    sig0 = np.concatenate([np.zeros(p), dw[p:]])
 
     def fn(x):
         v3, sig = x[:n], x[n:]
         return np.concatenate([_up(model, v3, sig[p:]) - w,
                                compose_waves(model, v3, sig[:p]) - us])
 
-    x = newton_solve(fn, np.concatenate([v0, sig0]), context="(reverse split)")
+    x = newton_solve(fn, np.concatenate([us, sig0]), context="(reverse split)")
     v3, sig = x[:n], x[n:]
     residual = max(float(np.max(np.abs(_up(model, v3, sig[p:]) - w))),
                    float(np.max(np.abs(compose_waves(model, v3, sig[:p]) - us))))

@@ -81,8 +81,6 @@ def _validate(config):
     if config.get("schema") != SCHEMA_ID:
         diags.append(f"schema must be '{SCHEMA_ID}'")
     exp = config.get("experiment")
-    if exp == "linear-control":
-        exp = "linear_control"
     if exp not in EXPERIMENTS:
         diags.append(f"unknown experiment kind {exp!r}; "
                      f"expected one of {sorted(EXPERIMENTS)}")
@@ -238,15 +236,35 @@ def _initial_state_diags(initial, model):
     return diags
 
 
-def validate_config_file(path):
+def checked_model(config):
+    """The model a valid config builds; an invalid config raises
+    ConfigError with every diagnostic."""
+    diags, model = _validate(config)
+    if diags:
+        raise ConfigError(diags)
+    return model
+
+
+def read_config(path):
+    """The JSON object in the file at path; a document that does not parse,
+    or is not an object, raises ConfigError."""
     try:
         with open(path) as fh:
             config = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        return [f"invalid JSON: {exc}"]
-    return validate_config(config)
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
+
+
+def validate_config_file(path):
+    try:
+        return validate_config(read_config(path))
+    except ConfigError as exc:
+        return exc.diagnostics
 
 
 # -- construction from config ---------------------------------------------------
@@ -651,10 +669,11 @@ _RUNNERS = {
 
 
 def resolve_config(config):
+    """The config of one run with the defaults filled in; a sweep is not
+    part of it."""
     resolved = dict(_DEFAULTS)
     resolved.update(config)
-    if resolved.get("experiment") == "linear-control":
-        resolved["experiment"] = "linear_control"
+    resolved.pop("sweep", None)
     return resolved
 
 
@@ -679,9 +698,7 @@ def run_scenario(config, out_dir):
     Raises ConfigError before producing any output when the config is
     invalid; solver and invariant failures propagate after partial output.
     """
-    diags, model = _validate(config)
-    if diags:
-        raise ConfigError(diags)
+    model = checked_model(config)
     config = resolve_config(config)
     _admission_gate(model, config["experiment"])
     out = _OutputSet(out_dir)

@@ -233,6 +233,25 @@ def test_sign_compliance_on_cascade(cascade):
     assert n_unresolved == 0
 
 
+def test_creation_and_compliance_share_one_rule(cascade):
+    """A creation is a compliant collision: an opposite-family output counts
+    only when its magnitude exceeds the floor, also at exactly the floor."""
+    _prof, sim = cascade
+    outputs = [s for rec in sim.records
+               if rec.kind == "collision" and len(rec.in_ids) >= 2
+               and set(zip(rec.in_families, rec.in_kinds)) == {(1, "shock")}
+               for f, s in zip(rec.out_families, rec.out_sigmas) if f == 2]
+    at_floor = -outputs[0]
+    assert at_floor > 0.0
+    for floor in (0.0, 1e-11, 1e-6, at_floor):
+        n_events, n_ok, n_unresolved = same_family_collision_compliance(
+            sim, sign_floor=floor)
+        assert len(creation_events(sim, floor=floor)) == n_ok
+        assert n_ok + n_unresolved <= n_events
+    # the output equal to the floor is unresolved, and so not a creation
+    assert same_family_collision_compliance(sim, sign_floor=at_floor)[2] >= 1
+
+
 def test_positive_mass_never_increases_across_interactions(gas):
     # shocks with a small same-family rarefaction wedged in: every
     # interaction must cancel positive mass, never create it (up to the

@@ -114,7 +114,7 @@ def test_riemann_subcommand_prints_table(tmp_path, capsys):
     assert len(payload["sigmas"]) == 2
 
 
-def test_curves_subcommand_writes_csv(tmp_path):
+def test_curves_experiment_writes_csv(tmp_path):
     config = {"schema": "scenario-v1", "experiment": "curves",
               "model": dict(GAS_BLOCK),
               "curves": {"u0": [1.0, 0.0], "family": 1, "branch": "lax",
@@ -126,6 +126,81 @@ def test_curves_subcommand_writes_csv(tmp_path):
     lines = (out_dir / "curves.csv").read_text().strip().splitlines()
     assert lines[0] == "sigma,u0,u1,speed"
     assert len(lines) == 12
+    # the experiment runs under `run`; there is no `curves` subcommand
+    with pytest.raises(SystemExit) as exc:
+        main(["curves", "--config", cfg, "--out", str(tmp_path / "other")])
+    assert exc.value.code == 2
+
+
+def test_run_and_riemann_build_the_model_once(tmp_path, monkeypatch):
+    config = {"schema": "scenario-v1", "experiment": "riemann",
+              "model": dict(GAS_BLOCK),
+              "riemann": {"ul": [1.0, 0.0], "ur": [1.05, 0.1]}}
+    cfg = _write(tmp_path, "riemann.json", config)
+    calls = []
+    build = scenarios.build_model
+
+    def counted(block):
+        calls.append(block)
+        return build(block)
+
+    monkeypatch.setattr(scenarios, "build_model", counted)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["riemann", "--config", cfg]) == 0
+    assert len(calls) == 1
+
+
+def test_epsilon_override_is_validated_and_recorded(tmp_path, capsys):
+    cfg = _write(tmp_path, "ok.json", _evolve_config())
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--epsilon", "-1", "--quiet"]) == 2
+    assert "epsilon=-1.0 must be positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--epsilon", "0.02", "--quiet"]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["epsilon"] == 0.02
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    ("[1, 2]", "config must be a JSON object"),
+    ("{not json", "invalid JSON"),
+], ids=["not_object", "not_json"])
+def test_unreadable_config_exits_2_from_every_command(tmp_path, capsys, text,
+                                                      diagnostic):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out_dir)], ["riemann"]):
+        assert main(argv + ["--config", str(path)]) == 2
+        assert diagnostic in "".join(capsys.readouterr())
+    assert not out_dir.exists()
+
+
+def test_linear_control_hyphen_spelling_is_an_unknown_experiment(tmp_path,
+                                                                 capsys):
+    config = {"schema": "scenario-v1", "experiment": "linear-control",
+              "model": {"kind": "linear", "A": [[-1.0, 0.0], [0.0, 1.0]]},
+              "domain": [0.0, 1.0], "T": 1.0,
+              "phi": {"xs": [0.5], "values": [[0.0, 0.0], [0.1, 0.2]]},
+              "psi": {"xs": [], "values": [[0.3, -0.1]]}}
+    cfg = _write(tmp_path, "hyphen.json", config)
+    message = "unknown experiment kind 'linear-control'"
+    assert main(["validate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+    config["experiment"] = "linear_control"
+    cfg = _write(tmp_path, "underscore.json", config)
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 0
 
 
 def test_stabilize_scenario_and_plots(tmp_path):

@@ -190,3 +190,39 @@ def test_stabilize_pre_phase_reaches_far_target(gas_slow):
     assert len(res.pre_plan.actions) >= 2
     assert res.record.rows[0].delta < 0.03
     assert res.record.rows[-1].delta < 1e-8
+
+
+@pytest.mark.parametrize("case", ["steps", "pre_phase_then_steps"])
+def test_stabilize_reports_absolute_time(gas_slow, case):
+    # floor 0 keeps the loop stepping after it reaches u_star exactly
+    if case == "steps":
+        u_star = np.array([1.0, 0.98])
+        prof = dense_initial_data(gas_slow, 15, -0.08, (0.0, 1.0),
+                                  base_state=u_star)
+        res = stabilize(gas_slow, prof, u_star, k_max=3, eps0=0.01,
+                        floor=0.0)
+        start = 0.0
+        assert res.pre_plan.actions == []
+    else:
+        u_star = np.array([1.04, 0.93])
+        prof = dense_initial_data(gas_slow, 7, -0.01, (0.0, 1.0),
+                                  base_state=[1.0, 0.98])
+        res = stabilize(gas_slow, prof, u_star, k_max=2, eps0=0.002,
+                        delta0=0.03, floor=0.0)
+        n_hops = len(res.pre_plan.actions) // 2
+        assert n_hops >= 1
+        start = (1 + 2 * n_hops) * res.tau
+    tau = res.tau
+    k_max = len(res.record.rows) - 1
+    assert [row.time for row in res.record.rows] == pytest.approx(
+        [start + 3 * k * tau for k in range(k_max + 1)])
+    assert res.pre_plan.horizon == res.record.rows[0].time
+    assert len(res.steps) == k_max
+    for step, row in zip(res.steps, res.record.rows[1:]):
+        assert step.snapshot.time == row.time
+        assert step.plan.horizon == row.time
+        assert [a.time for a in step.plan.actions] == pytest.approx(
+            [row.time - 2 * tau, row.time - tau])
+    times = [a.time for a in res.pre_plan.actions]
+    times += [a.time for step in res.steps for a in step.plan.actions]
+    assert np.all(np.diff(times) > 0)

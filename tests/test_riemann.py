@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fronttrack.curves import lax_curve
-from fronttrack.errors import RadiusError
+from fronttrack.errors import DomainError, RadiusError
+from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.riemann import (
     compose_waves, solve_riemann, split_boundary_pair,
     split_boundary_pair_reverse,
@@ -120,3 +124,41 @@ def test_reverse_split_solves_both_equations(gas):
 def test_reverse_split_radius_error(gas):
     with pytest.raises(RadiusError):
         split_boundary_pair_reverse(gas, np.array([1.4, 0.3]), UL, radius=0.1)
+
+
+LINEAR3 = LinearModel([[-2.0, 0.2, 0.0], [0.1, -1.0, 0.1], [0.0, 0.2, 1.5]])
+
+
+@st.composite
+def models_and_targets(draw):
+    """A gas with drawn K and gamma and a subsonic u*, or the three-family
+    linear model (p = 2) and a u* in the unit cube."""
+    if draw(st.booleans()):
+        return LINEAR3, np.array(draw(st.lists(st.floats(-1.0, 1.0),
+                                               min_size=3, max_size=3)))
+    gas = GasModel(K=draw(st.floats(0.5, 2.0)),
+                   gamma=draw(st.floats(1.05, 2.95)),
+                   box=Box([1e-3, -50.0], [50.0, 50.0]))
+    rho = draw(st.floats(0.5, 1.5))
+    return gas, np.array([rho, draw(st.floats(-0.8, 0.8))
+                          * gas.sound_speed(rho)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reverse_split_from_upper_curve_returns_u_star_bitwise(data):
+    model, u_star = data.draw(models_and_targets())
+    sigmas = [data.draw(st.builds(lambda e, s: s * 10.0 ** e,
+                                  st.floats(-12.0, math.log10(0.25)),
+                                  st.sampled_from([-1.0, 1.0])))
+              for _ in range(model.p + 1, model.n + 1)]
+    try:
+        w = u_star
+        for family, sigma in zip(range(model.p + 1, model.n + 1), sigmas):
+            w = lax_curve(model, w, family, sigma).state
+        model.check_domain(w)
+    except DomainError:
+        assume(False)
+    split = split_boundary_pair_reverse(model, w, u_star)
+    assert np.array_equal(split.state, u_star)
+    assert split.residual < 1e-12
