@@ -26,7 +26,7 @@ profile = profile_from_jumps(0.0, 0.5, u0,
                              [(0.30, u1), (0.34, u2), (0.38, u3)])
 
 sim = Simulation(gas, profile, eps_fronts=0.002)
-snap = sim.snapshot()
+snap = sim.now
 print(f"initial fronts: {snap.n_fronts}  "
       f"(rarefaction split into pieces of strength <= {sim.eps})")
 for x, family, kind, sigma, speed in zip(snap.xs, snap.families, snap.kinds,
@@ -59,6 +59,6 @@ ok, worst, n = check_upsilon(sim, c0, 10 * sim.eps)
 print(f"\nV + c0 Q monotone across {n} interactions "
       f"(c0={c0:.4f}, worst increment {worst:.1e}): {ok}")
 
-m = wave_measures(sim.snapshot())
+m = wave_measures(sim.now)
 print(f"wave measures at the end: |mu1-| = {m.mass(1, -1):.5f}, "
       f"|mu1+| = {m.mass(1, +1):.2e}, |mu2-| = {m.mass(2, -1):.2e}")

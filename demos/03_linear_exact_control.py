@@ -36,7 +36,5 @@ print("\nboundary data realizing the steering:")
 for (side, family), data in sorted(sol.boundary_data().items()):
     where = "x = a (right-movers)" if side == "a" else "x = b (left-movers)"
     print(f"  family {family} prescribed at {where}:")
-    edges = np.concatenate(([0.0], data.xs, [sol.T]))
-    for j in range(len(edges) - 1):
-        print(f"    t in [{edges[j]:.4f}, {edges[j + 1]:.4f}): "
-              f"l_{family} . u = {data.values[j]:+.4f}")
+    for lo, hi, val in data.cells():
+        print(f"    t in [{lo:.4f}, {hi:.4f}): l_{family} . u = {val:+.4f}")

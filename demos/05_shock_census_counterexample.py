@@ -29,7 +29,7 @@ sid = strongest_front(sim, 1)
 sim.advance_to(2.0)
 
 print(f"\nran to t = 2.0: {len(sim.records)} events, "
-      f"{sim.snapshot().n_fronts} fronts still inside")
+      f"{sim.now.n_fronts} fronts still inside")
 
 reports = shock_census(sim, [0.0, 0.5, 1.0, 1.5, 2.0], probe=interval,
                        strength_floor=1e-9, creation_floor=1e-10)
@@ -51,7 +51,7 @@ print(f"strongest shock: fate '{track.fate}', {len(track.merges)} merges, "
       f"(strength only grows while it plows through the field)")
 
 tv0 = profile.total_variation()
-tv2 = sim.snapshot().tv()
+tv2 = sim.now.tv()
 print(f"\nTV(0) = {tv0:.5f} -> TV(2) = {tv2:.5f} "
       f"(retention {tv2 / tv0:.1%}): the profile is nowhere near constant")
 

@@ -31,7 +31,7 @@ from .models import (
     Box, EigenStructure, FluxModel, GasModel, HypothesisReport, LinearModel,
     TableModel, verify_hypotheses,
 )
-from .profiles import LineProfile, PiecewiseConstant, constant_profile
+from .profiles import PiecewiseConstant, constant_profile
 from .riemann import (
     BoundarySplit, RiemannSolution, Wave, compose_waves, solve_riemann,
     split_boundary_pair, split_boundary_pair_reverse,

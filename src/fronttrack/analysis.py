@@ -98,7 +98,7 @@ class ShockTrack:
     fate: str                    # alive | exited | cancelled
 
 
-def track_shock_strength(sim, front_id, t_span=None):
+def track_shock_strength(sim, front_id):
     """Follow one front through the interaction log.
 
     At each interaction the lineage continues through the outgoing wave of
@@ -133,8 +133,6 @@ def track_shock_strength(sim, front_id, t_span=None):
     cur = front_id
     while cur in consumed:
         rec = consumed[cur]
-        if t_span is not None and rec.time > t_span[1] + TIME_TIE:
-            break
         if rec.kind in ("exit_a", "exit_b"):
             fate = "exited"
             samples.append((rec.time, rec.x, samples[-1][2]))
@@ -159,11 +157,6 @@ def track_shock_strength(sim, front_id, t_span=None):
             samples.append((sim.time, sim.now.xs[j], abs(sim.now.sigmas[j])))
 
     arr = np.asarray(samples)
-    if t_span is not None:
-        mask = (arr[:, 0] >= t_span[0] - TIME_TIE) & \
-               (arr[:, 0] <= t_span[1] + TIME_TIE)
-        if np.any(mask):
-            arr = arr[mask]
     run_max = np.maximum.accumulate(arr[:, 2])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = arr[:, 2] / run_max
@@ -171,12 +164,12 @@ def track_shock_strength(sim, front_id, t_span=None):
     return ShockTrack(lineage, arr, min_ratio, merges, fate)
 
 
-def strongest_front(sim, family, t=0.0):
-    """Id of the strongest front of a family at a given time."""
-    snap = sim.snapshot_before(t)
+def strongest_front(sim, family):
+    """Id of the strongest front of a family at time 0."""
+    snap = sim.snapshot_at(0.0)
     mask = snap.families == family
     if not np.any(mask):
-        raise ValueError(f"no family-{family} fronts at t={t}")
+        raise ValueError(f"no family-{family} fronts at t=0.0")
     idx = np.nonzero(mask)[0]
     return int(snap.ids[idx[np.argmax(np.abs(snap.sigmas[idx]))]])
 

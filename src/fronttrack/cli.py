@@ -96,7 +96,11 @@ def _cmd_validate(args):
 
 def _cmd_riemann(args):
     config = scenarios.read_config(args.config)
-    payload = scenarios.riemann_payload(config, scenarios.checked_model(config))
+    model = scenarios.checked_model(config)
+    if config["experiment"] != "riemann":
+        raise ConfigError(f"the riemann command needs a 'riemann' experiment, "
+                          f"not {config['experiment']!r}")
+    payload = scenarios.riemann_payload(config, model)
     if args.as_json:
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:

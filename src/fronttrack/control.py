@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import ContractViolationError, DomainError
 from .models import LinearModel, crossing_time
-from .profiles import LineProfile, PiecewiseConstant, constant_profile
+from .profiles import PiecewiseConstant, constant_profile
 from .riemann import split_boundary_pair, split_boundary_pair_reverse
 from .tracking import Simulation
+
+EPS_FACTOR = 0.25   # front-tracking accuracy ratio of successive steps
 
 __all__ = [
     "crossing_time", "linear_exact_control", "steer_constant_states",
@@ -102,7 +104,7 @@ class LinearControlSolution:
     b: float
     T: float
     tau: float
-    components: list       # per family: LineProfile of the scalar data
+    components: list       # per family: scalar data on the whole line
 
     def profile_at(self, t):
         """The solution profile u(t, .) on [a, b] as a piecewise-constant."""
@@ -124,7 +126,7 @@ class LinearControlSolution:
         return PiecewiseConstant(self.a, self.b, xs, values)
 
     def boundary_data(self):
-        """Induced boundary controls as scalar step functions of time.
+        """Induced boundary controls as scalar step functions on [0, T].
 
         Families moving right are prescribed at x = a, families moving left
         at x = b, matching the well-posed boundary value problem.
@@ -136,11 +138,10 @@ class LinearControlSolution:
             side, x_bd = ("b", self.b) if lams[i] < 0 else ("a", self.a)
             ts = sorted({(x_bd - bx) / lams[i] for bx in g.xs
                          if 0.0 < (x_bd - bx) / lams[i] < self.T})
-            ts = np.array(ts)
             edges = np.concatenate(([0.0], ts, [self.T]))
             mids = 0.5 * (edges[:-1] + edges[1:])
             vals = np.array([g(x_bd - lams[i] * t) for t in mids])
-            out[(side, family)] = LineProfile(ts, vals)
+            out[(side, family)] = PiecewiseConstant(0.0, self.T, ts, vals)
         return out
 
 
@@ -182,7 +183,7 @@ def linear_exact_control(model, phi, psi, T):
                 vals.pop()
             xs.extend(edges)
             vals.extend(list(v) + [0.0])
-        components.append(LineProfile(np.asarray(xs), np.asarray(vals)))
+        components.append(PiecewiseConstant(-np.inf, np.inf, xs, vals))
     return LinearControlSolution(model, a, b, float(T), tau, components)
 
 
@@ -262,7 +263,7 @@ def steer_constant_states(model, omega, omega_prime, interval, eps_fronts,
     for target in _riemann_chain(model, omega, omega_prime, chain_step):
         _hop(sim, target, tau, actions)
         hop_errors.append(sim.now.sup_distance(target))
-    final = sim.snapshot()
+    final = sim.now
     return SteerResult(ControlPlan(actions, final.time), sim, tau, final,
                        hop_errors)
 
@@ -317,7 +318,7 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
         if ids:
             violations.append((f"phase{phase}_injected_survivors", ids))
 
-    out = replace(sim.snapshot(), time=t0 + 3 * tau)
+    out = replace(sim.now, time=t0 + 3 * tau)
     return StepResult(out, sim, ControlPlan(actions, t0 + 3 * tau),
                       out.sup_distance(u_star), out.tv(), violations)
 
@@ -332,9 +333,9 @@ class StabilizeResult:
 
 
 def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
-              delta0=0.1, floor=1e-9, eps_factor=0.25, raise_on_failure=True):
+              delta0=0.1, floor=1e-9, raise_on_failure=True):
     """Iterated stabilization toward u_star with geometrically tightening
-    front-tracking accuracy (eps_k = eps0 * eps_factor^k).
+    front-tracking accuracy (eps_k = eps0 * EPS_FACTOR^k).
 
     When the initial profile sits farther than delta0 from u_star, a
     steering pre-phase first waits tau and then hops along a
@@ -356,7 +357,7 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
         sim.advance_to(tau)
         for target in _riemann_chain(model, phi.mean(), u_star, chain_step):
             _hop(sim, target, tau, pre_plan.actions)
-        current = sim.snapshot()
+        current = sim.now
         pre_plan.horizon = current.time
 
     for k in range(k_max + 1):
@@ -371,7 +372,7 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
         record.rows.append(ContractionRow(k, t, sup, tv, delta, ratio))
         if k == k_max or delta < floor:
             break
-        eps_k = max(eps0 * eps_factor ** k, 1e-11)
+        eps_k = max(eps0 * EPS_FACTOR ** k, 1e-11)
         step = stabilization_step(model, current, u_star, eps_k,
                                   interval=interval, delta0=delta0, tau=tau)
         steps.append(step)

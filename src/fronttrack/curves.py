@@ -13,10 +13,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, RadiusError
-from .models import wedge
+from .models import FD_WEDGE_STEP, wedge
 from .newton import newton_solve
 
-RH_TOL = 1e-10
 SIGMA_NULL = 1e-12
 
 
@@ -37,12 +36,9 @@ def _check_radius(model, sigma):
 
 
 def _sigma_direction(model, u, family):
-    """Eigenvector field scaled so the flow parameter matches sigma."""
-    eig = model.eigen(u)
-    r = eig.r(family)
-    if model.has_chart:
-        # chart-normalized eigenvectors advance w_family at unit rate already
-        return r / float(model.chart_gradient(u, family) @ r)
+    """Unit eigenvector field; its flow parameter is a chartless model's
+    strength sigma."""
+    r = model.eigen(u).r(family)
     return r / float(np.linalg.norm(r))
 
 
@@ -71,18 +67,12 @@ def rarefaction_curve(model, u0, family, sigma):
     return CurvePoint(state, model.eigen(state).lam(family), float(sigma))
 
 
-def _strength(model, u0, u, family, l_row):
-    if model.has_chart:
-        return float(model.to_riemann(u)[family - 1]
-                     - model.to_riemann(u0)[family - 1])
-    return float(l_row @ (u - u0))
-
-
 def shock_curve(model, u0, family, sigma):
     """Point of the Hugoniot locus through u0 at strength sigma.
 
-    The gas model gives the point in closed form up to a scalar root
-    (``GasModel.hugoniot_point``).  Other models solve Rankine-Hugoniot
+    A linear shock is the rarefaction point, moving at the characteristic
+    speed.  The gas model gives the point in closed form up to a scalar root
+    (``GasModel.hugoniot_point``).  Chartless models solve Rankine-Hugoniot
     together with the strength normalization by Newton, seeded at the
     rarefaction point (second-order tangency makes the seed quadratically
     convergent).  Either way the RH residual is measured from the flux.
@@ -95,7 +85,10 @@ def shock_curve(model, u0, family, sigma):
     if sigma == 0.0:
         return CurvePoint(u0.copy(), model.eigen(u0).lam(family), 0.0)
     f0 = model.flux(u0)
-    if model.kind == "gas":
+    if model.kind == "linear":
+        eig = model.eigen(u0)
+        state, speed = u0 + sigma * eig.r(family), eig.lam(family)
+    elif model.kind == "gas":
         state, speed = model.hugoniot_point(u0, family, sigma)
     else:
         state, speed = _newton_shock(model, u0, f0, family, sigma)
@@ -106,7 +99,7 @@ def shock_curve(model, u0, family, sigma):
 
 def _newton_shock(model, u0, f0, family, sigma):
     """State and speed from Newton on Rankine-Hugoniot plus the strength
-    equation, for models without a closed-form locus."""
+    equation l_family(u0) . (u - u0) = sigma, for chartless models."""
     n = model.n
     eig0 = model.eigen(u0)
     l_row = eig0.l(family)
@@ -117,7 +110,7 @@ def _newton_shock(model, u0, f0, family, sigma):
         u, s = x[:n], x[n]
         out = np.empty(n + 1)
         out[:n] = model.flux(u) - f0 - s * (u - u0)
-        out[n] = _strength(model, u0, u, family, l_row) - sigma
+        out[n] = float(l_row @ (u - u0)) - sigma
         return out
 
     def jac(x):
@@ -125,10 +118,7 @@ def _newton_shock(model, u0, f0, family, sigma):
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = model.jacobian(u) - s * np.eye(n)
         J[:n, n] = -(u - u0)
-        if model.has_chart:
-            J[n, :n] = model.chart_gradient(u, family)
-        else:
-            J[n, :n] = l_row
+        J[n, :n] = l_row
         return J
 
     x = newton_solve(fn, x0, jac=jac, context=f"(shock curve family {family})")
@@ -181,7 +171,7 @@ def _lambda_normalized_field(model, family):
     return field
 
 
-def shock_deviation_coefficient(model, u0, family, fd_step=1e-5):
+def shock_deviation_coefficient(model, u0, family):
     """Leading cubic coefficient of the shock curve's deviation from the
     speed-reparametrized rarefaction curve, measured along the opposite
     eigenvector.
@@ -198,7 +188,8 @@ def shock_deviation_coefficient(model, u0, family, fd_step=1e-5):
     eig = model.eigen(u0)
     field = _lambda_normalized_field(model, family)
     rt = field(u0)
-    drr = (field(u0 + fd_step * rt) - field(u0 - fd_step * rt)) / (2 * fd_step)
+    h = FD_WEDGE_STEP
+    drr = (field(u0 + h * rt) - field(u0 - h * rt)) / (2 * h)
     num = wedge(drr, rt)
     lam_gap = eig.lam(other) - eig.lam(family)
     denom_wedge = wedge(rt, eig.r(other))

@@ -13,8 +13,9 @@ import numpy as np
 from .errors import SOLVER_ERRORS, DomainError, HyperbolicityError
 from .newton import scalar_root
 
-FD_JAC_STEP = 1e-6     # relative step for fallback flux Jacobians
 FD_WEDGE_STEP = 1e-5   # central-difference step for hypothesis sweeps
+SPEED_FLOOR = 1e-6     # least admissible |characteristic speed|
+DOMAIN_SLACK = 1e-9    # box widening of the admissible-domain test
 
 
 def wedge(x, y):
@@ -126,14 +127,7 @@ class FluxModel:
         raise NotImplementedError
 
     def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        h = FD_JAC_STEP * max(1.0, float(np.max(np.abs(u))))
-        cols = []
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            cols.append((self.flux(u + e) - self.flux(u - e)) / (2 * h))
-        return np.stack(cols, axis=1)
+        raise NotImplementedError
 
     # -- eigenstructure ----------------------------------------------------
 
@@ -193,21 +187,17 @@ class FluxModel:
     def from_riemann(self, w):
         raise NotImplementedError(f"{self.kind} model has no Riemann chart")
 
-    def chart_gradient(self, u, family):
-        """Gradient of w_family at u, when a chart exists."""
-        raise NotImplementedError
-
     # -- domain ------------------------------------------------------------
 
     def structurally_valid(self, u):
         """Positivity-type constraints that make the flux evaluable."""
         return all(map(math.isfinite, np.asarray(u, dtype=float).tolist()))
 
-    def in_domain(self, u, slack=1e-9):
+    def in_domain(self, u):
         u = np.asarray(u, dtype=float)
         if not self.structurally_valid(u):
             return False
-        if not self.box.contains(u, slack=slack):
+        if not self.box.contains(u, slack=DOMAIN_SLACK):
             return False
         if self.predicate is not None and not self.predicate(u):
             return False
@@ -274,9 +264,6 @@ class LinearModel(FluxModel):
 
     def from_riemann(self, w):
         return self.ref_state + self._eig.right @ np.asarray(w, dtype=float)
-
-    def chart_gradient(self, u, family):
-        return self._eig.left[family - 1]
 
 
 class GasModel(FluxModel):
@@ -508,8 +495,7 @@ def _directional(fn, u, direction, h):
     return (fn(u + h * direction) - fn(u - h * direction)) / (2 * h)
 
 
-def verify_hypotheses(model, samples_per_axis=32, fd_step=FD_WEDGE_STEP,
-                      speed_floor=1e-6, respect_predicate=False):
+def verify_hypotheses(model, samples_per_axis=32, respect_predicate=False):
     """Sweep the working box and measure the structural hypotheses.
 
     Checks the speed sign pattern, the uniform speed floor, genuine
@@ -522,12 +508,11 @@ def verify_hypotheses(model, samples_per_axis=32, fd_step=FD_WEDGE_STEP,
     audits only the model's declared admissible domain, which is the
     admission check run before control experiments.
     """
-    pts = model.box.grid(samples_per_axis)
     if respect_predicate:
-        pts = np.array([u for u in pts if model.in_domain(u)])
+        pts = model.admitted_grid(samples_per_axis)
     else:
-        pts = np.array([u for u in pts
-                        if model.structurally_valid(u) or _loose_valid(model, u)])
+        pts = [u for u in model.box.grid(samples_per_axis)
+               if _loose_valid(model, u)]
     checks, margins, violations = {}, {}, []
 
     sign_margin = np.inf
@@ -557,12 +542,13 @@ def verify_hypotheses(model, samples_per_axis=32, fd_step=FD_WEDGE_STEP,
 
         m_floor = float(np.min(np.abs(lams)))
         floor_margin = min(floor_margin, m_floor)
-        if m_floor < speed_floor:
+        if m_floor < SPEED_FLOOR:
             violations.append(("speed_floor", u))
 
         for i in range(1, model.n + 1):
             r = eig.r(i)
-            g = _directional(lambda v, i=i: model.lambdas(v)[i - 1], u, r, fd_step)
+            g = _directional(lambda v, i=i: model.lambdas(v)[i - 1], u, r,
+                             FD_WEDGE_STEP)
             gnl_margin[i - 1] = min(gnl_margin[i - 1], float(g))
             if g <= 0:
                 violations.append((f"gnl_{i}", u))
@@ -574,7 +560,8 @@ def verify_hypotheses(model, samples_per_axis=32, fd_step=FD_WEDGE_STEP,
             if w12 >= 0:
                 violations.append(("wedge_r1_r2", u))
             for i, r in ((1, r1), (2, r2)):
-                drr = _directional(lambda v, i=i: model.eigen(v).r(i), u, r, fd_step)
+                drr = _directional(lambda v, i=i: model.eigen(v).r(i), u, r,
+                                   FD_WEDGE_STEP)
                 wb = wedge(r, drr)
                 wedge_bend[i - 1] = max(wedge_bend[i - 1], wb)
                 if wb >= 0:
@@ -582,7 +569,7 @@ def verify_hypotheses(model, samples_per_axis=32, fd_step=FD_WEDGE_STEP,
 
     checks["speed_signs"] = sign_margin > 0
     margins["speed_signs"] = sign_margin
-    checks["speed_floor"] = floor_margin >= speed_floor
+    checks["speed_floor"] = floor_margin >= SPEED_FLOOR
     margins["speed_floor"] = floor_margin
     checks["speed_band"] = np.isfinite(max_speed)
     margins["speed_band"] = max_speed
@@ -610,7 +597,7 @@ def _loose_valid(model, u):
     return True
 
 
-def crossing_time(model, interval, samples_per_axis=33, speed_floor=1e-6):
+def crossing_time(model, interval, samples_per_axis=33):
     """Max time for a wave of any family to cross the interval.
 
     Computed as (b - a) / min |lambda_i| over the admitted box grid; raises
@@ -621,7 +608,7 @@ def crossing_time(model, interval, samples_per_axis=33, speed_floor=1e-6):
     if len(grid) == 0:
         raise DomainError("no admissible states in the working box")
     min_speed = min(float(np.min(np.abs(model.lambdas(u)))) for u in grid)
-    if min_speed < speed_floor:
+    if min_speed < SPEED_FLOOR:
         raise DomainError(
-            f"characteristic speed {min_speed:.3e} below floor {speed_floor:.1e}")
+            f"characteristic speed {min_speed:.3e} below floor {SPEED_FLOOR:.1e}")
     return (b - a) / min_speed

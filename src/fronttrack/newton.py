@@ -15,37 +15,35 @@ ROOT_MAX_ITER = 100
 ROOT_STEP_ULPS = 4.0
 
 
-def fd_jacobian(fn, x, f0=None, step=FD_STEP):
-    if f0 is None:
-        f0 = fn(x)
+def fd_jacobian(fn, x, f0):
+    """Forward-difference Jacobian of fn at x, where fn(x) = f0."""
     m, n = len(f0), len(x)
     J = np.empty((m, n))
     for k in range(n):
         xk = x.copy()
-        xk[k] += step
-        J[:, k] = (fn(xk) - f0) / step
+        xk[k] += FD_STEP
+        J[:, k] = (fn(xk) - f0) / FD_STEP
     return J
 
 
-def newton_solve(fn, x0, jac=None, res_tol=RES_TOL, step_tol=STEP_TOL,
-                 max_iter=MAX_ITER, fd_step=FD_STEP, context=""):
+def newton_solve(fn, x0, jac=None, context=""):
     """Solve fn(x) = 0 with damped (backtracking) Newton.
 
-    Converges when the residual max-norm drops below ``res_tol`` or the
-    Newton step below ``step_tol``; raises ConvergenceError otherwise.
+    Converges when the residual max-norm drops below RES_TOL or the Newton
+    step below STEP_TOL; raises ConvergenceError otherwise.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fn(x), dtype=float)
     best = float(np.max(np.abs(f)))
-    for _ in range(max_iter):
-        if best < res_tol:
+    for _ in range(MAX_ITER):
+        if best < RES_TOL:
             return x
-        J = jac(x) if jac is not None else fd_jacobian(fn, x, f0=f, step=fd_step)
+        J = jac(x) if jac is not None else fd_jacobian(fn, x, f)
         try:
             dx = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Newton system {context}") from exc
-        if float(np.max(np.abs(dx))) < step_tol:
+        if float(np.max(np.abs(dx))) < STEP_TOL:
             return x
         t = 1.0
         for _ in range(40):
@@ -62,7 +60,7 @@ def newton_solve(fn, x0, jac=None, res_tol=RES_TOL, step_tol=STEP_TOL,
         else:
             raise ConvergenceError(
                 f"Newton line search stalled {context} (residual {best:.3e})")
-    if best < res_tol:
+    if best < RES_TOL:
         return x
     raise ConvergenceError(
         f"Newton did not converge {context} (residual {best:.3e})")

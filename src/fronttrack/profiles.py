@@ -1,4 +1,5 @@
-"""Piecewise-constant profiles on an interval and on the whole line."""
+"""Right-continuous piecewise-constant profiles: one type for a profile on
+an interval [a, b] and for data on the whole line (a = -inf, b = inf)."""
 
 from dataclasses import dataclass
 
@@ -10,8 +11,9 @@ class PiecewiseConstant:
     """Right-continuous piecewise-constant function on [a, b].
 
     ``xs`` holds the interior breakpoints in non-decreasing order and
-    ``values`` the cell values, one more row than breakpoints.  Vector-valued
-    profiles store values with shape (m, n).
+    ``values`` the cell values, one more row than breakpoints.  A state
+    profile stores values of shape (m, n); scalar data of shape (m,) are only
+    evaluated or listed by ``cells``.
     """
 
     a: float
@@ -43,36 +45,26 @@ class PiecewiseConstant:
         if len(self.values) < 2:
             return 0.0
         jumps = np.diff(self.values, axis=0)
-        if jumps.ndim == 1:
-            return float(np.sum(np.abs(jumps)))
         return float(np.sum(np.linalg.norm(jumps, axis=1)))
 
     def sup_distance(self, ref):
         ref = np.asarray(ref, dtype=float)
-        if self.values.ndim == 1:
-            return float(np.max(np.abs(self.values - ref)))
         return float(np.max(np.linalg.norm(self.values - ref[None, :], axis=1)))
 
     def mean(self):
         edges = np.concatenate(([self.a], self.xs, [self.b]))
         widths = np.diff(edges)
-        total = self.b - self.a
-        if self.values.ndim == 1:
-            return float(np.sum(widths * self.values) / total)
-        return np.sum(widths[:, None] * self.values, axis=0) / total
+        return np.sum(widths[:, None] * self.values, axis=0) / (self.b - self.a)
 
     def integral(self):
         edges = np.concatenate(([self.a], self.xs, [self.b]))
         widths = np.diff(edges)
-        if self.values.ndim == 1:
-            return float(np.sum(widths * self.values))
         return np.sum(widths[:, None] * self.values, axis=0)
 
 
 def constant_profile(a, b, value):
     value = np.asarray(value, dtype=float)
-    shape = (1,) if value.ndim == 0 else (1, len(value))
-    return PiecewiseConstant(a, b, np.empty(0), value.reshape(shape))
+    return PiecewiseConstant(a, b, np.empty(0), value.reshape(1, -1))
 
 
 def profile_from_jumps(a, b, left_value, jumps):
@@ -81,31 +73,3 @@ def profile_from_jumps(a, b, left_value, jumps):
     xs = [x for x, _ in jumps]
     values = [left_value] + [np.asarray(v, dtype=float) for _, v in jumps]
     return PiecewiseConstant(a, b, np.asarray(xs), np.vstack(values))
-
-
-@dataclass(frozen=True)
-class LineProfile:
-    """Right-continuous scalar step function on the whole real line.
-
-    ``values`` has one more entry than ``xs``; the first and last entries
-    extend to -inf and +inf respectively.
-    """
-
-    xs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "values", values)
-        if len(values) != len(xs) + 1:
-            raise ValueError("need len(values) == len(xs) + 1")
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.xs, x, side="right")
-        return self.values[idx]
-
-    def shifted(self, dx):
-        """Profile of x -> self(x - dx)."""
-        return LineProfile(self.xs + dx, self.values)

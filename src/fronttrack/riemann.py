@@ -1,5 +1,6 @@
 """Riemann problems and boundary splitting solves on composed Lax curves."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,18 @@ def _coords(model, u):
     return eig.left @ (np.asarray(u, dtype=float) - model.ref_state)
 
 
+def _checked_jump(model, u_from, u_to, radius, label, kind):
+    """Coordinate jump from u_from to u_to, both admissible states; a jump
+    beyond radius raises RadiusError."""
+    model.check_domain(u_from)
+    model.check_domain(u_to)
+    dw = _coords(model, u_to) - _coords(model, u_from)
+    jump = float(np.max(np.abs(dw)))
+    if jump > radius:
+        raise RadiusError(f"{label} {jump:.3g} exceeds {kind} radius {radius}")
+    return dw
+
+
 def _classify(model, wave_point, family, ul):
     sigma = wave_point.sigma
     if model.kind == "linear":
@@ -108,18 +121,13 @@ def solve_riemann(model, ul, ur, radius=DELTA_RIEMANN):
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
-    model.check_domain(ul)
-    model.check_domain(ur)
-
-    if model.kind == "linear":
+    linear = model.kind == "linear"
+    dw = _checked_jump(model, ul, ur, math.inf if linear else radius,
+                       "data jump", "solvable")
+    if linear:
         # decoupled transport: exact projection on the left eigenbasis
         sig = model.eigen(ul).left @ (ur - ul)
         return _solution_from_sigmas(model, ul, sig, ur=ur)
-
-    dw = _coords(model, ur) - _coords(model, ul)
-    if float(np.max(np.abs(dw))) > radius:
-        raise RadiusError(
-            f"data jump {np.max(np.abs(dw)):.3g} exceeds solvable radius {radius}")
     if float(np.max(np.abs(ur - ul))) == 0.0:
         return _solution_from_sigmas(model, ul, np.zeros(model.n), ur=ur)
 
@@ -152,12 +160,7 @@ def split_boundary_pair(model, v, v_prime, radius=DELTA_RIEMANN):
     """
     v = np.asarray(v, dtype=float)
     vp = np.asarray(v_prime, dtype=float)
-    model.check_domain(v)
-    model.check_domain(vp)
-    dw = _coords(model, vp) - _coords(model, v)
-    if float(np.max(np.abs(dw))) > radius:
-        raise RadiusError(
-            f"|v - v'| = {np.max(np.abs(dw)):.3g} exceeds split radius {radius}")
+    dw = _checked_jump(model, v, vp, radius, "|v - v'| =", "split")
     p = model.p
 
     sig0 = np.concatenate([dw[:p], -dw[p:]])
@@ -181,12 +184,7 @@ def split_boundary_pair_reverse(model, w, u_star, radius=DELTA_RIEMANN):
     """
     w = np.asarray(w, dtype=float)
     us = np.asarray(u_star, dtype=float)
-    model.check_domain(w)
-    model.check_domain(us)
-    dw = _coords(model, w) - _coords(model, us)
-    if float(np.max(np.abs(dw))) > radius:
-        raise RadiusError(
-            f"|w - u*| = {np.max(np.abs(dw)):.3g} exceeds split radius {radius}")
+    dw = _checked_jump(model, us, w, radius, "|w - u*| =", "split")
     p, n = model.p, model.n
     sig0 = np.concatenate([np.zeros(p), dw[p:]])
 

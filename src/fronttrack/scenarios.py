@@ -40,7 +40,7 @@ _BLOCK_KEYS = {
     "riemann": {"ul", "ur"},
     "curves": {"u0", "family", "branch", "sigma_min", "sigma_max", "samples"},
     "census": {"times", "floor", "creation_floor", "probe"},
-    "density": {"times", "family", "cells", "probe"},
+    "density": {"times", "cells", "probe"},
     "phi": {"xs", "values"},
     "psi": {"xs", "values"},
 }
@@ -62,6 +62,12 @@ def _is_vector(v, n=None):
     if not isinstance(v, list) or not all(isinstance(x, (int, float)) for x in v):
         return False
     return n is None or len(v) == n
+
+
+def _block(config, name):
+    """The named block of the config, or {} when it is not an object."""
+    block = config.get(name)
+    return block if isinstance(block, dict) else {}
 
 
 def validate_config(config):
@@ -130,9 +136,10 @@ def _validate(config):
                 if key not in allowed:
                     diags.append(f"{block_name}: unknown key '{key}'")
 
-    eps = config.get("epsilon", _DEFAULTS["epsilon"])
-    if not isinstance(eps, (int, float)) or eps <= 0:
-        diags.append(f"epsilon={eps!r} must be positive")
+    for name in ("epsilon", "horizon", "delta_chain", "delta0"):
+        value = config.get(name, _DEFAULTS[name])
+        if not isinstance(value, (int, float)) or value <= 0:
+            diags.append(f"{name}={value!r} must be positive")
     dom = config.get("domain")
     if exp not in ("riemann", "curves"):
         if not (_is_vector(dom, 2) and dom[0] < dom[1]):
@@ -140,9 +147,25 @@ def _validate(config):
     k_max = config.get("k_max", _DEFAULTS["k_max"])
     if not isinstance(k_max, int) or not (1 <= k_max <= 50):
         diags.append(f"k_max={k_max!r} must be an integer in 1..50")
-    horizon = config.get("horizon", _DEFAULTS["horizon"])
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        diags.append(f"horizon={horizon!r} must be positive")
+    init, riem, curv = (_block(config, name)
+                        for name in ("initial", "riemann", "curves"))
+    for name, value in (("workers", config.get("workers", _DEFAULTS["workers"])),
+                        ("density.cells", _block(config, "density").get("cells", 64)),
+                        ("curves.samples", curv.get("samples", 61))):
+        if not isinstance(value, int) or value < 1:
+            diags.append(f"{name}={value!r} must be a positive integer")
+    # the runners read a missing, null or empty times list as the default
+    times = config.get("snapshot_times") or []
+    if not (_is_vector(times) and all(0 <= s <= t for s, t in zip([0] + times, times))):
+        diags.append("snapshot_times must be a non-decreasing list of times >= 0")
+    for name in ("census", "density"):
+        if not isinstance(config.get(name, {}), dict):
+            diags.append(f"{name} must be an object")
+        if not _is_vector(_block(config, name).get("times") or []):
+            diags.append(f"{name}.times must be a list of numbers")
+        probe = _block(config, name).get("probe", [0, 1])
+        if not (_is_vector(probe, 2) and probe[0] < probe[1]):
+            diags.append(f"{name}.probe={probe!r} must be [lo, hi] with lo < hi")
 
     initial = config.get("initial")
     if exp in ("evolve", "counterexample", "stabilize"):
@@ -162,8 +185,15 @@ def _validate(config):
                 budget = initial.get("budget")
                 if not isinstance(budget, (int, float)) or budget <= 0:
                     diags.append("initial.budget must be positive")
+                decay = initial.get("level_decay", 2.0)
+                if not isinstance(decay, (int, float)) or decay <= 1:
+                    diags.append(f"initial.level_decay={decay!r} must exceed 1")
             if built is not None:
                 diags.extend(_initial_state_diags(initial, built))
+    if exp == "counterexample" and init.get("family", 1) != 1:
+        diags.append("counterexample tracks family-1 shocks: initial.family must be 1")
+    if exp in ("steer", "stabilize") and kind == "custom-table":
+        diags.append(f"{exp} needs a Riemann chart, which a custom-table model lacks")
     if exp == "stabilize" and not _is_vector(config.get("u_star")):
         diags.append("stabilize needs u_star")
     if exp == "steer":
@@ -178,6 +208,13 @@ def _validate(config):
             if not (isinstance(prof, dict) and "xs" in prof and "values" in prof):
                 diags.append(f"linear_control needs profile '{name}' "
                              "with xs and values")
+            elif built is not None and not (
+                    _is_vector(xs := prof["xs"]) and sorted(xs) == xs
+                    and isinstance(vals := prof["values"], list)
+                    and len(vals) == len(xs) + 1
+                    and all(_is_vector(v, built.n) for v in vals)):
+                diags.append(f"{name} must have sorted xs and len(xs) + 1 "
+                             f"values of {built.n} numbers")
         T = config.get("T")
         if not isinstance(T, (int, float)) or T <= 0:
             diags.append("linear_control needs T > 0")
@@ -192,6 +229,17 @@ def _validate(config):
             diags.append("curves needs block with u0")
         elif blk.get("branch", "lax") not in ("lax", "shock", "rarefaction"):
             diags.append("curves.branch must be lax | shock | rarefaction")
+    if built is not None:
+        states = {"riemann.ul": riem.get("ul"), "riemann.ur": riem.get("ur"),
+                  "curves.u0": curv.get("u0"),
+                  **{k: config.get(k) for k in ("omega", "omega_prime", "u_star")}}
+        diags.extend(f"{name}={u!r} must be a state of {built.n} numbers"
+                     for name, u in states.items()
+                     if _is_vector(u) and len(u) != built.n)
+        diags.extend(f"{name}={f!r} must be a family in 1..{built.n}"
+                     for name, f in (("curves.family", curv.get("family", 1)),
+                                     ("initial.family", init.get("family", 1)))
+                     if not (isinstance(f, int) and 1 <= f <= built.n))
     sweep = config.get("sweep", [])
     if not (isinstance(sweep, list) and all(isinstance(o, dict) for o in sweep)):
         diags.append(f"sweep={sweep!r} must be a list of objects of "
@@ -200,9 +248,6 @@ def _validate(config):
         diags.extend(f"sweep[{k}]: unknown key '{key}'"
                      for k, overrides in enumerate(sweep)
                      for key in overrides if key not in _TOP_KEYS)
-    workers = config.get("workers", _DEFAULTS["workers"])
-    if not isinstance(workers, int) or workers < 1:
-        diags.append(f"workers={workers!r} must be a positive integer")
     return diags, built
 
 
@@ -481,7 +526,7 @@ def _run_counterexample(config, model, out):
     })
 
     tv0 = sim.history[0].tv()
-    tv_end = sim.snapshot().tv()
+    tv_end = sim.now.tv()
     metrics.update({
         "creation_count": reports[-1].creation_count,
         "same_family_collisions": n_ev,
@@ -522,8 +567,7 @@ def _run_steer(config, model, out):
         "tau": res.tau,
         "hops": len(res.plan.actions) // 2,
         "horizon": res.plan.horizon,
-        "final_sup_dist": res.final_snapshot.sup_distance(
-            np.asarray(config["omega_prime"], dtype=float)),
+        "final_sup_dist": final_dist,
         "fronts_final": int(res.final_snapshot.n_fronts),
         "hop_errors": [float(e) for e in res.hop_errors],
     }
@@ -569,14 +613,9 @@ def _run_stabilize(config, model, out):
 
 
 def _run_linear_control(config, model, out):
-    def to_profile(block, domain):
-        xs = np.asarray(block["xs"], dtype=float)
-        values = np.asarray(block["values"], dtype=float)
-        return PiecewiseConstant(domain[0], domain[1], xs, values)
-
-    domain = tuple(config["domain"])
-    phi = to_profile(config["phi"], domain)
-    psi = to_profile(config["psi"], domain)
+    a, b = config["domain"]
+    phi, psi = (PiecewiseConstant(a, b, config[name]["xs"], config[name]["values"])
+                for name in ("phi", "psi"))
     sol = control.linear_exact_control(model, phi, psi, float(config["T"]))
 
     def compare(pa, pb):
@@ -591,11 +630,8 @@ def _run_linear_control(config, model, out):
     err0 = compare(sol.profile_at(0.0), phi)
     errT = compare(sol.profile_at(sol.T), psi)
     for (side, family), data in sorted(sol.boundary_data().items()):
-        edges = np.concatenate(([0.0], data.xs, [sol.T]))
-        rows = [[edges[j], edges[j + 1], data.values[j]]
-                for j in range(len(edges) - 1)]
         out.write_csv(f"boundary_{side}_f{family}.csv",
-                      ["t_from", "t_to", "value"], rows)
+                      ["t_from", "t_to", "value"], data.cells())
     metrics = {"tau": sol.tau, "T": sol.T,
                "reconstruction_error_t0": err0,
                "reconstruction_error_T": errT}

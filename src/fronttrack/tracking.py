@@ -30,6 +30,9 @@ WRONG_FAMILY_TOL = 1e-8  # injected waves of the wrong side above this abort
 MAX_INSTANT_EVENTS = 10000
 MAX_EVENTS = 2_000_000
 CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
+CALIBRATION_SIGMAS = (0.01, 0.1)    # range of the drawn |strengths|
+CALIBRATION_BOX_MARGIN = 0.25       # box shrink factor, per side
+Q_NOISE = 1e-12         # float noise of the recomputed potential Q
 # numeric per-front columns of a Snapshot, in the order new fronts list them
 _FRONT_COLUMNS = ("ids", "xs", "families", "sigmas", "speeds", "generations")
 
@@ -253,10 +256,6 @@ class Simulation:
 
     # -- views ---------------------------------------------------------------
 
-    def snapshot(self):
-        """The current profile; the engine never alters a snapshot."""
-        return self.now
-
     def trace(self, side):
         """Profile value adjacent to a boundary; no ghost cells."""
         if side not in ("a", "b"):
@@ -298,13 +297,6 @@ class Simulation:
                                 - rar * rar_before[fam, cols])))
         return V, Q, s.tv()
 
-    def state_at(self, t, x):
-        """Profile value at (t, x), reconstructed from the snapshot history."""
-        snap = self.snapshot_before(t)
-        xs = snap.xs + snap.speeds * (t - snap.time)
-        idx = int(np.searchsorted(xs, x, side="right"))
-        return snap.states[idx]
-
     def history_index(self, t):
         """Index of the last history snapshot taken at or before t, within
         TIME_TIE; 0 when t precedes them all.  History times never
@@ -313,12 +305,9 @@ class Simulation:
                                   key=lambda s: s.time)
         return max(idx - 1, 0)
 
-    def snapshot_before(self, t):
-        return self.history[self.history_index(t)]
-
     def snapshot_at(self, t):
         """Snapshot at any time covered by the history, positions advanced."""
-        snap = self.snapshot_before(t)
+        snap = self.history[self.history_index(t)]
         return replace(snap, time=t, xs=snap.xs + snap.speeds * (t - snap.time))
 
     # -- core loop -----------------------------------------------------------
@@ -443,7 +432,7 @@ class Simulation:
                 break
             self._resolve(ev)
         self._advance_positions(t)
-        return self.snapshot()
+        return self.now
 
     # -- boundaries ------------------------------------------------------------
 
@@ -498,12 +487,12 @@ def wave_measures(snapshot):
         {i: snapshot.sigmas[snapshot.families == i] for i in families})
 
 
-def check_upsilon(sim, c0, tol, q_noise=1e-12):
+def check_upsilon(sim, c0, tol):
     """Verify V + c0 Q decreases across every collision, within tolerance.
 
     Returns (ok, worst_increment, n_checked).  Q must strictly decrease at
     every approaching-wave collision; the strictness is asserted above
-    ``q_noise`` because pair products of dust-sized waves fall below the
+    Q_NOISE because pair products of dust-sized waves fall below the
     float noise of the potential's recomputation.
     """
     worst = -np.inf
@@ -514,15 +503,14 @@ def check_upsilon(sim, c0, tol, q_noise=1e-12):
             continue
         n_checked += 1
         worst = max(worst, rec.dV + c0 * rec.dQ)
-        if rec.dQ > q_noise:
+        if rec.dQ > Q_NOISE:
             q_ok = False
     if n_checked == 0:
         return True, 0.0, 0
     return (worst <= tol) and q_ok, worst, n_checked
 
 
-def calibrate_interaction_constant(model, n_samples=200, seed=0,
-                                   sigma_range=(0.01, 0.1), box_margin=0.25):
+def calibrate_interaction_constant(model, n_samples=200, seed=0):
     """Empirical constant c0 making V + c0 Q non-increasing for this model.
 
     Samples random approaching two-wave interactions in the shrunken working
@@ -531,16 +519,16 @@ def calibrate_interaction_constant(model, n_samples=200, seed=0,
     CALIBRATION_DRAWS_PER_SAMPLE * n_samples draws are admissible.
     """
     rng = np.random.default_rng(seed)
-    inner = model.box.shrunk(box_margin)
-    lo, hi = sigma_range
+    inner = model.box.shrunk(CALIBRATION_BOX_MARGIN)
+    lo, hi = CALIBRATION_SIGMAS
     worst = 0.0
     tried = draws = 0
     while tried < n_samples:
         if draws == CALIBRATION_DRAWS_PER_SAMPLE * n_samples:
             raise ContractViolationError(
-                f"interaction-constant calibration accepted {tried} of "
-                f"{draws} draws, short of {n_samples} samples: the working "
-                f"box shrunk by {box_margin} holds too few admissible states",
+                f"interaction-constant calibration accepted {tried} of {draws} "
+                f"draws, short of {n_samples} samples: the working box shrunk "
+                f"by {CALIBRATION_BOX_MARGIN} holds too few admissible states",
                 {"accepted": tried, "attempted": draws})
         draws += 1
         u0 = rng.uniform(inner.lows, inner.highs)

@@ -273,7 +273,7 @@ def test_criterion_8_dense_shock_mechanism(counterexample_run):
                            strength_floor=1e-9, creation_floor=1e-10)
     creations = reports[0].creation_count
     tv0 = profile.total_variation()
-    tv_end = sim.snapshot().tv()
+    tv_end = sim.now.tv()
     ok = (n_events > 0 and n_ok == n_events and n_unresolved == 0
           and creations >= 10 and tv_end >= 0.3 * tv0)
     _report(8, ok,

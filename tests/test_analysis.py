@@ -21,7 +21,7 @@ U0 = np.array([1.0, 0.0])
 def test_density_zero_for_shock_only_profile(gas):
     prof = dense_initial_data(gas, 7, -0.05, (0.0, 1.0), base_state=U0)
     sim = Simulation(gas, prof, 0.01)
-    rep = positive_wave_density(sim.snapshot(), 1, probe=(0.1, 0.9))
+    rep = positive_wave_density(sim.now, 1, probe=(0.1, 0.9))
     assert rep.max_density == 0.0
     assert rep.total_mass == 0.0
 
@@ -36,7 +36,7 @@ def test_density_of_spread_fan_is_near_one(gas):
     lam_hi = cp.speed
     t = 0.3 / (lam_hi - lam_lo)      # fan width grows at the speed spread
     sim.advance_to(t)
-    snap = sim.snapshot()
+    snap = sim.now
     width = snap.xs[-1] - snap.xs[0]
     rep = positive_wave_density(snap, 2, cells=8,
                                 probe=(float(snap.xs[0]),
@@ -160,7 +160,7 @@ def test_spread_ratio_exceeds_one_through_rarefaction(gas):
     prof = profile_from_jumps(0.0, 6.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.02)
     sim.advance_to(1.0)
-    snap = sim.snapshot()
+    snap = sim.now
     lo, hi = snap.xs[0], snap.xs[-1]
     rep = characteristic_spread(sim, 2, lo - 0.05, hi + 0.05, 1.0)
     assert rep.max_ratio > 1.0
@@ -174,7 +174,7 @@ def test_spread_ratio_stable_under_accuracy_refinement(gas):
     for eps in (0.04, 0.02, 0.01):
         sim = Simulation(gas, prof, eps)
         sim.advance_to(1.0)
-        snap = sim.snapshot()
+        snap = sim.now
         rep = characteristic_spread(sim, 2, snap.xs[0] - 0.05,
                                     snap.xs[-1] + 0.05, 1.0)
         maxima.append(rep.max_ratio)
@@ -282,13 +282,13 @@ def test_compressive_adjacency_diagnostic(gas):
     u2 = lax_curve(gas, u1, 1, -0.12).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.85, u1), (0.87, u2)])
     sim = Simulation(gas, prof, 0.1)
-    assert sim.snapshot().compressive_pairs() == [0]
+    assert sim.now.compressive_pairs() == [0]
 
     v1 = lax_curve(gas, U0, 1, -0.06).state
     v2 = lax_curve(gas, v1, 1, -0.05).state
     prof2 = profile_from_jumps(0.0, 1.0, U0, [(0.85, v1), (0.87, v2)])
     sim2 = Simulation(gas, prof2, 0.1)
-    assert sim2.snapshot().compressive_pairs() == []
+    assert sim2.now.compressive_pairs() == []
 
 
 # -- initial data constructions ---------------------------------------------------
@@ -312,8 +312,8 @@ def test_dense_shocks_classify_clean(gas):
         total += sol.sigma(1)
     assert total == pytest.approx(-0.05, abs=1e-10)
     sim = Simulation(gas, prof, 0.01)
-    assert sim.snapshot().n_fronts == 15
-    m = wave_measures(sim.snapshot())
+    assert sim.now.n_fronts == 15
+    m = wave_measures(sim.now)
     assert m.mass(1, +1) == 0.0
     assert m.mass(2) == pytest.approx(0.0, abs=1e-10)
 

@@ -418,3 +418,138 @@ def test_hyperbolicity_error_during_run_exits_3(tmp_path, capsys):
                  "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err == "hyperbolicity error: coincident characteristic speeds at [1. 0.]\n"
+
+
+TABLE_BLOCK = {"kind": "custom-table",
+               "terms": [[[1, [1, 1]]], [[0.5, [0, 2]], [1, [1, 0]]]],
+               "p": 1, "box": [[0.5, 1.5], [-0.4, 0.4]]}
+
+
+def _valid_config(experiment):
+    """A valid config of the experiment, on the gas of GAS_BLOCK unless the
+    experiment needs another model."""
+    base = {"schema": "scenario-v1", "experiment": experiment,
+            "model": dict(GAS_BLOCK)}
+    extra = {
+        "evolve": _evolve_config(),
+        "counterexample": {**_evolve_config(), "experiment": "counterexample"},
+        "riemann": {"riemann": {"ul": [1.0, 0.0], "ur": [1.05, 0.1]}},
+        "curves": {"curves": {"u0": [1.0, 0.0], "samples": 5}},
+        "steer": {"domain": [0.0, 1.0], "omega": [1.0, 0.0],
+                  "omega_prime": [1.05, 0.02]},
+        "stabilize": {"domain": [0.0, 1.0], "u_star": [1.0, 0.0],
+                      "initial": {"kind": "constant", "value": [1.0, 0.0]}},
+        "linear_control": {
+            "model": {"kind": "linear", "A": [[-1.0, 0.0], [0.0, 1.0]]},
+            "domain": [0.0, 1.0], "T": 1.0,
+            "phi": {"xs": [0.5], "values": [[0.0, 0.0], [0.1, 0.2]]},
+            "psi": {"xs": [], "values": [[0.3, -0.1]]}},
+    }[experiment]
+    return {**base, **extra}
+
+
+@pytest.mark.parametrize("experiment, key, value, diagnostic", [
+    ("counterexample", "density.family", 2, "density: unknown key 'family'"),
+    ("counterexample", "density.cells", -1,
+     "density.cells=-1 must be a positive integer"),
+    ("counterexample", "density.cells", "x",
+     "density.cells='x' must be a positive integer"),
+    ("counterexample", "census", [], "census must be an object"),
+    ("counterexample", "census.times", "soon",
+     "census.times must be a list of numbers"),
+    ("counterexample", "density.times", [0.5, "x"],
+     "density.times must be a list of numbers"),
+    ("evolve", "snapshot_times", 0.5, "snapshot_times must be a non-decreasing"),
+    ("evolve", "snapshot_times", [-1.0], "snapshot_times must be a non-decreasing"),
+    ("evolve", "snapshot_times", [1.0, 0.5],
+     "snapshot_times must be a non-decreasing"),
+    ("counterexample", "census.probe", [0.1],
+     "census.probe=[0.1] must be [lo, hi] with lo < hi"),
+    ("counterexample", "density.probe", [0.1, 0.05],
+     "density.probe=[0.1, 0.05] must be [lo, hi] with lo < hi"),
+    ("riemann", "riemann.ul", [1.0, 0.0, 0.0],
+     "riemann.ul=[1.0, 0.0, 0.0] must be a state of 2 numbers"),
+    ("riemann", "riemann.ur", [1.0], "riemann.ur=[1.0] must be a state of 2"),
+    ("steer", "omega", [1.0, 0.0, 0.0], "omega=[1.0, 0.0, 0.0] must be a state"),
+    ("steer", "omega_prime", [1.0], "omega_prime=[1.0] must be a state"),
+    ("stabilize", "u_star", [1.0, 0.0, 0.0], "u_star=[1.0, 0.0, 0.0] must be"),
+    ("curves", "curves.u0", [1.0, 0.0, 0.0], "curves.u0=[1.0, 0.0, 0.0] must"),
+    ("curves", "curves.family", 3, "curves.family=3 must be a family in 1..2"),
+    ("evolve", "initial.family", 3, "initial.family=3 must be a family in 1..2"),
+    ("counterexample", "initial.family", 2,
+     "counterexample tracks family-1 shocks: initial.family must be 1"),
+    ("curves", "curves.samples", 0, "curves.samples=0 must be a positive integer"),
+    ("curves", "curves.samples", "x", "curves.samples='x' must be a positive"),
+    ("evolve", "initial.level_decay", 1.0, "initial.level_decay=1.0 must exceed 1"),
+    ("steer", "delta_chain", 0, "delta_chain=0 must be positive"),
+    ("stabilize", "delta0", -0.1, "delta0=-0.1 must be positive"),
+    ("steer", "model", TABLE_BLOCK, "steer needs a Riemann chart"),
+    ("stabilize", "model", TABLE_BLOCK, "stabilize needs a Riemann chart"),
+    ("linear_control", "phi.values", [[0.0, 0.0]],
+     "phi must have sorted xs and len(xs) + 1 values of 2 numbers"),
+    ("linear_control", "psi.values", [[0.3]], "psi must have sorted xs"),
+])
+def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
+                                               key, value, diagnostic):
+    config = _valid_config(experiment)
+    assert validate_config(config) == []
+    *blocks, last = key.split(".")
+    target = config
+    for name in blocks:
+        target = target.setdefault(name, {})
+    target[last] = value
+    cfg = _write(tmp_path, "bad.json", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert diagnostic in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert diagnostic in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_riemann_command_on_another_experiment_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "evolve.json", _evolve_config())
+    assert main(["riemann", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the riemann command needs a 'riemann' experiment, "
+        "not 'evolve'\n")
+
+
+def test_steer_run_ends_on_the_target(tmp_path):
+    cfg = _write(tmp_path, "steer.json", _valid_config("steer"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 0
+    metrics = json.loads((out_dir / "manifest.json").read_text())["metrics"]
+    plan = json.loads((out_dir / "plan.json").read_text())
+    assert metrics["hops"] >= 1
+    assert len(plan["actions"]) == 2 * metrics["hops"]
+    assert [a["side"] for a in plan["actions"]] == ["b", "a"] * metrics["hops"]
+    assert plan["horizon"] == metrics["horizon"]
+    assert plan["horizon"] == pytest.approx(2 * metrics["hops"] * plan["tau"])
+    assert plan["actions"][-1]["outer_state"] == pytest.approx([1.05, 0.02])
+    assert metrics["fronts_final"] == 0
+    assert metrics["final_sup_dist"] <= 1e-6
+
+
+def test_model_failing_the_hypothesis_sweep_exits_4(tmp_path, capsys):
+    # f = (-u, v) is linear: no family is genuinely nonlinear
+    config = {"schema": "scenario-v1", "experiment": "counterexample",
+              "model": {"kind": "custom-table",
+                        "terms": [[[-1, [1, 0]]], [[1, [0, 1]]]], "p": 1,
+                        "box": [[0.5, 1.5], [-0.5, 0.5]]},
+              "domain": [0.0, 1.0],
+              "initial": {"kind": "constant", "value": [1.0, 0.0]}}
+    cfg = _write(tmp_path, "linear_table.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: model rejected by the "
+                          "hypothesis sweep:\n")
+    rows = dict(line.split()[:2] for line in err.splitlines()[1:])
+    assert rows["gnl_1"] == rows["gnl_2"] == "FAIL"
+    assert rows["speed_signs"] == "pass"
+    assert not out_dir.exists()

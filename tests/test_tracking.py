@@ -23,7 +23,7 @@ PRODUCTION = (0.75 ** 3) * (1.0 / 36.0)
 
 def test_constant_data_has_no_fronts(gas):
     sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    assert sim.snapshot().n_fronts == 0
+    assert sim.now.n_fronts == 0
     assert sim.next_event() is None
     snap = sim.advance_to(10.0)
     assert snap.tv() == 0.0
@@ -34,7 +34,7 @@ def test_single_shock_jump_resolves_to_one_front(gas):
     cp = shock_curve(gas, U0, 1, -0.2)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
-    snap = sim.snapshot()
+    snap = sim.now
     assert snap.n_fronts == 1
     assert snap.kinds[0] == "shock"
     assert snap.families[0] == 1
@@ -46,7 +46,7 @@ def test_rarefaction_jump_fans_into_pieces(gas):
     cp = lax_curve(gas, U0, 2, 0.25)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
-    snap = sim.snapshot()
+    snap = sim.now
     sigmas = list(snap.sigmas)
     assert len(sigmas) == 3
     assert all(0 < s <= 0.1 + 1e-12 for s in sigmas)
@@ -96,7 +96,7 @@ def test_same_family_shock_merge_emits_opposite_shock(gas):
     predicted = PRODUCTION * sa * sb * (sa + sb)
     assert out[2] == pytest.approx(predicted, rel=0.25)
     # merged wave keeps the smaller generation, the new family starts at 2
-    new = dict(zip(sim.snapshot().families, sim.snapshot().generations))
+    new = dict(zip(sim.now.families, sim.now.generations))
     assert new == {1: 1, 2: 2}
 
 
@@ -122,7 +122,7 @@ def test_boundary_exit_is_absorbing(gas):
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
     sim.advance_to(5.0)
-    assert sim.snapshot().n_fronts == 0
+    assert sim.now.n_fronts == 0
     assert [r.kind for r in sim.records] == ["exit_a"]
     # the state that stays behind is the right side of the leaving front
     assert np.allclose(sim.trace("a"), cp.state)
@@ -139,14 +139,14 @@ def test_advance_logs_exactly_one_interaction(gas):
     before = len(sim.records)
     sim.advance_to(ev.time + 1e-6)
     assert len(sim.records) == before + 1
-    assert sorted(sim.snapshot().families) == [1, 2]
+    assert sorted(sim.now.families) == [1, 2]
 
 
 def test_injection_of_trace_is_a_no_op(gas):
     sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
     new = sim.inject_boundary_riemann("b", sim.trace("b"))
     assert new == []
-    assert sim.snapshot().n_fronts == 0
+    assert sim.now.n_fronts == 0
 
 
 def test_injection_of_split_state_sends_low_families_only(gas):
@@ -155,7 +155,7 @@ def test_injection_of_split_state_sends_low_families_only(gas):
     split = split_boundary_pair(gas, sim.trace("b"), target)
     new_ids = sim.inject_boundary_riemann("b", split.state)
     assert new_ids
-    snap = sim.snapshot()
+    snap = sim.now
     injected = np.isin(snap.ids, new_ids)
     assert all(snap.families[injected] <= gas.p)
     assert all(snap.generations[injected] == 1)
@@ -200,7 +200,7 @@ def test_wave_measures_single_shock(gas):
     u1 = shock_curve(gas, U0, 1, -0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, u1)])
     sim = Simulation(gas, prof, 0.1)
-    m = wave_measures(sim.snapshot())
+    m = wave_measures(sim.now)
     assert m.mass(1, -1) == pytest.approx(0.2, abs=1e-10)
     assert m.mass(1, +1) == 0.0
     assert m.mass(2) == pytest.approx(0.0, abs=1e-10)
@@ -210,7 +210,7 @@ def test_wave_measures_fan_pieces(gas):
     cp = lax_curve(gas, U0, 2, 0.3)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
-    m = wave_measures(sim.snapshot())
+    m = wave_measures(sim.now)
     assert m.mass(2, +1) == pytest.approx(0.3, abs=1e-9)
     assert m.mass(2, -1) == pytest.approx(0.0, abs=1e-10)
 
@@ -220,7 +220,7 @@ def test_wave_measures_match_construction(gas):
     u2 = lax_curve(gas, u1, 2, 0.07).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.3, u1), (0.7, u2)])
     sim = Simulation(gas, prof, 0.2)
-    m = wave_measures(sim.snapshot())
+    m = wave_measures(sim.now)
     assert m.mass(1, -1) == pytest.approx(0.12, abs=1e-8)
     assert m.mass(2, +1) == pytest.approx(0.07, abs=1e-8)
 
@@ -344,10 +344,10 @@ def test_conservation_between_boundary_flux_ledgers(gas):
     u2 = lax_curve(gas, u1, 2, 0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.35, u1), (0.65, u2)])
     sim = Simulation(gas, prof, 0.02)
-    state_int0 = sim.snapshot().profile().integral()
+    state_int0 = sim.now.profile().integral()
     flux0 = sim.boundary_flux_integral.copy()
     sim.advance_to(0.4)
-    state_int1 = sim.snapshot().profile().integral()
+    state_int1 = sim.now.profile().integral()
     flux1 = sim.boundary_flux_integral.copy()
     V0 = sim.functional_history[0][1]
     defect = state_int1 - state_int0 - ((flux1[0] - flux0[0])
@@ -361,8 +361,8 @@ def test_state_reconstruction_from_history(gas):
     sim = Simulation(gas, prof, 0.1)
     sim.advance_to(0.3)
     x_front = 0.5 + cp.speed * 0.2
-    assert np.allclose(sim.state_at(0.2, x_front - 0.01), U0)
-    assert np.allclose(sim.state_at(0.2, x_front + 0.01), cp.state)
+    assert np.allclose(sim.snapshot_at(0.2).profile()(x_front - 0.01), U0)
+    assert np.allclose(sim.snapshot_at(0.2).profile()(x_front + 0.01), cp.state)
     snap = sim.snapshot_at(0.2)
     assert snap.xs[0] == pytest.approx(x_front)
 
@@ -411,7 +411,7 @@ def test_prefix_sum_functionals_match_pairwise(n, data):
         np.array([f[1] for f in fronts], dtype=float), np.zeros(k),
         np.ones(k, dtype=int), tuple(f[2] for f in fronts), states)
     V, Q, TV = sim.glimm_functionals()
-    V_ref, Q_ref, TV_ref = pairwise_functionals(sim.snapshot())
+    V_ref, Q_ref, TV_ref = pairwise_functionals(sim.now)
     assert V == V_ref
     assert TV == TV_ref
     assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
@@ -420,11 +420,11 @@ def test_prefix_sum_functionals_match_pairwise(n, data):
 def loop_next_event(sim):
     """Earliest collision or exit found by a loop over every front; also
     returns how many candidates tied with the earliest within TIME_TIE."""
-    k = sim.snapshot().n_fronts
+    k = sim.now.n_fronts
     if k == 0:
         return None, 0
-    xs = sim.snapshot().xs
-    sp = sim.snapshot().speeds
+    xs = sim.now.xs
+    sp = sim.now.speeds
     candidates = []
     for j in range(k - 1):
         ds = sp[j] - sp[j + 1]
@@ -501,7 +501,7 @@ def test_next_event_matches_loop_on_three_front_meeting(x0, checked_next_event):
     sim.advance_to(10.0)
     ev, ties = checked_next_event[0]
     assert (ev.kind, ev.lo, ev.hi, ties) == ("collision", 0, 2, 2)
-    assert sim.snapshot().n_fronts == 0
+    assert sim.now.n_fronts == 0
 
 
 def test_next_event_matches_loop_on_collision_at_boundary(checked_next_event):
