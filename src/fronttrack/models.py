@@ -113,6 +113,9 @@ class FluxModel:
                  min_speed=0.0, curve_radius=0.5):
         self.n = int(n)
         self.p = int(p)
+        if box.lows.shape != (self.n,):
+            raise ValueError(f"box has {len(box.lows)} [low, high] pairs for "
+                             f"{self.n} components")
         self.box = box
         self.predicate = predicate
         self.min_speed = float(min_speed)
@@ -220,9 +223,9 @@ class LinearModel(FluxModel):
 
     def __init__(self, A, box=None, ref_state=None, **kw):
         A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        if A.shape != (n, n):
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
+        n = A.shape[0]
         vals, vecs = np.linalg.eig(A)
         if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals))):
             raise HyperbolicityError("A has complex eigenvalues")

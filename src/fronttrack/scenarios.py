@@ -154,6 +154,13 @@ def _validate(config):
                         ("curves.samples", curv.get("samples", 61))):
         if not isinstance(value, int) or value < 1:
             diags.append(f"{name}={value!r} must be a positive integer")
+    cens = _block(config, "census")
+    for name, value in (("curves.sigma_min", curv.get("sigma_min", 0)),
+                        ("curves.sigma_max", curv.get("sigma_max", 0)),
+                        ("census.floor", cens.get("floor", 0)),
+                        ("census.creation_floor", cens.get("creation_floor", 0))):
+        if not isinstance(value, (int, float)):
+            diags.append(f"{name}={value!r} must be a number")
     # the runners read a missing, null or empty times list as the default
     times = config.get("snapshot_times") or []
     if not (_is_vector(times) and all(0 <= s <= t for s, t in zip([0] + times, times))):
@@ -192,6 +199,9 @@ def _validate(config):
                 diags.extend(_initial_state_diags(initial, built))
     if exp == "counterexample" and init.get("family", 1) != 1:
         diags.append("counterexample tracks family-1 shocks: initial.family must be 1")
+    if exp == "counterexample" and init.get("kind") == "constant":
+        diags.append("counterexample tracks family-1 shocks: a constant "
+                     "initial profile has no family-1 front")
     if exp in ("steer", "stabilize") and kind == "custom-table":
         diags.append(f"{exp} needs a Riemann chart, which a custom-table model lacks")
     if exp == "stabilize" and not _is_vector(config.get("u_star")):
@@ -218,6 +228,12 @@ def _validate(config):
         T = config.get("T")
         if not isinstance(T, (int, float)) or T <= 0:
             diags.append("linear_control needs T > 0")
+        elif kind == "linear" and built is not None and _is_vector(dom, 2):
+            # the crossing time linear_exact_control requires T to reach;
+            # a zero speed is its own (solver) error
+            speed = float(np.min(np.abs(built.lambdas(None))))
+            if speed > 0 and T < (tau := (dom[1] - dom[0]) / speed) - 1e-12:
+                diags.append(f"T={float(T)} below crossing time tau={tau}")
     if exp == "riemann":
         blk = config.get("riemann")
         if not (isinstance(blk, dict) and _is_vector(blk.get("ul"))
@@ -435,6 +451,9 @@ def _run_evolve(config, model, out):
     domain = tuple(config["domain"])
     profile = build_initial(config["initial"], model, domain)
     sim = Simulation(model, profile, float(config["epsilon"]))
+    if config["experiment"] == "counterexample" and 1 not in sim.now.families:
+        raise ConfigError("counterexample tracks family-1 shocks: the initial "
+                          "profile has no family-1 front")
     horizon = float(config["horizon"])
     times = config.get("snapshot_times") or [horizon]
     tv_series = []
@@ -737,8 +756,7 @@ def run_scenario(config, out_dir):
     model = checked_model(config)
     config = resolve_config(config)
     _admission_gate(model, config["experiment"])
-    out = _OutputSet(out_dir)
-    out.out_dir.mkdir(parents=True, exist_ok=True)
+    out = _OutputSet(out_dir)   # makes out_dir with the first file
     metrics, _sim = _RUNNERS[config["experiment"]](config, model, out)
     manifest = {
         "schema": MANIFEST_ID,

@@ -11,6 +11,13 @@ of strength at most eps_fronts, and fronts reaching a boundary leave without
 reflection.  Everything the diagnostics need (interaction log, functional
 history, snapshot history, boundary flux integrals) is accumulated as the
 simulation advances.
+
+The profile changes at four kinds of point only: initial jumps, collisions,
+boundary exits and boundary injections.  Each replaces a run of fronts by
+the waves of one Riemann solution (none for an exit) through one private
+step, which splices the new snapshot, sets the new fronts' generations and,
+for every kind but the initial fronts, logs the functionals and appends the
+interaction record and the snapshot.
 """
 
 import bisect
@@ -19,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import SIGMA_NULL, lax_curve, rarefaction_curve
+from .curves import SIGMA_NULL, CurvePoint, lax_curve, rarefaction_curve
 from .errors import SOLVER_ERRORS, ContractViolationError, ConvergenceError
 from .profiles import PiecewiseConstant
 from .riemann import solve_riemann
@@ -97,21 +104,26 @@ class Event:
 
 @dataclass
 class InteractionRecord:
+    """One change of the profile: at ``time`` and point ``x`` an event of
+    ``kind`` (collision | exit_a | exit_b | inject_a | inject_b, or error
+    for a collision whose Riemann solve failed) replaced the incoming
+    fronts (``in_ids``, ``in_families``, ``in_sigmas``, ``in_kinds``) by
+    the outgoing ones (``out_*``, the same columns); ``dV`` and ``dQ`` are
+    the changes of the Glimm functionals across it."""
+
     time: float
     x: float
-    kind: str              # collision | exit_a | exit_b | inject_a | inject_b
+    kind: str
     in_ids: list
     in_families: list
     in_sigmas: list
     in_kinds: list
-    in_generations: list
     out_ids: list
     out_families: list
     out_sigmas: list
     out_kinds: list
     dV: float
     dQ: float
-    inherits: dict         # out_id -> in_id lineage links
 
 
 @dataclass(frozen=True)
@@ -166,10 +178,9 @@ class Simulation:
         self.now = Snapshot(model, 0.0, self.a, self.b, ints, floats, ints,
                             floats, floats, ints, (), values[:1])
         for j, x in enumerate(profile.xs):
-            sol = solve_riemann(model, values[j], values[j + 1])
             k = self.now.n_fronts
-            self._splice(k, k, self.now.states[k],
-                         self._fronts_from_waves(sol.waves, x, {}, 1))
+            self._step(k, k, self.now.states[k],
+                       solve_riemann(model, values[j], values[j + 1]).waves, x)
         self._log_functionals()
         self.history.append(self.now)
 
@@ -191,68 +202,71 @@ class Simulation:
         """Diagnostics of an engine contract violation."""
         return {"time": float(self.time), "events": self._event_count}
 
-    def _record(self, rec):
-        """Log the functionals after an event, set the record's changes from
-        the last two rows, and store the record and the new snapshot.  Only
-        positions move between events, and V and Q do not read positions, so
-        the previous row holds the values just before this event."""
-        self._log_functionals()
-        (_, V0, Q0, _), (_, V1, Q1, _) = self.functional_history[-2:]
-        rec.dV = V1 - V0
-        rec.dQ = Q1 - Q0
-        self.records.append(rec)
-        self.history.append(self.now)
+    def _incoming(self, lo, hi):
+        """ids, families, sigmas and kinds of fronts lo..hi - 1."""
+        s = self.now
+        return [col[lo:hi].tolist() for col in (s.ids, s.families, s.sigmas)] \
+            + [list(s.kinds[lo:hi])]
 
-    def _fronts_from_waves(self, waves, x, generation_by_family, default_gen):
-        """Columns of the fronts that materialize Riemann-solution waves at
-        x, with the right state of each, fanning rarefactions into pieces of
-        strength at most eps.  Pieces move at the characteristic speed of
-        their left state."""
+    def _step(self, lo, hi, left, waves, x, kind=None):
+        """The one change of the profile: replace fronts lo..hi - 1 by the
+        fronts that materialize ``waves`` at x, and cells lo..hi by ``left``
+        and their right states; return the new fronts' columns.
+
+        Rarefactions are fanned into pieces of strength at most eps, each
+        moving at the characteristic speed of its left state, which the
+        wave (first piece) or the curve point that made it carries.  A new
+        front takes the least generation of the replaced fronts of its
+        family, else one more than the least replaced generation, else 1.
+        With a ``kind`` the event is recorded: the functionals are logged,
+        and the record (dV, dQ from the last two rows: V and Q do not read
+        positions, which alone move between events) and the new snapshot
+        are appended.
+        """
+        s = self.now
+        incoming = self._incoming(lo, hi)
+        gens = s.generations[lo:hi].tolist()
+        least = {}
+        for fam, gen in zip(incoming[1], gens):
+            least[fam] = min(gen, least.get(fam, gen))
         new = {name: [] for name in _FRONT_COLUMNS + ("kinds", "rights")}
-
-        def add(*row):
-            for name, val in zip(new, (self._uid(), x) + row):
-                new[name].append(val)
-
         for wave in waves:
-            gen = generation_by_family.get(wave.family, default_gen)
             if abs(wave.sigma) < SIGMA_NULL:
                 self.dropped_mass += abs(wave.sigma)
                 continue
+            m = 1
             if wave.kind == "rarefaction" and wave.sigma > self.eps:
-                m = max(1, math.ceil(wave.sigma / self.eps - 1e-9))
-                piece = wave.sigma / m
-                chain = [wave.left]
-                for _ in range(m - 1):
-                    chain.append(rarefaction_curve(
-                        self.model, chain[-1], wave.family, piece).state)
-                chain.append(wave.right)
-                for k in range(m):
-                    lam = self.model.eigen(chain[k]).lam(wave.family)
-                    add(wave.family, piece, float(lam), gen, "rarefaction",
-                        chain[k + 1])
-            else:
-                speed = wave.speed_lo if wave.kind != "rarefaction" else \
-                    float(self.model.eigen(wave.left).lam(wave.family))
-                add(wave.family, wave.sigma, float(speed), gen, wave.kind,
-                    wave.right)
-        return new
-
-    def _splice(self, lo, hi, left, new):
-        """Replace fronts lo..hi - 1 by the ``new`` ones (none when it is
-        empty), and cells lo..hi by ``left`` and the new right states."""
-        s = self.now
+                m = math.ceil(wave.sigma / self.eps - 1e-9)
+            piece = wave.sigma / m
+            chain = [CurvePoint(wave.left, wave.speed_lo, 0.0)]
+            for _ in range(m - 1):
+                chain.append(rarefaction_curve(self.model, chain[-1].state,
+                                               wave.family, piece))
+            gen = least.get(wave.family, 1 + min(gens, default=0))
+            for point, right in zip(chain, [p.state for p in chain[1:]]
+                                    + [wave.right]):
+                row = (self._uid(), x, wave.family, piece, point.speed, gen,
+                       wave.kind, right)
+                for name, val in zip(new, row):
+                    new[name].append(val)
 
         def put(col, vals):
             return np.concatenate((col[:lo], np.asarray(vals, dtype=col.dtype),
                                    col[hi:]))
 
         self.now = replace(
-            s, **{name: put(getattr(s, name), new.get(name, ()))
-                  for name in _FRONT_COLUMNS},
-            kinds=s.kinds[:lo] + tuple(new.get("kinds", ())) + s.kinds[hi:],
-            states=np.concatenate((s.states[:lo], [left, *new.get("rights", ())],
+            s, **{name: put(getattr(s, name), new[name]) for name in _FRONT_COLUMNS},
+            kinds=s.kinds[:lo] + tuple(new["kinds"]) + s.kinds[hi:],
+            states=np.concatenate((s.states[:lo], [left, *new["rights"]],
                                    s.states[hi + 1:])))
+        if kind is not None:
+            self._log_functionals()
+            (_, V0, Q0, _), (_, V1, Q1, _) = self.functional_history[-2:]
+            self.records.append(InteractionRecord(
+                self.time, x, kind, *incoming, new["ids"], new["families"],
+                new["sigmas"], new["kinds"], V1 - V0, Q1 - Q0))
+            self.history.append(self.now)
+        return new
 
     # -- views ---------------------------------------------------------------
 
@@ -378,49 +392,25 @@ class Simulation:
                 self._where())
         self._advance_positions(event.time)
 
-        s = self.now
-        lo, hi = event.lo, event.hi
-        in_ids, in_families, in_sigmas, in_generations = (
-            col[lo:hi + 1].tolist()
-            for col in (s.ids, s.families, s.sigmas, s.generations))
-        incoming = (in_ids, in_families, in_sigmas, list(s.kinds[lo:hi + 1]),
-                    in_generations)
-        if event.kind in ("exit_a", "exit_b"):
+        s, lo, hi = self.now, event.lo, event.hi
+        if event.kind != "collision":
             # the cell on the boundary side of the front leaves with it
-            self._splice(lo, lo + 1,
-                         s.states[lo + (event.kind == "exit_a")], {})
-            rec = InteractionRecord(self.time, event.x, event.kind, *incoming,
-                                    [], [], [], [], 0.0, 0.0, {})
-        else:
-            try:
-                sol = solve_riemann(self.model, s.states[lo], s.states[hi + 1])
-            except ConvergenceError:
-                self.records.append(InteractionRecord(
-                    self.time, event.x, "error", *incoming,
-                    [], [], [], [], 0.0, 0.0, {}))
-                raise
-            gen_by_family = {}
-            for fam, gen in zip(in_families, in_generations):
-                gen_by_family[fam] = min(gen, gen_by_family.get(fam, gen))
-            new = self._fronts_from_waves(sol.waves, event.x, gen_by_family,
-                                          1 + min(in_generations))
-            speeds = new["speeds"]
-            if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
-                raise ContractViolationError(
-                    f"outgoing wave speeds not ordered at t={self.time}",
-                    self._where())
-            inherits = {}
-            for uid, fam in zip(new["ids"], new["families"]):
-                same = [i for i, f in enumerate(in_families) if f == fam]
-                if same:
-                    strongest = max(same, key=lambda i: abs(in_sigmas[i]))
-                    inherits[uid] = in_ids[strongest]
-            self._splice(lo, hi + 1, s.states[lo], new)
-            rec = InteractionRecord(
-                self.time, event.x, "collision", *incoming,
-                new["ids"], new["families"], new["sigmas"], new["kinds"],
-                0.0, 0.0, inherits)
-        self._record(rec)
+            self._step(lo, lo + 1, s.states[lo + (event.kind == "exit_a")], (),
+                       event.x, event.kind)
+            return
+        try:
+            sol = solve_riemann(self.model, s.states[lo], s.states[hi + 1])
+        except ConvergenceError:
+            self.records.append(InteractionRecord(
+                self.time, event.x, "error", *self._incoming(lo, hi + 1),
+                [], [], [], [], 0.0, 0.0))
+            raise
+        speeds = self._step(lo, hi + 1, s.states[lo], sol.waves, event.x,
+                            "collision")["speeds"]
+        if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
+            raise ContractViolationError(
+                f"outgoing wave speeds not ordered at t={self.time}",
+                self._where())
 
     def advance_to(self, t):
         """Resolve every event up to time t and move fronts there."""
@@ -444,38 +434,23 @@ class Simulation:
         >= p+1; a wave of the wrong side above tolerance aborts the run.
         Returns the list of injected front ids.
         """
+        at_b = side == "b"
+        trace = self.trace(side)
         outer = np.asarray(outer_state, dtype=float)
-        p = self.model.p
-        if side == "b":
-            sol = solve_riemann(self.model, self.trace("b"), outer)
-            entering = [w for w in sol.waves if w.family <= p]
-            wrong = [w for w in sol.waves
-                     if w.family > p and abs(w.sigma) > WRONG_FAMILY_TOL]
-            position = self.b
-            k, left = self.now.n_fronts, self.now.states[-1]
-        elif side == "a":
-            sol = solve_riemann(self.model, outer, self.trace("a"))
-            entering = [w for w in sol.waves if w.family > p]
-            wrong = [w for w in sol.waves
-                     if w.family <= p and abs(w.sigma) > WRONG_FAMILY_TOL]
-            position = self.a
-            k, left = 0, outer      # the outer state becomes cell 0
-        else:
-            raise ValueError("side must be 'a' or 'b'")
+        sol = solve_riemann(self.model, *((trace, outer) if at_b else (outer, trace)))
+        enters = [(w.family <= self.model.p) == at_b for w in sol.waves]
+        wrong = [w for w, e in zip(sol.waves, enters)
+                 if not e and abs(w.sigma) > WRONG_FAMILY_TOL]
         if wrong:
             raise ContractViolationError(
                 f"injection at {side} would emit families "
                 f"{[w.family for w in wrong]} into the wrong side",
                 {"sigmas": [w.sigma for w in wrong]})
-
-        new = self._fronts_from_waves(entering, position, {}, 1)
-        self._splice(k, k, left, new)
-        rec = InteractionRecord(
-            self.time, position, f"inject_{side}", [], [], [], [], [],
-            new["ids"], new["families"], new["sigmas"], new["kinds"],
-            0.0, 0.0, {})
-        self._record(rec)
-        return new["ids"]
+        # at x = a the outer state becomes cell 0
+        k = self.now.n_fronts if at_b else 0
+        return self._step(k, k, trace if at_b else outer,
+                          [w for w, e in zip(sol.waves, enters) if e],
+                          self.b if at_b else self.a, f"inject_{side}")["ids"]
 
 
 def wave_measures(snapshot):

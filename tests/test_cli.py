@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
 from fronttrack import scenarios, tracking
+from fronttrack.curves import lax_curve
 from fronttrack.cli import main
 from fronttrack.errors import DomainError
 from fronttrack.scenarios import validate_config
@@ -488,6 +490,18 @@ def _valid_config(experiment):
     ("linear_control", "phi.values", [[0.0, 0.0]],
      "phi must have sorted xs and len(xs) + 1 values of 2 numbers"),
     ("linear_control", "psi.values", [[0.3]], "psi must have sorted xs"),
+    ("evolve", "model.box", [[0.5, 1.5]],
+     "model block rejected: box has 1 [low, high] pairs for 2 components"),
+    ("riemann", "model.box", [], "model block rejected: box has 0 [low, high]"),
+    ("linear_control", "model.A", 2.0, "model block rejected: A must be square"),
+    ("curves", "curves.sigma_min", "x", "curves.sigma_min='x' must be a number"),
+    ("curves", "curves.sigma_max", None, "curves.sigma_max=None must be a number"),
+    ("counterexample", "census.floor", [1.0], "census.floor=[1.0] must be a number"),
+    ("counterexample", "census.creation_floor", {"a": 1},
+     "census.creation_floor={'a': 1} must be a number"),
+    ("linear_control", "T", 0.5, "T=0.5 below crossing time tau=1.0"),
+    ("counterexample", "initial", {"kind": "constant", "value": [1.0, 0.995]},
+     "a constant initial profile has no family-1 front"),
 ])
 def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
                                                key, value, diagnostic):
@@ -505,6 +519,23 @@ def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
     assert main(["run", "--config", cfg, "--out", str(out_dir),
                  "--quiet"]) == 2
     assert diagnostic in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_counterexample_without_family_1_front_exits_2(tmp_path, capsys):
+    # a family-2 shock alone: the config is valid, the run has nothing to track
+    left = [1.0, 0.995]
+    right = lax_curve(scenarios.build_model(NEAR_SONIC_BLOCK), left, 2, -0.01).state
+    config = _valid_config("counterexample")
+    config["initial"] = {"kind": "jumps", "left": left,
+                         "jumps": [[0.06, [float(u) for u in right]]]}
+    cfg = _write(tmp_path, "family2.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: counterexample tracks family-1 shocks: the initial "
+        "profile has no family-1 front\n")
     assert not out_dir.exists()
 
 
@@ -540,7 +571,8 @@ def test_model_failing_the_hypothesis_sweep_exits_4(tmp_path, capsys):
                         "terms": [[[-1, [1, 0]]], [[1, [0, 1]]]], "p": 1,
                         "box": [[0.5, 1.5], [-0.5, 0.5]]},
               "domain": [0.0, 1.0],
-              "initial": {"kind": "constant", "value": [1.0, 0.0]}}
+              "initial": {"kind": "jumps", "left": [1.0, 0.0],
+                          "jumps": [[0.5, [1.1, 0.0]]]}}
     cfg = _write(tmp_path, "linear_table.json", config)
     assert main(["validate", "--config", cfg, "--quiet"]) == 0
     out_dir = tmp_path / "out"
@@ -553,3 +585,44 @@ def test_model_failing_the_hypothesis_sweep_exits_4(tmp_path, capsys):
     assert rows["gnl_1"] == rows["gnl_2"] == "FAIL"
     assert rows["speed_signs"] == "pass"
     assert not out_dir.exists()
+
+
+# every field of each experiment's valid config, and every key of the
+# optional blocks the experiment reads, is set to each malformed value
+_SWEEP_VALUES = [None, True, "x", -1, 0, [], [1.0], [[0.5, 1.5]], {"a": 1}]
+_SWEEP_BLOCKS = {"curves": ["curves"], "counterexample": ["census", "density"]}
+
+
+def _sweep_fields(experiment):
+    config = _valid_config(experiment)
+    fields = list(config) + [f"{name}.{key}" for name, block in config.items()
+                             if isinstance(block, dict) for key in block]
+    return fields + [f"{name}.{key}" for name in _SWEEP_BLOCKS.get(experiment, ())
+                     for key in sorted(scenarios._BLOCK_KEYS[name])
+                     if f"{name}.{key}" not in fields]
+
+
+@pytest.mark.parametrize("experiment", scenarios.EXPERIMENTS)
+def test_no_valid_config_exits_1(tmp_path, capsys, experiment):
+    cfg = tmp_path / "case.json"
+    failures = []
+    for field in _sweep_fields(experiment):
+        for value in _SWEEP_VALUES:
+            config = _valid_config(experiment)
+            *blocks, last = field.split(".")
+            target = config
+            for name in blocks:
+                target = target.setdefault(name, {})
+            target[last] = value
+            cfg.write_text(json.dumps(config))
+            out_dir = tmp_path / "out"
+            for argv in (["validate"], ["run", "--out", str(out_dir), "--quiet"]):
+                try:
+                    code = main(argv + ["--config", str(cfg)])
+                except Exception as exc:  # reported below, with the case
+                    code = f"{type(exc).__name__}: {exc}"
+                if code not in (0, 2, 3, 4) or (code == 2 and out_dir.exists()):
+                    failures.append((field, value, argv[0], code))
+            shutil.rmtree(out_dir, ignore_errors=True)
+    capsys.readouterr()
+    assert failures == []
