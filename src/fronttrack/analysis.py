@@ -15,6 +15,7 @@ from .tracking import TIME_TIE, wave_measures
 DEFAULT_CENSUS_FLOOR = 1e-6      # below this a jump counts as wave dust
 DEFAULT_SIGN_FLOOR = 1e-11       # opposite-family output resolvable above this
 PROBE_MARGIN = 0.05              # default boundary-layer exclusion, per side x2
+DEFAULT_LEVEL_DECAY = 2.0        # dense data: strength ratio between dyadic levels
 
 
 def _default_probe(a, b):
@@ -376,26 +377,31 @@ def _dyadic_positions(n, a, b):
     return [(a + frac * (b - a), lvl) for frac, lvl in out]
 
 
-def dense_initial_data(model, n_waves, strength, interval, base_state=None,
-                       family=1, level_decay=2.0):
-    """Profile of n elementary waves of one family at dyadic positions.
-
-    The signed strengths (in Riemann-coordinate units) decrease
-    geometrically with the dyadic level of the position and sum to
-    ``strength``: a negative total gives pure shocks with no rarefaction
-    content, a positive one pure rarefactions.  Refining n keeps adding
-    weaker waves in the remaining gaps.
-    """
+def dense_strengths(n_waves, strength, level_decay=DEFAULT_LEVEL_DECAY):
+    """Signed strengths of the n waves of dense_initial_data, in the order of
+    their positions: they decrease geometrically with the dyadic level of
+    the position and sum to ``strength``."""
     if level_decay <= 1.0:
         raise ValueError("level_decay must exceed 1")
+    weights = np.array([level_decay ** -lvl
+                        for _, lvl in _dyadic_positions(n_waves, 0.0, 1.0)])
+    return strength * weights / float(np.sum(weights))
+
+
+def dense_initial_data(model, n_waves, strength, interval, base_state=None,
+                       family=1, level_decay=DEFAULT_LEVEL_DECAY):
+    """Profile of n elementary waves of one family at dyadic positions.
+
+    The signed strengths (in Riemann-coordinate units, see dense_strengths)
+    sum to ``strength``: a negative total gives pure shocks with no
+    rarefaction content, a positive one pure rarefactions.  Refining n keeps
+    adding weaker waves in the remaining gaps.
+    """
     a, b = interval
     base = np.asarray(base_state if base_state is not None
                       else model.ref_state, dtype=float)
-    placed = _dyadic_positions(n_waves, a, b)
-    weights = np.array([level_decay ** -lvl for _, lvl in placed])
-    sigmas = strength * weights / float(np.sum(weights))
     states = [base]
-    for s in sigmas:
+    for s in dense_strengths(n_waves, strength, level_decay):
         states.append(lax_curve(model, states[-1], family, float(s)).state)
-    xs = np.array([x for x, _ in placed])
+    xs = np.array([x for x, _ in _dyadic_positions(n_waves, a, b)])
     return PiecewiseConstant(a, b, xs, np.vstack(states))

@@ -33,7 +33,9 @@ def _build_parser():
         if need_out:
             p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--epsilon", type=float, default=None,
-                       help="override front-tracking accuracy")
+                       help="override front-tracking accuracy; only the "
+                            "experiments that track fronts read it, so on "
+                            "riemann, curves and linear_control it exits 2")
         p.add_argument("--quiet", action="store_true")
 
     add_common(sub.add_parser("run", help="run a scenario and write reports"))
@@ -66,15 +68,13 @@ def _say(args, message):
 
 
 def _cmd_run(args):
-    # validation builds the model, so each config is validated once: by
-    # run_scenario, or here before a sweep fans out
+    # run_scenario validates one config; a sweep is validated whole, every
+    # variant included, before its first variant writes a file
     config = scenarios.read_config(args.config)
     config.update(_overrides(args))
-    sweep = config.get("sweep")
-    if sweep:
+    if config.get("sweep"):
         scenarios.checked_model(config)
-        manifests = scenarios.run_sweep(config, args.out, sweep,
-                                        workers=int(config.get("workers", 1)))
+        manifests = scenarios.run_sweep(config, args.out)
         _say(args, f"ran {len(manifests)} sweep scenarios into {args.out}")
     else:
         manifest = scenarios.run_scenario(config, args.out)
@@ -85,7 +85,7 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    diags = scenarios.validate_config_file(args.config)
+    diags = scenarios.validate_config(scenarios.read_config(args.config))
     for d in diags:
         print(d)
     if diags:

@@ -1,8 +1,11 @@
 """Scenario configs, validation, and the deterministic experiment runner.
 
-A scenario is a single JSON document with a versioned schema id.  Running it
-writes CSV/JSON reports plus a manifest holding the fully resolved config,
-the produced file list, and the key metrics; identical configs reproduce
+A scenario is a single JSON document with a versioned schema id; ``_SCHEMA``
+holds the keys each experiment and each model or initial kind reads.
+Running it writes CSV/JSON reports plus a manifest holding the produced
+file list, the key metrics and the config: as given, less its sweep, with
+the defaults of the top-level keys its experiment reads filled in (a block
+key left out takes the default of its reader).  Identical configs reproduce
 byte-identical outputs.
 """
 
@@ -22,52 +25,281 @@ from .tracking import Simulation, calibrate_interaction_constant, check_upsilon
 
 SCHEMA_ID = "scenario-v1"
 MANIFEST_ID = "manifest-v1"
-EXPERIMENTS = ("evolve", "riemann", "curves", "steer", "stabilize",
-               "counterexample", "linear_control")
 FLOAT_FMT = "%.17g"
-
-_TOP_KEYS = {
-    "schema", "experiment", "epsilon", "domain", "model", "initial",
-    "horizon", "snapshot_times", "u_star", "k_max", "delta_chain", "delta0",
-    "omega", "omega_prime", "T", "phi", "psi", "riemann", "curves", "census",
-    "density", "sweep", "workers",
-}
-_MODEL_KEYS = {"kind", "K", "gamma", "A", "terms", "p", "box", "ref_state",
-               "min_speed", "curve_radius"}
-_INITIAL_KEYS = {"kind", "value", "left", "jumps", "n", "budget", "base",
-                 "level_decay", "family"}
-_BLOCK_KEYS = {
-    "riemann": {"ul", "ur"},
-    "curves": {"u0", "family", "branch", "sigma_min", "sigma_max", "samples"},
-    "census": {"times", "floor", "creation_floor", "probe"},
-    "density": {"times", "cells", "probe"},
-    "phi": {"xs", "values"},
-    "psi": {"xs", "values"},
-}
-_DEFAULTS = {
-    "epsilon": 0.01,
-    "horizon": 1.0,
-    "k_max": 4,
-    "delta_chain": 0.05,
-    "delta0": 0.1,
-    "workers": 1,
-}
+_REQUIRED = "required"
 
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
 
 
-def _is_vector(v, n=None):
-    if not isinstance(v, list) or not all(isinstance(x, (int, float)) for x in v):
-        return False
-    return n is None or len(v) == n
+# -- the config schema ------------------------------------------------------------
+# A check maps (dotted name, value, model, parent block) to the value's
+# diagnostics; the model is None while the model block is checked or when
+# it is rejected.
 
 
-def _block(config, name):
-    """The named block of the config, or {} when it is not an object."""
-    block = config.get(name)
-    return block if isinstance(block, dict) else {}
+def _number(v):
+    """A JSON number; a boolean is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _numbers(v, n=None):
+    return (isinstance(v, list) and all(map(_number, v))
+            and (n is None or len(v) == n))
+
+
+def _is(test, message):
+    """The check that reports message, formatted with the key's name, value
+    and parent block and n, the model's number of components, when
+    test(value, model) fails."""
+    def check(name, value, model, parent):
+        return [] if test(value, model) else [message.format(
+            name=name, value=value, parent=parent,
+            n="n" if model is None else model.n)]
+    return check
+
+
+_POSITIVE = _is(lambda v, m: _number(v) and v > 0,
+                "{name}={value!r} must be positive")
+_COUNT = _is(lambda v, m: _integer(v) and v >= 1,
+             "{name}={value!r} must be a positive integer")
+_NUMBER = _is(lambda v, m: _number(v), "{name}={value!r} must be a number")
+_INTERVAL = _is(lambda v, m: _numbers(v, 2) and v[0] < v[1],
+                "{name}={value!r} must be [lo, hi] with lo < hi")
+_TIMES = _is(lambda v, m: v is None or _numbers(v),
+             "{name} must be a list of numbers")
+_STATE = _is(lambda v, m: _numbers(v, None if m is None else m.n),
+             "{name}={value!r} must be a state of {n} numbers")
+_FAMILY = _is(lambda v, m: _integer(v) and v >= 1 and (m is None or v <= m.n),
+              "{name}={value!r} must be a family in 1..{n}")
+
+
+def _admissible(name, value, model, parent):
+    """A state of the model inside its admissible domain: a run would
+    otherwise stop on a DomainError."""
+    diags = _STATE(name, value, model, parent)
+    if diags or model is None or model.in_domain(value):
+        return diags
+    return [f"{name}={value} lies outside the admissible domain of the model"]
+
+
+def _jumps(name, value, model, parent):
+    if not isinstance(value, list):
+        return [f"{name} must be a list of [x, state] pairs"]
+    diags = []
+    for k, jump in enumerate(value):
+        if isinstance(jump, list) and len(jump) == 2 and _number(jump[0]):
+            diags += _admissible(f"{name}[{k}]", jump[1], model, parent)
+        else:
+            diags.append(f"{name}[{k}] must be an [x, state] pair")
+    return diags
+
+
+def _strength(name, value, model, parent):
+    """A wave strength the model's curves reach."""
+    diags = _NUMBER(name, value, model, parent)
+    if diags or model is None or abs(value) <= model.curve_radius:
+        return diags
+    return [f"{name}={value!r} beyond curve radius {model.curve_radius}"]
+
+
+def _crossing(name, value, model, config):
+    """A linear_control horizon T no shorter than the crossing time that
+    linear_exact_control requires; a zero speed is its own (solver) error."""
+    diags = _POSITIVE(name, value, model, config)
+    dom = config.get("domain")
+    if diags or model is None or model.kind != "linear" or not _numbers(dom, 2):
+        return diags
+    speed = float(np.min(np.abs(model.lambdas(None))))
+    if speed > 0 and value < (tau := (dom[1] - dom[0]) / speed) - 1e-12:
+        return [f"T={float(value)} below crossing time tau={tau}"]
+    return []
+
+
+def _block(group, *rules):
+    """The check of a block against its table _SCHEMA[group], then, once its
+    keys pass, against each rule: a check of the whole block."""
+    def check(path, value, model, parent):
+        diags = _block_diags(path, value, group, model)
+        return diags or [d for rule in rules
+                         for d in rule(path, value, model, parent)]
+    return check
+
+
+def _waves_in_radius(name, initial, model, config):
+    """Every wave of a dense profile within the model's curve radius."""
+    if model is None or initial["kind"] not in ("dense_shocks",
+                                                "rarefaction_only"):
+        return []
+    decay = {k: initial[k] for k in ("level_decay",) if k in initial}
+    largest = float(np.max(np.abs(analysis.dense_strengths(
+        initial["n"], initial["budget"], **decay))))
+    if largest > model.curve_radius:
+        return [f"{name}: largest wave |sigma|={largest:.3g} beyond curve "
+                f"radius {model.curve_radius}"]
+    return []
+
+
+_CONSTANT_RULE = _is(lambda v, m: v["kind"] != "constant",
+                     "counterexample tracks family-1 shocks: a constant "
+                     "initial profile has no family-1 front")
+_FAMILY_1_RULE = _is(lambda v, m: v.get("family") in (None, 1),
+                     "counterexample tracks family-1 shocks: initial.family "
+                     "must be 1")
+_CHARTED = _is(lambda v, m: m is None or m.has_chart,
+               "{parent[experiment]} needs a Riemann chart, which a "
+               "custom-table model lacks")
+_LINEAR = _is(lambda v, m: m is None or m.kind == "linear",
+              "linear_control needs a linear model")
+_PROFILE_RULE = _is(
+    lambda v, m: m is None or (
+        _numbers(v["xs"]) and sorted(v["xs"]) == v["xs"]
+        and isinstance(v["values"], list) and len(v["values"]) == len(v["xs"]) + 1
+        and all(_numbers(u, m.n) for u in v["values"])),
+    "{name} must have sorted xs and len(xs) + 1 values of {n} numbers")
+_BOX = _is(lambda v, m: isinstance(v, list) and all(
+    _numbers(pair, 2) and pair[0] < pair[1] for pair in v),
+    "{name}={value!r} must be per-component [low, high] pairs with low < high")
+_MODEL_COMMON = {"box": (None, _BOX), "ref_state": (None, _STATE),
+                 "curve_radius": (None, _POSITIVE)}
+_DENSE = {
+    "n": (_REQUIRED, _COUNT),
+    "budget": (_REQUIRED, _POSITIVE),
+    "base": (None, _admissible),
+    "level_decay": (None, _is(lambda v, m: _number(v) and v > 1,
+                              "{name}={value!r} must exceed 1")),
+    "family": (None, _FAMILY),
+}
+_PROFILE = {"xs": (_REQUIRED, None), "values": (_REQUIRED, None)}
+
+_COMMON = {
+    "schema": (_REQUIRED, _is(lambda v, m: v == SCHEMA_ID,
+                             f"schema must be '{SCHEMA_ID}'")),
+    "model": (_REQUIRED, None),
+    "sweep": (None, _is(lambda v, m: isinstance(v, list) and all(
+        isinstance(o, dict) for o in v),
+        "{name}={value!r} must be a list of objects of top-level overrides")),
+    "workers": (1, _COUNT),
+}
+_DOMAIN = {"domain": (_REQUIRED, _INTERVAL)}
+_TRACKED = {**_COMMON, **_DOMAIN, "epsilon": (0.01, _POSITIVE)}
+_CHAINED = {"model": (_REQUIRED, _CHARTED), "delta_chain": (0.05, _POSITIVE)}
+_INITIAL = (_REQUIRED, _block("initial", _waves_in_radius))
+_EVOLVE = {
+    **_TRACKED,
+    "initial": _INITIAL,
+    "horizon": (1.0, _POSITIVE),
+    # a missing, null or empty list reads as [horizon]
+    "snapshot_times": (None, _is(
+        lambda v, m: v is None or _numbers(v) and all(
+            0 <= s <= t for s, t in zip([0] + v, v)),
+        "{name} must be a non-decreasing list of times >= 0")),
+}
+
+# The keys each table reads: key -> (default, check).  The default is
+# _REQUIRED, None when the key may be left out, or the value that
+# resolve_config fills in; only top-level keys have one.  "experiment" picks
+# the top-level table, "kind" the table of a model or initial block.
+_SCHEMA = {
+    "experiment": {
+        "evolve": _EVOLVE,
+        "riemann": {**_COMMON, "riemann": (_REQUIRED, _block("riemann"))},
+        "curves": {**_COMMON, "curves": (_REQUIRED, _block("curves"))},
+        "steer": {**_TRACKED, **_CHAINED,
+                  "omega": (_REQUIRED, _STATE),
+                  "omega_prime": (_REQUIRED, _STATE)},
+        "stabilize": {**_TRACKED, **_CHAINED,
+                      "initial": _INITIAL,
+                      "u_star": (_REQUIRED, _STATE),
+                      "k_max": (4, _is(lambda v, m: _integer(v) and 1 <= v <= 50,
+                                       "{name}={value!r} must be an integer "
+                                       "in 1..50")),
+                      "delta0": (0.1, _POSITIVE)},
+        "counterexample": {
+            **_EVOLVE,
+            "initial": (_REQUIRED, _block("initial", _waves_in_radius,
+                                         _CONSTANT_RULE, _FAMILY_1_RULE)),
+            "census": (None, _block("census")),
+            "density": (None, _block("density")),
+        },
+        "linear_control": {**_COMMON, **_DOMAIN,
+                           "model": (_REQUIRED, _LINEAR),
+                           "phi": (_REQUIRED, _block("phi", _PROFILE_RULE)),
+                           "psi": (_REQUIRED, _block("psi", _PROFILE_RULE)),
+                           "T": (_REQUIRED, _crossing)},
+    },
+    "model": {
+        "gas": {"K": (None, _POSITIVE),
+                "gamma": (None, _is(lambda v, m: _number(v) and 1 < v < 3,
+                                    "{name}={value!r} outside the admissible "
+                                    "range 1 < gamma < 3")),
+                "min_speed": (None, _NUMBER),
+                **_MODEL_COMMON},
+        "linear": {"A": (_REQUIRED, None), **_MODEL_COMMON},
+        "custom-table": {
+            "terms": (_REQUIRED, None),
+            "p": (_REQUIRED, _is(lambda v, m: _integer(v) and v >= 0,
+                                "{name}={value!r} must be an integer >= 0")),
+            **_MODEL_COMMON,
+            "box": (_REQUIRED, _BOX),
+        },
+    },
+    "initial": {
+        "constant": {"value": (_REQUIRED, _admissible)},
+        "jumps": {"left": (_REQUIRED, _admissible), "jumps": (_REQUIRED, _jumps)},
+        "dense_shocks": _DENSE,
+        "rarefaction_only": _DENSE,
+    },
+    "riemann": {"ul": (_REQUIRED, _STATE), "ur": (_REQUIRED, _STATE)},
+    "curves": {
+        "u0": (_REQUIRED, _STATE),
+        "family": (None, _FAMILY),
+        "branch": (None, _is(lambda v, m: v in ("lax", "shock", "rarefaction"),
+                             "{name}={value!r} must be lax | shock | "
+                             "rarefaction")),
+        "sigma_min": (None, _strength),
+        "sigma_max": (None, _strength),
+        "samples": (None, _COUNT),
+    },
+    "census": {"times": (None, _TIMES), "floor": (None, _NUMBER),
+               "creation_floor": (None, _NUMBER), "probe": (None, _INTERVAL)},
+    "density": {"times": (None, _TIMES), "cells": (None, _COUNT),
+                "probe": (None, _INTERVAL)},
+    "phi": _PROFILE,
+    "psi": _PROFILE,
+}
+_KIND_KEYS = {"experiment": "experiment", "model": "kind", "initial": "kind"}
+EXPERIMENTS = tuple(_SCHEMA["experiment"])
+
+
+def _block_diags(path, block, group, model):
+    """Diagnostics of a block against its table _SCHEMA[group]: an unknown
+    kind, each key the table does not read, each required key missing and
+    each value its check rejects.  path names the block ("" at the top)."""
+    if not isinstance(block, dict):
+        return [f"{path} must be an object"]
+    table, kind_key, where = _SCHEMA[group], _KIND_KEYS.get(group), ""
+    if kind_key:
+        kind = block.get(kind_key)
+        if not isinstance(kind, str) or kind not in table:
+            return [f"unknown {group} kind {kind!r}; expected one of "
+                    f"{sorted(table)}"]
+        table, where = table[kind], f" for {group} kind {kind!r}"
+    at, unknown = (f"{path}.", f"{path}: ") if path else ("", "")
+    diags = [f"{unknown}unknown key '{key}'{where}"
+             for key in block if key not in table and key != kind_key]
+    for key, (default, check) in table.items():
+        if key in block:
+            if check is not None:
+                diags += check(at + key, block[key], model, block)
+        elif default == _REQUIRED:
+            diags.append(f"{at}{key} is required{where}")
+    return diags
 
 
 def validate_config(config):
@@ -77,224 +309,25 @@ def validate_config(config):
 
 def _validate(config):
     """Diagnostics of the config, and the model its model block builds
-    (None when the block is rejected)."""
-    diags = []
+    (None when the block is rejected).  The model block is checked and
+    built first, since other checks read the model; each sweep variant is
+    checked once the config itself passes."""
     if not isinstance(config, dict):
         return ["config must be a JSON object"], None
-    for key in config:
-        if key not in _TOP_KEYS:
-            diags.append(f"unknown key '{key}'")
-    if config.get("schema") != SCHEMA_ID:
-        diags.append(f"schema must be '{SCHEMA_ID}'")
-    exp = config.get("experiment")
-    if exp not in EXPERIMENTS:
-        diags.append(f"unknown experiment kind {exp!r}; "
-                     f"expected one of {sorted(EXPERIMENTS)}")
-
-    n_before_model = len(diags)
-    model = config.get("model")
-    if not isinstance(model, dict):
-        diags.append("missing model block")
-        model = {}
-    for key in model:
-        if key not in _MODEL_KEYS:
-            diags.append(f"model: unknown key '{key}'")
-    kind = model.get("kind")
-    if kind not in ("gas", "linear", "custom-table"):
-        diags.append(f"model.kind must be gas | linear | custom-table, got {kind!r}")
-    if kind == "gas":
-        gamma = model.get("gamma", 2.0)
-        if not isinstance(gamma, (int, float)) or not (1.0 < gamma < 3.0):
-            diags.append(f"model.gamma={gamma!r} outside the admissible "
-                         "range 1 < gamma < 3")
-        K = model.get("K", 1.0)
-        if not isinstance(K, (int, float)) or K <= 0:
-            diags.append(f"model.K={K!r} must be positive")
-    if kind == "linear" and "A" not in model:
-        diags.append("linear model needs matrix A")
-    if kind == "custom-table":
-        if "terms" not in model or "p" not in model:
-            diags.append("custom-table model needs 'terms' and 'p'")
-    if "box" in model:
-        box = model["box"]
-        if not (isinstance(box, list)
-                and all(_is_vector(pair, 2) and pair[0] < pair[1]
-                        for pair in box)):
-            diags.append("model.box must be per-component [low, high] pairs "
-                         "with low < high")
-    built = None
-    if len(diags) == n_before_model:
-        try:
-            built = build_model(model)
-        except (TypeError, ValueError, KeyError, HyperbolicityError) as exc:
-            diags.append(f"model block rejected: {exc}")
-
-    for block_name, allowed in _BLOCK_KEYS.items():
-        block = config.get(block_name)
-        if isinstance(block, dict):
-            for key in block:
-                if key not in allowed:
-                    diags.append(f"{block_name}: unknown key '{key}'")
-
-    for name in ("epsilon", "horizon", "delta_chain", "delta0"):
-        value = config.get(name, _DEFAULTS[name])
-        if not isinstance(value, (int, float)) or value <= 0:
-            diags.append(f"{name}={value!r} must be positive")
-    dom = config.get("domain")
-    if exp not in ("riemann", "curves"):
-        if not (_is_vector(dom, 2) and dom[0] < dom[1]):
-            diags.append(f"domain={dom!r} must be [a, b] with a < b")
-    k_max = config.get("k_max", _DEFAULTS["k_max"])
-    if not isinstance(k_max, int) or not (1 <= k_max <= 50):
-        diags.append(f"k_max={k_max!r} must be an integer in 1..50")
-    init, riem, curv = (_block(config, name)
-                        for name in ("initial", "riemann", "curves"))
-    for name, value in (("workers", config.get("workers", _DEFAULTS["workers"])),
-                        ("density.cells", _block(config, "density").get("cells", 64)),
-                        ("curves.samples", curv.get("samples", 61))):
-        if not isinstance(value, int) or value < 1:
-            diags.append(f"{name}={value!r} must be a positive integer")
-    cens = _block(config, "census")
-    for name, value in (("curves.sigma_min", curv.get("sigma_min", 0)),
-                        ("curves.sigma_max", curv.get("sigma_max", 0)),
-                        ("census.floor", cens.get("floor", 0)),
-                        ("census.creation_floor", cens.get("creation_floor", 0))):
-        if not isinstance(value, (int, float)):
-            diags.append(f"{name}={value!r} must be a number")
-    # the runners read a missing, null or empty times list as the default
-    times = config.get("snapshot_times") or []
-    if not (_is_vector(times) and all(0 <= s <= t for s, t in zip([0] + times, times))):
-        diags.append("snapshot_times must be a non-decreasing list of times >= 0")
-    for name in ("census", "density"):
-        if not isinstance(config.get(name, {}), dict):
-            diags.append(f"{name} must be an object")
-        if not _is_vector(_block(config, name).get("times") or []):
-            diags.append(f"{name}.times must be a list of numbers")
-        probe = _block(config, name).get("probe", [0, 1])
-        if not (_is_vector(probe, 2) and probe[0] < probe[1]):
-            diags.append(f"{name}.probe={probe!r} must be [lo, hi] with lo < hi")
-
-    initial = config.get("initial")
-    if exp in ("evolve", "counterexample", "stabilize"):
-        if not isinstance(initial, dict):
-            diags.append(f"experiment '{exp}' needs an initial block")
-        else:
-            for key in initial:
-                if key not in _INITIAL_KEYS:
-                    diags.append(f"initial: unknown key '{key}'")
-            ikind = initial.get("kind")
-            if ikind not in ("constant", "jumps", "dense_shocks",
-                             "rarefaction_only"):
-                diags.append(f"initial.kind { ikind!r} not recognized")
-            if ikind in ("dense_shocks", "rarefaction_only"):
-                if not isinstance(initial.get("n"), int) or initial.get("n", 0) < 1:
-                    diags.append("initial.n must be a positive integer")
-                budget = initial.get("budget")
-                if not isinstance(budget, (int, float)) or budget <= 0:
-                    diags.append("initial.budget must be positive")
-                decay = initial.get("level_decay", 2.0)
-                if not isinstance(decay, (int, float)) or decay <= 1:
-                    diags.append(f"initial.level_decay={decay!r} must exceed 1")
-            if built is not None:
-                diags.extend(_initial_state_diags(initial, built))
-    if exp == "counterexample" and init.get("family", 1) != 1:
-        diags.append("counterexample tracks family-1 shocks: initial.family must be 1")
-    if exp == "counterexample" and init.get("kind") == "constant":
-        diags.append("counterexample tracks family-1 shocks: a constant "
-                     "initial profile has no family-1 front")
-    if exp in ("steer", "stabilize") and kind == "custom-table":
-        diags.append(f"{exp} needs a Riemann chart, which a custom-table model lacks")
-    if exp == "stabilize" and not _is_vector(config.get("u_star")):
-        diags.append("stabilize needs u_star")
-    if exp == "steer":
-        if not _is_vector(config.get("omega")) or \
-                not _is_vector(config.get("omega_prime")):
-            diags.append("steer needs omega and omega_prime")
-    if exp == "linear_control":
-        if kind != "linear":
-            diags.append("linear_control needs a linear model")
-        for name in ("phi", "psi"):
-            prof = config.get(name)
-            if not (isinstance(prof, dict) and "xs" in prof and "values" in prof):
-                diags.append(f"linear_control needs profile '{name}' "
-                             "with xs and values")
-            elif built is not None and not (
-                    _is_vector(xs := prof["xs"]) and sorted(xs) == xs
-                    and isinstance(vals := prof["values"], list)
-                    and len(vals) == len(xs) + 1
-                    and all(_is_vector(v, built.n) for v in vals)):
-                diags.append(f"{name} must have sorted xs and len(xs) + 1 "
-                             f"values of {built.n} numbers")
-        T = config.get("T")
-        if not isinstance(T, (int, float)) or T <= 0:
-            diags.append("linear_control needs T > 0")
-        elif kind == "linear" and built is not None and _is_vector(dom, 2):
-            # the crossing time linear_exact_control requires T to reach;
-            # a zero speed is its own (solver) error
-            speed = float(np.min(np.abs(built.lambdas(None))))
-            if speed > 0 and T < (tau := (dom[1] - dom[0]) / speed) - 1e-12:
-                diags.append(f"T={float(T)} below crossing time tau={tau}")
-    if exp == "riemann":
-        blk = config.get("riemann")
-        if not (isinstance(blk, dict) and _is_vector(blk.get("ul"))
-                and _is_vector(blk.get("ur"))):
-            diags.append("riemann needs block {ul, ur}")
-    if exp == "curves":
-        blk = config.get("curves", {})
-        if not (isinstance(blk, dict) and _is_vector(blk.get("u0"))):
-            diags.append("curves needs block with u0")
-        elif blk.get("branch", "lax") not in ("lax", "shock", "rarefaction"):
-            diags.append("curves.branch must be lax | shock | rarefaction")
-    if built is not None:
-        states = {"riemann.ul": riem.get("ul"), "riemann.ur": riem.get("ur"),
-                  "curves.u0": curv.get("u0"),
-                  **{k: config.get(k) for k in ("omega", "omega_prime", "u_star")}}
-        diags.extend(f"{name}={u!r} must be a state of {built.n} numbers"
-                     for name, u in states.items()
-                     if _is_vector(u) and len(u) != built.n)
-        diags.extend(f"{name}={f!r} must be a family in 1..{built.n}"
-                     for name, f in (("curves.family", curv.get("family", 1)),
-                                     ("initial.family", init.get("family", 1)))
-                     if not (isinstance(f, int) and 1 <= f <= built.n))
-    sweep = config.get("sweep", [])
-    if not (isinstance(sweep, list) and all(isinstance(o, dict) for o in sweep)):
-        diags.append(f"sweep={sweep!r} must be a list of objects of "
-                     "top-level overrides")
-    else:
-        diags.extend(f"sweep[{k}]: unknown key '{key}'"
-                     for k, overrides in enumerate(sweep)
-                     for key in overrides if key not in _TOP_KEYS)
-    return diags, built
-
-
-def _initial_state_diags(initial, model):
-    """Every state the initial block names must be an admissible state of
-    the model: a run would otherwise stop on a DomainError."""
-    diags = []
-    states = []
-    if initial.get("kind") == "constant":
-        states.append(("initial.value", initial.get("value")))
-    elif initial.get("kind") == "jumps":
-        states.append(("initial.left", initial.get("left")))
-        jumps = initial.get("jumps")
-        if not isinstance(jumps, list):
-            diags.append("initial.jumps must be a list of [x, state] pairs")
-            jumps = []
-        for k, jump in enumerate(jumps):
-            if isinstance(jump, list) and len(jump) == 2 \
-                    and isinstance(jump[0], (int, float)):
-                states.append((f"initial.jumps[{k}]", jump[1]))
-            else:
-                diags.append(f"initial.jumps[{k}] must be an [x, state] pair")
-    if "base" in initial:
-        states.append(("initial.base", initial["base"]))
-    for name, u in states:
-        if not _is_vector(u, model.n):
-            diags.append(f"{name}={u!r} must be a state of {model.n} numbers")
-        elif not model.in_domain(u):
-            diags.append(f"{name}={u} lies outside the admissible domain "
-                         "of the model")
-    return diags
+    diags, model = [], None
+    if "model" in config:
+        diags = _block_diags("model", config["model"], "model", None)
+        if not diags:
+            try:
+                model = build_model(config["model"])
+            except (TypeError, ValueError, KeyError, HyperbolicityError) as exc:
+                diags = [f"model block rejected: {exc}"]
+    diags += _block_diags("", config, "experiment", model)
+    if not diags:
+        for k, overrides in enumerate(config.get("sweep", [])):
+            diags += [f"sweep[{k}]: {d}"
+                      for d in _validate(_variant(config, overrides))[0]]
+    return diags, model
 
 
 def checked_model(config):
@@ -321,56 +354,51 @@ def read_config(path):
     return config
 
 
-def validate_config_file(path):
-    try:
-        return validate_config(read_config(path))
-    except ConfigError as exc:
-        return exc.diagnostics
+def resolve_config(config):
+    """The config of one run: the defaults of the top-level keys its
+    experiment reads, overridden by the config; a sweep is not part of it."""
+    table = _SCHEMA["experiment"][config["experiment"]]
+    return _variant({key: default for key, (default, _) in table.items()
+                     if default not in (None, _REQUIRED)}, config)
+
+
+def _variant(config, overrides):
+    """The config of one sweep variant."""
+    variant = {**config, **overrides}
+    variant.pop("sweep", None)
+    return variant
 
 
 # -- construction from config ---------------------------------------------------
 
+_MODELS = {"gas": GasModel, "linear": LinearModel, "custom-table": TableModel}
+
 
 def build_model(block):
-    kind = block["kind"]
-    kw = {}
-    if "box" in block:
-        lows = [pair[0] for pair in block["box"]]
-        highs = [pair[1] for pair in block["box"]]
-        kw["box"] = Box(lows, highs)
-    if "ref_state" in block:
-        kw["ref_state"] = np.asarray(block["ref_state"], dtype=float)
-    if "curve_radius" in block:
-        kw["curve_radius"] = float(block["curve_radius"])
-    if kind == "gas":
-        return GasModel(K=float(block.get("K", 1.0)),
-                        gamma=float(block.get("gamma", 2.0)),
-                        min_speed=float(block.get("min_speed", 0.0)), **kw)
-    if kind == "linear":
-        return LinearModel(np.asarray(block["A"], dtype=float), **kw)
-    if kind == "custom-table":
-        if "box" not in kw:
-            raise ConfigError("custom-table model needs an explicit box")
-        return TableModel(block["terms"], int(block["p"]), kw.pop("box"), **kw)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """The model of a model block; a key the block leaves out takes the
+    model class's default."""
+    kw = {key: value for key, value in block.items() if key != "kind"}
+    if "box" in kw:
+        kw["box"] = Box([pair[0] for pair in kw["box"]],
+                        [pair[1] for pair in kw["box"]])
+    return _MODELS[block["kind"]](**kw)
 
 
 def build_initial(block, model, domain):
+    """The initial profile of an initial block on the domain; a key a dense
+    block leaves out takes dense_initial_data's default."""
     a, b = domain
     kind = block["kind"]
     if kind == "constant":
         return constant_profile(a, b, np.asarray(block["value"], dtype=float))
     if kind == "jumps":
         return profile_from_jumps(a, b, block["left"], block["jumps"])
-    signs = {"dense_shocks": -1.0, "rarefaction_only": 1.0}
-    if kind not in signs:
-        raise ConfigError(f"unknown initial kind {kind!r}")
-    base = np.asarray(block["base"], dtype=float) if "base" in block \
-        else model.ref_state
-    return analysis.dense_initial_data(
-        model, int(block["n"]), signs[kind] * float(block["budget"]), (a, b),
-        base_state=base, family=int(block.get("family", 1)),
-        level_decay=float(block.get("level_decay", 2.0)))
+    kw = {key: block[key] for key in ("family", "level_decay") if key in block}
+    if "base" in block:
+        kw["base_state"] = block["base"]
+    sign = {"dense_shocks": -1.0, "rarefaction_only": 1.0}[kind]
+    return analysis.dense_initial_data(model, block["n"], sign * block["budget"],
+                                       (a, b), **kw)
 
 
 # -- writers ---------------------------------------------------------------------
@@ -483,14 +511,11 @@ def _run_evolve(config, model, out):
 def _run_counterexample(config, model, out):
     metrics, sim = _run_evolve(config, model, out)
     horizon = float(config["horizon"])
-    census_cfg = config.get("census", {})
-    times = census_cfg.get("times") or list(np.linspace(0.0, horizon, 5))
-    probe = tuple(census_cfg["probe"]) if "probe" in census_cfg else None
-    floor = float(census_cfg.get("floor", analysis.DEFAULT_CENSUS_FLOOR))
-    cfloor = float(census_cfg.get("creation_floor", analysis.DEFAULT_SIGN_FLOOR))
-    reports = analysis.shock_census(sim, times, probe=probe,
-                                    strength_floor=floor,
-                                    creation_floor=cfloor)
+    census = config.get("census", {})
+    times = census.get("times") or list(np.linspace(0.0, horizon, 5))
+    reports = analysis.shock_census(sim, times, **{
+        {"floor": "strength_floor"}.get(key, key): value
+        for key, value in census.items() if key != "times"})
     rows = []
     for rep in reports:
         for family in sorted(rep.positions):
@@ -512,13 +537,11 @@ def _run_counterexample(config, model, out):
         } for f in sorted(rep.positions)},
     } for rep in reports])
 
-    dens_cfg = config.get("density", {})
-    dtimes = dens_cfg.get("times") or list(np.linspace(0.2 * horizon, horizon, 8))
-    cells = int(dens_cfg.get("cells", 64))
-    dprobe = tuple(dens_cfg["probe"]) if "probe" in dens_cfg else None
+    density = config.get("density", {})
+    dtimes = density.get("times") or list(np.linspace(0.2 * horizon, horizon, 8))
     for family in range(1, model.n + 1):
-        reps = analysis.density_series(sim, dtimes, family, cells=cells,
-                                       probe=dprobe)
+        reps = analysis.density_series(sim, dtimes, family, **{
+            key: value for key, value in density.items() if key != "times"})
         if family == 1:
             slope, err = analysis.kappa_trend(reps)
         out.write_csv(f"density_f{family}.csv",
@@ -723,15 +746,6 @@ _RUNNERS = {
 }
 
 
-def resolve_config(config):
-    """The config of one run with the defaults filled in; a sweep is not
-    part of it."""
-    resolved = dict(_DEFAULTS)
-    resolved.update(config)
-    resolved.pop("sweep", None)
-    return resolved
-
-
 def _admission_gate(model, experiment):
     """Nonlinear control and census experiments require the structural
     hypotheses to hold on the declared admissible domain."""
@@ -768,24 +782,14 @@ def run_scenario(config, out_dir):
     return manifest
 
 
-def run_sweep(config, out_dir, overrides_list, workers=1):
-    """Fan independent scenario variants into sweep_NNN subdirectories."""
-    manifests = []
-    jobs = []
-    for idx, ov in enumerate(overrides_list):
-        variant = dict(config)
-        variant.update(ov)
-        variant.pop("sweep", None)
-        jobs.append((variant, str(Path(out_dir) / f"sweep_{idx:03d}")))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            manifests = list(pool.map(_run_one, jobs))
-    else:
-        manifests = [_run_one(job) for job in jobs]
-    return manifests
-
-
-def _run_one(job):
-    config, out_dir = job
-    return run_scenario(config, out_dir)
+def run_sweep(config, out_dir):
+    """Run each variant of the config's sweep into a sweep_NNN subdirectory,
+    on a process pool when the config asks for more than one worker."""
+    variants = [_variant(config, overrides) for overrides in config["sweep"]]
+    dirs = [str(Path(out_dir) / f"sweep_{k:03d}") for k in range(len(variants))]
+    workers = resolve_config(config)["workers"]
+    if workers == 1:
+        return list(map(run_scenario, variants, dirs))
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_scenario, variants, dirs))

@@ -1,5 +1,7 @@
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +291,8 @@ def test_sweep_mode_with_worker_pool(tmp_path):
     ("sweep", 3, "sweep=3 must be a list"),
     ("sweep", ["x"], "sweep=['x'] must be a list of objects"),
     ("sweep", [{"epsilon": 0.02}, {"speed": 2}], "sweep[1]: unknown key 'speed'"),
+    ("sweep", [{"epsilon": 0.02}, {"epsilon": -1.0}],
+     "sweep[1]: epsilon=-1.0 must be positive"),
     ("workers", "two", "workers='two' must be a positive integer"),
     ("workers", 0, "workers=0 must be a positive integer"),
 ])
@@ -502,6 +506,27 @@ def _valid_config(experiment):
     ("linear_control", "T", 0.5, "T=0.5 below crossing time tau=1.0"),
     ("counterexample", "initial", {"kind": "constant", "value": [1.0, 0.995]},
      "a constant initial profile has no family-1 front"),
+    ("counterexample", "initial", {"kind": "dense_shocks", "n": 1, "budget": 0.6},
+     "initial: largest wave |sigma|=0.6 beyond curve radius 0.5"),
+    ("curves", "curves.sigma_max", 0.7,
+     "curves.sigma_max=0.7 beyond curve radius 0.5"),
+    # keys their experiment or kind does not read
+    ("counterexample", "model.A", [[1.0, 0.0], [0.0, 2.0]],
+     "model: unknown key 'A' for model kind 'gas'"),
+    ("counterexample", "model.terms", "x",
+     "model: unknown key 'terms' for model kind 'gas'"),
+    ("counterexample", "model.p", None, "model: unknown key 'p' for model kind 'gas'"),
+    ("counterexample", "initial.left", [1.0, 0.995],
+     "initial: unknown key 'left' for initial kind 'dense_shocks'"),
+    ("evolve", "k_max", 4, "unknown key 'k_max' for experiment kind 'evolve'"),
+    ("evolve", "T", "soon", "unknown key 'T' for experiment kind 'evolve'"),
+    ("riemann", "epsilon", 0.01, "unknown key 'epsilon' for experiment kind 'riemann'"),
+    # booleans are not numbers
+    ("evolve", "epsilon", True, "epsilon=True must be positive"),
+    ("evolve", "horizon", True, "horizon=True must be positive"),
+    ("stabilize", "k_max", True, "k_max=True must be an integer in 1..50"),
+    ("stabilize", "initial", {"kind": "jumps", "left": [True, False], "jumps": []},
+     "initial.left=[True, False] must be a state of 2 numbers"),
 ])
 def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
                                                key, value, diagnostic):
@@ -598,7 +623,7 @@ def _sweep_fields(experiment):
     fields = list(config) + [f"{name}.{key}" for name, block in config.items()
                              if isinstance(block, dict) for key in block]
     return fields + [f"{name}.{key}" for name in _SWEEP_BLOCKS.get(experiment, ())
-                     for key in sorted(scenarios._BLOCK_KEYS[name])
+                     for key in sorted(scenarios._SCHEMA[name])
                      if f"{name}.{key}" not in fields]
 
 
@@ -626,3 +651,56 @@ def test_no_valid_config_exits_1(tmp_path, capsys, experiment):
             shutil.rmtree(out_dir, ignore_errors=True)
     capsys.readouterr()
     assert failures == []
+
+
+@pytest.mark.parametrize("experiment", scenarios.EXPERIMENTS)
+def test_manifest_config_validates_and_reruns_byte_identical(tmp_path, experiment):
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    cfg = _write(tmp_path, "given.json", _valid_config(experiment))
+    assert main(["run", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+    config = json.loads((out1 / "manifest.json").read_text())["config"]
+    assert validate_config(config) == []
+    cfg = _write(tmp_path, "manifest_config.json", config)
+    assert main(["run", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
+    files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+    for rel in files:
+        assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+
+def test_readme_lists_the_keys_of_the_schema():
+    """The README's Config keys table names the required and the optional
+    keys of each table of _SCHEMA, and each top-level default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys")[1].split("\n#")[0]
+
+    def names(cell):
+        return set(re.findall(r"`([^`]+)`", cell))
+
+    kinded = ("experiment", "model", "initial")
+    listed = {}
+    for line in section.splitlines()[1:]:
+        if not line.startswith("| ") or "required keys" in line:
+            continue
+        label, required, optional = line.strip("|").split("|")
+        if label.strip() == "every experiment":
+            common = names(required), names(optional)
+        word = label.split()[0]
+        for name in names(label):
+            listed[word if word in kinded else "block", name] = (
+                names(required), names(optional))
+    tables = {("block", name): table for name, table in scenarios._SCHEMA.items()
+              if name not in kinded}
+    tables.update({(group, kind): table for group in kinded
+                   for kind, table in scenarios._SCHEMA[group].items()})
+    assert set(listed) == set(tables)
+    for which, table in tables.items():
+        required, optional = listed[which]
+        if which[0] == "experiment":
+            required, optional = required | common[0], optional | common[1]
+        assert required == {key for key, (default, _) in table.items()
+                            if default == scenarios._REQUIRED}, which
+        assert optional == set(table) - required, which
+        for key, (default, _) in table.items():
+            if default not in (None, scenarios._REQUIRED):
+                assert f"`{key}` ({default})" in section, (which, key)
