@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, RadiusError
-from .models import FD_WEDGE_STEP, wedge
+from .models import FD_WEDGE_STEP, GNL_FLOOR, wedge
 from .newton import newton_solve
 
 SIGMA_NULL = 1e-12
@@ -132,6 +132,16 @@ def lax_curve(model, u0, family, sigma):
     return shock_curve(model, u0, family, sigma)
 
 
+def _gnl(model, u, family):
+    """grad(lambda_family) . r_family at u, which is d(lambda)/d(sigma) along
+    the rarefaction curve; a linearly degenerate family raises DomainError."""
+    g = float(model.gnl(u)[family - 1])
+    if not abs(g) > GNL_FLOOR:
+        raise DomainError(f"family {family} is not genuinely nonlinear at {u}: "
+                          f"|grad(lambda) . r| = {abs(g):.3g}")
+    return g
+
+
 def rarefaction_at_speed_offset(model, u0, family, dlam):
     """Rarefaction-curve point where lambda_family has moved by dlam.
 
@@ -144,30 +154,19 @@ def rarefaction_at_speed_offset(model, u0, family, dlam):
     if dlam == 0.0:
         return rarefaction_curve(model, u0, family, 0.0)
 
-    h0 = 1e-6
-    g = (rarefaction_curve(model, u0, family, h0).speed
-         - rarefaction_curve(model, u0, family, -h0).speed) / (2 * h0)
-    sig = dlam / g
+    sig = dlam / _gnl(model, u0, family)
     for _ in range(60):
         cp = rarefaction_curve(model, u0, family, sig)
         err = cp.speed - lam0 - dlam
         if abs(err) < 1e-13:
             return cp
-        h = max(1e-7, 1e-7 * abs(sig))
-        slope = (rarefaction_curve(model, u0, family, sig + h).speed
-                 - cp.speed) / h
-        sig -= err / slope
+        sig -= err / _gnl(model, cp.state, family)
     raise ConvergenceError("speed reparametrization did not converge")
 
 
 def _lambda_normalized_field(model, family):
     def field(u):
-        eig = model.eigen(u)
-        r = eig.r(family)
-        h = 1e-6
-        g = (model.lambdas(u + h * r)[family - 1]
-             - model.lambdas(u - h * r)[family - 1]) / (2 * h)
-        return r / g
+        return model.eigen(u).r(family) / _gnl(model, u, family)
     return field
 
 

@@ -1,21 +1,30 @@
-"""System definitions: flux maps, eigenstructure, and admissibility checks.
+"""System definitions: flux maps with exact derivatives, eigenstructure, and
+admissibility checks.
 
 Every model fixes a family count n, the number p of negative-speed families,
 and a working box in state space.  Characteristic speeds must keep their sign
 pattern (families 1..p negative, p+1..n positive) on the admissible domain.
+
+Genuine nonlinearity is read from the flux's exact second derivative:
+``gnl(u)`` is grad(lambda_i) . r_i = l_i D^2 f(u)[r_i, r_i] with l_i r_i = 1
+(Lax 1957).  Numeric eigenvectors are oriented so that this factor is
+positive where it exceeds GNL_FLOOR, and otherwise so that their first
+nonzero component is.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SOLVER_ERRORS, DomainError, HyperbolicityError
+from .errors import DomainError, HyperbolicityError
 from .newton import scalar_root
 
 FD_WEDGE_STEP = 1e-5   # central-difference step for hypothesis sweeps
 SPEED_FLOOR = 1e-6     # least admissible |characteristic speed|
 DOMAIN_SLACK = 1e-9    # box widening of the admissible-domain test
+GNL_FLOOR = 1e-7       # least |grad(lambda_i) . r_i| of a nonlinear family
 
 
 def wedge(x, y):
@@ -118,6 +127,8 @@ class FluxModel:
                              f"{self.n} components")
         self.box = box
         self.predicate = predicate
+        if not 0 <= self.p <= self.n:
+            raise ValueError(f"p={self.p} must be a family count in 0..{self.n}")
         self.min_speed = float(min_speed)
         self.curve_radius = float(curve_radius)
         if ref_state is None:
@@ -132,6 +143,10 @@ class FluxModel:
     def jacobian(self, u):
         raise NotImplementedError
 
+    def hessian(self, u):
+        """H[k, i, j] = d^2 f_k / du_i du_j at u."""
+        raise NotImplementedError
+
     # -- eigenstructure ----------------------------------------------------
 
     def lambdas(self, u):
@@ -140,9 +155,14 @@ class FluxModel:
     def eigen(self, u):
         return self._numeric_eigen(np.asarray(u, dtype=float))
 
+    def gnl(self, u):
+        """grad(lambda_i) . r_i at u for every family i."""
+        eig = self.eigen(u)
+        return _gnl_factor(self.hessian(u), eig.right, eig.left)
+
     def _numeric_eigen(self, u):
         vals, vecs = np.linalg.eig(self.jacobian(u))
-        if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals.real))):
+        if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
             raise HyperbolicityError(f"complex characteristic speeds at {u}")
         vals = vals.real
         order = np.argsort(vals)
@@ -152,35 +172,13 @@ class FluxModel:
             raise HyperbolicityError(f"coincident characteristic speeds at {u}")
         right = np.real(vecs[:, order])
         right = right / np.linalg.norm(right, axis=0, keepdims=True)
-        right = self._orient(u, vals, right)
-        left = np.linalg.inv(right)
-        return EigenStructure(vals, right, left)
-
-    def _orient(self, u, lams, right):
-        """Fix eigenvector signs: genuinely nonlinear direction if visible,
-        first-nonzero-positive otherwise."""
-        h = 1e-6
-        out = right.copy()
-        for i in range(self.n):
-            r = out[:, i]
-            try:
-                lp = self._lambda_i(u + h * r, i)
-                lm = self._lambda_i(u - h * r, i)
-                g = (lp - lm) / (2 * h)
-            except SOLVER_ERRORS:
-                g = 0.0
-            if abs(g) > 1e-7:
-                if g < 0:
-                    out[:, i] = -r
-            else:
-                nz = np.nonzero(np.abs(r) > 1e-12)[0]
-                if len(nz) and r[nz[0]] < 0:
-                    out[:, i] = -r
-        return out
-
-    def _lambda_i(self, u, i):
-        vals = np.linalg.eigvals(self.jacobian(u))
-        return float(np.sort(vals.real)[i])
+        # the sign of the genuine-nonlinearity factor where it is visible,
+        # else the sign of the first nonzero component
+        g = _gnl_factor(self.hessian(u), right, np.linalg.inv(right))
+        first = right[np.argmax(np.abs(right) > 1e-12, axis=0), range(len(vals))]
+        right = np.where(np.where(np.abs(g) > GNL_FLOOR, g, first) < 0,
+                         -right, right)
+        return EigenStructure(vals, right, np.linalg.inv(right))
 
     # -- Riemann coordinates ------------------------------------------------
 
@@ -222,39 +220,27 @@ class LinearModel(FluxModel):
     has_chart = True
 
     def __init__(self, A, box=None, ref_state=None, **kw):
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        self.A = np.asarray(A, dtype=float)
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be square")
-        n = A.shape[0]
-        vals, vecs = np.linalg.eig(A)
-        if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals))):
-            raise HyperbolicityError("A has complex eigenvalues")
-        vals = vals.real
-        order = np.argsort(vals)
-        lams = vals[order]
-        if n > 1 and np.min(np.diff(lams)) <= 0:
-            raise HyperbolicityError("A has repeated eigenvalues")
-        right = np.real(vecs[:, order])
-        right = right / np.linalg.norm(right, axis=0, keepdims=True)
-        for i in range(n):
-            nz = np.nonzero(np.abs(right[:, i]) > 1e-12)[0]
-            if len(nz) and right[nz[0], i] < 0:
-                right[:, i] = -right[:, i]
-        p = int(np.sum(lams < 0))
+        n = len(self.A)
         if box is None:
             box = Box(-10 * np.ones(n), 10 * np.ones(n))
         if ref_state is None:
             ref_state = np.zeros(n)
+        self._eig = self._numeric_eigen(np.asarray(ref_state, dtype=float))
         kw.setdefault("curve_radius", 1e9)   # linear curves are globally exact
-        super().__init__(n, p, box, ref_state=ref_state, **kw)
-        self.A = A
-        self._eig = EigenStructure(lams, right, np.linalg.inv(right))
+        super().__init__(n, int(np.sum(self._eig.lams < 0)), box,
+                         ref_state=ref_state, **kw)
 
     def flux(self, u):
         return self.A @ np.asarray(u, dtype=float)
 
     def jacobian(self, u):
         return self.A
+
+    def hessian(self, u):
+        return np.zeros((len(self.A),) * 3)
 
     def lambdas(self, u):
         return self._eig.lams
@@ -326,6 +312,9 @@ class GasModel(FluxModel):
         e = self.K * rho ** (self.theta - 1.0)
         left = np.array([[-e, 1.0], [e, 1.0]])
         return EigenStructure(np.array([v - c, v + c]), right, left)
+
+    def gnl(self, u):
+        return np.full(2, 0.25 * (self.gamma + 1.0))
 
     def _w_raw(self, u):
         rho, v = u
@@ -455,43 +444,60 @@ class GasModel(FluxModel):
 class TableModel(FluxModel):
     """Flux given per component as a table of monomial terms.
 
-    ``terms[k]`` is a list of (coefficient, exponents) pairs; exponents is a
-    length-n integer tuple.  Jacobians come from term-wise differentiation,
-    the eigenstructure from the numeric fallback.
+    ``terms[k]`` is a list of (coefficient, exponents) pairs: a number and a
+    length-n tuple of integers, negatives allowed.  The table is compiled
+    once into the coefficients and exponents of the flux and of its first
+    and second derivatives, which one evaluator sums; the eigenstructure is
+    the generic numeric one.
     """
 
     kind = "custom-table"
 
     def __init__(self, terms, p, box, **kw):
         n = len(terms)
-        self.terms = [[(float(c), tuple(int(e) for e in ex)) for c, ex in comp]
-                      for comp in terms]
-        for comp in self.terms:
-            for _, ex in comp:
-                if len(ex) != n:
-                    raise ValueError("exponent tuple length must equal n")
+        rows = [(k, c, ex) for k, comp in enumerate(terms) for c, ex in comp]
+        for _, c, ex in rows:
+            if len(ex) != n:
+                raise ValueError("exponent tuple length must equal n")
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise TypeError(f"term coefficient {c!r} is not a number")
+            if any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
+                   for e in ex):
+                raise TypeError(f"term exponents {ex!r} are not integers")
         super().__init__(n, p, box, **kw)
+        index = np.array([k for k, _, _ in rows], dtype=int)
+        coef = np.array([c for _, c, _ in rows], dtype=float)
+        exps = np.array([ex for _, _, ex in rows], dtype=int).reshape(-1, n)
+        # order d + 1 differentiates each order-d term in every direction j;
+        # a vanishing term gets exponents 0, so 0 ** -1 never enters a sum
+        self._orders = [(index, coef, exps)]
+        for _ in range(2):
+            index = (index[:, None] * n + np.arange(n)).ravel()
+            coef = (coef[:, None] * exps).ravel()
+            exps = (exps[:, None, :] - np.eye(n, dtype=int)).reshape(-1, n)
+            exps[coef == 0.0] = 0
+            self._orders.append((index, coef, exps))
+
+    def _derivative(self, u, order):
+        """The order-th derivative of the flux at u, shape (n,) * (order + 1)."""
+        index, coef, exps = self._orders[order]
+        values = coef * np.prod(np.asarray(u, dtype=float) ** exps, axis=1)
+        return np.bincount(index, weights=values, minlength=self.n ** (
+            order + 1)).reshape((self.n,) * (order + 1))
 
     def flux(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(self.n)
-        for k, comp in enumerate(self.terms):
-            for c, ex in comp:
-                out[k] += c * np.prod(u ** np.asarray(ex))
-        return out
+        return self._derivative(u, 0)
 
     def jacobian(self, u):
-        u = np.asarray(u, dtype=float)
-        J = np.zeros((self.n, self.n))
-        for k, comp in enumerate(self.terms):
-            for c, ex in comp:
-                for j in range(self.n):
-                    if ex[j] == 0:
-                        continue
-                    dex = list(ex)
-                    dex[j] -= 1
-                    J[k, j] += c * ex[j] * np.prod(u ** np.asarray(dex))
-        return J
+        return self._derivative(u, 1)
+
+    def hessian(self, u):
+        return self._derivative(u, 2)
+
+
+def _gnl_factor(hessian, right, left):
+    """l_i D^2 f[r_i, r_i] for each column r_i of right and row l_i of left."""
+    return np.einsum("ik,kab,ai,bi->i", left, hessian, right, right)
 
 
 def _directional(fn, u, direction, h):
@@ -548,11 +554,8 @@ def verify_hypotheses(model, samples_per_axis=32, respect_predicate=False):
         if m_floor < SPEED_FLOOR:
             violations.append(("speed_floor", u))
 
-        for i in range(1, model.n + 1):
-            r = eig.r(i)
-            g = _directional(lambda v, i=i: model.lambdas(v)[i - 1], u, r,
-                             FD_WEDGE_STEP)
-            gnl_margin[i - 1] = min(gnl_margin[i - 1], float(g))
+        for i, g in enumerate(model.gnl(u).tolist(), start=1):
+            gnl_margin[i - 1] = min(gnl_margin[i - 1], g)
             if g <= 0:
                 violations.append((f"gnl_{i}", u))
 

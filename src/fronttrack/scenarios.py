@@ -121,6 +121,15 @@ def _crossing(name, value, model, config):
     return []
 
 
+def _sweep(name, value, model, parent):
+    """A list of top-level overrides, none of which holds a sweep."""
+    if not (isinstance(value, list) and all(isinstance(o, dict) for o in value)):
+        return [f"{name}={value!r} must be a list of objects of top-level "
+                "overrides"]
+    return [f"{name}[{k}]: a sweep variant cannot hold a sweep"
+            for k, o in enumerate(value) if "sweep" in o]
+
+
 def _block(group, *rules):
     """The check of a block against its table _SCHEMA[group], then, once its
     keys pass, against each rule: a check of the whole block."""
@@ -181,9 +190,7 @@ _COMMON = {
     "schema": (_REQUIRED, _is(lambda v, m: v == SCHEMA_ID,
                              f"schema must be '{SCHEMA_ID}'")),
     "model": (_REQUIRED, None),
-    "sweep": (None, _is(lambda v, m: isinstance(v, list) and all(
-        isinstance(o, dict) for o in v),
-        "{name}={value!r} must be a list of objects of top-level overrides")),
+    "sweep": (None, _sweep),
     "workers": (1, _COUNT),
 }
 _DOMAIN = {"domain": (_REQUIRED, _INTERVAL)}
@@ -320,7 +327,8 @@ def _validate(config):
         if not diags:
             try:
                 model = build_model(config["model"])
-            except (TypeError, ValueError, KeyError, HyperbolicityError) as exc:
+            except (TypeError, ValueError, KeyError, OverflowError,
+                    HyperbolicityError) as exc:
                 diags = [f"model block rejected: {exc}"]
     diags += _block_diags("", config, "experiment", model)
     if not diags:

@@ -295,6 +295,8 @@ def test_sweep_mode_with_worker_pool(tmp_path):
      "sweep[1]: epsilon=-1.0 must be positive"),
     ("workers", "two", "workers='two' must be a positive integer"),
     ("workers", 0, "workers=0 must be a positive integer"),
+    ("sweep", [{"sweep": [{"horizon": 0.5}]}],
+     "sweep[0]: a sweep variant cannot hold a sweep"),
 ])
 def test_malformed_sweep_or_workers_exits_2(tmp_path, capsys, key, value,
                                             diagnostic):
@@ -527,6 +529,18 @@ def _valid_config(experiment):
     ("stabilize", "k_max", True, "k_max=True must be an integer in 1..50"),
     ("stabilize", "initial", {"kind": "jumps", "left": [True, False], "jumps": []},
      "initial.left=[True, False] must be a state of 2 numbers"),
+    # custom-table terms and p
+    ("riemann", "model", {**TABLE_BLOCK, "p": 5},
+     "model block rejected: p=5 must be a family count in 0..2"),
+    ("riemann", "model", {**TABLE_BLOCK, "terms": [[[1, [1, 1.5]]], [[1, [1, 0]]]]},
+     "model block rejected: term exponents [1, 1.5] are not integers"),
+    ("riemann", "model", {**TABLE_BLOCK, "terms": [[[1, [1, True]]], [[1, [1, 0]]]]},
+     "model block rejected: term exponents [1, True] are not integers"),
+    ("riemann", "model", {**TABLE_BLOCK, "terms": [[[True, [1, 1]]], [[1, [1, 0]]]]},
+     "model block rejected: term coefficient True is not a number"),
+    ("riemann", "model",
+     {**TABLE_BLOCK, "terms": [[[1, [1, 10 ** 23]]], [[1, [1, 0]]]]},
+     "model block rejected: Python int too large"),
 ])
 def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
                                                key, value, diagnostic):

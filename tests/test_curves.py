@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fronttrack.curves import (
-    hugoniot_offset, lax_curve, rarefaction_curve, shock_curve,
-    shock_deviation_coefficient,
+    hugoniot_offset, lax_curve, rarefaction_at_speed_offset, rarefaction_curve,
+    shock_curve, shock_deviation_coefficient,
 )
-from fronttrack.errors import RadiusError
+from fronttrack.errors import DomainError, RadiusError
 
 U0 = np.array([1.0, 0.0])
 
@@ -147,3 +147,15 @@ def test_deviation_coefficients_negative_across_box(gas):
             u = np.array([rho, v])
             assert shock_deviation_coefficient(gas, u, 1) < 0
             assert shock_deviation_coefficient(gas, u, 2) < 0
+
+
+def test_linearly_degenerate_family_raises_domain_error(diag_linear):
+    # grad(lambda) . r vanishes: no speed reparametrization, no
+    # lambda-normalized field
+    u0 = np.zeros(2)
+    with pytest.raises(DomainError, match="family 1 is not genuinely nonlinear"):
+        rarefaction_at_speed_offset(diag_linear, u0, 1, 0.01)
+    with pytest.raises(DomainError, match="family 1 is not genuinely nonlinear"):
+        shock_deviation_coefficient(diag_linear, u0, 1)
+    with pytest.raises(DomainError, match="family 2 is not genuinely nonlinear"):
+        hugoniot_offset(diag_linear, u0, 2, 0.01)

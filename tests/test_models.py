@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronttrack.errors import DomainError
+from fronttrack.errors import SOLVER_ERRORS, DomainError
 from fronttrack.models import (
     Box, GasModel, LinearModel, TableModel, crossing_time, verify_hypotheses,
 )
@@ -147,8 +147,13 @@ def test_table_model_matches_gas_with_quadratic_exponent(gas):
         assert np.allclose(table.flux(u), gas.flux(u), atol=1e-14)
         assert np.allclose(table.jacobian(u), gas.jacobian(u), atol=1e-12)
         assert np.allclose(table.lambdas(u), gas.lambdas(u), atol=1e-7)
+        # H[0] = [[0, 1], [1, 0]] from rho u, H[1] = [[0, 0], [0, 1]] from u^2/2
+        assert np.array_equal(table.hessian(u), [[[0, 1], [1, 0]], [[0, 0], [0, 1]]])
         eig = table.eigen(u)
         assert np.max(np.abs(eig.left @ eig.right - np.eye(2))) < 1e-10
+        # the gas r_i is du/dw_i, the table's has unit length
+        unit = np.linalg.norm(gas.eigen(u).right, axis=0)
+        assert np.allclose(table.gnl(u), gas.gnl(u) / unit, rtol=1e-12, atol=0)
 
 
 def test_crossing_time_constant_speeds(diag_linear):
@@ -245,3 +250,134 @@ def test_in_domain_matches_numpy_reference_on_every_edge(model):
             for v in edges:
                 u = np.array([rho, v])
                 assert model.in_domain(u) == numpy_in_domain(model, u), u
+
+
+# -- exact derivatives against the finite-difference and loop references -----
+
+def reference_orient(model, u, right):
+    """Eigenvector signs from central differences of the sorted eigenvalues
+    along each r_i: the orientation rule before the exact derivative."""
+    def lambda_i(v, i):
+        return float(np.sort(np.linalg.eigvals(model.jacobian(v)).real)[i])
+
+    h = 1e-6
+    out = right.copy()
+    for i in range(model.n):
+        r = out[:, i]
+        try:
+            g = (lambda_i(u + h * r, i) - lambda_i(u - h * r, i)) / (2 * h)
+        except SOLVER_ERRORS:
+            g = 0.0
+        if abs(g) > 1e-7:
+            if g < 0:
+                out[:, i] = -r
+        else:
+            nz = np.nonzero(np.abs(r) > 1e-12)[0]
+            if len(nz) and r[nz[0]] < 0:
+                out[:, i] = -r
+    return out
+
+
+def reference_flux(terms, u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(len(terms))
+    for k, comp in enumerate(terms):
+        for c, ex in comp:
+            out[k] += c * np.prod(u ** np.asarray(ex))
+    return out
+
+
+def reference_jacobian(terms, u):
+    u = np.asarray(u, dtype=float)
+    n = len(terms)
+    J = np.zeros((n, n))
+    for k, comp in enumerate(terms):
+        for c, ex in comp:
+            for j in range(n):
+                if ex[j] == 0:
+                    continue
+                dex = list(ex)
+                dex[j] -= 1
+                J[k, j] += c * ex[j] * np.prod(u ** np.asarray(dex))
+    return J
+
+
+LINEAR_TABLE = TableModel([[(-1.0, (1, 0))], [(1.0, (0, 1))]], 1,
+                          Box([-1.0, -1.0], [1.0, 1.0]))
+# lower-triangular Jacobian: speeds u1 - 2 < u1 + u2 < u3 + 2 on the box
+TABLE3 = TableModel([[(-2.0, (1, 0, 0)), (0.5, (2, 0, 0))],
+                     [(0.5, (0, 2, 0)), (1.0, (1, 1, 0))],
+                     [(2.0, (0, 0, 1)), (0.5, (0, 0, 2)), (1.0, (1, 1, 0))]],
+                    1, Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("model", [TABLE, LINEAR_TABLE, TABLE3],
+                         ids=["gas_twin", "linear_table", "table3"])
+def test_orientation_matches_the_finite_difference_rule(model):
+    for u in model.box.grid(32):
+        eig = model.eigen(u)
+        assert np.array_equal(reference_orient(model, u, eig.right), eig.right), u
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 3))
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+    exponents = st.tuples(*[st.integers(-2, 3)] * n)
+    terms = draw(st.lists(st.lists(st.tuples(coefficient, exponents),
+                                   max_size=3), min_size=n, max_size=n))
+    u = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    return terms, np.array(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_compiled_table_matches_the_term_loops(table):
+    terms, u = table
+    n = len(terms)
+    model = TableModel(terms, 0, Box(np.zeros(n), 2 * np.ones(n)))
+    np.testing.assert_allclose(model.flux(u), reference_flux(terms, u),
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(model.jacobian(u), reference_jacobian(terms, u),
+                               rtol=1e-14, atol=0)
+    h = 1e-6
+    fd = np.stack([(model.jacobian(u + h * e) - model.jacobian(u - h * e)) / (2 * h)
+                   for e in np.eye(n)], axis=-1)
+    np.testing.assert_allclose(model.hessian(u), fd, rtol=1e-6, atol=1e-6)
+
+
+def test_vanishing_derivative_terms_stay_finite_at_zero():
+    # d(-u)/dv and d(v)/du have exponent 0 in the differentiated variable
+    assert np.array_equal(LINEAR_TABLE.jacobian([0.0, 0.0]), [[-1, 0], [0, 1]])
+    assert np.array_equal(LINEAR_TABLE.hessian([0.0, 0.0]), np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("gamma", [1.2, 5.0 / 3.0, 2.0, 2.8])
+def test_gas_gnl_is_the_chart_constant(gamma):
+    gas = GasModel(K=1.0, gamma=gamma)
+    h = 1e-6
+    for u in gas.admitted_grid(5):
+        assert np.array_equal(gas.gnl(u), [(gamma + 1) / 4] * 2)
+        eig = gas.eigen(u)
+        for i in (1, 2):
+            r = eig.r(i)
+            fd = (gas.lambdas(u + h * r) - gas.lambdas(u - h * r)) / (2 * h)
+            assert fd[i - 1] == pytest.approx((gamma + 1) / 4, abs=1e-8)
+
+
+def test_table_gnl_matches_finite_difference_of_speeds():
+    h = 1e-6
+    for u in TABLE.admitted_grid(7):
+        eig = TABLE.eigen(u)
+        fd = [(TABLE.lambdas(u + h * eig.r(i)) - TABLE.lambdas(u - h * eig.r(i)))[i - 1]
+              / (2 * h) for i in (1, 2)]
+        assert np.allclose(TABLE.gnl(u), fd, atol=1e-7)
+        assert np.all(TABLE.gnl(u) > 0)
+
+
+@pytest.mark.parametrize("model", [LinearModel([[-2.0, 0.5], [0.3, 1.5]]),
+                                   LINEAR3, LINEAR_TABLE],
+                         ids=["linear", "linear3", "linear_table"])
+def test_linear_gnl_vanishes(model):
+    for u in model.box.grid(4):
+        assert np.array_equal(model.gnl(u), np.zeros(model.n))
