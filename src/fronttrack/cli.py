@@ -1,8 +1,8 @@
 """Command-line entry point: scenario runner and report utilities.
 
 Exit codes: 0 success, 2 config error, 3 solver divergence, a state
-leaving the admissible domain or characteristic speeds that are not real and
-distinct, 4 invariant violation.
+leaving the admissible domain, a flux Jacobian that is not finite or
+characteristic speeds that are not real and distinct, 4 invariant violation.
 """
 
 import argparse

@@ -154,13 +154,14 @@ def linear_exact_control(model, phi, psi, T):
     back-propagated psi on the adjacent interval; the overlap is empty as
     soon as T is at least the crossing time.
     """
-    if np.min(np.abs(model.lambdas(None))) <= 0:
+    speed = model.least_speed()
+    if speed <= 0:
         raise DomainError("linear control requires nonzero characteristic speeds")
     a, b = float(phi.a), float(phi.b)
     if (psi.a, psi.b) != (a, b):
         raise ValueError("phi and psi must live on the same interval")
     lams = model.lambdas(None)
-    tau = (b - a) / float(np.min(np.abs(lams)))
+    tau = (b - a) / speed
     if T < tau - 1e-12:
         raise ValueError(f"T={T} below crossing time tau={tau}")
 

@@ -85,12 +85,13 @@ class Box:
         return Box(self.lows + margin * span, self.highs - margin * span)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the structural-hypothesis sweep over a sampling grid.
 
     ``margins`` stores the worst-case value of each inequality (positive
-    means satisfied with that much room).
+    means satisfied with that much room).  A report is shared by every
+    caller that asks its model for the same sweep; do not modify it.
     """
 
     checks: dict
@@ -113,7 +114,11 @@ class HypothesisReport:
 
 
 class FluxModel:
-    """Base class for a strictly hyperbolic system u_t + f(u)_x = 0."""
+    """Base class for a strictly hyperbolic system u_t + f(u)_x = 0.
+
+    A model is immutable after construction, so the facts that depend only
+    on it (hypothesis reports, least speeds, c0) are memoised on it.
+    """
 
     kind = "custom"
     has_chart = False
@@ -134,6 +139,14 @@ class FluxModel:
         if ref_state is None:
             ref_state = 0.5 * (box.lows + box.highs)
         self.ref_state = np.asarray(ref_state, dtype=float)
+        self._facts = {}
+
+    def _fact(self, key, compute):
+        """compute(), once per key for this model; an exception is raised
+        again on the next call, since nothing is stored."""
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
 
     # -- flux ------------------------------------------------------------
 
@@ -161,7 +174,10 @@ class FluxModel:
         return _gnl_factor(self.hessian(u), eig.right, eig.left)
 
     def _numeric_eigen(self, u):
-        vals, vecs = np.linalg.eig(self.jacobian(u))
+        jac = self.jacobian(u)
+        if not np.isfinite(jac).all():
+            raise DomainError(f"flux Jacobian is not finite at {u}")
+        vals, vecs = np.linalg.eig(jac)
         if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
             raise HyperbolicityError(f"complex characteristic speeds at {u}")
         vals = vals.real
@@ -172,13 +188,15 @@ class FluxModel:
             raise HyperbolicityError(f"coincident characteristic speeds at {u}")
         right = np.real(vecs[:, order])
         right = right / np.linalg.norm(right, axis=0, keepdims=True)
+        left = np.linalg.inv(right)
         # the sign of the genuine-nonlinearity factor where it is visible,
-        # else the sign of the first nonzero component
-        g = _gnl_factor(self.hessian(u), right, np.linalg.inv(right))
+        # else the sign of the first nonzero component; flipping column i of
+        # right flips row i of its inverse, exactly
+        g = _gnl_factor(self.hessian(u), right, left)
         first = right[np.argmax(np.abs(right) > 1e-12, axis=0), range(len(vals))]
-        right = np.where(np.where(np.abs(g) > GNL_FLOOR, g, first) < 0,
-                         -right, right)
-        return EigenStructure(vals, right, np.linalg.inv(right))
+        flip = np.where(np.abs(g) > GNL_FLOOR, g, first) < 0
+        return EigenStructure(vals, np.where(flip, -right, right),
+                              np.where(flip[:, None], -left, left))
 
     # -- Riemann coordinates ------------------------------------------------
 
@@ -211,6 +229,16 @@ class FluxModel:
     def admitted_grid(self, samples_per_axis=32):
         pts = self.box.grid(samples_per_axis)
         return np.array([u for u in pts if self.in_domain(u)])
+
+    def least_speed(self, samples_per_axis=33):
+        """min |lambda_i| over the admitted box grid, computed once per
+        samples_per_axis; raises DomainError when the grid admits no state."""
+        def compute():
+            grid = self.admitted_grid(samples_per_axis)
+            if len(grid) == 0:
+                raise DomainError("no admissible states in the working box")
+            return min(float(np.min(np.abs(self.lambdas(u)))) for u in grid)
+        return self._fact(("least_speed", samples_per_axis), compute)
 
 
 class LinearModel(FluxModel):
@@ -247,6 +275,10 @@ class LinearModel(FluxModel):
 
     def eigen(self, u):
         return self._eig
+
+    def least_speed(self, samples_per_axis=33):
+        """min |lambda_i|: the speeds are the same at every state."""
+        return float(np.min(np.abs(self._eig.lams)))
 
     def to_riemann(self, u):
         return self._eig.left @ (np.asarray(u, dtype=float) - self.ref_state)
@@ -516,7 +548,18 @@ def verify_hypotheses(model, samples_per_axis=32, respect_predicate=False):
     sonic line shows up as a sign violation); with ``respect_predicate`` it
     audits only the model's declared admissible domain, which is the
     admission check run before control experiments.
+
+    The report is computed once per model, keyed by (samples_per_axis,
+    respect_predicate), and shared by later calls: models are immutable.  A
+    sweep that raises stores nothing.  A report that fails a check is kept,
+    and each caller that gates on it refuses the model again.
     """
+    return model._fact(
+        ("hypotheses", samples_per_axis, bool(respect_predicate)),
+        lambda: _sweep_hypotheses(model, samples_per_axis, respect_predicate))
+
+
+def _sweep_hypotheses(model, samples_per_axis, respect_predicate):
     if respect_predicate:
         pts = model.admitted_grid(samples_per_axis)
     else:
@@ -606,14 +649,14 @@ def _loose_valid(model, u):
 def crossing_time(model, interval, samples_per_axis=33):
     """Max time for a wave of any family to cross the interval.
 
-    Computed as (b - a) / min |lambda_i| over the admitted box grid; raises
-    DomainError when the sampled speeds dip below the floor.
+    Computed as (b - a) / model.least_speed(samples_per_axis), the least
+    |lambda_i| over the admitted box grid.  The least speed, not tau, is
+    cached on the model, keyed by samples_per_axis, because tau depends on
+    the interval; an empty grid stores nothing.  Raises DomainError, on
+    every call, when that speed is below the floor.
     """
     a, b = interval
-    grid = model.admitted_grid(samples_per_axis)
-    if len(grid) == 0:
-        raise DomainError("no admissible states in the working box")
-    min_speed = min(float(np.min(np.abs(model.lambdas(u)))) for u in grid)
+    min_speed = model.least_speed(samples_per_axis)
     if min_speed < SPEED_FLOOR:
         raise DomainError(
             f"characteristic speed {min_speed:.3e} below floor {SPEED_FLOOR:.1e}")

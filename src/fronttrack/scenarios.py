@@ -110,12 +110,13 @@ def _strength(name, value, model, parent):
 
 def _crossing(name, value, model, config):
     """A linear_control horizon T no shorter than the crossing time that
-    linear_exact_control requires; a zero speed is its own (solver) error."""
+    linear_exact_control requires, from the same model.least_speed(); a zero
+    speed is its own (solver) error."""
     diags = _POSITIVE(name, value, model, config)
     dom = config.get("domain")
     if diags or model is None or model.kind != "linear" or not _numbers(dom, 2):
         return diags
-    speed = float(np.min(np.abs(model.lambdas(None))))
+    speed = model.least_speed()
     if speed > 0 and value < (tau := (dom[1] - dom[0]) / speed) - 1e-12:
         return [f"T={float(value)} below crossing time tau={tau}"]
     return []
@@ -380,16 +381,32 @@ def _variant(config, overrides):
 # -- construction from config ---------------------------------------------------
 
 _MODELS = {"gas": GasModel, "linear": LinearModel, "custom-table": TableModel}
+_BUILT_SIZE = 8      # distinct model blocks a process keeps built
+_built = {}          # canonical block JSON -> model, least recently used first
 
 
 def build_model(block):
     """The model of a model block; a key the block leaves out takes the
-    model class's default."""
-    kw = {key: value for key, value in block.items() if key != "kind"}
-    if "box" in kw:
-        kw["box"] = Box([pair[0] for pair in kw["box"]],
-                        [pair[1] for pair in kw["box"]])
-    return _MODELS[block["kind"]](**kw)
+    model class's default.
+
+    The last _BUILT_SIZE distinct blocks, keyed by json.dumps(block,
+    sort_keys=True), keep their model, so a process builds each block once
+    and computes the facts a model memoises (its hypothesis reports, least
+    speed and c0) once.  Models are immutable, so sharing one is safe; a
+    block that fails to build is not kept.
+    """
+    key = json.dumps(block, sort_keys=True)
+    model = _built.pop(key, None)
+    if model is None:
+        kw = {name: value for name, value in block.items() if name != "kind"}
+        if "box" in kw:
+            kw["box"] = Box([pair[0] for pair in kw["box"]],
+                            [pair[1] for pair in kw["box"]])
+        model = _MODELS[block["kind"]](**kw)
+    _built[key] = model
+    if len(_built) > _BUILT_SIZE:
+        del _built[next(iter(_built))]
+    return model
 
 
 def build_initial(block, model, domain):

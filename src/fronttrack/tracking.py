@@ -492,7 +492,16 @@ def calibrate_interaction_constant(model, n_samples=200, seed=0):
     box and returns twice the worst observed production-to-potential ratio.
     Raises ContractViolationError when fewer than n_samples of
     CALIBRATION_DRAWS_PER_SAMPLE * n_samples draws are admissible.
+
+    c0 is computed once per model, keyed by (n_samples, seed), and reused:
+    models are immutable and the draws are seeded.  A calibration that
+    raises stores nothing, so it raises again on the next call.
     """
+    return model._fact(("c0", n_samples, seed),
+                       lambda: _calibrate(model, n_samples, seed))
+
+
+def _calibrate(model, n_samples, seed):
     rng = np.random.default_rng(seed)
     inner = model.box.shrunk(CALIBRATION_BOX_MARGIN)
     lo, hi = CALIBRATION_SIGMAS

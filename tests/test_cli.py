@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from fronttrack import scenarios, tracking
+from fronttrack.control import crossing_time
 from fronttrack.curves import lax_curve
 from fronttrack.cli import main
 from fronttrack.errors import DomainError
+from fronttrack.models import verify_hypotheses
 from fronttrack.scenarios import validate_config
 
 GAS_BLOCK = {"kind": "gas", "K": 1.0, "gamma": 2.0,
@@ -718,3 +720,131 @@ def test_readme_lists_the_keys_of_the_schema():
         for key, (default, _) in table.items():
             if default not in (None, scenarios._REQUIRED):
                 assert f"`{key}` ({default})" in section, (which, key)
+
+
+def test_overflowing_table_flux_exits_3(tmp_path, capsys):
+    # v ** -10**18 overflows at v = 0.1: the flux Jacobian at ul holds inf
+    model = json.loads(json.dumps(TABLE_BLOCK))
+    model["terms"][0][0][1] = [1, -10 ** 18]
+    config = {"schema": "scenario-v1", "experiment": "riemann", "model": model,
+              "riemann": {"ul": [1.0, 0.1], "ur": [1.05, 0.1]}}
+    cfg = _write(tmp_path, "overflow.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "domain error: flux Jacobian is not finite at [1.05 0.1 ]")
+
+
+# -- the model cache: one model per distinct block, its facts computed once --
+
+
+@pytest.fixture
+def cold_models(monkeypatch):
+    """No model built yet: the next build of each block computes its facts."""
+    monkeypatch.setattr(scenarios, "_built", {})
+
+
+def _readme_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name", ["readme", "steer", "stabilize"])
+def test_warm_runs_write_the_bytes_of_a_cold_run(tmp_path, cold_models, name):
+    config = _readme_config() if name == "readme" else _valid_config(name)
+    cfg = _write(tmp_path, "given.json", config)
+    for name in ("cold", "warm"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name),
+                     "--quiet"]) == 0
+    cold = _tree(tmp_path / "cold")
+    assert _tree(tmp_path / "warm") == cold
+    assert len(scenarios._built) == 1
+    sweep = {**config, "sweep": [{"epsilon": 0.01}, {"epsilon": 0.01}]}
+    cfg = _write(tmp_path, "sweep.json", sweep)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "sweep"),
+                 "--quiet"]) == 0
+    for k in range(2):
+        assert _tree(tmp_path / "sweep" / f"sweep_{k:03d}") == cold
+
+
+_CALIBRATION_FAILS = {
+    # the calibration box (the working box shrunk by a quarter per side) is
+    # entirely supersonic: no draw is admissible
+    "schema": "scenario-v1", "experiment": "evolve",
+    "model": {"kind": "gas", "K": 1.0, "gamma": 2.0,
+              "box": [[0.5, 1.0], [0.8, 1.6]]},
+    "domain": [0.0, 1.0],
+    "initial": {"kind": "constant", "value": [0.9, 0.85]},
+}
+_SWEEP_FAILS = {
+    # f = (-u, v) is linear: no family is genuinely nonlinear
+    "schema": "scenario-v1", "experiment": "counterexample",
+    "model": {"kind": "custom-table",
+              "terms": [[[-1, [1, 0]]], [[1, [0, 1]]]], "p": 1,
+              "box": [[0.5, 1.5], [-0.5, 0.5]]},
+    "domain": [0.0, 1.0],
+    "initial": {"kind": "jumps", "left": [1.0, 0.0],
+                "jumps": [[0.5, [1.1, 0.0]]]},
+}
+_SPEED_FLOOR_FAILS = {
+    # the second family moves at 1e-7, below the speed floor
+    "schema": "scenario-v1", "experiment": "steer",
+    "model": {"kind": "linear", "A": [[-1.0, 0.0], [0.0, 1e-7]]},
+    "domain": [0.0, 1.0], "omega": [0.0, 0.0], "omega_prime": [0.01, 0.0],
+}
+
+
+@pytest.mark.parametrize("config, code, message", [
+    (_CALIBRATION_FAILS, 4, "invariant violation: interaction-constant "
+                            "calibration accepted 0 of 20000 draws"),
+    (_SWEEP_FAILS, 4, "invariant violation: model rejected by the "
+                      "hypothesis sweep:"),
+    (_SPEED_FLOOR_FAILS, 3, "domain error: characteristic speed 1.000e-07 "
+                            "below floor 1.0e-06"),
+], ids=["calibration", "hypothesis-sweep", "speed-floor"])
+def test_failures_are_not_cached(tmp_path, capsys, monkeypatch, cold_models,
+                                 config, code, message):
+    calibrations = []
+    calibrate = tracking._calibrate
+
+    def counted(*args):
+        calibrations.append(args)
+        return calibrate(*args)
+
+    monkeypatch.setattr(tracking, "_calibrate", counted)
+    cfg = _write(tmp_path, "fails.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    for k in range(2):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / f"o{k}"),
+                     "--quiet"]) == code
+        assert capsys.readouterr().err.startswith(message)
+    assert len(calibrations) == (2 if config is _CALIBRATION_FAILS else 0)
+
+
+def test_blocks_differing_in_one_key_get_their_own_facts(cold_models):
+    base = {"kind": "gas", "K": 1.0, "gamma": 2.0,
+            "box": [[0.95, 1.10], [0.88, 1.00]], "ref_state": [1.0, 0.98],
+            "min_speed": 0.002}
+    model = scenarios.build_model(base)
+    assert scenarios.build_model(dict(reversed(list(base.items())))) is model
+    tau = crossing_time(model, (0.0, 1.0))
+    report = verify_hypotheses(model, samples_per_axis=6)
+    for key, value in [("min_speed", 0.004),
+                       ("box", [[0.95, 1.10], [0.80, 1.00]]),
+                       ("ref_state", [1.0, 0.99])]:
+        other = scenarios.build_model({**base, key: value})
+        assert other is not model and other._facts == {}
+        assert verify_hypotheses(other, samples_per_axis=6) is not report
+        if key != "ref_state":   # the reference state moves no speed
+            assert crossing_time(other, (0.0, 1.0)) != tau
+    assert scenarios.build_model(base) is model
+    assert crossing_time(model, (0.0, 1.0)) == tau
+    assert verify_hypotheses(model, samples_per_axis=6) is report

@@ -319,6 +319,39 @@ def test_orientation_matches_the_finite_difference_rule(model):
         assert np.array_equal(reference_orient(model, u, eig.right), eig.right), u
 
 
+@pytest.mark.parametrize("model", [TABLE, LINEAR_TABLE, TABLE3],
+                         ids=["gas_twin", "linear_table", "table3"])
+def test_left_basis_is_the_inverse_of_the_oriented_right_basis(model):
+    # the inverse is taken once, before orienting, and its rows flipped
+    # with the columns of right: the same matrix as inverting after
+    for u in model.box.grid(9):
+        eig = model.eigen(u)
+        assert np.array_equal(eig.left, np.linalg.inv(eig.right)), u
+
+
+def test_model_facts_are_computed_once_per_key():
+    model = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.4], [1.5, 0.4]))
+    report = verify_hypotheses(model, samples_per_axis=6)
+    assert verify_hypotheses(model, samples_per_axis=6) is report
+    assert verify_hypotheses(model, 6, respect_predicate=True) is not report
+    assert verify_hypotheses(model, samples_per_axis=7) is not report
+    speed = model.least_speed(9)
+    # tau is not cached: it scales with the interval
+    assert crossing_time(model, (0.0, 2.0), 9) == 2.0 / speed
+    assert crossing_time(model, (1.0, 1.5), 9) == 0.5 / speed
+    assert set(model._facts) == {("hypotheses", 6, False), ("least_speed", 9),
+                                 ("hypotheses", 6, True), ("hypotheses", 7, False)}
+
+
+def test_an_empty_grid_raises_on_every_call():
+    # a box wholly past the sonic line admits no state
+    model = GasModel(K=1.0, gamma=2.0, box=Box([0.5, 1.5], [1.0, 2.0]))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="no admissible states"):
+            crossing_time(model, (0.0, 1.0))
+    assert model._facts == {}
+
+
 @st.composite
 def tables(draw):
     n = draw(st.integers(1, 3))
