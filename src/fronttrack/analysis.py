@@ -211,7 +211,7 @@ def backward_characteristic(sim, family, t, x):
         xs_now = snap.xs + snap.speeds * (t_cur - snap.time)
         cell = int(np.searchsorted(xs_now, x_cur, side="right"))
         while True:
-            lam = model.eigen(snap.states[cell]).lam(family)
+            lam = float(model.lambdas(snap.states[cell])[family - 1])
             s_best, j_cross = t_lo, None
             for j in (cell - 1, cell):
                 if 0 <= j < snap.n_fronts:

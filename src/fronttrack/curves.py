@@ -48,7 +48,7 @@ def rarefaction_curve(model, u0, family, sigma):
     model.check_domain(u0)
     _check_radius(model, sigma)
     if sigma == 0.0:
-        return CurvePoint(u0.copy(), model.eigen(u0).lam(family), 0.0)
+        return CurvePoint(u0.copy(), float(model.lambdas(u0)[family - 1]), 0.0)
 
     if model.kind == "linear":
         state = u0 + sigma * model.eigen(u0).r(family)
@@ -64,7 +64,8 @@ def rarefaction_curve(model, u0, family, sigma):
             raise DomainError(f"rarefaction integration failed: {sol.message}")
         state = sol.y[:, -1]
     model.check_domain(state)
-    return CurvePoint(state, model.eigen(state).lam(family), float(sigma))
+    return CurvePoint(state, float(model.lambdas(state)[family - 1]),
+                      float(sigma))
 
 
 def shock_curve(model, u0, family, sigma):
@@ -83,7 +84,7 @@ def shock_curve(model, u0, family, sigma):
     model.check_domain(u0)
     _check_radius(model, sigma)
     if sigma == 0.0:
-        return CurvePoint(u0.copy(), model.eigen(u0).lam(family), 0.0)
+        return CurvePoint(u0.copy(), float(model.lambdas(u0)[family - 1]), 0.0)
     f0 = model.flux(u0)
     if model.kind == "linear":
         eig = model.eigen(u0)
@@ -150,7 +151,7 @@ def rarefaction_at_speed_offset(model, u0, family, dlam):
     parameter (genuine nonlinearity makes the map monotone).
     """
     u0 = np.asarray(u0, dtype=float)
-    lam0 = model.eigen(u0).lam(family)
+    lam0 = float(model.lambdas(u0)[family - 1])
     if dlam == 0.0:
         return rarefaction_curve(model, u0, family, 0.0)
 

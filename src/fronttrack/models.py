@@ -365,11 +365,6 @@ class GasModel(FluxModel):
         v = 0.5 * (raw[0] + raw[1])
         return np.array([rho, v])
 
-    def chart_gradient(self, u, family):
-        rho = u[0]
-        e = self.K * rho ** (self.theta - 1.0)
-        return np.array([-e, 1.0]) if family == 1 else np.array([e, 1.0])
-
     # -- closed-form wave curves -------------------------------------------
     #
     # With h(rho) = (K/theta) rho^theta (so w1 = v - h, w2 = v + h) and
@@ -510,8 +505,12 @@ class TableModel(FluxModel):
             exps[coef == 0.0] = 0
             self._orders.append((index, coef, exps))
 
+    @np.errstate(over="ignore")
     def _derivative(self, u, order):
-        """The order-th derivative of the flux at u, shape (n,) * (order + 1)."""
+        """The order-th derivative of the flux at u, shape (n,) * (order + 1).
+
+        A power that overflows gives inf without a warning; the eigensolve
+        rejects a non-finite Jacobian with a DomainError."""
         index, coef, exps = self._orders[order]
         values = coef * np.prod(np.asarray(u, dtype=float) ** exps, axis=1)
         return np.bincount(index, weights=values, minlength=self.n ** (

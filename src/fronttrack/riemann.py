@@ -85,7 +85,7 @@ def _classify(model, wave_point, family, ul):
         lo = hi = wave_point.speed
     else:
         kind = "rarefaction"
-        lo = model.eigen(ul).lam(family)
+        lo = model.lambdas(ul)[family - 1]
         hi = wave_point.speed
     return Wave(family, float(sigma), kind, float(lo), float(hi),
                 np.asarray(ul, dtype=float), wave_point.state,

@@ -18,6 +18,11 @@ the waves of one Riemann solution (none for an exit) through one private
 step, which splices the new snapshot, sets the new fronts' generations and,
 for every kind but the initial fronts, logs the functionals and appends the
 interaction record and the snapshot.
+
+The same step updates a running interaction potential Q from the splice
+alone: pairs of untouched fronts keep their contribution, so Q changes only
+through the pairs that involve a replaced or a new front (Bressan 2000,
+ch. 7).
 """
 
 import bisect
@@ -39,7 +44,7 @@ MAX_EVENTS = 2_000_000
 CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
 CALIBRATION_SIGMAS = (0.01, 0.1)    # range of the drawn |strengths|
 CALIBRATION_BOX_MARGIN = 0.25       # box shrink factor, per side
-Q_NOISE = 1e-12         # float noise of the recomputed potential Q
+Q_NOISE = 1e-12         # float noise of the local update dQ of the potential
 # numeric per-front columns of a Snapshot, in the order new fronts list them
 _FRONT_COLUMNS = ("ids", "xs", "families", "sigmas", "speeds", "generations")
 
@@ -77,20 +82,6 @@ class Snapshot:
     def sup_distance(self, ref):
         ref = np.asarray(ref, dtype=float)
         return float(np.max(np.linalg.norm(self.states - ref[None, :], axis=1)))
-
-    def compressive_pairs(self):
-        """Indices of adjacent same-family approaching pairs that are not
-        pure shock mergers; tracked as a diagnostic, never enforced."""
-        out = []
-        for j in range(self.n_fronts - 1):
-            if self.families[j] != self.families[j + 1]:
-                continue
-            if self.speeds[j] <= self.speeds[j + 1]:
-                continue
-            if self.kinds[j] == "shock" and self.kinds[j + 1] == "shock":
-                continue
-            out.append(j)
-        return out
 
 
 @dataclass(frozen=True)
@@ -169,6 +160,7 @@ class Simulation:
         self.history = []
         self.dropped_mass = 0.0
         self.boundary_flux_integral = np.zeros((2, model.n))
+        self._q = 0.0          # interaction potential Q of now, kept by _step
         self._next_uid = 0
         self._event_count = 0
         self._instant_events = 0
@@ -195,8 +187,9 @@ class Simulation:
         return self._next_uid - 1
 
     def _log_functionals(self):
-        V, Q, TV = self.glimm_functionals()
-        self.functional_history.append((self.time, V, Q, TV))
+        s = self.now
+        self.functional_history.append(
+            (s.time, float(np.sum(np.abs(s.sigmas))), self._q, s.tv()))
 
     def _where(self):
         """Diagnostics of an engine contract violation."""
@@ -218,10 +211,12 @@ class Simulation:
         wave (first piece) or the curve point that made it carries.  A new
         front takes the least generation of the replaced fronts of its
         family, else one more than the least replaced generation, else 1.
+        The running potential Q takes the change of the splice (see
+        ``_potential_change``), for every kind, the initial fronts too.
         With a ``kind`` the event is recorded: the functionals are logged,
-        and the record (dV, dQ from the last two rows: V and Q do not read
-        positions, which alone move between events) and the new snapshot
-        are appended.
+        and the record (dV from the last two rows, as V does not read
+        positions, which alone move between events; dQ from the splice)
+        and the new snapshot are appended.
         """
         s = self.now
         incoming = self._incoming(lo, hi)
@@ -250,6 +245,9 @@ class Simulation:
                 for name, val in zip(new, row):
                     new[name].append(val)
 
+        dQ = self._potential_change(lo, hi, incoming, new)
+        self._q += dQ
+
         def put(col, vals):
             return np.concatenate((col[:lo], np.asarray(vals, dtype=col.dtype),
                                    col[hi:]))
@@ -261,12 +259,28 @@ class Simulation:
                                    s.states[hi + 1:])))
         if kind is not None:
             self._log_functionals()
-            (_, V0, Q0, _), (_, V1, Q1, _) = self.functional_history[-2:]
+            (_, V0, _, _), (_, V1, _, _) = self.functional_history[-2:]
             self.records.append(InteractionRecord(
                 self.time, x, kind, *incoming, new["ids"], new["families"],
-                new["sigmas"], new["kinds"], V1 - V0, Q1 - Q0))
+                new["sigmas"], new["kinds"], V1 - V0, dQ))
             self.history.append(self.now)
         return new
+
+    def _potential_change(self, lo, hi, incoming, new):
+        """Change of Q when fronts lo..hi - 1 of ``now`` (``incoming``) give
+        way to the ``new`` fronts' columns.  The untouched fronts left of lo
+        and right of hi enter as per-family strength sums, of all fronts
+        and of rarefactions, binned by family - 1 + n is_rarefaction."""
+        s, n = self.now, self.model.n
+        rar = np.fromiter(map("rarefaction".__eq__, s.kinds), bool, s.n_fronts)
+        keys, sig = s.families - 1 + n * rar, np.abs(s.sigmas)
+        sides = []
+        for part in (slice(0, lo), slice(hi, None)):
+            others, rars = np.bincount(keys[part], sig[part], 2 * n).reshape(2, n)
+            sides.append(((others + rars).tolist(), rars.tolist()))
+        _, fams, sigmas, kinds = incoming
+        return (_potential(new["families"], new["sigmas"], new["kinds"], *sides)
+                - _potential(fams, sigmas, kinds, *sides))
 
     # -- views ---------------------------------------------------------------
 
@@ -277,39 +291,18 @@ class Simulation:
         return self.now.states[0 if side == "a" else -1].copy()
 
     def glimm_functionals(self):
-        """Total wave strength V, interaction potential Q, and profile TV.
+        """Total wave strength V, interaction potential Q, and profile TV
+        of ``now``: the last row of ``functional_history``.
 
         With s_j = |sigma_j| over the fronts in left-to-right order, a pair
         i < j approaches unless fam_i < fam_j or both are rarefactions of
-        one family, so
-
-            Q = sum_j s_j (sum_{i<j, fam_i >= fam_j} s_i
-                           - rar_j sum_{i<j, fam_i = fam_j, rar_i} s_i),
-
-        read off exclusive per-family prefix sums of s: O(k n) work for k
-        fronts and n families.  TV is the snapshot's.
+        one family, and Q sums s_i s_j over the approaching pairs.  Q is
+        not summed here: every splice updates it from the fronts it
+        replaces and adds (``_step``), and it agrees with the sum over all
+        pairs within float noise.  V sums s_j and TV is the snapshot's.
         """
-        s = self.now
-        k = s.n_fronts
-        if k == 0:
-            return 0.0, 0.0, 0.0
-        sig = np.abs(s.sigmas)
-        fam = s.families - 1
-        rar = np.array([kind == "rarefaction" for kind in s.kinds])
-        V = float(np.sum(sig))
-        cols = np.arange(k)
-        # own[g, j] = s_j if front j is of family g + 1; before[g, j] sums
-        # own[g, i] over i < j, and at_or_above[g] sums before over g' >= g
-        own = np.zeros((self.model.n, k))
-        own[fam, cols] = sig
-        before = np.zeros_like(own)
-        np.cumsum(own[:, :-1], axis=1, out=before[:, 1:])
-        rar_before = np.zeros_like(own)
-        np.cumsum(own[:, :-1] * rar[:-1], axis=1, out=rar_before[:, 1:])
-        at_or_above = np.cumsum(before[::-1], axis=0)[::-1]
-        Q = float(np.sum(sig * (at_or_above[fam, cols]
-                                - rar * rar_before[fam, cols])))
-        return V, Q, s.tv()
+        _, V, Q, TV = self.functional_history[-1]
+        return V, Q, TV
 
     def history_index(self, t):
         """Index of the last history snapshot taken at or before t, within
@@ -453,6 +446,24 @@ class Simulation:
                           self.b if at_b else self.a, f"inject_{side}")["ids"]
 
 
+def _potential(families, sigmas, kinds, left, right):
+    """Q of the pairs that involve the fronts listed left to right, with
+    each other and with the fronts outside, whose per-family strength sums
+    (all fronts, rarefactions) on each side are ``left`` and ``right``.  A
+    front meets the list's earlier fronts as part of ``left``."""
+    total, rars = list(left[0]), list(left[1])
+    right_total, right_rars = right
+    q = 0.0
+    for f, sigma, kind in zip(families, sigmas, kinds):
+        s, rar = abs(sigma), kind == "rarefaction"
+        q += s * (sum(total[f - 1:]) + sum(right_total[:f])
+                  - rar * (rars[f - 1] + right_rars[f - 1]))
+        total[f - 1] += s
+        if rar:
+            rars[f - 1] += s
+    return q
+
+
 def wave_measures(snapshot):
     """Per-family atomic wave measures of a snapshot: every front is one
     elementary wave, so its signed strength is an atom at its position."""
@@ -468,7 +479,9 @@ def check_upsilon(sim, c0, tol):
     Returns (ok, worst_increment, n_checked).  Q must strictly decrease at
     every approaching-wave collision; the strictness is asserted above
     Q_NOISE because pair products of dust-sized waves fall below the
-    float noise of the potential's recomputation.
+    float noise of the local update dQ, a difference of two potentials of
+    size |sigma| V (the replaced and the new fronts against the untouched
+    ones).
     """
     worst = -np.inf
     n_checked = 0

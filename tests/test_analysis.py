@@ -275,22 +275,6 @@ def test_positive_mass_never_increases_across_interactions(gas):
         assert mass_after <= mass_before + 1e-6
 
 
-def test_compressive_adjacency_diagnostic(gas):
-    # rarefaction piece chased by a faster same-family shock flags the
-    # focusing diagnostic; a pure shock merger does not
-    u1 = lax_curve(gas, U0, 1, +0.05).state
-    u2 = lax_curve(gas, u1, 1, -0.12).state
-    prof = profile_from_jumps(0.0, 1.0, U0, [(0.85, u1), (0.87, u2)])
-    sim = Simulation(gas, prof, 0.1)
-    assert sim.now.compressive_pairs() == [0]
-
-    v1 = lax_curve(gas, U0, 1, -0.06).state
-    v2 = lax_curve(gas, v1, 1, -0.05).state
-    prof2 = profile_from_jumps(0.0, 1.0, U0, [(0.85, v1), (0.87, v2)])
-    sim2 = Simulation(gas, prof2, 0.1)
-    assert sim2.now.compressive_pairs() == []
-
-
 # -- initial data constructions ---------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -730,12 +731,14 @@ def test_overflowing_table_flux_exits_3(tmp_path, capsys):
               "riemann": {"ul": [1.0, 0.1], "ur": [1.05, 0.1]}}
     cfg = _write(tmp_path, "overflow.json", config)
     assert main(["validate", "--config", cfg, "--quiet"]) == 0
-    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--quiet"])
     assert code == 3
-    assert capsys.readouterr().err.startswith(
-        "domain error: flux Jacobian is not finite at [1.05 0.1 ]")
+    assert capsys.readouterr().err == (
+        "domain error: flux Jacobian is not finite at [1.05 0.1 ]\n")
 
 
 # -- the model cache: one model per distinct block, its facts computed once --

@@ -7,6 +7,8 @@ from fronttrack.curves import (
 )
 from fronttrack.errors import DomainError, RadiusError
 
+from references import chart_gradient
+
 U0 = np.array([1.0, 0.0])
 
 
@@ -27,7 +29,7 @@ def _rk4(gas, u0, family, sigma, steps):
     def field(u):
         eig = gas.eigen(u)
         r = eig.r(family)
-        return r / (gas.chart_gradient(u, family) @ r)
+        return r / (chart_gradient(gas, u, family) @ r)
 
     h = sigma / steps
     u = np.asarray(u0, dtype=float)

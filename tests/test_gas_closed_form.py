@@ -14,6 +14,8 @@ from fronttrack.models import Box, GasModel, TableModel
 from fronttrack.newton import newton_solve
 from fronttrack.riemann import compose_waves, solve_riemann
 
+from references import chart_gradient
+
 # wide enough that only the subsonic predicate limits the domain
 WIDE = Box([1e-3, -50.0], [50.0, 50.0])
 
@@ -62,7 +64,7 @@ def newton_shock(gas, u0, family, sigma):
         J = np.zeros((3, 3))
         J[:2, :2] = gas.jacobian(u) - s * np.eye(2)
         J[:2, 2] = -(u - u0)
-        J[2, :2] = gas.chart_gradient(u, family)
+        J[2, :2] = chart_gradient(gas, u, family)
         return J
 
     x = newton_solve(fn, x0, jac=jac)
@@ -117,7 +119,7 @@ def test_lax_curve_is_c1_across_zero(data):
     family = data.draw(st.sampled_from([1, 2]))
     eig = gas.eigen(u0)
     r = eig.r(family)
-    tangent = r / float(gas.chart_gradient(u0, family) @ r)
+    tangent = r / float(chart_gradient(gas, u0, family) @ r)
     # branch values meet at zero and the one-sided second-order difference
     # quotients of both branches reproduce the chart tangent
     h = 1e-4

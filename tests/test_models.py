@@ -7,6 +7,8 @@ from fronttrack.models import (
     Box, GasModel, LinearModel, TableModel, crossing_time, verify_hypotheses,
 )
 
+from references import chart_gradient
+
 
 def test_linear_flux_is_matrix_product(diag_linear):
     out = diag_linear.flux(np.array([2.0, 3.0]))
@@ -120,7 +122,7 @@ def test_opposite_coordinate_constant_along_integral_curves(gas):
     def field(_s, u):
         eig = gas.eigen(u)
         r = eig.r(1)
-        return r / (gas.chart_gradient(u, 1) @ r)
+        return r / (chart_gradient(gas, u, 1) @ r)
 
     sol = solve_ivp(field, (0.0, -0.3), u0, method="DOP853",
                     rtol=1e-12, atol=1e-13, t_eval=np.linspace(0, -0.3, 7))
@@ -414,3 +416,12 @@ def test_table_gnl_matches_finite_difference_of_speeds():
 def test_linear_gnl_vanishes(model):
     for u in model.box.grid(4):
         assert np.array_equal(model.gnl(u), np.zeros(model.n))
+
+
+@pytest.mark.parametrize("model", [GAS_BOX, TABLE, TABLE3, LINEAR3],
+                         ids=["gas", "gas_twin", "table3", "linear3"])
+def test_lambdas_are_the_eigen_speeds(model):
+    # the curves and the Riemann waves read one speed from lambdas, not
+    # from the eigenbasis; the two must agree to the bit
+    for u in model.box.grid(9):
+        assert np.array_equal(model.lambdas(u), model.eigen(u).lams), u

@@ -6,10 +6,10 @@ from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.errors import ContractViolationError
 from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.profiles import constant_profile, profile_from_jumps
-from fronttrack.riemann import (solve_riemann, split_boundary_pair,
+from fronttrack.riemann import (Wave, solve_riemann, split_boundary_pair,
                                split_boundary_pair_reverse)
 from fronttrack.tracking import (
-    SPACE_TIE, TIME_TIE, Event, Simulation, Snapshot,
+    SPACE_TIE, TIME_TIE, Event, Simulation,
     calibrate_interaction_constant, check_upsilon, wave_measures,
 )
 
@@ -234,35 +234,14 @@ def _cascade(gas_slow, n=15, budget=0.05, eps=0.01, horizon=25.0):
     return sim
 
 
-def test_functionals_evaluated_once_per_event(gas_slow, monkeypatch):
-    calls = []
-    original = Simulation.glimm_functionals
-
-    def counted(self):
-        calls.append(1)
-        return original(self)
-    monkeypatch.setattr(Simulation, "glimm_functionals", counted)
+def test_functionals_evaluated_once_per_event(gas_slow):
     sim = _cascade(gas_slow, horizon=5.0)
     assert len(sim.records) >= 10
-    assert len(calls) == len(sim.records) + 1
-
-    def v_and_q(snap):
-        # V and Q recomputed pair by pair from a history snapshot
-        sig = np.abs(snap.sigmas)
-        V = float(np.sum(sig))
-        Q = 0.0
-        for i in range(snap.n_fronts):
-            for j in range(i + 1, snap.n_fronts):
-                fi, fj = snap.families[i], snap.families[j]
-                both_rar = snap.kinds[i] == snap.kinds[j] == "rarefaction"
-                if fi > fj or (fi == fj and not both_rar):
-                    Q += sig[i] * sig[j]
-        return V, Q
-
+    assert len(sim.functional_history) == len(sim.records) + 1
     assert len(sim.history) == len(sim.records) + 1
     for k, rec in enumerate(sim.records):
-        V0, Q0 = v_and_q(sim.history[k])
-        V1, Q1 = v_and_q(sim.history[k + 1])
+        V0, Q0, _ = pairwise_functionals(sim.history[k])
+        V1, Q1, _ = pairwise_functionals(sim.history[k + 1])
         assert abs(rec.dV - (V1 - V0)) <= 1e-12
         assert abs(rec.dQ - (Q1 - Q0)) <= 1e-12
 
@@ -396,25 +375,73 @@ def front_lists(n):
     return st.lists(front, max_size=40)
 
 
+def drawn_waves(data, n, left):
+    """Waves of a drawn front list, chained from the state ``left``."""
+    waves = []
+    for family, sigma, kind, jump in data.draw(front_lists(n)):
+        right = left + np.array(jump)
+        waves.append(Wave(family, sigma, kind, 0.0, 0.0, left, right))
+        left = right
+    return waves
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_prefix_sum_functionals_match_pairwise(n, data):
+def test_running_potential_matches_pairwise(n, data):
+    # a drawn front list spliced into the empty profile (no incoming
+    # fronts), drawn replacements of drawn runs lo..hi, then a drawn run
+    # removed (no outgoing fronts); eps 1 fans no wave, so every drawn
+    # front keeps its kind
     model = LinearModel(np.diag({2: [-1.0, 1.0], 3: [-1.0, 0.5, 1.0]}[n]))
-    sim = Simulation(model, constant_profile(0.0, 1.0, np.zeros(n)), 0.1)
-    fronts = data.draw(front_lists(n))
-    k = len(fronts)
-    states = np.cumsum([np.zeros(n)] + [np.array(d) for *_, d in fronts], axis=0)
-    sim.now = Snapshot(
-        model, 0.0, 0.0, 1.0, np.arange(k), np.full(k, 0.5),
-        np.array([f[0] for f in fronts], dtype=int),
-        np.array([f[1] for f in fronts], dtype=float), np.zeros(k),
-        np.ones(k, dtype=int), tuple(f[2] for f in fronts), states)
-    V, Q, TV = sim.glimm_functionals()
-    V_ref, Q_ref, TV_ref = pairwise_functionals(sim.now)
-    assert V == V_ref
-    assert TV == TV_ref
-    assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
+    sim = Simulation(model, constant_profile(0.0, 1.0, np.zeros(n)), 1.0)
+    n_replaced = data.draw(st.integers(0, 3))
+    for step in range(n_replaced + 2):
+        k = sim.now.n_fronts
+        lo = data.draw(st.integers(0, k))
+        hi = data.draw(st.integers(lo, k))
+        left = sim.now.states[lo]
+        waves = drawn_waves(data, n, left) if step <= n_replaced else []
+        sim._step(lo, hi, left, waves, 0.5, "collision")
+        V, Q, TV = sim.glimm_functionals()
+        V_ref, Q_ref, TV_ref = pairwise_functionals(sim.now)
+        assert V == V_ref
+        assert TV == TV_ref
+        assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
+
+
+def dense_gas_jumps(seed, n_jumps=20, size=0.08):
+    """Evenly spaced jumps on (0, 1) that move each Riemann coordinate of
+    the K = 1, gamma = 2 gas by +-size, once up and once down in each pair
+    of jumps, in a seeded order: the initial data of a dense evolve."""
+    rng = np.random.default_rng(seed)
+    signs = [np.concatenate([rng.permutation([1.0, -1.0])
+                             for _ in range(n_jumps // 2)]) for _ in range(2)]
+    w = np.array([-2.0, 2.0]) + size * np.cumsum(signs, axis=1).T
+    states = [np.array([(0.25 * (w2 - w1)) ** 2, 0.5 * (w1 + w2)])
+              for w1, w2 in w]
+    return [((k + 0.5) / n_jumps, u) for k, u in enumerate(states)]
+
+
+def assert_history_potential_is_pairwise(sim):
+    assert len(sim.functional_history) == len(sim.history)
+    for (_t, _V, Q, _TV), snap in zip(sim.functional_history, sim.history):
+        Q_ref = pairwise_functionals(snap)[1]
+        assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
+
+
+def test_running_potential_matches_pairwise_on_cascade(gas_slow):
+    sim = _cascade(gas_slow)
+    assert_history_potential_is_pairwise(sim)
+
+
+def test_running_potential_matches_pairwise_on_dense_evolve():
+    gas = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
+    prof = profile_from_jumps(0.0, 1.0, np.array([1.0, 0.0]), dense_gas_jumps(2))
+    sim = Simulation(gas, prof, 0.01)
+    sim.advance_to(0.1)
+    assert len(sim.records) >= 500
+    assert_history_potential_is_pairwise(sim)
 
 
 def loop_next_event(sim):
