@@ -75,8 +75,11 @@ def shock_curve(model, u0, family, sigma):
     speed.  The gas model gives the point in closed form up to a scalar root
     (``GasModel.hugoniot_point``).  Chartless models solve Rankine-Hugoniot
     together with the strength normalization by Newton, seeded at the
-    rarefaction point (second-order tangency makes the seed quadratically
-    convergent).  Either way the RH residual is measured from the flux.
+    eigenpair of u0: the state u0 + sigma r_family(u0) and the speed
+    lambda_family(u0).  The locus is tangent to r_family at u0 (Lax 1957),
+    so the seed state is O(sigma^2) from the root and no curve is
+    integrated for it.  Either way the RH residual is measured from the
+    flux.
     Admissibility is not enforced here; sigma > 0 parametrizes the
     non-entropic branch.
     """
@@ -104,8 +107,7 @@ def _newton_shock(model, u0, f0, family, sigma):
     n = model.n
     eig0 = model.eigen(u0)
     l_row = eig0.l(family)
-    seed = rarefaction_curve(model, u0, family, sigma)
-    x0 = np.concatenate([seed.state, [0.5 * (eig0.lam(family) + seed.speed)]])
+    x0 = np.concatenate([u0 + sigma * eig0.r(family), [eig0.lam(family)]])
 
     def fn(x):
         u, s = x[:n], x[n]

@@ -174,29 +174,40 @@ class FluxModel:
         return _gnl_factor(self.hessian(u), eig.right, eig.left)
 
     def _numeric_eigen(self, u):
+        """Eigenstructure from np.linalg.eig of the Jacobian.  The tests
+        and the sign rule run on Python floats: numpy reductions on arrays
+        of a few entries cost more than their arithmetic."""
         jac = self.jacobian(u)
         if not np.isfinite(jac).all():
             raise DomainError(f"flux Jacobian is not finite at {u}")
         vals, vecs = np.linalg.eig(jac)
-        if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
-            raise HyperbolicityError(f"complex characteristic speeds at {u}")
-        vals = vals.real
+        # eig returns real arrays when every imaginary part is zero, and
+        # then no speed can be complex
+        if vals.dtype.kind == "c":
+            if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
+                raise HyperbolicityError(f"complex characteristic speeds at {u}")
+            vals, vecs = vals.real, vecs.real
         order = np.argsort(vals)
         vals = vals[order]
-        gaps = np.diff(vals)
-        if len(gaps) and np.min(gaps) < 1e-10 * max(1.0, np.max(np.abs(vals))):
+        speeds = vals.tolist()
+        gaps = [b - a for a, b in zip(speeds, speeds[1:])]
+        if gaps and min(gaps) < 1e-10 * max(1.0, *map(abs, speeds)):
             raise HyperbolicityError(f"coincident characteristic speeds at {u}")
-        right = np.real(vecs[:, order])
-        right = right / np.linalg.norm(right, axis=0, keepdims=True)
+        right = vecs[:, order]
+        # np.linalg.norm's arithmetic, without its dispatch
+        right = right / np.sqrt(np.add.reduce(right * right, axis=0, keepdims=True))
         left = np.linalg.inv(right)
         # the sign of the genuine-nonlinearity factor where it is visible,
         # else the sign of the first nonzero component; flipping column i of
         # right flips row i of its inverse, exactly
         g = _gnl_factor(self.hessian(u), right, left)
-        first = right[np.argmax(np.abs(right) > 1e-12, axis=0), range(len(vals))]
-        flip = np.where(np.abs(g) > GNL_FLOOR, g, first) < 0
-        return EigenStructure(vals, np.where(flip, -right, right),
-                              np.where(flip[:, None], -left, left))
+        flip = [(gi if abs(gi) > GNL_FLOOR
+                 else next((x for x in col if abs(x) > 1e-12), col[0])) < 0
+                for gi, col in zip(g.tolist(), right.T.tolist())]
+        if any(flip):
+            signs = np.array([-1.0 if f else 1.0 for f in flip])
+            right, left = right * signs, left * signs[:, None]
+        return EigenStructure(vals, right, left)
 
     # -- Riemann coordinates ------------------------------------------------
 

@@ -48,12 +48,31 @@ class BoundarySplit:
     residual: float
 
 
+def _wave_points(model, ul, sigmas, memo=None):
+    """Lax curve points of families 1, 2, ... composed from ul with the
+    given strengths.  A ``memo`` dict, kept for one solve from one ul,
+    holds each point under the bytes of its strength prefix (bytes keep
+    -0.0 apart from 0.0), so no point is computed twice in that solve."""
+    u = np.asarray(ul, dtype=float)
+    sig = np.asarray(sigmas, dtype=float)
+    points = []
+    for i, s in enumerate(sig.tolist(), start=1):
+        if memo is None:
+            cp = lax_curve(model, u, i, s)
+        else:
+            key = sig[:i].tobytes()
+            cp = memo.get(key)
+            if cp is None:
+                cp = memo[key] = lax_curve(model, u, i, s)
+        points.append(cp)
+        u = cp.state
+    return points
+
+
 def compose_waves(model, ul, sigmas):
     """Apply the Lax curves of families 1..n with the given strengths."""
-    u = np.asarray(ul, dtype=float)
-    for i, s in enumerate(sigmas, start=1):
-        u = lax_curve(model, u, i, float(s)).state
-    return u
+    points = _wave_points(model, ul, sigmas)
+    return points[-1].state if points else np.asarray(ul, dtype=float)
 
 
 def _coords(model, u):
@@ -92,11 +111,11 @@ def _classify(model, wave_point, family, ul):
                 wave_point.residual)
 
 
-def _solution_from_sigmas(model, ul, sigmas, ur=None):
+def _solution_from_sigmas(model, ul, sigmas, ur=None, memo=None):
     states = [np.asarray(ul, dtype=float)]
     waves = []
-    for i, s in enumerate(sigmas, start=1):
-        cp = lax_curve(model, states[-1], i, float(s))
+    for i, (s, cp) in enumerate(zip(sigmas, _wave_points(model, ul, sigmas, memo)),
+                                start=1):
         if abs(s) >= SIGMA_NULL:
             waves.append(_classify(model, cp, i, states[-1]))
         states.append(cp.state)
@@ -118,6 +137,11 @@ def solve_riemann(model, ul, ur, radius=DELTA_RIEMANN):
     recomposed along the Lax curves, and a recomposition that misses ur by
     more than RESIDUAL_TOL raises ConvergenceError.  Raises RadiusError when
     the data jump exceeds ``radius``.
+
+    Each Lax curve point is computed once per solve: on the Newton branch
+    the composition keeps its points for the solve, so the Jacobian column
+    of a later strength reuses the unchanged earlier curves, and the
+    recomposition reuses the point Newton accepted last.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -133,12 +157,15 @@ def solve_riemann(model, ul, ur, radius=DELTA_RIEMANN):
 
     if model.kind == "gas":
         sig = model.riemann_strengths(ul, ur)
+        memo = None
     else:
+        memo = {}
+
         def fn(sig):
-            return compose_waves(model, ul, sig) - ur
+            return _wave_points(model, ul, sig, memo)[-1].state - ur
 
         sig = newton_solve(fn, dw, context="(riemann)")
-    sol = _solution_from_sigmas(model, ul, sig, ur=ur)
+    sol = _solution_from_sigmas(model, ul, sig, ur=ur, memo=memo)
     if sol.residual > RESIDUAL_TOL:
         raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")
     return sol

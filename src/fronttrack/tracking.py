@@ -161,6 +161,7 @@ class Simulation:
         self.dropped_mass = 0.0
         self.boundary_flux_integral = np.zeros((2, model.n))
         self._q = 0.0          # interaction potential Q of now, kept by _step
+        self._rarefactions = np.zeros(0, dtype=bool)  # of now, kept by _step
         self._next_uid = 0
         self._event_count = 0
         self._instant_events = 0
@@ -252,6 +253,8 @@ class Simulation:
             return np.concatenate((col[:lo], np.asarray(vals, dtype=col.dtype),
                                    col[hi:]))
 
+        self._rarefactions = put(self._rarefactions,
+                                 [k == "rarefaction" for k in new["kinds"]])
         self.now = replace(
             s, **{name: put(getattr(s, name), new[name]) for name in _FRONT_COLUMNS},
             kinds=s.kinds[:lo] + tuple(new["kinds"]) + s.kinds[hi:],
@@ -270,10 +273,10 @@ class Simulation:
         """Change of Q when fronts lo..hi - 1 of ``now`` (``incoming``) give
         way to the ``new`` fronts' columns.  The untouched fronts left of lo
         and right of hi enter as per-family strength sums, of all fronts
-        and of rarefactions, binned by family - 1 + n is_rarefaction."""
+        and of rarefactions, binned by family - 1 + n is_rarefaction; the
+        rarefaction mask is spliced with the fronts, not read from kinds."""
         s, n = self.now, self.model.n
-        rar = np.fromiter(map("rarefaction".__eq__, s.kinds), bool, s.n_fronts)
-        keys, sig = s.families - 1 + n * rar, np.abs(s.sigmas)
+        keys, sig = s.families - 1 + n * self._rarefactions, np.abs(s.sigmas)
         sides = []
         for part in (slice(0, lo), slice(hi, None)):
             others, rars = np.bincount(keys[part], sig[part], 2 * n).reshape(2, n)

@@ -2,9 +2,68 @@
 
 import numpy as np
 
+from fronttrack.curves import rarefaction_curve
+from fronttrack.errors import DomainError, HyperbolicityError
+from fronttrack.models import GNL_FLOOR, EigenStructure, _gnl_factor
+from fronttrack.newton import newton_solve
+
 
 def chart_gradient(gas, u, family):
     """Gradient of the gas model's Riemann coordinate w_family at u:
     (-/+ K rho^(theta - 1), 1) for w = v -/+ (K / theta) rho^theta."""
     e = gas.K * u[0] ** (gas.theta - 1.0)
     return np.array([-e, 1.0]) if family == 1 else np.array([e, 1.0])
+
+
+def reference_numeric_eigen(model, u):
+    """The numeric eigenstructure as whole-array numpy operations: every
+    test, the normalization and the orientation rule on arrays."""
+    jac = model.jacobian(u)
+    if not np.isfinite(jac).all():
+        raise DomainError(f"flux Jacobian is not finite at {u}")
+    vals, vecs = np.linalg.eig(jac)
+    if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
+        raise HyperbolicityError(f"complex characteristic speeds at {u}")
+    vals = vals.real
+    order = np.argsort(vals)
+    vals = vals[order]
+    gaps = np.diff(vals)
+    if len(gaps) and np.min(gaps) < 1e-10 * max(1.0, np.max(np.abs(vals))):
+        raise HyperbolicityError(f"coincident characteristic speeds at {u}")
+    right = np.real(vecs[:, order])
+    right = right / np.linalg.norm(right, axis=0, keepdims=True)
+    left = np.linalg.inv(right)
+    g = _gnl_factor(model.hessian(u), right, left)
+    first = right[np.argmax(np.abs(right) > 1e-12, axis=0), range(len(vals))]
+    flip = np.where(np.abs(g) > GNL_FLOOR, g, first) < 0
+    return EigenStructure(vals, np.where(flip, -right, right),
+                          np.where(flip[:, None], -left, left))
+
+
+def reference_newton_shock(model, u0, f0, family, sigma):
+    """Chartless Hugoniot point by Newton on Rankine-Hugoniot plus the
+    strength equation, seeded at the integrated rarefaction point and the
+    mean of its end speeds."""
+    n = model.n
+    eig0 = model.eigen(u0)
+    l_row = eig0.l(family)
+    seed = rarefaction_curve(model, u0, family, sigma)
+    x0 = np.concatenate([seed.state, [0.5 * (eig0.lam(family) + seed.speed)]])
+
+    def fn(x):
+        u, s = x[:n], x[n]
+        out = np.empty(n + 1)
+        out[:n] = model.flux(u) - f0 - s * (u - u0)
+        out[n] = float(l_row @ (u - u0)) - sigma
+        return out
+
+    def jac(x):
+        u, s = x[:n], x[n]
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = model.jacobian(u) - s * np.eye(n)
+        J[:n, n] = -(u - u0)
+        J[n, :n] = l_row
+        return J
+
+    x = newton_solve(fn, x0, jac=jac, context=f"(shock curve family {family})")
+    return x[:n], float(x[n])

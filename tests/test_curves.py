@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from fronttrack import curves
 from fronttrack.curves import (
     hugoniot_offset, lax_curve, rarefaction_at_speed_offset, rarefaction_curve,
     shock_curve, shock_deviation_coefficient,
 )
-from fronttrack.errors import DomainError, RadiusError
+from fronttrack.errors import (
+    ConvergenceError, DomainError, HyperbolicityError, RadiusError,
+)
+from fronttrack.models import Box, TableModel
 
-from references import chart_gradient
+from references import chart_gradient, reference_newton_shock
 
 U0 = np.array([1.0, 0.0])
 
@@ -161,3 +165,59 @@ def test_linearly_degenerate_family_raises_domain_error(diag_linear):
         shock_deviation_coefficient(diag_linear, u0, 1)
     with pytest.raises(DomainError, match="family 2 is not genuinely nonlinear"):
         hugoniot_offset(diag_linear, u0, 2, 0.01)
+
+
+# -- the chartless shock seed against the rarefaction-seeded reference -------
+
+GAS_TWIN = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], 1,
+                      Box([0.5, -0.6], [1.5, 0.6]))
+# f = (u^2 / 2 + v, u + v^2 / 2): a symmetric Jacobian, speeds 2 apart or more
+SYMMETRIC_TABLE = TableModel([[(0.5, (2, 0)), (1.0, (0, 1))],
+                              [(1.0, (1, 0)), (0.5, (0, 2))]], 1,
+                             Box([-0.5, -0.5], [0.5, 0.5]))
+
+
+@pytest.mark.parametrize("model", [GAS_TWIN, SYMMETRIC_TABLE],
+                         ids=["gas_twin", "symmetric"])
+def test_eigenpair_seeded_shock_is_the_rarefaction_seeded_one(model, monkeypatch):
+    # the same shock_curve outcome, a point or an error class, as with the
+    # parent's seed: the rarefaction point and the mean of its end speeds
+    rng = np.random.default_rng(5)
+    lows, highs = model.box.lows, model.box.highs
+    draws = [(u0, family, -model.curve_radius * (1.0 - rng.random()))
+             for u0 in lows + (highs - lows) * rng.random((400, model.n))
+             for family in (1, 2)]
+
+    def outcomes():
+        out = []
+        for u0, family, sigma in draws:
+            try:
+                out.append(shock_curve(model, u0, family, sigma))
+            except (DomainError, ConvergenceError, HyperbolicityError) as exc:
+                out.append(type(exc))
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(curves, "_newton_shock", reference_newton_shock)
+    want = outcomes()
+    points = 0
+    for draw, point, ref in zip(draws, got, want):
+        if isinstance(ref, type):
+            assert point is ref, draw
+            continue
+        points += 1
+        assert np.max(np.abs(point.state - ref.state)) <= 1e-9, draw
+        assert abs(point.speed - ref.speed) <= 1e-9, draw
+        assert point.residual <= 1e-12, draw
+    assert points >= 400
+
+
+def test_chartless_shock_integrates_no_rarefaction(monkeypatch):
+    calls = []
+    monkeypatch.setattr(curves, "rarefaction_curve",
+                        lambda *a: calls.append(a) or rarefaction_curve(*a))
+    for sigma in (-0.3, -0.1, -1e-6):
+        for family in (1, 2):
+            point = shock_curve(GAS_TWIN, U0, family, sigma)
+            assert point.residual <= 1e-12
+    assert calls == []

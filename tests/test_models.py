@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fronttrack.errors import SOLVER_ERRORS, DomainError
+from fronttrack.errors import SOLVER_ERRORS, DomainError, HyperbolicityError
 from fronttrack.models import (
     Box, GasModel, LinearModel, TableModel, crossing_time, verify_hypotheses,
 )
 
-from references import chart_gradient
+from references import chart_gradient, reference_numeric_eigen
 
 
 def test_linear_flux_is_matrix_product(diag_linear):
@@ -425,3 +425,55 @@ def test_lambdas_are_the_eigen_speeds(model):
     # from the eigenbasis; the two must agree to the bit
     for u in model.box.grid(9):
         assert np.array_equal(model.lambdas(u), model.eigen(u).lams), u
+
+
+# -- the numeric eigenstructure against the whole-array reference ------------
+
+def assert_same_eigen(model, u):
+    eig, ref = model._numeric_eigen(u), reference_numeric_eigen(model, u)
+    for name in ("lams", "right", "left"):
+        got, want = getattr(eig, name), getattr(ref, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, u)
+        assert got.tobytes() == want.tobytes(), (name, u)
+
+
+@pytest.mark.parametrize("model, samples", [(TABLE, 32), (LINEAR_TABLE, 16),
+                                            (TABLE3, 9)],
+                         ids=["gas_twin", "linear_table", "table3"])
+def test_numeric_eigen_is_the_array_reference_bitwise(model, samples):
+    for u in model.box.grid(samples):
+        assert_same_eigen(model, u)
+
+
+def test_numeric_eigen_is_the_array_reference_on_linear_matrices():
+    rng = np.random.default_rng(3)
+    for k in range(200):
+        n = 1 + k % 4
+        speeds = np.sort(rng.uniform(-2.0, 2.0, n))
+        speeds += 0.1 * np.arange(n)           # keep the speeds apart
+        basis = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        model = LinearModel(basis @ np.diag(speeds) @ np.linalg.inv(basis))
+        u = rng.uniform(-1.0, 1.0, n)
+        assert_same_eigen(model, u)
+
+
+@pytest.mark.parametrize("terms, u, error, message", [
+    # overflowing power
+    ([[(1.0, (3,))]], [1e200], DomainError, "not finite"),
+    # f = (-v, u): speeds +-i
+    ([[(-1.0, (0, 1))], [(1.0, (1, 0))]], [0.5, 0.5], HyperbolicityError, "complex"),
+    # imaginary parts 1e-13, below the complex test: then equal real parts
+    ([[(1.0, (1, 0)), (1e-13, (0, 1))], [(-1e-13, (1, 0)), (1.0, (0, 1))]],
+     [0.5, 0.5], HyperbolicityError, "coincident"),
+    # f = u: one speed twice
+    ([[(1.0, (1, 0))], [(1.0, (0, 1))]], [0.5, 0.5], HyperbolicityError, "coincident"),
+], ids=["non_finite", "complex", "complex_below_tolerance", "coincident"])
+def test_numeric_eigen_raises_as_the_array_reference(terms, u, error, message):
+    n = len(terms)
+    model = TableModel(terms, 0, Box(-np.ones(n), 2e200 * np.ones(n)))
+    u = np.array(u)
+    with pytest.raises(error, match=message) as want:
+        reference_numeric_eigen(model, u)
+    with pytest.raises(error) as got:
+        model._numeric_eigen(u)
+    assert str(got.value) == str(want.value)

@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fronttrack.curves import lax_curve
 from fronttrack.errors import DomainError, RadiusError
-from fronttrack.models import Box, GasModel, LinearModel
+from fronttrack import riemann
+from fronttrack.models import Box, GasModel, LinearModel, TableModel
 from fronttrack.riemann import (
-    compose_waves, solve_riemann, split_boundary_pair,
+    _solution_from_sigmas, compose_waves, solve_riemann, split_boundary_pair,
     split_boundary_pair_reverse,
 )
 
@@ -162,3 +163,53 @@ def test_reverse_split_from_upper_curve_returns_u_star_bitwise(data):
     split = split_boundary_pair_reverse(model, w, u_star)
     assert np.array_equal(split.state, u_star)
     assert split.residual < 1e-12
+
+
+# -- one Lax curve point per solve ---------------------------------------------
+
+GAS_TABLE = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], 1,
+                       Box([0.5, -0.6], [1.5, 0.6]))
+
+
+def counted_lax_curve(monkeypatch):
+    calls = []
+
+    def counted(model, u0, family, sigma):
+        calls.append((np.asarray(u0, dtype=float).tobytes(), family,
+                      np.float64(sigma).tobytes()))
+        return lax_curve(model, u0, family, sigma)
+
+    monkeypatch.setattr(riemann, "lax_curve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sigmas", [(0.08, 0.05), (-0.07, 0.03), (0.04, -0.09),
+                                    (-0.1, -0.06), (0.0, -0.05)])
+def test_table_solve_computes_each_curve_point_once(sigmas, monkeypatch):
+    ur = compose_waves(GAS_TABLE, UL, sigmas)
+    calls = counted_lax_curve(monkeypatch)
+    sol = solve_riemann(GAS_TABLE, UL, ur)
+    assert len(calls) == len(set(calls)) > 2 * GAS_TABLE.n
+    # the recomposition reuses Newton's last points: the same solution as
+    # composing the strengths afresh
+    fresh = _solution_from_sigmas(GAS_TABLE, UL, sol.sigmas, ur=ur)
+    assert sol.sigmas.tobytes() == fresh.sigmas.tobytes()
+    assert [s.tobytes() for s in sol.states] == [s.tobytes() for s in fresh.states]
+    assert sol.residual == fresh.residual <= 1e-10
+    assert len(sol.waves) == len(fresh.waves)
+    for wave, ref in zip(sol.waves, fresh.waves):
+        for name in ("family", "sigma", "kind", "speed_lo", "speed_hi",
+                     "rh_residual"):
+            assert getattr(wave, name) == getattr(ref, name)
+        assert wave.left.tobytes() == ref.left.tobytes()
+        assert wave.right.tobytes() == ref.right.tobytes()
+
+
+def test_chart_solves_compute_one_curve_point_per_family(gas, diag_linear,
+                                                         monkeypatch):
+    calls = counted_lax_curve(monkeypatch)
+    for model, ur in ((gas, UL), (gas, [1.1, 0.05]), (gas, [0.9, 0.1]),
+                      (diag_linear, [0.3, -0.2])):
+        calls.clear()
+        solve_riemann(model, UL, np.array(ur))
+        assert len(calls) == model.n

@@ -435,13 +435,60 @@ def test_running_potential_matches_pairwise_on_cascade(gas_slow):
     assert_history_potential_is_pairwise(sim)
 
 
-def test_running_potential_matches_pairwise_on_dense_evolve():
+def dense_evolve():
     gas = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
     prof = profile_from_jumps(0.0, 1.0, np.array([1.0, 0.0]), dense_gas_jumps(2))
     sim = Simulation(gas, prof, 0.01)
     sim.advance_to(0.1)
+    return sim
+
+
+def test_running_potential_matches_pairwise_on_dense_evolve():
+    sim = dense_evolve()
     assert len(sim.records) >= 500
     assert_history_potential_is_pairwise(sim)
+
+
+def checked_rarefaction_mask(monkeypatch):
+    """Require, before every update of Q, that the spliced rarefaction mask
+    is kinds == "rarefaction" of the profile; count the updates."""
+    updates = []
+    update = Simulation._potential_change
+
+    def checked(self, lo, hi, incoming, new):
+        assert self._rarefactions.tolist() == [
+            kind == "rarefaction" for kind in self.now.kinds]
+        updates.append(lo)
+        return update(self, lo, hi, incoming, new)
+
+    monkeypatch.setattr(Simulation, "_potential_change", checked)
+    return updates
+
+
+def linear_evolve():
+    model = LinearModel(np.diag([-1.0, 1.0]))
+    jumps = [(x, np.array([np.sin(7 * x), np.cos(5 * x)]))
+             for x in np.linspace(0.05, 0.95, 12)]
+    sim = Simulation(model, profile_from_jumps(0.0, 1.0, np.zeros(2), jumps), 0.01)
+    sim.advance_to(2.0)
+    return sim
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _cascade(GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),
+                              ref_state=[1.0, 0.98], min_speed=0.002)),
+    dense_evolve, linear_evolve,
+], ids=["cascade", "dense_evolve", "linear_evolve"])
+def test_rarefaction_mask_is_the_kinds(run, monkeypatch):
+    updates = checked_rarefaction_mask(monkeypatch)
+    sim = run()
+    assert len(updates) >= len(sim.records) >= 40
+    # the Riemann solver names the kinds: contacts on linear models, else
+    # shocks for sigma < 0 and rarefactions for sigma > 0
+    nonlinear = sim.model.kind != "linear"
+    for snap in sim.history:
+        assert [kind == "rarefaction" for kind in snap.kinds] == (
+            nonlinear & (snap.sigmas > 0)).tolist()
 
 
 def loop_next_event(sim):
