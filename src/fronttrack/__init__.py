@@ -8,8 +8,7 @@ controllability counterexample.
 """
 
 from .analysis import (
-    CensusReport, CharacteristicPath, DensityReport, ShockTrack, SpreadReport,
-    backward_characteristic, characteristic_spread, creation_events,
+    CensusReport, DensityReport, ShockTrack, creation_events,
     dense_initial_data, density_series, kappa_trend, positive_wave_density,
     same_family_collision_compliance, shock_census, strongest_front,
     track_shock_strength,

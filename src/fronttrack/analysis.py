@@ -1,6 +1,6 @@
 """Quantitative diagnostics: positive-wave density decay, shock-strength
-persistence, backward characteristics, and the shock census driving the
-finite-time non-controllability experiment."""
+persistence, and the shock census driving the finite-time
+non-controllability experiment."""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import lax_curve
-from .errors import DomainError
 from .profiles import PiecewiseConstant
 from .tracking import TIME_TIE, wave_measures
 
@@ -173,101 +172,6 @@ def strongest_front(sim, family):
         raise ValueError(f"no family-{family} fronts at t=0.0")
     idx = np.nonzero(mask)[0]
     return int(snap.ids[idx[np.argmax(np.abs(snap.sigmas[idx]))]])
-
-
-# -- backward characteristics -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CharacteristicPath:
-    family: int
-    points: np.ndarray           # rows (t, x), descending in t
-    exited: bool
-    exit_point: tuple            # (t, x) when exited, else None
-
-    def position_at(self, s):
-        t = self.points[::-1, 0]
-        x = self.points[::-1, 1]
-        return float(np.interp(s, t, x))
-
-
-def backward_characteristic(sim, family, t, x):
-    """Trace the family-i characteristic through (t, x) back to time zero.
-
-    The path is a polyline refracting at front crossings; front-tracking
-    profiles have no centered rarefactions, so the backward trace is unique.
-    Leaving [a, b] stops the trace and is reported on the result.
-    """
-    model = sim.model
-    points = [(float(t), float(x))]
-    t_cur, x_cur = float(t), float(x)
-    exited = False
-    exit_point = None
-
-    k = sim.history_index(t_cur)
-    while t_cur > TIME_TIE and not exited:
-        snap = sim.history[k]
-        t_lo = snap.time
-        xs_now = snap.xs + snap.speeds * (t_cur - snap.time)
-        cell = int(np.searchsorted(xs_now, x_cur, side="right"))
-        while True:
-            lam = float(model.lambdas(snap.states[cell])[family - 1])
-            s_best, j_cross = t_lo, None
-            for j in (cell - 1, cell):
-                if 0 <= j < snap.n_fronts:
-                    denom = lam - snap.speeds[j]
-                    if abs(denom) < 1e-13:
-                        continue
-                    s = (snap.xs[j] - snap.speeds[j] * snap.time
-                         - x_cur + lam * t_cur) / denom
-                    if t_lo + TIME_TIE < s < t_cur - TIME_TIE and s > s_best:
-                        s_best, j_cross = s, j
-            x_new = x_cur - lam * (t_cur - s_best)
-            t_cur, x_cur = s_best, x_new
-            points.append((t_cur, x_cur))
-            if not (sim.a - 1e-12 <= x_cur <= sim.b + 1e-12):
-                exited = True
-                exit_point = (t_cur, x_cur)
-                break
-            if j_cross is None:
-                break
-            cell = j_cross if j_cross < cell else j_cross + 1
-        k -= 1
-        if k < 0:
-            break
-    return CharacteristicPath(int(family), np.asarray(points), exited,
-                              exit_point)
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    family: int
-    t: float
-    sample_times: np.ndarray
-    ratios: np.ndarray           # (y(t)-x(t)) / (y(s)-x(s))
-    max_ratio: float
-
-
-def characteristic_spread(sim, family, x, y, t, n_samples=9):
-    """Expansion ratio of two same-family backward characteristics.
-
-    Requires both paths to stay inside the interval down to time zero.
-    """
-    if not x < y:
-        raise ValueError("need x < y")
-    px = backward_characteristic(sim, family, t, x)
-    py = backward_characteristic(sim, family, t, y)
-    for p in (px, py):
-        if p.exited:
-            raise DomainError(f"backward path exits the interval at {p.exit_point}")
-    ts = np.linspace(0.0, t, n_samples + 1)[:-1]
-    gap_t = y - x
-    gaps = np.array([py.position_at(s) - px.position_at(s) for s in ts])
-    if np.any(gaps <= 0):
-        raise DomainError("same-family backward characteristics crossed")
-    ratios = gap_t / gaps
-    return SpreadReport(int(family), float(t), ts, ratios,
-                        float(np.max(ratios)))
 
 
 # -- shock census -------------------------------------------------------------

@@ -280,7 +280,7 @@ class StepResult:
 
 
 def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
-                       interval=None, delta0=0.1, tau=None):
+                       delta0=0.1):
     """One 3 tau stabilization round toward the constant state u_star: a
     tau wait, then one hop toward u_star.
 
@@ -294,16 +294,13 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
     """
     u_star = np.asarray(u_star, dtype=float)
     profile, t0 = _profile_and_time(snapshot_or_profile)
-    if interval is None:
-        interval = (profile.a, profile.b)
     rho = profile.sup_distance(u_star)
     tv = profile.total_variation()
     if rho > delta0 or tv > delta0:
         raise ContractViolationError(
             f"stabilization step precondition: sup={rho:.3g}, TV={tv:.3g} "
             f"exceed delta0={delta0}")
-    if tau is None:
-        tau = crossing_time(model, interval)
+    tau = crossing_time(model, (profile.a, profile.b))
 
     sim = Simulation(model, profile, eps_fronts)
     violations = []
@@ -333,8 +330,8 @@ class StabilizeResult:
     u_star: np.ndarray
 
 
-def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
-              delta0=0.1, floor=1e-9, raise_on_failure=True):
+def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1,
+              floor=1e-9, raise_on_failure=True):
     """Iterated stabilization toward u_star with geometrically tightening
     front-tracking accuracy (eps_k = eps0 * EPS_FACTOR^k).
 
@@ -345,9 +342,7 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
     above the floor is a contraction failure.
     """
     u_star = np.asarray(u_star, dtype=float)
-    if interval is None:
-        interval = (phi.a, phi.b)
-    tau = crossing_time(model, interval)
+    tau = crossing_time(model, (phi.a, phi.b))
     record = ContractionRecord()
     steps = []
     pre_plan = ControlPlan([], 0.0)
@@ -374,8 +369,7 @@ def stabilize(model, phi, u_star, k_max, eps0, interval=None, chain_step=0.05,
         if k == k_max or delta < floor:
             break
         eps_k = max(eps0 * EPS_FACTOR ** k, 1e-11)
-        step = stabilization_step(model, current, u_star, eps_k,
-                                  interval=interval, delta0=delta0, tau=tau)
+        step = stabilization_step(model, current, u_star, eps_k, delta0=delta0)
         steps.append(step)
         current = step.snapshot
 

@@ -122,6 +122,29 @@ def _crossing(name, value, model, config):
     return []
 
 
+def _in_horizon(name, times, config):
+    """Report times within [0, horizon], where an evolve run ends."""
+    horizon = config.get("horizon", _EVOLVE["horizon"][0])
+    if _numbers(times) and _number(horizon) and not all(
+            0 <= t <= horizon for t in times):
+        return [f"{name}={times!r} must lie in [0, horizon={horizon!r}]"]
+    return []
+
+
+_ORDERED_TIMES = _is(lambda v, m: v is None or _numbers(v) and all(
+    0 <= s <= t for s, t in zip([0] + v, v)),
+    "{name} must be a non-decreasing list of times >= 0")
+
+
+def _snapshot_times(name, value, model, config):
+    return (_ORDERED_TIMES(name, value, model, config)
+            or _in_horizon(name, value, config))
+
+
+def _block_times(name, block, model, config):
+    return _in_horizon(f"{name}.times", block.get("times"), config)
+
+
 def _sweep(name, value, model, parent):
     """A list of top-level overrides, none of which holds a sweep."""
     if not (isinstance(value, list) and all(isinstance(o, dict) for o in value)):
@@ -203,10 +226,7 @@ _EVOLVE = {
     "initial": _INITIAL,
     "horizon": (1.0, _POSITIVE),
     # a missing, null or empty list reads as [horizon]
-    "snapshot_times": (None, _is(
-        lambda v, m: v is None or _numbers(v) and all(
-            0 <= s <= t for s, t in zip([0] + v, v)),
-        "{name} must be a non-decreasing list of times >= 0")),
+    "snapshot_times": (None, _snapshot_times),
 }
 
 # The keys each table reads: key -> (default, check).  The default is
@@ -232,8 +252,8 @@ _SCHEMA = {
             **_EVOLVE,
             "initial": (_REQUIRED, _block("initial", _waves_in_radius,
                                          _CONSTANT_RULE, _FAMILY_1_RULE)),
-            "census": (None, _block("census")),
-            "density": (None, _block("density")),
+            "census": (None, _block("census", _block_times)),
+            "density": (None, _block("density", _block_times)),
         },
         "linear_control": {**_COMMON, **_DOMAIN,
                            "model": (_REQUIRED, _LINEAR),
@@ -514,6 +534,8 @@ def _run_evolve(config, model, out):
         snap = sim.advance_to(float(t))
         _write_snapshot(out, f"snapshots/snap_{idx:03d}", snap)
         tv_series.append((float(t), snap.tv()))
+    if sim.time < horizon:      # the run ends at its horizon, not its last snapshot
+        sim.advance_to(horizon)
     _write_sim_logs(out, sim)
     c0 = calibrate_interaction_constant(model)
     ok, worst, n_checked = check_upsilon(sim, c0, 10 * sim.eps)
@@ -648,7 +670,6 @@ def _run_stabilize(config, model, out):
     res = control.stabilize(model, profile, u_star,
                             k_max=int(config["k_max"]),
                             eps0=float(config["epsilon"]),
-                            interval=domain,
                             chain_step=float(config["delta_chain"]),
                             delta0=float(config["delta0"]),
                             raise_on_failure=False)

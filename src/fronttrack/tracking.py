@@ -270,11 +270,16 @@ class Simulation:
         return new
 
     def _potential_change(self, lo, hi, incoming, new):
-        """Change of Q when fronts lo..hi - 1 of ``now`` (``incoming``) give
-        way to the ``new`` fronts' columns.  The untouched fronts left of lo
-        and right of hi enter as per-family strength sums, of all fronts
-        and of rarefactions, binned by family - 1 + n is_rarefaction; the
-        rarefaction mask is spliced with the fronts, not read from kinds."""
+        """Change of the interaction potential Q when fronts lo..hi - 1 of
+        ``now`` (``incoming``) give way to the ``new`` fronts' columns.
+
+        With s_j = |sigma_j| over the fronts in left-to-right order, a pair
+        i < j approaches unless fam_i < fam_j or both are rarefactions of
+        one family, and Q sums s_i s_j over the approaching pairs.  The
+        untouched fronts left of lo and right of hi enter as per-family
+        strength sums, of all fronts and of rarefactions, binned by
+        family - 1 + n is_rarefaction; the rarefaction mask is spliced with
+        the fronts, not read from kinds."""
         s, n = self.now, self.model.n
         keys, sig = s.families - 1 + n * self._rarefactions, np.abs(s.sigmas)
         sides = []
@@ -293,31 +298,15 @@ class Simulation:
             raise ValueError("side must be 'a' or 'b'")
         return self.now.states[0 if side == "a" else -1].copy()
 
-    def glimm_functionals(self):
-        """Total wave strength V, interaction potential Q, and profile TV
-        of ``now``: the last row of ``functional_history``.
-
-        With s_j = |sigma_j| over the fronts in left-to-right order, a pair
-        i < j approaches unless fam_i < fam_j or both are rarefactions of
-        one family, and Q sums s_i s_j over the approaching pairs.  Q is
-        not summed here: every splice updates it from the fronts it
-        replaces and adds (``_step``), and it agrees with the sum over all
-        pairs within float noise.  V sums s_j and TV is the snapshot's.
-        """
-        _, V, Q, TV = self.functional_history[-1]
-        return V, Q, TV
-
-    def history_index(self, t):
-        """Index of the last history snapshot taken at or before t, within
-        TIME_TIE; 0 when t precedes them all.  History times never
-        decrease, so this is a bisection."""
-        idx = bisect.bisect_right(self.history, t + TIME_TIE,
-                                  key=lambda s: s.time)
-        return max(idx - 1, 0)
-
     def snapshot_at(self, t):
-        """Snapshot at any time covered by the history, positions advanced."""
-        snap = self.history[self.history_index(t)]
+        """The last history snapshot at or before t (within TIME_TIE), found
+        by bisection, with positions advanced to t.  The history holds no
+        profile outside [0, time + TIME_TIE]: such a t raises ValueError."""
+        if not 0.0 <= t <= self.time + TIME_TIE:
+            raise ValueError(f"no snapshot at t={t}: the simulation covers "
+                             f"[0, {self.time}]")
+        k = bisect.bisect_right(self.history, t + TIME_TIE, key=lambda s: s.time)
+        snap = self.history[k - 1]
         return replace(snap, time=t, xs=snap.xs + snap.speeds * (t - snap.time))
 
     # -- core loop -----------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from fronttrack.curves import rarefaction_curve
+from fronttrack.curves import lax_curve, rarefaction_curve
 from fronttrack.errors import DomainError, HyperbolicityError
 from fronttrack.models import GNL_FLOOR, EigenStructure, _gnl_factor
 from fronttrack.newton import newton_solve
+from fronttrack.riemann import _coords
 
 
 def chart_gradient(gas, u, family):
@@ -67,3 +68,43 @@ def reference_newton_shock(model, u0, f0, family, sigma):
 
     x = newton_solve(fn, x0, jac=jac, context=f"(shock curve family {family})")
     return x[:n], float(x[n])
+
+
+def _compose_afresh(model, u, sigmas, first):
+    """The state the Lax curves of families first, first + 1, ... reach
+    from u, every point computed anew."""
+    u = np.asarray(u, dtype=float)
+    for i, s in enumerate(sigmas, start=first):
+        u = lax_curve(model, u, i, float(s)).state
+    return u
+
+
+def reference_split_boundary_pair(model, v, v_prime):
+    """(state, sigmas, residual) of the boundary split, by the same Newton
+    as the package but composing every curve afresh."""
+    v, vp, p = np.asarray(v, dtype=float), np.asarray(v_prime, dtype=float), model.p
+    dw = _coords(model, vp) - _coords(model, v)
+
+    def fn(sig):
+        return (_compose_afresh(model, vp, sig[p:], p + 1)
+                - _compose_afresh(model, v, sig[:p], 1))
+
+    sig = newton_solve(fn, np.concatenate([dw[:p], -dw[p:]]))
+    return (_compose_afresh(model, v, sig[:p], 1), sig,
+            float(np.max(np.abs(fn(sig)))))
+
+
+def reference_split_boundary_pair_reverse(model, w, u_star):
+    """(state, sigmas, residual) of the reverse split, by the same Newton
+    as the package but composing every curve afresh."""
+    w, us = np.asarray(w, dtype=float), np.asarray(u_star, dtype=float)
+    p, n = model.p, model.n
+    dw = _coords(model, w) - _coords(model, us)
+
+    def fn(x):
+        v3, sig = x[:n], x[n:]
+        return np.concatenate([_compose_afresh(model, v3, sig[p:], p + 1) - w,
+                               _compose_afresh(model, v3, sig[:p], 1) - us])
+
+    x = newton_solve(fn, np.concatenate([us, np.zeros(p), dw[p:]]))
+    return x[:n], x[n:], float(np.max(np.abs(fn(x))))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from fronttrack.analysis import (
-    backward_characteristic, characteristic_spread, creation_events,
-    dense_initial_data, density_series,
+    creation_events, dense_initial_data, density_series,
     kappa_trend, positive_wave_density, same_family_collision_compliance,
     shock_census, strongest_front, track_shock_strength,
 )
 from fronttrack.curves import lax_curve, shock_curve
-from fronttrack.profiles import constant_profile, profile_from_jumps
+from fronttrack.profiles import profile_from_jumps
 from fronttrack.riemann import solve_riemann
 from fronttrack.tracking import Simulation, wave_measures
 
@@ -100,85 +99,6 @@ def test_strength_grows_when_absorbing_same_family(gas):
     assert len(track.merges) == 1
     assert track.samples[-1][2] > track.samples[0][2]
     assert track.min_ratio == pytest.approx(1.0)
-
-
-# -- backward characteristics ---------------------------------------------------
-
-
-def test_backward_characteristic_through_constant_state(gas):
-    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    sim.advance_to(0.4)
-    path = backward_characteristic(sim, 2, 0.4, 0.5)
-    assert not path.exited
-    t = path.points[:, 0]
-    x = path.points[:, 1]
-    slopes = np.diff(x) / np.diff(t)
-    assert np.allclose(slopes, gas.eigen(U0).lam(2), atol=1e-10)
-    assert path.points[-1][0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_backward_characteristic_refracts_once_at_opposite_shock(gas):
-    cp = shock_curve(gas, U0, 2, -0.1)            # right-moving 2-shock
-    prof = profile_from_jumps(0.0, 3.0, U0, [(0.8, cp.state)])
-    sim = Simulation(gas, prof, 0.05)
-    sim.advance_to(0.5)
-    # a left-running 1-characteristic from ahead of the shock crosses it once
-    path = backward_characteristic(sim, 1, 0.5, 0.9)
-    assert not path.exited
-    t = path.points[:, 0]
-    x = path.points[:, 1]
-    slopes = np.diff(x) / np.diff(t)
-    distinct = [s for i, s in enumerate(slopes)
-                if i == 0 or abs(s - slopes[i - 1]) > 1e-9]
-    assert len(distinct) == 2
-
-
-def test_same_family_characteristics_do_not_cross(gas_slow):
-    prof = dense_initial_data(gas_slow, 15, -0.05, (0.0, 0.13),
-                              base_state=[1.0, 0.98], level_decay=8.0)
-    sim = Simulation(gas_slow, prof, 0.01)
-    sim.advance_to(1.5)
-    points = np.linspace(0.02, 0.12, 5)
-    paths = [backward_characteristic(sim, 2, 1.5, float(x)) for x in points]
-    samples = np.linspace(0.0, 1.5, 12)
-    for pa, pb in zip(paths, paths[1:]):
-        if pa.exited or pb.exited:
-            continue
-        gaps = [pb.position_at(s) - pa.position_at(s) for s in samples]
-        assert all(g > 0 for g in gaps)
-
-
-def test_spread_ratio_constant_solution(gas):
-    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    sim.advance_to(0.3)
-    rep = characteristic_spread(sim, 2, 0.4, 0.5, 0.3)
-    assert np.allclose(rep.ratios, 1.0, atol=1e-10)
-
-
-def test_spread_ratio_exceeds_one_through_rarefaction(gas):
-    cp = lax_curve(gas, U0, 2, 0.2)
-    prof = profile_from_jumps(0.0, 6.0, U0, [(0.5, cp.state)])
-    sim = Simulation(gas, prof, 0.02)
-    sim.advance_to(1.0)
-    snap = sim.now
-    lo, hi = snap.xs[0], snap.xs[-1]
-    rep = characteristic_spread(sim, 2, lo - 0.05, hi + 0.05, 1.0)
-    assert rep.max_ratio > 1.0
-    assert np.isfinite(rep.max_ratio)
-
-
-def test_spread_ratio_stable_under_accuracy_refinement(gas):
-    cp = lax_curve(gas, U0, 2, 0.2)
-    prof = profile_from_jumps(0.0, 6.0, U0, [(0.5, cp.state)])
-    maxima = []
-    for eps in (0.04, 0.02, 0.01):
-        sim = Simulation(gas, prof, eps)
-        sim.advance_to(1.0)
-        snap = sim.now
-        rep = characteristic_spread(sim, 2, snap.xs[0] - 0.05,
-                                    snap.xs[-1] + 0.05, 1.0)
-        maxima.append(rep.max_ratio)
-    assert max(maxima) / min(maxima) < 1.5
 
 
 # -- census ----------------------------------------------------------------------

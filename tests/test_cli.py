@@ -276,6 +276,7 @@ def test_sweep_mode_writes_subdirectories(tmp_path):
 
 def test_sweep_mode_with_worker_pool(tmp_path):
     config = _evolve_config()
+    del config["snapshot_times"]    # [0.5, 1.0] would outrun horizon 0.4
     config["sweep"] = [{"horizon": 0.4}, {"horizon": 0.8}]
     config["workers"] = 2
     cfg = _write(tmp_path, "sweep.json", config)
@@ -544,6 +545,15 @@ def _valid_config(experiment):
     ("riemann", "model",
      {**TABLE_BLOCK, "terms": [[[1, [1, 10 ** 23]]], [[1, [1, 0]]]]},
      "model block rejected: Python int too large"),
+    # report times outside [0, horizon]: the run ends at its horizon
+    ("evolve", "snapshot_times", [0.5, 2.0],
+     "snapshot_times=[0.5, 2.0] must lie in [0, horizon=1.0]"),
+    ("counterexample", "census.times", [50.0],
+     "census.times=[50.0] must lie in [0, horizon=1.0]"),
+    ("counterexample", "census.times", [-5.0],
+     "census.times=[-5.0] must lie in [0, horizon=1.0]"),
+    ("counterexample", "density.times", [0.5, 1.5],
+     "density.times=[0.5, 1.5] must lie in [0, horizon=1.0]"),
 ])
 def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
                                                key, value, diagnostic):
@@ -562,6 +572,37 @@ def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
                  "--quiet"]) == 2
     assert diagnostic in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_run_ends_at_its_horizon_whatever_its_snapshot_times(tmp_path):
+    # stopping for a snapshot at 0.3 moves positions by roundoff only: the
+    # run still resolves every event up to the horizon
+    config = {**_evolve_config(), "experiment": "counterexample",
+              "initial": {"kind": "dense_shocks", "n": 31, "budget": 0.05,
+                          "base": [1.0, 0.995], "level_decay": 8.0},
+              "horizon": 2.0}
+    runs = {}
+    for name, times in (("early", [0.3]), ("end", [2.0])):
+        cfg = _write(tmp_path, f"{name}.json", {**config, "snapshot_times": times})
+        out_dir = tmp_path / name
+        assert main(["run", "--config", cfg, "--out", str(out_dir),
+                     "--quiet"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        census = json.loads((out_dir / "census.json").read_text())
+        events = [row.split(",")[2:5] for row in
+                  (out_dir / "interactions.csv").read_text().splitlines()]
+        runs[name] = manifest["metrics"], census, events
+    (early, census, events), (end, census_end, events_end) = runs.values()
+    assert early["events"] == end["events"] > 100
+    assert events == events_end
+    for key in ("creation_count", "fronts_final", "tracked_fate"):
+        assert early[key] == end[key]
+    assert [r["time"] for r in census] == [r["time"] for r in census_end]
+    for rep, ref in zip(census, census_end):
+        assert rep["tv"] == pytest.approx(ref["tv"], abs=1e-12)
+        for family, shocks in rep["families"].items():
+            assert shocks["positions"] == pytest.approx(
+                ref["families"][family]["positions"], abs=1e-12)
 
 
 def test_counterexample_without_family_1_front_exits_2(tmp_path, capsys):

@@ -12,6 +12,9 @@ from fronttrack.riemann import (
     _solution_from_sigmas, compose_waves, solve_riemann, split_boundary_pair,
     split_boundary_pair_reverse,
 )
+from references import (
+    reference_split_boundary_pair, reference_split_boundary_pair_reverse,
+)
 
 UL = np.array([1.0, 0.0])
 
@@ -61,9 +64,9 @@ def test_intermediate_states_chain_consistently(gas):
 
 
 def test_radius_guard(gas):
-    big = compose_waves(gas, UL, [0.25, 0.25], )
+    big = compose_waves(gas, UL, [0.35, -0.35])
     with pytest.raises(RadiusError):
-        solve_riemann(gas, UL, big, radius=0.2)
+        solve_riemann(gas, UL, big)
 
 
 def test_split_fixed_point(gas):
@@ -99,7 +102,7 @@ def test_split_side_structure_matches_family_partition(gas):
 
 def test_split_radius_error_leaves_no_partial_result(gas):
     with pytest.raises(RadiusError):
-        split_boundary_pair(gas, UL, np.array([1.45, 0.3]), radius=0.1)
+        split_boundary_pair(gas, UL, np.array([1.45, 0.3]))
 
 
 def test_reverse_split_fixed_point(gas):
@@ -124,7 +127,7 @@ def test_reverse_split_solves_both_equations(gas):
 
 def test_reverse_split_radius_error(gas):
     with pytest.raises(RadiusError):
-        split_boundary_pair_reverse(gas, np.array([1.4, 0.3]), UL, radius=0.1)
+        split_boundary_pair_reverse(gas, np.array([1.4, 0.3]), UL)
 
 
 LINEAR3 = LinearModel([[-2.0, 0.2, 0.0], [0.1, -1.0, 0.1], [0.0, 0.2, 1.5]])
@@ -203,6 +206,26 @@ def test_table_solve_computes_each_curve_point_once(sigmas, monkeypatch):
             assert getattr(wave, name) == getattr(ref, name)
         assert wave.left.tobytes() == ref.left.tobytes()
         assert wave.right.tobytes() == ref.right.tobytes()
+
+
+@pytest.mark.parametrize("model_name", ["gas", "gas_table"])
+@pytest.mark.parametrize("split, reference, data", [
+    (split_boundary_pair, reference_split_boundary_pair, (UL, [1.05, 0.03])),
+    (split_boundary_pair_reverse, reference_split_boundary_pair_reverse,
+     ([1.05, 0.03], UL)),
+], ids=["forward", "reverse"])
+def test_split_computes_each_curve_point_once(model_name, split, reference,
+                                              data, gas, monkeypatch):
+    model = {"gas": gas, "gas_table": GAS_TABLE}[model_name]
+    data = [np.array(u, dtype=float) for u in data]
+    calls = counted_lax_curve(monkeypatch)
+    result = split(model, *data)
+    assert len(calls) == len(set(calls)) > model.n
+    # the same split as composing every curve afresh
+    state, sigmas, residual = reference(model, *data)
+    assert result.state.tobytes() == state.tobytes()
+    assert result.sigmas.tobytes() == sigmas.tobytes()
+    assert result.residual == residual <= 1e-10
 
 
 def test_chart_solves_compute_one_curve_point_per_family(gas, diag_linear,

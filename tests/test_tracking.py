@@ -172,7 +172,7 @@ def test_injection_of_wrong_side_state_is_rejected(gas):
 
 def test_functionals_empty(gas):
     sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    assert sim.glimm_functionals() == (0.0, 0.0, 0.0)
+    assert sim.functional_history[-1][1:] == (0.0, 0.0, 0.0)
 
 
 def test_functionals_non_approaching_pair(gas):
@@ -181,7 +181,7 @@ def test_functionals_non_approaching_pair(gas):
     u2 = lax_curve(gas, u1, 2, 0.1).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.4, u1), (0.6, u2)])
     sim = Simulation(gas, prof, 0.2)
-    V, Q, _ = sim.glimm_functionals()
+    V, Q, _ = sim.functional_history[-1][1:]
     assert V == pytest.approx(0.3, abs=1e-9)
     assert Q == 0.0
 
@@ -191,7 +191,7 @@ def test_functionals_approaching_same_family(gas):
     u2 = shock_curve(gas, u1, 1, -0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.4, u1), (0.6, u2)])
     sim = Simulation(gas, prof, 0.3)
-    V, Q, _ = sim.glimm_functionals()
+    V, Q, _ = sim.functional_history[-1][1:]
     assert V == pytest.approx(0.3, abs=1e-9)
     assert Q == pytest.approx(0.02, abs=1e-9)
 
@@ -346,6 +346,19 @@ def test_state_reconstruction_from_history(gas):
     assert snap.xs[0] == pytest.approx(x_front)
 
 
+def test_snapshot_at_covers_only_the_simulated_times(gas):
+    cp = shock_curve(gas, U0, 1, -0.1)
+    prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
+    sim = Simulation(gas, prof, 0.1)
+    sim.advance_to(0.3)
+    for t in (0.0, 0.3, 0.3 + 0.5 * TIME_TIE):
+        assert sim.snapshot_at(t).time == t
+    # no profile before the start or after the simulated time
+    for t in (-5.0, -1e-9, 0.3 + 1e-9, 50.0, float("nan")):
+        with pytest.raises(ValueError, match="no snapshot"):
+            sim.snapshot_at(t)
+
+
 # -- the O(k) engine against the pairwise and looping references ---------------
 
 
@@ -403,7 +416,7 @@ def test_running_potential_matches_pairwise(n, data):
         left = sim.now.states[lo]
         waves = drawn_waves(data, n, left) if step <= n_replaced else []
         sim._step(lo, hi, left, waves, 0.5, "collision")
-        V, Q, TV = sim.glimm_functionals()
+        V, Q, TV = sim.functional_history[-1][1:]
         V_ref, Q_ref, TV_ref = pairwise_functionals(sim.now)
         assert V == V_ref
         assert TV == TV_ref
