@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, RadiusError
-from .models import FD_WEDGE_STEP, GNL_FLOOR, wedge
+from .models import GNL_FLOOR, _curvature, wedge
 from .newton import newton_solve
 
 SIGMA_NULL = 1e-12
@@ -35,13 +35,6 @@ def _check_radius(model, sigma):
             f"|sigma|={abs(sigma):.3g} beyond curve radius {model.curve_radius}")
 
 
-def _sigma_direction(model, u, family):
-    """Unit eigenvector field; its flow parameter is a chartless model's
-    strength sigma."""
-    r = model.eigen(u).r(family)
-    return r / float(np.linalg.norm(r))
-
-
 def rarefaction_curve(model, u0, family, sigma):
     """Integral curve of r_family through u0, evaluated at parameter sigma."""
     u0 = np.asarray(u0, dtype=float)
@@ -57,7 +50,9 @@ def rarefaction_curve(model, u0, family, sigma):
         w[family - 1] += sigma
         state = model.from_riemann(w)
     else:
-        sol = solve_ivp(lambda _, u: _sigma_direction(model, u, family),
+        # the numeric eigenvectors have unit length, so the flow parameter
+        # is the chartless strength sigma
+        sol = solve_ivp(lambda _, u: model.eigen(u).r(family),
                         (0.0, sigma), u0, method="DOP853",
                         rtol=1e-12, atol=1e-13, dense_output=False)
         if not sol.success:
@@ -167,12 +162,6 @@ def rarefaction_at_speed_offset(model, u0, family, dlam):
     raise ConvergenceError("speed reparametrization did not converge")
 
 
-def _lambda_normalized_field(model, family):
-    def field(u):
-        return model.eigen(u).r(family) / _gnl(model, u, family)
-    return field
-
-
 def shock_deviation_coefficient(model, u0, family):
     """Leading cubic coefficient of the shock curve's deviation from the
     speed-reparametrized rarefaction curve, measured along the opposite
@@ -180,24 +169,20 @@ def shock_deviation_coefficient(model, u0, family):
 
     For 2x2 systems with clockwise-turning eigenvector fields this is
     strictly negative, which is what forces same-family shock interactions
-    to emit a shock of the other family.
+    to emit a shock of the other family.  In closed form it is
+    C[o, i] / (2 g_i^2 (lambda_o - lambda_i)^2), with C the curvature matrix
+    of ``models._curvature`` and g_i = grad(lambda_i) . r_i.
     """
     if model.n != 2:
         raise ValueError("deviation coefficient is defined for 2x2 systems")
     u0 = np.asarray(u0, dtype=float)
     model.check_domain(u0)
+    g = _gnl(model, u0, family)
     other = 2 if family == 1 else 1
     eig = model.eigen(u0)
-    field = _lambda_normalized_field(model, family)
-    rt = field(u0)
-    h = FD_WEDGE_STEP
-    drr = (field(u0 + h * rt) - field(u0 - h * rt)) / (2 * h)
-    num = wedge(drr, rt)
-    lam_gap = eig.lam(other) - eig.lam(family)
-    denom_wedge = wedge(rt, eig.r(other))
-    if abs(denom_wedge) < 1e-12:
-        raise DomainError("eigenvector wedge vanishes; coefficient undefined")
-    return num / (2.0 * lam_gap * denom_wedge)
+    curv = _curvature(model.hessian(u0), eig.right, eig.left)
+    gap = eig.lam(other) - eig.lam(family)
+    return float(curv[other - 1, family - 1]) / (2.0 * g * g * gap * gap)
 
 
 def hugoniot_offset(model, u0, family, sigma_speed):

@@ -5,11 +5,11 @@ Every model fixes a family count n, the number p of negative-speed families,
 and a working box in state space.  Characteristic speeds must keep their sign
 pattern (families 1..p negative, p+1..n positive) on the admissible domain.
 
-Genuine nonlinearity is read from the flux's exact second derivative:
-``gnl(u)`` is grad(lambda_i) . r_i = l_i D^2 f(u)[r_i, r_i] with l_i r_i = 1
-(Lax 1957).  Numeric eigenvectors are oriented so that this factor is
-positive where it exceeds GNL_FLOOR, and otherwise so that their first
-nonzero component is.
+The eigen-geometry is read from the flux's exact second derivative, through
+the curvature matrix C[k, i] = l_k D^2 f(u)[r_i, r_i] with l_k r_i = delta_ki
+(Lax 1957).  Its diagonal ``gnl(u)`` is grad(lambda_i) . r_i; numeric
+eigenvectors are oriented so that this factor is positive where it exceeds
+GNL_FLOOR, and otherwise so that their first nonzero component is.
 """
 
 import math
@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DomainError, HyperbolicityError
 from .newton import scalar_root
 
-FD_WEDGE_STEP = 1e-5   # central-difference step for hypothesis sweeps
 SPEED_FLOOR = 1e-6     # least admissible |characteristic speed|
+SPEED_SAMPLES = 33     # grid points per axis of the least-speed sweep
 DOMAIN_SLACK = 1e-9    # box widening of the admissible-domain test
 GNL_FLOOR = 1e-7       # least |grad(lambda_i) . r_i| of a nonlinear family
 
@@ -66,13 +66,14 @@ class Box:
         if np.any(self.lows >= self.highs):
             raise ValueError("box must have lows < highs")
 
-    def contains(self, u, slack=0.0):
-        """Whether the point u lies in the box widened by slack; NaN never
-        does.  Compares Python floats: numpy reductions on a 2-vector cost
-        more than the comparisons."""
-        return all(lo - slack <= x <= hi + slack for x, lo, hi in zip(
-            np.asarray(u, dtype=float).tolist(), self.lows.tolist(),
-            self.highs.tolist(), strict=True))
+    def contains(self, u):
+        """Whether the point u lies in the box widened by DOMAIN_SLACK; NaN
+        never does.  Compares Python floats: numpy reductions on a 2-vector
+        cost more than the comparisons."""
+        return all(lo - DOMAIN_SLACK <= x <= hi + DOMAIN_SLACK
+                   for x, lo, hi in zip(np.asarray(u, dtype=float).tolist(),
+                                        self.lows.tolist(), self.highs.tolist(),
+                                        strict=True))
 
     def grid(self, samples_per_axis):
         axes = [np.linspace(lo, hi, samples_per_axis)
@@ -123,15 +124,14 @@ class FluxModel:
     kind = "custom"
     has_chart = False
 
-    def __init__(self, n, p, box, ref_state=None, predicate=None,
-                 min_speed=0.0, curve_radius=0.5):
+    def __init__(self, n, p, box, ref_state=None, min_speed=0.0,
+                 curve_radius=0.5):
         self.n = int(n)
         self.p = int(p)
         if box.lows.shape != (self.n,):
             raise ValueError(f"box has {len(box.lows)} [low, high] pairs for "
                              f"{self.n} components")
         self.box = box
-        self.predicate = predicate
         if not 0 <= self.p <= self.n:
             raise ValueError(f"p={self.p} must be a family count in 0..{self.n}")
         self.min_speed = float(min_speed)
@@ -171,7 +171,7 @@ class FluxModel:
     def gnl(self, u):
         """grad(lambda_i) . r_i at u for every family i."""
         eig = self.eigen(u)
-        return _gnl_factor(self.hessian(u), eig.right, eig.left)
+        return _curvature(self.hessian(u), eig.right, eig.left).diagonal()
 
     def _numeric_eigen(self, u):
         """Eigenstructure from np.linalg.eig of the Jacobian.  The tests
@@ -200,7 +200,7 @@ class FluxModel:
         # the sign of the genuine-nonlinearity factor where it is visible,
         # else the sign of the first nonzero component; flipping column i of
         # right flips row i of its inverse, exactly
-        g = _gnl_factor(self.hessian(u), right, left)
+        g = _curvature(self.hessian(u), right, left).diagonal()
         flip = [(gi if abs(gi) > GNL_FLOOR
                  else next((x for x in col if abs(x) > 1e-12), col[0])) < 0
                 for gi, col in zip(g.tolist(), right.T.tolist())]
@@ -225,31 +225,26 @@ class FluxModel:
 
     def in_domain(self, u):
         u = np.asarray(u, dtype=float)
-        if not self.structurally_valid(u):
-            return False
-        if not self.box.contains(u, slack=DOMAIN_SLACK):
-            return False
-        if self.predicate is not None and not self.predicate(u):
-            return False
-        return True
+        return self.structurally_valid(u) and self.box.contains(u)
 
     def check_domain(self, u):
         if not self.in_domain(u):
             raise DomainError(f"state {np.asarray(u)} outside admissible domain")
 
-    def admitted_grid(self, samples_per_axis=32):
+    def admitted_grid(self, samples_per_axis):
         pts = self.box.grid(samples_per_axis)
         return np.array([u for u in pts if self.in_domain(u)])
 
-    def least_speed(self, samples_per_axis=33):
-        """min |lambda_i| over the admitted box grid, computed once per
-        samples_per_axis; raises DomainError when the grid admits no state."""
+    def least_speed(self):
+        """min |lambda_i| over the admitted box grid of SPEED_SAMPLES per
+        axis, computed once; raises DomainError when the grid admits no
+        state."""
         def compute():
-            grid = self.admitted_grid(samples_per_axis)
+            grid = self.admitted_grid(SPEED_SAMPLES)
             if len(grid) == 0:
                 raise DomainError("no admissible states in the working box")
             return min(float(np.min(np.abs(self.lambdas(u)))) for u in grid)
-        return self._fact(("least_speed", samples_per_axis), compute)
+        return self._fact(("least_speed",), compute)
 
 
 class LinearModel(FluxModel):
@@ -287,7 +282,7 @@ class LinearModel(FluxModel):
     def eigen(self, u):
         return self._eig
 
-    def least_speed(self, samples_per_axis=33):
+    def least_speed(self):
         """min |lambda_i|: the speeds are the same at every state."""
         return float(np.min(np.abs(self._eig.lams)))
 
@@ -355,6 +350,11 @@ class GasModel(FluxModel):
         e = self.K * rho ** (self.theta - 1.0)
         left = np.array([[-e, 1.0], [e, 1.0]])
         return EigenStructure(np.array([v - c, v + c]), right, left)
+
+    def hessian(self, u):
+        rho = float(u[0])
+        d2p = self.K ** 2 * (self.gamma - 2.0) * rho ** (self.gamma - 3.0)
+        return np.array([[[0.0, 1.0], [1.0, 0.0]], [[d2p, 0.0], [0.0, 1.0]]])
 
     def gnl(self, u):
         return np.full(2, 0.25 * (self.gamma + 1.0))
@@ -537,13 +537,12 @@ class TableModel(FluxModel):
         return self._derivative(u, 2)
 
 
-def _gnl_factor(hessian, right, left):
-    """l_i D^2 f[r_i, r_i] for each column r_i of right and row l_i of left."""
-    return np.einsum("ik,kab,ai,bi->i", left, hessian, right, right)
-
-
-def _directional(fn, u, direction, h):
-    return (fn(u + h * direction) - fn(u - h * direction)) / (2 * h)
+def _curvature(hessian, right, left):
+    """C[k, i] = l_k D^2 f[r_i, r_i] for the columns r_i of right and the
+    rows l_k of left.  The diagonal is grad(lambda_i) . r_i.  Off it,
+    C[k, i] / (lambda_i - lambda_k) is the r_k component of D r_i[r_i]:
+    apply l_k to the derivative of (Df - lambda_i) r_i = 0 along r_i."""
+    return np.einsum("ka,abc,bi,ci->ki", left, hessian, right, right)
 
 
 def verify_hypotheses(model, samples_per_axis=32, respect_predicate=False):
@@ -607,21 +606,20 @@ def _sweep_hypotheses(model, samples_per_axis, respect_predicate):
         if m_floor < SPEED_FLOOR:
             violations.append(("speed_floor", u))
 
-        for i, g in enumerate(model.gnl(u).tolist(), start=1):
+        curv = _curvature(model.hessian(u), eig.right, eig.left)
+        for i, g in enumerate(curv.diagonal().tolist(), start=1):
             gnl_margin[i - 1] = min(gnl_margin[i - 1], g)
             if g <= 0:
                 violations.append((f"gnl_{i}", u))
 
         if model.n == 2:
-            r1, r2 = eig.r(1), eig.r(2)
-            w12 = wedge(r1, r2)
+            w12 = wedge(eig.r(1), eig.r(2))
             wedge_rr = max(wedge_rr, w12)
             if w12 >= 0:
                 violations.append(("wedge_r1_r2", u))
-            for i, r in ((1, r1), (2, r2)):
-                drr = _directional(lambda v, i=i: model.eigen(v).r(i), u, r,
-                                   FD_WEDGE_STEP)
-                wb = wedge(r, drr)
+            # wedge(r_i, D r_i[r_i]) keeps only the r_k component, k != i
+            for i, k, w in ((1, 2, w12), (2, 1, -w12)):
+                wb = float(curv[k - 1, i - 1]) / (eig.lam(i) - eig.lam(k)) * w
                 wedge_bend[i - 1] = max(wedge_bend[i - 1], wb)
                 if wb >= 0:
                     violations.append((f"wedge_bend_{i}", u))
@@ -656,17 +654,16 @@ def _loose_valid(model, u):
     return True
 
 
-def crossing_time(model, interval, samples_per_axis=33):
+def crossing_time(model, interval):
     """Max time for a wave of any family to cross the interval.
 
-    Computed as (b - a) / model.least_speed(samples_per_axis), the least
-    |lambda_i| over the admitted box grid.  The least speed, not tau, is
-    cached on the model, keyed by samples_per_axis, because tau depends on
-    the interval; an empty grid stores nothing.  Raises DomainError, on
-    every call, when that speed is below the floor.
+    Computed as (b - a) / model.least_speed(), the least |lambda_i| over the
+    admitted box grid.  The least speed, not tau, is cached on the model,
+    because tau depends on the interval; an empty grid stores nothing.
+    Raises DomainError, on every call, when that speed is below the floor.
     """
     a, b = interval
-    min_speed = model.least_speed(samples_per_axis)
+    min_speed = model.least_speed()
     if min_speed < SPEED_FLOOR:
         raise DomainError(
             f"characteristic speed {min_speed:.3e} below floor {SPEED_FLOOR:.1e}")

@@ -52,9 +52,7 @@ class PiecewiseConstant:
         return float(np.max(np.linalg.norm(self.values - ref[None, :], axis=1)))
 
     def mean(self):
-        edges = np.concatenate(([self.a], self.xs, [self.b]))
-        widths = np.diff(edges)
-        return np.sum(widths[:, None] * self.values, axis=0) / (self.b - self.a)
+        return self.integral() / (self.b - self.a)
 
     def integral(self):
         edges = np.concatenate(([self.a], self.xs, [self.b]))

@@ -33,9 +33,6 @@ class RiemannSolution:
     waves: tuple                 # non-null waves only, family ascending
     residual: float
 
-    def sigma(self, family):
-        return float(self.sigmas[family - 1])
-
 
 @dataclass(frozen=True)
 class BoundarySplit:

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from fronttrack.curves import lax_curve, rarefaction_curve
+from fronttrack.curves import _gnl, lax_curve, rarefaction_curve
 from fronttrack.errors import DomainError, HyperbolicityError
-from fronttrack.models import GNL_FLOOR, EigenStructure, _gnl_factor
+from fronttrack.models import GNL_FLOOR, EigenStructure, _curvature, wedge
 from fronttrack.newton import newton_solve
 from fronttrack.riemann import _coords
 
@@ -34,11 +34,40 @@ def reference_numeric_eigen(model, u):
     right = np.real(vecs[:, order])
     right = right / np.linalg.norm(right, axis=0, keepdims=True)
     left = np.linalg.inv(right)
-    g = _gnl_factor(model.hessian(u), right, left)
+    g = _curvature(model.hessian(u), right, left).diagonal()
     first = right[np.argmax(np.abs(right) > 1e-12, axis=0), range(len(vals))]
     flip = np.where(np.abs(g) > GNL_FLOOR, g, first) < 0
     return EigenStructure(vals, np.where(flip, -right, right),
                           np.where(flip[:, None], -left, left))
+
+
+FD_STEP = 1e-5   # central-difference step of the eigenvector-field probes
+
+
+def reference_wedge_bend(model, u, family):
+    """wedge(r_i, D r_i[r_i]) at u, the derivative of the eigenvector field
+    r_i = model.eigen(.).r(i) along itself by a central difference."""
+    u = np.asarray(u, dtype=float)
+    r = model.eigen(u).r(family)
+    drr = (model.eigen(u + FD_STEP * r).r(family)
+           - model.eigen(u - FD_STEP * r).r(family)) / (2 * FD_STEP)
+    return wedge(r, drr)
+
+
+def reference_deviation_coefficient(model, u0, family):
+    """The shock curve's cubic deviation coefficient from a central
+    difference of the lambda-normalized field r_i / grad(lambda_i) . r_i."""
+    u0 = np.asarray(u0, dtype=float)
+    other = 2 if family == 1 else 1
+    eig = model.eigen(u0)
+
+    def field(u):
+        return model.eigen(u).r(family) / _gnl(model, u, family)
+
+    rt = field(u0)
+    drr = (field(u0 + FD_STEP * rt) - field(u0 - FD_STEP * rt)) / (2 * FD_STEP)
+    return wedge(drr, rt) / (2.0 * (eig.lam(other) - eig.lam(family))
+                             * wedge(rt, eig.r(other)))
 
 
 def reference_newton_shock(model, u0, f0, family, sigma):

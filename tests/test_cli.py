@@ -666,6 +666,8 @@ def test_model_failing_the_hypothesis_sweep_exits_4(tmp_path, capsys):
                           "hypothesis sweep:\n")
     rows = dict(line.split()[:2] for line in err.splitlines()[1:])
     assert rows["gnl_1"] == rows["gnl_2"] == "FAIL"
+    # a linear flux has no curvature: its eigenvector fields do not bend
+    assert rows["wedge_bend_1"] == rows["wedge_bend_2"] == "FAIL"
     assert rows["speed_signs"] == "pass"
     assert not out_dir.exists()
 

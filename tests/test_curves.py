@@ -9,7 +9,7 @@ from fronttrack.curves import (
 from fronttrack.errors import (
     ConvergenceError, DomainError, HyperbolicityError, RadiusError,
 )
-from fronttrack.models import Box, TableModel
+from fronttrack.models import Box, GasModel, TableModel
 
 from references import chart_gradient, reference_newton_shock
 
@@ -135,6 +135,20 @@ def test_deviation_coefficient_sign_and_value(gas):
     # with th = (gamma-1)/2, i.e. -1/18 at (1, 0) for K=1, gamma=2
     assert c1 == pytest.approx(-1.0 / 18.0, abs=1e-6)
     assert c2 == pytest.approx(-1.0 / 18.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("K", [0.7, 1.0, 1.6])
+@pytest.mark.parametrize("gamma", [1.2, 5.0 / 3.0, 2.0, 2.8])
+def test_deviation_coefficient_is_the_gas_closed_form(K, gamma):
+    # -(1 - th) / (4 K^2 (1 + th)^2 rho^(2 th)) with th = (gamma - 1)/2, in
+    # units of the chart eigenvector r_other = du/dw_other
+    gas = GasModel(K=K, gamma=gamma)
+    th = gas.theta
+    for u in gas.admitted_grid(3):
+        closed = -(1 - th) / (4 * K * K * (1 + th) ** 2 * u[0] ** (2 * th))
+        for family in (1, 2):
+            assert (shock_deviation_coefficient(gas, u, family)
+                    == pytest.approx(closed, rel=1e-13, abs=0))
 
 
 def test_deviation_coefficient_matches_cubic_fit(gas):

@@ -57,7 +57,7 @@ def test_intermediate_states_chain_consistently(gas):
     ur = compose_waves(gas, UL, [-0.15, -0.08])
     sol = solve_riemann(gas, UL, ur)
     for i in (1, 2):
-        step = lax_curve(gas, sol.states[i - 1], i, sol.sigma(i)).state
+        step = lax_curve(gas, sol.states[i - 1], i, sol.sigmas[i - 1]).state
         assert np.max(np.abs(step - sol.states[i])) < 1e-10
     speeds = [s for w in sol.waves for s in (w.speed_lo, w.speed_hi)]
     assert np.all(np.diff(speeds) >= -1e-12)
