@@ -10,11 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DomainError, RadiusError
+from .errors import DomainError, RadiusError
 from .models import GNL_FLOOR, _curvature, wedge
-from .newton import newton_solve
+from .newton import newton_solve, scalar_root
 
 SIGMA_NULL = 1e-12
 
@@ -98,7 +97,8 @@ def shock_curve(model, u0, family, sigma):
 
 def _newton_shock(model, u0, f0, family, sigma):
     """State and speed from Newton on Rankine-Hugoniot plus the strength
-    equation l_family(u0) . (u - u0) = sigma, for chartless models."""
+    equation l_family(u0) . (u - u0) = sigma, for chartless models, from the
+    analytic Jacobian at the seed."""
     n = model.n
     eig0 = model.eigen(u0)
     l_row = eig0.l(family)
@@ -111,15 +111,11 @@ def _newton_shock(model, u0, f0, family, sigma):
         out[n] = float(l_row @ (u - u0)) - sigma
         return out
 
-    def jac(x):
-        u, s = x[:n], x[n]
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = model.jacobian(u) - s * np.eye(n)
-        J[:n, n] = -(u - u0)
-        J[n, :n] = l_row
-        return J
-
-    x = newton_solve(fn, x0, jac=jac, context=f"(shock curve family {family})")
+    jac0 = np.zeros((n + 1, n + 1))
+    jac0[:n, :n] = model.jacobian(x0[:n]) - x0[n] * np.eye(n)
+    jac0[:n, n] = -(x0[:n] - u0)
+    jac0[n, :n] = l_row
+    x = newton_solve(fn, x0, jac0, f"(shock curve family {family})")
     return x[:n], float(x[n])
 
 
@@ -144,22 +140,21 @@ def rarefaction_at_speed_offset(model, u0, family, dlam):
     """Rarefaction-curve point where lambda_family has moved by dlam.
 
     This is the speed-based reparametrization used when comparing shock and
-    rarefaction branches; found by a scalar Newton solve on the sigma
-    parameter (genuine nonlinearity makes the map monotone).
+    rarefaction branches.  Genuine nonlinearity makes lambda_family increase
+    along the curve at the rate grad(lambda) . r, so ``scalar_root`` finds
+    sigma between 0 and +-curve_radius, on the side of the sign of dlam.
     """
     u0 = np.asarray(u0, dtype=float)
     lam0 = float(model.lambdas(u0)[family - 1])
-    if dlam == 0.0:
-        return rarefaction_curve(model, u0, family, 0.0)
 
-    sig = dlam / _gnl(model, u0, family)
-    for _ in range(60):
+    def speed_gap(sig):
         cp = rarefaction_curve(model, u0, family, sig)
-        err = cp.speed - lam0 - dlam
-        if abs(err) < 1e-13:
-            return cp
-        sig -= err / _gnl(model, cp.state, family)
-    raise ConvergenceError("speed reparametrization did not converge")
+        return cp.speed - lam0 - dlam, _gnl(model, cp.state, family)
+
+    bracket = (0.0, model.curve_radius) if dlam > 0.0 else (-model.curve_radius, 0.0)
+    sig = scalar_root(speed_gap, dlam / _gnl(model, u0, family), *bracket,
+                      "(speed reparametrization)")
+    return rarefaction_curve(model, u0, family, sig)
 
 
 def shock_deviation_coefficient(model, u0, family):
@@ -203,16 +198,19 @@ def hugoniot_offset(model, u0, family, sigma_speed):
     f0 = model.flux(u0)
 
     def rh_wedge(t):
+        """The wedge and its derivative in t."""
         v = base + t * r_other
-        return wedge(model.flux(v) - f0, v - u0)
+        df, dv = model.flux(v) - f0, v - u0
+        return (wedge(df, dv),
+                wedge(model.jacobian(v) @ r_other, dv) + wedge(df, r_other))
 
     span = max(1e-6, 0.5 * abs(sigma_speed) ** 3)
-    lo, hi = -span, span
     for _ in range(60):
-        if rh_wedge(lo) * rh_wedge(hi) <= 0:
+        if rh_wedge(-span)[0] * rh_wedge(span)[0] <= 0:
             break
-        lo *= 2.0
-        hi *= 2.0
+        span *= 2.0
     else:
         raise DomainError("could not bracket the Hugoniot offset")
-    return brentq(rh_wedge, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    sign = 1.0 if rh_wedge(-span)[0] <= 0.0 else -1.0   # solve the increasing one
+    return scalar_root(lambda t: [sign * g for g in rh_wedge(t)], 0.0,
+                       -span, span, "(Hugoniot offset)")

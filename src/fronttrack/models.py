@@ -545,7 +545,7 @@ def _curvature(hessian, right, left):
     return np.einsum("ka,abc,bi,ci->ki", left, hessian, right, right)
 
 
-def verify_hypotheses(model, samples_per_axis=32, respect_predicate=False):
+def verify_hypotheses(model, samples_per_axis=32, admitted_only=False):
     """Sweep the working box and measure the structural hypotheses.
 
     Checks the speed sign pattern, the uniform speed floor, genuine
@@ -554,22 +554,22 @@ def verify_hypotheses(model, samples_per_axis=32, respect_predicate=False):
     never raised.
 
     By default the sweep probes the whole box (so a box straying past a
-    sonic line shows up as a sign violation); with ``respect_predicate`` it
-    audits only the model's declared admissible domain, which is the
-    admission check run before control experiments.
+    sonic line shows up as a sign violation); with ``admitted_only`` it
+    audits only ``model.admitted_grid``, the declared admissible domain,
+    which is the admission check run before control experiments.
 
     The report is computed once per model, keyed by (samples_per_axis,
-    respect_predicate), and shared by later calls: models are immutable.  A
+    admitted_only), and shared by later calls: models are immutable.  A
     sweep that raises stores nothing.  A report that fails a check is kept,
     and each caller that gates on it refuses the model again.
     """
     return model._fact(
-        ("hypotheses", samples_per_axis, bool(respect_predicate)),
-        lambda: _sweep_hypotheses(model, samples_per_axis, respect_predicate))
+        ("hypotheses", samples_per_axis, bool(admitted_only)),
+        lambda: _sweep_hypotheses(model, samples_per_axis, admitted_only))
 
 
-def _sweep_hypotheses(model, samples_per_axis, respect_predicate):
-    if respect_predicate:
+def _sweep_hypotheses(model, samples_per_axis, admitted_only):
+    if admitted_only:
         pts = model.admitted_grid(samples_per_axis)
     else:
         pts = [u for u in model.box.grid(samples_per_axis)

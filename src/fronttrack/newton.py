@@ -1,5 +1,6 @@
-"""Damped Newton iteration for small dense systems, and a bracketed Newton
-for monotone scalar equations."""
+"""Damped Newton iteration for small dense systems, on a Jacobian that starts
+exact and is kept current by Broyden's rank-one update, and a bracketed
+Newton for monotone scalar equations."""
 
 import math
 
@@ -9,36 +10,26 @@ from .errors import SOLVER_ERRORS, ConvergenceError
 
 RES_TOL = 1e-12
 STEP_TOL = 1e-14
-FD_STEP = 1e-7
 MAX_ITER = 50
 ROOT_MAX_ITER = 100
 ROOT_STEP_ULPS = 4.0
 
 
-def fd_jacobian(fn, x, f0):
-    """Forward-difference Jacobian of fn at x, where fn(x) = f0."""
-    m, n = len(f0), len(x)
-    J = np.empty((m, n))
-    for k in range(n):
-        xk = x.copy()
-        xk[k] += FD_STEP
-        J[:, k] = (fn(xk) - f0) / FD_STEP
-    return J
-
-
-def newton_solve(fn, x0, jac=None, context=""):
-    """Solve fn(x) = 0 with damped (backtracking) Newton.
+def newton_solve(fn, x0, jac0, context=""):
+    """Solve fn(x) = 0 with damped (backtracking) Newton from the Jacobian
+    matrix jac0 of fn at x0, updated after each accepted step s, with residual
+    change df, by Broyden's rule J += outer(df - J s, s) / (s . s) (1965).
 
     Converges when the residual max-norm drops below RES_TOL or the Newton
     step below STEP_TOL; raises ConvergenceError otherwise.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fn(x), dtype=float)
+    J = np.array(jac0, dtype=float)
     best = float(np.max(np.abs(f)))
     for _ in range(MAX_ITER):
         if best < RES_TOL:
             return x
-        J = jac(x) if jac is not None else fd_jacobian(fn, x, f)
         try:
             dx = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError as exc:
@@ -54,6 +45,8 @@ def newton_solve(fn, x0, jac=None, context=""):
             except SOLVER_ERRORS:
                 r_try = np.inf
             if np.isfinite(r_try) and r_try < best:
+                s = x_try - x
+                J += np.outer(f_try - f - J @ s, s) / (s @ s)
                 x, f, best = x_try, f_try, r_try
                 break
             t *= 0.5

@@ -48,7 +48,8 @@ def _wave_points(model, ul, sigmas, memo, first=1):
     """Lax curve points of families first, first + 1, ... composed from ul
     with the given strengths.  ``memo``, a dict kept for one solve, holds
     each point under the bytes of its base state, family and strength
-    (bytes keep -0.0 apart from 0.0), so no point is computed twice."""
+    (bytes keep -0.0 apart from 0.0), so no point is computed twice: the
+    recomposition and a split's final residual reuse Newton's last points."""
     u = np.asarray(ul, dtype=float)
     points = []
     for i, s in enumerate(np.asarray(sigmas, dtype=float), start=first):
@@ -129,17 +130,16 @@ def solve_riemann(model, ul, ur):
 
     Linear models project on the left eigenbasis, at any jump.  The gas
     model solves one scalar equation for the middle density
-    (``GasModel.riemann_strengths``).  Other models run Newton on the
-    strength vector with a finite-difference Jacobian of the curve
-    composition, from the Riemann-coordinate jump.  The strengths are then
-    recomposed along the Lax curves, and a recomposition that misses ur by
-    more than RESIDUAL_TOL raises ConvergenceError.  A nonlinear model
-    raises RadiusError when the data jump exceeds DELTA_RIEMANN.
+    (``GasModel.riemann_strengths``).  Other models run Broyden-Newton on
+    the strength vector from the Riemann-coordinate jump, seeded with the
+    right eigenbasis at ul, which is the Jacobian of the curve composition
+    at zero strength.  The strengths are then recomposed along the Lax
+    curves, and a recomposition that misses ur by more than RESIDUAL_TOL
+    raises ConvergenceError.  A nonlinear model raises RadiusError when the
+    data jump exceeds DELTA_RIEMANN.
 
-    Each Lax curve point is computed once per solve: on the Newton branch
-    the composition keeps its points for the solve, so the Jacobian column
-    of a later strength reuses the unchanged earlier curves, and the
-    recomposition reuses the point Newton accepted last.
+    Each Lax curve point is computed once per solve: the recomposition
+    reuses the points of the iterate Newton accepted last.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -160,7 +160,7 @@ def solve_riemann(model, ul, ur):
         def fn(sig):
             return _compose(model, ul, sig, memo) - ur
 
-        sig = newton_solve(fn, dw, context="(riemann)")
+        sig = newton_solve(fn, dw, model.eigen(ul).right, "(riemann)")
     sol = _solution_from_sigmas(model, ul, sig, ur=ur, memo=memo)
     if sol.residual > RESIDUAL_TOL:
         raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")
@@ -172,22 +172,25 @@ def split_boundary_pair(model, v, v_prime):
     families >= p+1, with the strengths of both groups.
 
     This is the full-rank splitting that lets a boundary datum at x = b send
-    only left-moving families into the domain.  A jump from v to v' beyond
-    DELTA_RIEMANN raises RadiusError.  Each Lax curve point is computed
-    once per solve.
+    only left-moving families into the domain.  Newton is seeded with the
+    Jacobian at zero strength, [-r_1..r_p (v) | r_p+1..r_n (v')].  A jump
+    from v to v' beyond DELTA_RIEMANN raises RadiusError.  Each Lax curve
+    point is computed once per solve.
     """
     v = np.asarray(v, dtype=float)
     vp = np.asarray(v_prime, dtype=float)
     dw = _checked_jump(model, v, vp, "|v - v'| =", "split")
     p = model.p
     sig0 = np.concatenate([dw[:p], -dw[p:]])
+    jac0 = model.eigen(vp).right.copy()
+    jac0[:, :p] = -model.eigen(v).right[:, :p]
     memo = {}
 
     def fn(sig):
         return (_compose(model, vp, sig[p:], memo, p + 1)
                 - _compose(model, v, sig[:p], memo))
 
-    sig = newton_solve(fn, sig0, context="(boundary split)")
+    sig = newton_solve(fn, sig0, jac0, "(boundary split)")
     return BoundarySplit(_compose(model, v, sig[:p], memo), sig,
                          float(np.max(np.abs(fn(sig)))))
 
@@ -197,7 +200,8 @@ def split_boundary_pair_reverse(model, w, u_star):
     reach u_star; used to steer the x = a boundary toward u_star.
 
     Newton starts at v''' = u_star with the whole coordinate jump on the
-    upper families.  On a Riemann chart that start is exact when w lies on
+    upper families, from the Jacobian [[I, 0, R_upper], [I, R_lower, 0]] at
+    zero strength.  On a Riemann chart that start is exact when w lies on
     the upper-family curve through u_star, and u_star is returned bitwise.
     A jump from u_star to w beyond DELTA_RIEMANN raises RadiusError.  Each
     Lax curve point is computed once per solve; v''' is an unknown of the
@@ -208,6 +212,10 @@ def split_boundary_pair_reverse(model, w, u_star):
     dw = _checked_jump(model, us, w, "|w - u*| =", "split")
     p, n = model.p, model.n
     sig0 = np.concatenate([np.zeros(p), dw[p:]])
+    right = model.eigen(us).right
+    jac0 = np.zeros((2 * n, 2 * n))
+    jac0[:n, :n] = jac0[n:, :n] = np.eye(n)
+    jac0[:n, n + p:], jac0[n:, n:n + p] = right[:, p:], right[:, :p]
     memo = {}
 
     def fn(x):
@@ -215,5 +223,5 @@ def split_boundary_pair_reverse(model, w, u_star):
         return np.concatenate([_compose(model, v3, sig[p:], memo, p + 1) - w,
                                _compose(model, v3, sig[:p], memo) - us])
 
-    x = newton_solve(fn, np.concatenate([us, sig0]), context="(reverse split)")
+    x = newton_solve(fn, np.concatenate([us, sig0]), jac0, "(reverse split)")
     return BoundarySplit(x[:n], x[n:], float(np.max(np.abs(fn(x)))))

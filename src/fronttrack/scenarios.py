@@ -552,11 +552,13 @@ def _run_evolve(config, model, out):
         "upsilon_events_checked": n_checked,
         "dropped_mass": sim.dropped_mass,
     }
-    return metrics, sim
+    if config["experiment"] == "counterexample":
+        metrics.update(_counterexample_reports(config, model, out, sim))
+    return metrics
 
 
-def _run_counterexample(config, model, out):
-    metrics, sim = _run_evolve(config, model, out)
+def _counterexample_reports(config, model, out, sim):
+    """Write the census, density and lineage reports; returns their metrics."""
     horizon = float(config["horizon"])
     census = config.get("census", {})
     times = census.get("times") or list(np.linspace(0.0, horizon, 5))
@@ -616,7 +618,7 @@ def _run_counterexample(config, model, out):
 
     tv0 = sim.history[0].tv()
     tv_end = sim.now.tv()
-    metrics.update({
+    return {
         "creation_count": reports[-1].creation_count,
         "same_family_collisions": n_ev,
         "sign_compliant": n_ok,
@@ -630,8 +632,7 @@ def _run_counterexample(config, model, out):
         "kappa_trend_slope": slope,
         "kappa_trend_stderr": err,
         "strength_parametrization": "riemann-coordinate-jump",
-    })
-    return metrics, sim
+    }
 
 
 def _run_steer(config, model, out):
@@ -660,7 +661,7 @@ def _run_steer(config, model, out):
         "fronts_final": int(res.final_snapshot.n_fronts),
         "hop_errors": [float(e) for e in res.hop_errors],
     }
-    return metrics, res.sim
+    return metrics
 
 
 def _run_stabilize(config, model, out):
@@ -697,7 +698,7 @@ def _run_stabilize(config, model, out):
     }
     if res.record.failure:
         raise ContractViolationError(res.record.failure, metrics)
-    return metrics, None
+    return metrics
 
 
 def _run_linear_control(config, model, out):
@@ -723,7 +724,7 @@ def _run_linear_control(config, model, out):
     metrics = {"tau": sol.tau, "T": sol.T,
                "reconstruction_error_t0": err0,
                "reconstruction_error_T": errT}
-    return metrics, None
+    return metrics
 
 
 def riemann_payload(config, model):
@@ -746,7 +747,7 @@ def riemann_payload(config, model):
 def _run_riemann(config, model, out):
     payload = riemann_payload(config, model)
     out.write_json("riemann.json", payload)
-    return {"sigmas": payload["sigmas"], "residual": payload["residual"]}, None
+    return {"sigmas": payload["sigmas"], "residual": payload["residual"]}
 
 
 def format_riemann_table(payload):
@@ -778,12 +779,12 @@ def _run_curves(config, model, out):
         rows.append([cp.sigma] + list(cp.state) + [cp.speed])
     header = ["sigma"] + [f"u{k}" for k in range(model.n)] + ["speed"]
     out.write_csv("curves.csv", header, rows)
-    return {"family": family, "branch": branch, "samples": samples}, None
+    return {"family": family, "branch": branch, "samples": samples}
 
 
 _RUNNERS = {
     "evolve": _run_evolve,
-    "counterexample": _run_counterexample,
+    "counterexample": _run_evolve,
     "steer": _run_steer,
     "stabilize": _run_stabilize,
     "linear_control": _run_linear_control,
@@ -799,8 +800,7 @@ def _admission_gate(model, experiment):
         return
     if experiment not in ("steer", "stabilize", "counterexample"):
         return
-    report = verify_hypotheses(model, samples_per_axis=12,
-                               respect_predicate=True)
+    report = verify_hypotheses(model, samples_per_axis=12, admitted_only=True)
     if not report.admitted:
         raise ContractViolationError(
             "model rejected by the hypothesis sweep:\n" + report.summary(),
@@ -817,7 +817,7 @@ def run_scenario(config, out_dir):
     config = resolve_config(config)
     _admission_gate(model, config["experiment"])
     out = _OutputSet(out_dir)   # makes out_dir with the first file
-    metrics, _sim = _RUNNERS[config["experiment"]](config, model, out)
+    metrics = _RUNNERS[config["experiment"]](config, model, out)
     manifest = {
         "schema": MANIFEST_ID,
         "config": config,

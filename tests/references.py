@@ -3,10 +3,14 @@
 import numpy as np
 
 from fronttrack.curves import _gnl, lax_curve, rarefaction_curve
-from fronttrack.errors import DomainError, HyperbolicityError
+from fronttrack.errors import (
+    SOLVER_ERRORS, ConvergenceError, DomainError, HyperbolicityError,
+)
 from fronttrack.models import GNL_FLOOR, EigenStructure, _curvature, wedge
-from fronttrack.newton import newton_solve
-from fronttrack.riemann import _coords
+from fronttrack.newton import MAX_ITER, RES_TOL, STEP_TOL, newton_solve
+from fronttrack.riemann import (
+    RESIDUAL_TOL, _checked_jump, _compose, _coords, _solution_from_sigmas,
+)
 
 
 def chart_gradient(gas, u, family):
@@ -70,6 +74,84 @@ def reference_deviation_coefficient(model, u0, family):
                              * wedge(rt, eig.r(other)))
 
 
+NEWTON_FD_STEP = 1e-7   # forward-difference step of the reference Newton
+
+
+class ProbeDomainError(DomainError):
+    """A forward-difference probe left the domain: near the box edge the
+    reference Newton fails where a Newton that makes no probe need not."""
+
+
+def fd_jacobian(fn, x, f0):
+    """Forward-difference Jacobian of fn at x, where fn(x) = f0."""
+    m, n = len(f0), len(x)
+    J = np.empty((m, n))
+    for k in range(n):
+        xk = x.copy()
+        xk[k] += NEWTON_FD_STEP
+        try:
+            J[:, k] = (fn(xk) - f0) / NEWTON_FD_STEP
+        except DomainError as exc:
+            raise ProbeDomainError(str(exc)) from exc
+    return J
+
+
+def reference_newton_solve(fn, x0, jac=None, context=""):
+    """Damped Newton that evaluates the Jacobian afresh at every iterate:
+    the function ``jac`` when given, a forward difference of fn otherwise.
+    The same line search and tolerances as the package's Broyden Newton."""
+    x = np.asarray(x0, dtype=float).copy()
+    f = np.asarray(fn(x), dtype=float)
+    best = float(np.max(np.abs(f)))
+    for _ in range(MAX_ITER):
+        if best < RES_TOL:
+            return x
+        J = jac(x) if jac is not None else fd_jacobian(fn, x, f)
+        try:
+            dx = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Newton system {context}") from exc
+        if float(np.max(np.abs(dx))) < STEP_TOL:
+            return x
+        t = 1.0
+        for _ in range(40):
+            x_try = x + t * dx
+            try:
+                f_try = np.asarray(fn(x_try), dtype=float)
+                r_try = float(np.max(np.abs(f_try)))
+            except SOLVER_ERRORS:
+                r_try = np.inf
+            if np.isfinite(r_try) and r_try < best:
+                x, f, best = x_try, f_try, r_try
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceError(
+                f"Newton line search stalled {context} (residual {best:.3e})")
+    if best < RES_TOL:
+        return x
+    raise ConvergenceError(
+        f"Newton did not converge {context} (residual {best:.3e})")
+
+
+def reference_fd_solve_riemann(model, ul, ur):
+    """The chartless Riemann solve by Newton on a forward-difference
+    Jacobian from the coordinate jump, one curve point per solve as in the
+    package, then recomposed and checked against RESIDUAL_TOL."""
+    ul, ur = np.asarray(ul, dtype=float), np.asarray(ur, dtype=float)
+    dw = _checked_jump(model, ul, ur, "data jump", "solvable")
+    memo = {}
+
+    def fn(sig):
+        return _compose(model, ul, sig, memo) - ur
+
+    sig = reference_newton_solve(fn, dw, context="(riemann)")
+    sol = _solution_from_sigmas(model, ul, sig, ur=ur, memo=memo)
+    if sol.residual > RESIDUAL_TOL:
+        raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")
+    return sol
+
+
 def reference_newton_shock(model, u0, f0, family, sigma):
     """Chartless Hugoniot point by Newton on Rankine-Hugoniot plus the
     strength equation, seeded at the integrated rarefaction point and the
@@ -95,7 +177,7 @@ def reference_newton_shock(model, u0, f0, family, sigma):
         J[n, :n] = l_row
         return J
 
-    x = newton_solve(fn, x0, jac=jac, context=f"(shock curve family {family})")
+    x = reference_newton_solve(fn, x0, jac, f"(shock curve family {family})")
     return x[:n], float(x[n])
 
 
@@ -108,24 +190,33 @@ def _compose_afresh(model, u, sigmas, first):
     return u
 
 
-def reference_split_boundary_pair(model, v, v_prime):
-    """(state, sigmas, residual) of the boundary split, by the same Newton
-    as the package but composing every curve afresh."""
+def reference_split_boundary_pair(model, v, v_prime, fd=False):
+    """(state, sigmas, residual) of the boundary split composing every curve
+    afresh: by the package's Newton from the same seed, the right
+    eigenvectors at zero strength, or with ``fd`` by the forward-difference
+    Newton."""
     v, vp, p = np.asarray(v, dtype=float), np.asarray(v_prime, dtype=float), model.p
     dw = _coords(model, vp) - _coords(model, v)
+    sig0 = np.concatenate([dw[:p], -dw[p:]])
 
     def fn(sig):
         return (_compose_afresh(model, vp, sig[p:], p + 1)
                 - _compose_afresh(model, v, sig[:p], 1))
 
-    sig = newton_solve(fn, np.concatenate([dw[:p], -dw[p:]]))
+    if fd:
+        sig = reference_newton_solve(fn, sig0)
+    else:
+        sig = newton_solve(fn, sig0, np.hstack([-model.eigen(v).right[:, :p],
+                                                model.eigen(vp).right[:, p:]]))
     return (_compose_afresh(model, v, sig[:p], 1), sig,
             float(np.max(np.abs(fn(sig)))))
 
 
-def reference_split_boundary_pair_reverse(model, w, u_star):
-    """(state, sigmas, residual) of the reverse split, by the same Newton
-    as the package but composing every curve afresh."""
+def reference_split_boundary_pair_reverse(model, w, u_star, fd=False):
+    """(state, sigmas, residual) of the reverse split composing every curve
+    afresh: by the package's Newton from the same seed, the identity and the
+    right eigenvectors at zero strength, or with ``fd`` by the
+    forward-difference Newton."""
     w, us = np.asarray(w, dtype=float), np.asarray(u_star, dtype=float)
     p, n = model.p, model.n
     dw = _coords(model, w) - _coords(model, us)
@@ -135,5 +226,12 @@ def reference_split_boundary_pair_reverse(model, w, u_star):
         return np.concatenate([_compose_afresh(model, v3, sig[p:], p + 1) - w,
                                _compose_afresh(model, v3, sig[:p], 1) - us])
 
-    x = newton_solve(fn, np.concatenate([us, np.zeros(p), dw[p:]]))
+    x0 = np.concatenate([us, np.zeros(p), dw[p:]])
+    if fd:
+        x = reference_newton_solve(fn, x0)
+    else:
+        eye, right = np.eye(n), model.eigen(us).right
+        x = newton_solve(fn, x0, np.block([
+            [eye, np.zeros((n, p)), right[:, p:]],
+            [eye, right[:, :p], np.zeros((n, n - p))]]))
     return x[:n], x[n:], float(np.max(np.abs(fn(x))))

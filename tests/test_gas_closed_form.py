@@ -67,7 +67,7 @@ def newton_shock(gas, u0, family, sigma):
         J[2, :2] = chart_gradient(gas, u, family)
         return J
 
-    x = newton_solve(fn, x0, jac=jac)
+    x = newton_solve(fn, x0, jac(x0))
     return x[:2], float(x[2])
 
 

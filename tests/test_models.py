@@ -337,7 +337,7 @@ def test_model_facts_are_computed_once_per_key():
     model = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.4], [1.5, 0.4]))
     report = verify_hypotheses(model, samples_per_axis=6)
     assert verify_hypotheses(model, samples_per_axis=6) is report
-    assert verify_hypotheses(model, 6, respect_predicate=True) is not report
+    assert verify_hypotheses(model, 6, admitted_only=True) is not report
     assert verify_hypotheses(model, samples_per_axis=7) is not report
     speed = model.least_speed()
     # tau is not cached: it scales with the interval

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fronttrack.errors import ConvergenceError, DomainError
-from fronttrack.newton import ROOT_MAX_ITER, newton_solve, scalar_root
+from fronttrack.newton import RES_TOL, ROOT_MAX_ITER, newton_solve, scalar_root
 
 
 def test_newton_line_search_skips_solver_errors():
@@ -15,7 +15,7 @@ def test_newton_line_search_skips_solver_errors():
             raise DomainError("outside")
         return np.array([x[0] ** 2 - 2.0])
 
-    x = newton_solve(fn, np.array([0.5]))
+    x = newton_solve(fn, np.array([0.5]), np.array([[1.0]]))
     assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
@@ -28,7 +28,7 @@ def test_newton_line_search_lets_programming_errors_through():
         return np.array([x[0] ** 2 - 2.0])
 
     with pytest.raises(TypeError, match="bad operand"):
-        newton_solve(fn, x0, jac=lambda x: np.array([[2.0 * x[0]]]))
+        newton_solve(fn, x0, np.array([[1.0]]))
 
 
 def test_scalar_root_stops_at_roundoff():
@@ -64,3 +64,29 @@ def test_scalar_root_gives_up_after_max_iterations():
     with pytest.raises(ConvergenceError):
         scalar_root(fn, 1.0, -1e308, 1e308)
     assert len(calls) == ROOT_MAX_ITER
+
+
+def test_newton_on_an_affine_map_from_its_exact_jacobian_takes_one_step():
+    A = np.array([[3.0, 1.0, 0.0], [1.0, 4.0, -1.0], [0.5, 0.0, 2.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    calls = []
+
+    def fn(x):
+        calls.append(x.copy())
+        return A @ x - b
+
+    x = newton_solve(fn, np.zeros(3), A)
+    assert len(calls) == 2      # the start and the one full step
+    assert np.max(np.abs(A @ x - b)) < RES_TOL
+
+
+def test_newton_converges_on_a_nonlinear_system_from_an_inexact_seed():
+    # x^2 + y^2 = 4, x y = 1; the seed is the Jacobian at another point,
+    # so only the Broyden updates bring it to the root's
+    def fn(x):
+        return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] * x[1] - 1.0])
+
+    x = newton_solve(fn, np.array([2.0, 0.5]), np.array([[3.0, 0.0], [0.0, 3.0]]))
+    assert np.max(np.abs(fn(x))) < RES_TOL
+    root_x = math.sqrt(2.0 + math.sqrt(3.0))
+    assert x == pytest.approx([root_x, 1.0 / root_x], abs=1e-12)

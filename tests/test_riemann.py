@@ -5,15 +5,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fronttrack.curves import lax_curve
-from fronttrack.errors import DomainError, RadiusError
+from fronttrack.errors import SOLVER_ERRORS, DomainError, RadiusError
 from fronttrack import riemann
 from fronttrack.models import Box, GasModel, LinearModel, TableModel
 from fronttrack.riemann import (
-    _solution_from_sigmas, compose_waves, solve_riemann, split_boundary_pair,
-    split_boundary_pair_reverse,
+    DELTA_RIEMANN, RESIDUAL_TOL, _coords, _solution_from_sigmas, compose_waves,
+    solve_riemann, split_boundary_pair, split_boundary_pair_reverse,
 )
 from references import (
-    reference_split_boundary_pair, reference_split_boundary_pair_reverse,
+    ProbeDomainError, reference_fd_solve_riemann, reference_split_boundary_pair,
+    reference_split_boundary_pair_reverse,
 )
 
 UL = np.array([1.0, 0.0])
@@ -186,8 +187,11 @@ def counted_lax_curve(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("sigmas", [(0.08, 0.05), (-0.07, 0.03), (0.04, -0.09),
-                                    (-0.1, -0.06), (0.0, -0.05)])
+TABLE_SIGMAS = [(0.08, 0.05), (-0.07, 0.03), (0.04, -0.09), (-0.1, -0.06),
+                (0.0, -0.05)]
+
+
+@pytest.mark.parametrize("sigmas", TABLE_SIGMAS)
 def test_table_solve_computes_each_curve_point_once(sigmas, monkeypatch):
     ur = compose_waves(GAS_TABLE, UL, sigmas)
     calls = counted_lax_curve(monkeypatch)
@@ -206,6 +210,20 @@ def test_table_solve_computes_each_curve_point_once(sigmas, monkeypatch):
             assert getattr(wave, name) == getattr(ref, name)
         assert wave.left.tobytes() == ref.left.tobytes()
         assert wave.right.tobytes() == ref.right.tobytes()
+
+
+@pytest.mark.parametrize("sigmas", TABLE_SIGMAS)
+def test_table_solve_computes_fewer_curve_points_than_fd_newton(sigmas,
+                                                               monkeypatch):
+    # the eigenbasis seed and Broyden's update replace the n extra curve
+    # compositions of every forward-difference Jacobian
+    ur = compose_waves(GAS_TABLE, UL, sigmas)
+    calls = counted_lax_curve(monkeypatch)
+    solve_riemann(GAS_TABLE, UL, ur)
+    broyden = len(calls)
+    calls.clear()
+    reference_fd_solve_riemann(GAS_TABLE, UL, ur)
+    assert broyden < len(calls)
 
 
 @pytest.mark.parametrize("model_name", ["gas", "gas_table"])
@@ -236,3 +254,49 @@ def test_chart_solves_compute_one_curve_point_per_family(gas, diag_linear,
         calls.clear()
         solve_riemann(model, UL, np.array(ur))
         assert len(calls) == model.n
+
+
+# -- the Broyden Newton against Newton on a forward-difference Jacobian ---------
+
+
+def _outcome(solve, *args, **kwargs):
+    """(states, sigmas, residual) of a solve, or the class of its error."""
+    try:
+        res = solve(*args, **kwargs)
+    except SOLVER_ERRORS as exc:
+        return type(exc)
+    if isinstance(res, tuple):
+        return [res[0]], res[1], res[2]
+    states = res.states if hasattr(res, "states") else [res.state]
+    return list(states), res.sigmas, res.residual
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solves_agree_with_fd_newton_within_the_solvable_radius(data, gas):
+    model = data.draw(st.sampled_from([gas, GAS_TABLE]))
+    ul = np.array([data.draw(st.floats(0.5, 1.5)), data.draw(st.floats(-0.6, 0.6))])
+    ur = ul + np.array([data.draw(st.floats(-0.25, 0.25)) for _ in range(2)])
+    assume(model.in_domain(ur))
+    assume(np.max(np.abs(_coords(model, ur) - _coords(model, ul))) <= DELTA_RIEMANN)
+    pairs = [(_outcome(split_boundary_pair, model, ul, ur),
+              _outcome(reference_split_boundary_pair, model, ul, ur, fd=True)),
+             (_outcome(split_boundary_pair_reverse, model, ul, ur),
+              _outcome(reference_split_boundary_pair_reverse, model, ul, ur,
+                       fd=True))]
+    if model is GAS_TABLE:      # the gas solves its Riemann problem in closed form
+        pairs.append((_outcome(solve_riemann, model, ul, ur),
+                      _outcome(reference_fd_solve_riemann, model, ul, ur)))
+    for got, want in pairs:
+        if want is ProbeDomainError:
+            # only the reference's own probe failed: either outcome is allowed,
+            # and a solution must meet its bound
+            assert isinstance(got, type) or got[2] <= RESIDUAL_TOL
+            continue
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+            continue
+        for state, ref in zip(got[0], want[0], strict=True):
+            assert np.max(np.abs(state - ref)) <= 1e-10
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-10
+        assert got[2] <= RESIDUAL_TOL
