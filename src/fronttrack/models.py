@@ -91,16 +91,16 @@ class HypothesisReport:
     """Outcome of the structural-hypothesis sweep over a sampling grid.
 
     ``margins`` stores the worst-case value of each inequality (positive
-    means satisfied with that much room).  A report is shared by every
-    caller that asks its model for the same sweep; do not modify it.
+    means satisfied with that much room; ``speed_band`` is the largest
+    |speed|).  ``violations`` holds (check, state) pairs check by check, in
+    grid order.  A report is shared by every caller that asks its model for
+    the same sweep; do not modify it.
     """
 
     checks: dict
     margins: dict
     violations: list
     n_samples: int
-    min_abs_speed: float
-    max_abs_speed: float
 
     @property
     def admitted(self):
@@ -124,8 +124,7 @@ class FluxModel:
     kind = "custom"
     has_chart = False
 
-    def __init__(self, n, p, box, ref_state=None, min_speed=0.0,
-                 curve_radius=0.5):
+    def __init__(self, n, p, box, ref_state=None, curve_radius=0.5):
         self.n = int(n)
         self.p = int(p)
         if box.lows.shape != (self.n,):
@@ -134,7 +133,6 @@ class FluxModel:
         self.box = box
         if not 0 <= self.p <= self.n:
             raise ValueError(f"p={self.p} must be a family count in 0..{self.n}")
-        self.min_speed = float(min_speed)
         self.curve_radius = float(curve_radius)
         if ref_state is None:
             ref_state = 0.5 * (box.lows + box.highs)
@@ -243,7 +241,7 @@ class FluxModel:
             grid = self.admitted_grid(SPEED_SAMPLES)
             if len(grid) == 0:
                 raise DomainError("no admissible states in the working box")
-            return min(float(np.min(np.abs(self.lambdas(u)))) for u in grid)
+            return float(np.min(np.abs([self.lambdas(u) for u in grid])))
         return self._fact(("least_speed",), compute)
 
 
@@ -318,7 +316,8 @@ class GasModel(FluxModel):
             box = Box([0.5, -0.2], [1.5, 0.2])
         if ref_state is None:
             ref_state = np.array([1.0, 0.0])
-        super().__init__(2, 1, box, ref_state=ref_state, min_speed=min_speed, **kw)
+        super().__init__(2, 1, box, ref_state=ref_state, **kw)
+        self.min_speed = float(min_speed)
         self._w_ref = self._w_raw(self.ref_state)
 
     def sound_speed(self, rho):
@@ -551,7 +550,9 @@ def verify_hypotheses(model, samples_per_axis=32, admitted_only=False):
     Checks the speed sign pattern, the uniform speed floor, genuine
     nonlinearity of every family, and (for 2x2 systems) the clockwise-turning
     wedge inequalities of the eigenvector fields.  Violations are collected,
-    never raised.
+    never raised.  One pass stacks each grid point's speeds and curvature
+    matrix; each check is then a column of per-point values, reduced once,
+    so violations come check by check, non-hyperbolic states first.
 
     By default the sweep probes the whole box (so a box straying past a
     sonic line shows up as a sign violation); with ``admitted_only`` it
@@ -574,74 +575,42 @@ def _sweep_hypotheses(model, samples_per_axis, admitted_only):
     else:
         pts = [u for u in model.box.grid(samples_per_axis)
                if _loose_valid(model, u)]
-    checks, margins, violations = {}, {}, []
-
-    sign_margin = np.inf
-    floor_margin = np.inf
-    gnl_margin = [np.inf] * model.n
-    wedge_rr = -np.inf
-    wedge_bend = [-np.inf, -np.inf]
-    max_speed = 0.0
-    n_used = 0
-
+    n, p = model.n, model.p
+    violations, used, lams, curv, w12 = [], [], [], [], []
     for u in pts:
         try:
             eig = model.eigen(u)
         except HyperbolicityError:
             violations.append(("hyperbolicity", u))
             continue
-        n_used += 1
-        lams = eig.lams
-        max_speed = max(max_speed, float(np.max(np.abs(lams))))
-
-        m_sign = min(float(np.min(-lams[:model.p])) if model.p else np.inf,
-                     float(np.min(lams[model.p:])) if model.p < model.n else np.inf)
-        if m_sign < sign_margin:
-            sign_margin = m_sign
-        if m_sign <= 0:
-            violations.append(("speed_signs", u))
-
-        m_floor = float(np.min(np.abs(lams)))
-        floor_margin = min(floor_margin, m_floor)
-        if m_floor < SPEED_FLOOR:
-            violations.append(("speed_floor", u))
-
-        curv = _curvature(model.hessian(u), eig.right, eig.left)
-        for i, g in enumerate(curv.diagonal().tolist(), start=1):
-            gnl_margin[i - 1] = min(gnl_margin[i - 1], g)
-            if g <= 0:
-                violations.append((f"gnl_{i}", u))
-
-        if model.n == 2:
-            w12 = wedge(eig.r(1), eig.r(2))
-            wedge_rr = max(wedge_rr, w12)
-            if w12 >= 0:
-                violations.append(("wedge_r1_r2", u))
-            # wedge(r_i, D r_i[r_i]) keeps only the r_k component, k != i
-            for i, k, w in ((1, 2, w12), (2, 1, -w12)):
-                wb = float(curv[k - 1, i - 1]) / (eig.lam(i) - eig.lam(k)) * w
-                wedge_bend[i - 1] = max(wedge_bend[i - 1], wb)
-                if wb >= 0:
-                    violations.append((f"wedge_bend_{i}", u))
-
-    checks["speed_signs"] = sign_margin > 0
-    margins["speed_signs"] = sign_margin
-    checks["speed_floor"] = floor_margin >= SPEED_FLOOR
-    margins["speed_floor"] = floor_margin
-    checks["speed_band"] = np.isfinite(max_speed)
-    margins["speed_band"] = max_speed
-    for i in range(1, model.n + 1):
-        checks[f"gnl_{i}"] = gnl_margin[i - 1] > 0
-        margins[f"gnl_{i}"] = gnl_margin[i - 1]
-    if model.n == 2:
-        checks["wedge_r1_r2"] = wedge_rr < 0
-        margins["wedge_r1_r2"] = -wedge_rr
-        for i in (1, 2):
-            checks[f"wedge_bend_{i}"] = wedge_bend[i - 1] < 0
-            margins[f"wedge_bend_{i}"] = -wedge_bend[i - 1]
-
-    return HypothesisReport(checks, margins, violations, n_used,
-                            floor_margin, max_speed)
+        used.append(u)
+        lams.append(eig.lams)
+        curv.append(_curvature(model.hessian(u), eig.right, eig.left))
+        if n == 2:
+            w12.append(wedge(eig.r(1), eig.r(2)))
+    lams, curv = np.reshape(lams, (-1, n)), np.reshape(curv, (-1, n, n))
+    # one column of per-point values per check; a point passes where its
+    # value is positive, or at least SPEED_FLOOR for the speed floor
+    columns = {"speed_signs": np.min(np.hstack([-lams[:, :p], lams[:, p:]]), axis=1),
+               "speed_floor": np.min(np.abs(lams), axis=1),
+               **{f"gnl_{i + 1}": curv[:, i, i] for i in range(n)}}
+    if n == 2:
+        w12 = np.array(w12)
+        columns["wedge_r1_r2"] = -w12
+        # wedge(r_i, D r_i[r_i]) keeps only the r_k component, k != i
+        for i, k, w in ((0, 1, w12), (1, 0, -w12)):
+            columns[f"wedge_bend_{i + 1}"] = -(
+                curv[:, k, i] / (lams[:, i] - lams[:, k]) * w)
+    # builtin min is a running minimum from inf: of equal values it keeps
+    # the first, which fixes the sign of a zero margin
+    margins = {"speed_band": max([0.0, *np.max(np.abs(lams), axis=1).tolist()])}
+    checks = {"speed_band": bool(np.isfinite(margins["speed_band"]))}
+    for name, column in columns.items():
+        fails = column < SPEED_FLOOR if name == "speed_floor" else column <= 0
+        margins[name] = min([np.inf, *column.tolist()])
+        checks[name] = not fails.any()
+        violations += [(name, used[j]) for j in np.flatnonzero(fails)]
+    return HypothesisReport(checks, margins, violations, len(used))
 
 
 def _loose_valid(model, u):

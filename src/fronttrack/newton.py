@@ -21,7 +21,8 @@ def newton_solve(fn, x0, jac0, context=""):
     change df, by Broyden's rule J += outer(df - J s, s) / (s . s) (1965).
 
     Converges when the residual max-norm drops below RES_TOL or the Newton
-    step below STEP_TOL; raises ConvergenceError otherwise.
+    step below STEP_TOL; raises ConvergenceError otherwise.  The last call
+    of fn is at the x returned, so a caller may keep what that call made.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fn(x), dtype=float)

@@ -44,33 +44,26 @@ class BoundarySplit:
     residual: float
 
 
-def _wave_points(model, ul, sigmas, memo, first=1):
+def _wave_points(model, ul, sigmas, first=1):
     """Lax curve points of families first, first + 1, ... composed from ul
-    with the given strengths.  ``memo``, a dict kept for one solve, holds
-    each point under the bytes of its base state, family and strength
-    (bytes keep -0.0 apart from 0.0), so no point is computed twice: the
-    recomposition and a split's final residual reuse Newton's last points."""
+    with the given strengths."""
     u = np.asarray(ul, dtype=float)
     points = []
     for i, s in enumerate(np.asarray(sigmas, dtype=float), start=first):
-        key = (u.tobytes(), i, s.tobytes())
-        cp = memo.get(key)
-        if cp is None:
-            cp = memo[key] = lax_curve(model, u, i, float(s))
-        points.append(cp)
-        u = cp.state
+        points.append(lax_curve(model, u, i, float(s)))
+        u = points[-1].state
     return points
 
 
-def _compose(model, ul, sigmas, memo, first=1):
+def _compose(model, ul, sigmas, first=1):
     """The last state of _wave_points; ul when there are no strengths."""
-    points = _wave_points(model, ul, sigmas, memo, first)
+    points = _wave_points(model, ul, sigmas, first)
     return points[-1].state if points else np.asarray(ul, dtype=float)
 
 
 def compose_waves(model, ul, sigmas):
     """Apply the Lax curves of families 1..n with the given strengths."""
-    return _compose(model, ul, sigmas, {})
+    return _compose(model, ul, sigmas)
 
 
 def _coords(model, u):
@@ -110,17 +103,15 @@ def _classify(model, wave_point, family, ul):
                 wave_point.residual)
 
 
-def _solution_from_sigmas(model, ul, sigmas, ur=None, memo=None):
+def _solution_from_sigmas(model, ul, sigmas, ur, points=None):
     states = [np.asarray(ul, dtype=float)]
     waves = []
-    points = _wave_points(model, ul, sigmas, {} if memo is None else memo)
+    points = points or _wave_points(model, ul, sigmas)
     for i, (s, cp) in enumerate(zip(sigmas, points), start=1):
         if abs(s) >= SIGMA_NULL:
             waves.append(_classify(model, cp, i, states[-1]))
         states.append(cp.state)
-    residual = 0.0
-    if ur is not None:
-        residual = float(np.max(np.abs(states[-1] - np.asarray(ur, dtype=float))))
+    residual = float(np.max(np.abs(states[-1] - np.asarray(ur, dtype=float))))
     return RiemannSolution(np.asarray(sigmas, dtype=float), tuple(states),
                            tuple(waves), residual)
 
@@ -138,8 +129,8 @@ def solve_riemann(model, ul, ur):
     raises ConvergenceError.  A nonlinear model raises RadiusError when the
     data jump exceeds DELTA_RIEMANN.
 
-    Each Lax curve point is computed once per solve: the recomposition
-    reuses the points of the iterate Newton accepted last.
+    Each Lax curve point is computed once per solve, with no cache: the
+    solution is built from the points of Newton's last evaluation, its root.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -153,15 +144,17 @@ def solve_riemann(model, ul, ur):
     if float(np.max(np.abs(ur - ul))) == 0.0:
         return _solution_from_sigmas(model, ul, np.zeros(model.n), ur=ur)
 
-    memo = {}
+    points = None
     if model.kind == "gas":
         sig = model.riemann_strengths(ul, ur)
     else:
         def fn(sig):
-            return _compose(model, ul, sig, memo) - ur
+            nonlocal points
+            points = _wave_points(model, ul, sig)
+            return points[-1].state - ur
 
         sig = newton_solve(fn, dw, model.eigen(ul).right, "(riemann)")
-    sol = _solution_from_sigmas(model, ul, sig, ur=ur, memo=memo)
+    sol = _solution_from_sigmas(model, ul, sig, ur=ur, points=points)
     if sol.residual > RESIDUAL_TOL:
         raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")
     return sol
@@ -175,7 +168,8 @@ def split_boundary_pair(model, v, v_prime):
     only left-moving families into the domain.  Newton is seeded with the
     Jacobian at zero strength, [-r_1..r_p (v) | r_p+1..r_n (v')].  A jump
     from v to v' beyond DELTA_RIEMANN raises RadiusError.  Each Lax curve
-    point is computed once per solve.
+    point is computed once per solve, with no cache: the middle state and
+    the residual are those of Newton's last evaluation, at the root.
     """
     v = np.asarray(v, dtype=float)
     vp = np.asarray(v_prime, dtype=float)
@@ -184,15 +178,18 @@ def split_boundary_pair(model, v, v_prime):
     sig0 = np.concatenate([dw[:p], -dw[p:]])
     jac0 = model.eigen(vp).right.copy()
     jac0[:, :p] = -model.eigen(v).right[:, :p]
-    memo = {}
+    last = None
 
     def fn(sig):
-        return (_compose(model, vp, sig[p:], memo, p + 1)
-                - _compose(model, v, sig[:p], memo))
+        nonlocal last
+        upper = _compose(model, vp, sig[p:], p + 1)
+        lower = _compose(model, v, sig[:p])
+        last = lower, upper - lower
+        return last[1]
 
     sig = newton_solve(fn, sig0, jac0, "(boundary split)")
-    return BoundarySplit(_compose(model, v, sig[:p], memo), sig,
-                         float(np.max(np.abs(fn(sig)))))
+    state, residual = last
+    return BoundarySplit(state, sig, float(np.max(np.abs(residual))))
 
 
 def split_boundary_pair_reverse(model, w, u_star):
@@ -204,8 +201,8 @@ def split_boundary_pair_reverse(model, w, u_star):
     zero strength.  On a Riemann chart that start is exact when w lies on
     the upper-family curve through u_star, and u_star is returned bitwise.
     A jump from u_star to w beyond DELTA_RIEMANN raises RadiusError.  Each
-    Lax curve point is computed once per solve; v''' is an unknown of the
-    Newton, so the memo keys each point by its base state too.
+    Lax curve point is computed once per solve, with no cache: the residual
+    is that of Newton's last evaluation, at the root.
     """
     w = np.asarray(w, dtype=float)
     us = np.asarray(u_star, dtype=float)
@@ -216,12 +213,14 @@ def split_boundary_pair_reverse(model, w, u_star):
     jac0 = np.zeros((2 * n, 2 * n))
     jac0[:n, :n] = jac0[n:, :n] = np.eye(n)
     jac0[:n, n + p:], jac0[n:, n:n + p] = right[:, p:], right[:, :p]
-    memo = {}
+    residual = None
 
     def fn(x):
+        nonlocal residual
         v3, sig = x[:n], x[n:]
-        return np.concatenate([_compose(model, v3, sig[p:], memo, p + 1) - w,
-                               _compose(model, v3, sig[:p], memo) - us])
+        residual = np.concatenate([_compose(model, v3, sig[p:], p + 1) - w,
+                                   _compose(model, v3, sig[:p]) - us])
+        return residual
 
     x = newton_solve(fn, np.concatenate([us, sig0]), jac0, "(reverse split)")
-    return BoundarySplit(x[:n], x[n:], float(np.max(np.abs(fn(x)))))
+    return BoundarySplit(x[:n], x[n:], float(np.max(np.abs(residual))))

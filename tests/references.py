@@ -2,14 +2,18 @@
 
 import numpy as np
 
+from fronttrack import riemann
 from fronttrack.curves import _gnl, lax_curve, rarefaction_curve
 from fronttrack.errors import (
     SOLVER_ERRORS, ConvergenceError, DomainError, HyperbolicityError,
 )
-from fronttrack.models import GNL_FLOOR, EigenStructure, _curvature, wedge
+from fronttrack.models import (
+    GNL_FLOOR, SPEED_FLOOR, EigenStructure, HypothesisReport, _curvature,
+    _loose_valid, wedge,
+)
 from fronttrack.newton import MAX_ITER, RES_TOL, STEP_TOL, newton_solve
 from fronttrack.riemann import (
-    RESIDUAL_TOL, _checked_jump, _compose, _coords, _solution_from_sigmas,
+    RESIDUAL_TOL, _checked_jump, _coords, _solution_from_sigmas,
 )
 
 
@@ -134,19 +138,37 @@ def reference_newton_solve(fn, x0, jac=None, context=""):
         f"Newton did not converge {context} (residual {best:.3e})")
 
 
+def _memo_wave_points(model, ul, sigmas, memo):
+    """Lax curve points of families 1, 2, ... composed from ul, each kept in
+    ``memo`` under the bytes of its base state, family and strength (bytes
+    keep -0.0 apart from 0.0), so no point is computed twice in one solve.
+    The curve is looked up on the riemann module, where tests count it."""
+    u = np.asarray(ul, dtype=float)
+    points = []
+    for i, s in enumerate(np.asarray(sigmas, dtype=float), start=1):
+        key = (u.tobytes(), i, s.tobytes())
+        cp = memo.get(key)
+        if cp is None:
+            cp = memo[key] = riemann.lax_curve(model, u, i, float(s))
+        points.append(cp)
+        u = cp.state
+    return points
+
+
 def reference_fd_solve_riemann(model, ul, ur):
     """The chartless Riemann solve by Newton on a forward-difference
-    Jacobian from the coordinate jump, one curve point per solve as in the
-    package, then recomposed and checked against RESIDUAL_TOL."""
+    Jacobian from the coordinate jump, one curve point per solve by a memo,
+    then recomposed and checked against RESIDUAL_TOL."""
     ul, ur = np.asarray(ul, dtype=float), np.asarray(ur, dtype=float)
     dw = _checked_jump(model, ul, ur, "data jump", "solvable")
     memo = {}
 
     def fn(sig):
-        return _compose(model, ul, sig, memo) - ur
+        return _memo_wave_points(model, ul, sig, memo)[-1].state - ur
 
     sig = reference_newton_solve(fn, dw, context="(riemann)")
-    sol = _solution_from_sigmas(model, ul, sig, ur=ur, memo=memo)
+    sol = _solution_from_sigmas(model, ul, sig, ur=ur,
+                                points=_memo_wave_points(model, ul, sig, memo))
     if sol.residual > RESIDUAL_TOL:
         raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")
     return sol
@@ -235,3 +257,80 @@ def reference_split_boundary_pair_reverse(model, w, u_star, fd=False):
             [eye, np.zeros((n, p)), right[:, p:]],
             [eye, right[:, :p], np.zeros((n, n - p))]]))
     return x[:n], x[n:], float(np.max(np.abs(fn(x))))
+
+
+def reference_sweep_hypotheses(model, samples_per_axis, admitted_only):
+    """The structural-hypothesis sweep with one running accumulator per
+    check, updated and flagged point by point: violations in grid order,
+    each margin the first of its equal worst values."""
+    if admitted_only:
+        pts = model.admitted_grid(samples_per_axis)
+    else:
+        pts = [u for u in model.box.grid(samples_per_axis)
+               if _loose_valid(model, u)]
+    checks, margins, violations = {}, {}, []
+
+    sign_margin = np.inf
+    floor_margin = np.inf
+    gnl_margin = [np.inf] * model.n
+    wedge_rr = -np.inf
+    wedge_bend = [-np.inf, -np.inf]
+    max_speed = 0.0
+    n_used = 0
+
+    for u in pts:
+        try:
+            eig = model.eigen(u)
+        except HyperbolicityError:
+            violations.append(("hyperbolicity", u))
+            continue
+        n_used += 1
+        lams = eig.lams
+        max_speed = max(max_speed, float(np.max(np.abs(lams))))
+
+        m_sign = min(float(np.min(-lams[:model.p])) if model.p else np.inf,
+                     float(np.min(lams[model.p:])) if model.p < model.n else np.inf)
+        if m_sign < sign_margin:
+            sign_margin = m_sign
+        if m_sign <= 0:
+            violations.append(("speed_signs", u))
+
+        m_floor = float(np.min(np.abs(lams)))
+        floor_margin = min(floor_margin, m_floor)
+        if m_floor < SPEED_FLOOR:
+            violations.append(("speed_floor", u))
+
+        curv = _curvature(model.hessian(u), eig.right, eig.left)
+        for i, g in enumerate(curv.diagonal().tolist(), start=1):
+            gnl_margin[i - 1] = min(gnl_margin[i - 1], g)
+            if g <= 0:
+                violations.append((f"gnl_{i}", u))
+
+        if model.n == 2:
+            w12 = wedge(eig.r(1), eig.r(2))
+            wedge_rr = max(wedge_rr, w12)
+            if w12 >= 0:
+                violations.append(("wedge_r1_r2", u))
+            for i, k, w in ((1, 2, w12), (2, 1, -w12)):
+                wb = float(curv[k - 1, i - 1]) / (eig.lam(i) - eig.lam(k)) * w
+                wedge_bend[i - 1] = max(wedge_bend[i - 1], wb)
+                if wb >= 0:
+                    violations.append((f"wedge_bend_{i}", u))
+
+    checks["speed_signs"] = sign_margin > 0
+    margins["speed_signs"] = sign_margin
+    checks["speed_floor"] = floor_margin >= SPEED_FLOOR
+    margins["speed_floor"] = floor_margin
+    checks["speed_band"] = np.isfinite(max_speed)
+    margins["speed_band"] = max_speed
+    for i in range(1, model.n + 1):
+        checks[f"gnl_{i}"] = gnl_margin[i - 1] > 0
+        margins[f"gnl_{i}"] = gnl_margin[i - 1]
+    if model.n == 2:
+        checks["wedge_r1_r2"] = wedge_rr < 0
+        margins["wedge_r1_r2"] = -wedge_rr
+        for i in (1, 2):
+            checks[f"wedge_bend_{i}"] = wedge_bend[i - 1] < 0
+            margins[f"wedge_bend_{i}"] = -wedge_bend[i - 1]
+
+    return HypothesisReport(checks, margins, violations, n_used)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -5,13 +7,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fronttrack.curves import shock_deviation_coefficient
 from fronttrack.errors import SOLVER_ERRORS, DomainError, HyperbolicityError
 from fronttrack.models import (
-    SPEED_SAMPLES, Box, GasModel, LinearModel, TableModel, crossing_time,
-    verify_hypotheses,
+    SPEED_SAMPLES, Box, GasModel, LinearModel, TableModel, _sweep_hypotheses,
+    crossing_time, verify_hypotheses,
 )
 
 from references import (
     chart_gradient, reference_deviation_coefficient, reference_numeric_eigen,
-    reference_wedge_bend,
+    reference_sweep_hypotheses, reference_wedge_bend,
 )
 
 
@@ -97,7 +99,7 @@ def test_hypotheses_linear_diagonal(diag_linear):
     assert report.checks["speed_signs"]
     assert report.checks["speed_floor"]
     assert diag_linear.p == 1
-    assert report.min_abs_speed == pytest.approx(1.0)
+    assert report.margins["speed_floor"] == pytest.approx(1.0)
 
 
 def test_chart_anchored_at_reference(gas):
@@ -541,3 +543,59 @@ def test_sweep_evaluates_the_eigenstructure_once_per_grid_point(model):
     grid = {tuple(u) for u in model.box.grid(7).tolist()}
     assert set(seen) <= grid
     assert len(seen) == len(set(seen)) == report.n_samples
+
+
+# -- the tabled sweep against the running accumulators ----------------------
+
+# f = (v, u + u^2): speeds +-sqrt(1 + 2u), complex for u < -1/2
+CORNER_TABLE = TableModel([[(1.0, (0, 1))], [(1.0, (1, 0)), (1.0, (2, 0))]], 1,
+                          Box([-1.0, -1.0], [1.0, 1.0]))
+# f = (u^3/3 - 2u, v + v^2/2): r_1 turns over at u = 0 and no eigenvector
+# field bends, so a bend margin is a tie of zeros of both signs
+DECOUPLED_TABLE = TableModel([[(1 / 3, (3, 0)), (-2.0, (1, 0))],
+                              [(1.0, (0, 1)), (0.5, (0, 2))]], 1,
+                             Box([-1.0, -0.5], [1.0, 0.5]))
+
+
+@st.composite
+def swept_models(draw):
+    """Gas models with random K and gamma on boxes that may cross the sonic
+    line, the table gas with up to two more monomials per component, and
+    tables that are linear, 3x3, decoupled or not hyperbolic in a corner."""
+    kind = draw(st.sampled_from(["gas", "table_gas", "tables"]))
+    if kind == "gas":
+        lows = np.array([draw(st.floats(0.2, 1.5)), draw(st.floats(-1.5, 1.0))])
+        spans = [draw(st.floats(0.05, 1.0)) for _ in range(2)]
+        return GasModel(K=draw(st.floats(0.5, 2.0)),
+                        gamma=draw(st.floats(1.05, 2.95)),
+                        box=Box(lows, lows + spans))
+    if kind == "table_gas":
+        terms, _ = draw(gas_like_tables())
+        return TableModel(terms, 1, Box([0.5, -0.4], [1.5, 0.4]))
+    return draw(st.sampled_from([CORNER_TABLE, DECOUPLED_TABLE, LINEAR_TABLE,
+                                 TABLE3]))
+
+
+def _sweep_outcome(sweep, model, samples, admitted_only):
+    """Everything a report says, margins by repr so that a zero keeps its
+    sign and violations as a multiset; or the error's class and message."""
+    try:
+        report = sweep(model, samples, admitted_only)
+    except SOLVER_ERRORS as exc:
+        return type(exc), str(exc)
+    return (report.checks, {k: repr(v) for k, v in report.margins.items()},
+            report.n_samples, report.summary(),
+            Counter((name, tuple(u.tolist())) for name, u in report.violations))
+
+
+@settings(max_examples=80, deadline=None)
+@example(model=CORNER_TABLE, samples=12, admitted_only=False)
+@example(model=LINEAR_TABLE, samples=5, admitted_only=True)
+@example(model=DECOUPLED_TABLE, samples=6, admitted_only=True)
+@given(model=swept_models(), samples=st.integers(3, 12),
+       admitted_only=st.booleans())
+def test_tabled_sweep_matches_the_running_accumulators(model, samples,
+                                                       admitted_only):
+    assert (_sweep_outcome(_sweep_hypotheses, model, samples, admitted_only)
+            == _sweep_outcome(reference_sweep_hypotheses, model, samples,
+                              admitted_only))

@@ -90,3 +90,31 @@ def test_newton_converges_on_a_nonlinear_system_from_an_inexact_seed():
     assert np.max(np.abs(fn(x))) < RES_TOL
     root_x = math.sqrt(2.0 + math.sqrt(3.0))
     assert x == pytest.approx([root_x, 1.0 / root_x], abs=1e-12)
+
+
+def _outside_beyond_1_5(x):
+    if x[0] > 1.5:
+        raise DomainError("outside")
+    return np.array([x[0] ** 2 - 2.0])
+
+
+@pytest.mark.parametrize("fn, x0, jac0", [
+    # the start is the root: no step
+    (lambda x: np.array([x[0] ** 2 - 4.0]), [2.0], [[4.0]]),
+    # one full step from the exact Jacobian
+    (lambda x: np.array([[3.0, 1.0], [1.0, 4.0]]) @ x - np.array([1.0, -2.0]),
+     [0.0, 0.0], [[3.0, 1.0], [1.0, 4.0]]),
+    # the first step leaves the domain and is halved
+    (_outside_beyond_1_5, [0.5], [[1.0]]),
+    # the residual's roundoff stays above RES_TOL: the step test returns
+    (lambda x: np.array([1e8 * (x[0] ** 2 - 2.0)]), [1.0], [[2e8]]),
+], ids=["exact_start", "affine", "backtracking", "step_tol"])
+def test_last_evaluation_is_the_returned_root(fn, x0, jac0):
+    calls = []
+
+    def recorded(x):
+        calls.append(x.copy())
+        return fn(x)
+
+    x = newton_solve(recorded, np.array(x0), np.array(jac0))
+    assert calls[-1].tobytes() == x.tobytes()
