@@ -1,11 +1,13 @@
 """Command-line entry point: scenario runner and report utilities.
 
-Exit codes: 0 success, 2 config error, 3 solver divergence, a state
-leaving the admissible domain, a flux Jacobian that is not finite or
-characteristic speeds that are not real and distinct, 4 invariant violation.
+Exit codes: 0 success, 2 config error or a report that `plots` cannot read,
+3 solver divergence, a state leaving the admissible domain, a flux Jacobian
+that is not finite or characteristic speeds that are not real and distinct,
+4 invariant violation.  FAILURES maps each error class to its code.
 """
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -20,6 +22,17 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
+# error class, exit code, stderr prefix: the first row the error is an
+# instance of applies, so RadiusError (a ConvergenceError) is solver divergence
+FAILURES = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (ContractViolationError, EXIT_INVARIANT, "invariant violation"),
+    (ConvergenceError, EXIT_SOLVER, "solver divergence"),
+    (DomainError, EXIT_SOLVER, "domain error"),
+    (HyperbolicityError, EXIT_SOLVER, "hyperbolicity error"),
+    (OSError, EXIT_CONFIG, "error"),
+)
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -28,17 +41,14 @@ def _build_parser():
                     "conservation laws")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_out=True):
-        p.add_argument("--config", required=True, help="scenario JSON file")
-        if need_out:
-            p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="override front-tracking accuracy; only the "
-                            "experiments that track fronts read it, so on "
-                            "riemann, curves and linear_control it exits 2")
-        p.add_argument("--quiet", action="store_true")
-
-    add_common(sub.add_parser("run", help="run a scenario and write reports"))
+    run = sub.add_parser("run", help="run a scenario and write reports")
+    run.add_argument("--config", required=True, help="scenario JSON file")
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--epsilon", type=float, default=None,
+                     help="override front-tracking accuracy; only the "
+                          "experiments that track fronts read it, so on "
+                          "riemann, curves and linear_control it exits 2")
+    run.add_argument("--quiet", action="store_true")
     v = sub.add_parser("validate", help="check a scenario config")
     v.add_argument("--config", required=True)
     v.add_argument("--quiet", action="store_true")
@@ -55,13 +65,6 @@ def _build_parser():
     return parser
 
 
-def _overrides(args):
-    ov = {}
-    if getattr(args, "epsilon", None) is not None:
-        ov["epsilon"] = args.epsilon
-    return ov
-
-
 def _say(args, message):
     if not getattr(args, "quiet", False):
         print(message)
@@ -71,7 +74,8 @@ def _cmd_run(args):
     # run_scenario validates one config; a sweep is validated whole, every
     # variant included, before its first variant writes a file
     config = scenarios.read_config(args.config)
-    config.update(_overrides(args))
+    if args.epsilon is not None:
+        config["epsilon"] = args.epsilon
     if config.get("sweep"):
         scenarios.checked_model(config)
         manifests = scenarios.run_sweep(config, args.out)
@@ -108,42 +112,43 @@ def _cmd_riemann(args):
     return EXIT_OK
 
 
+def _gap_lines(rows):
+    by_t = {}
+    for t, family, gap in rows:
+        by_t.setdefault(t, {})[int(family)] = gap
+    return [f"{t:.17g} " + " ".join(f"{gaps[f]:.17g}" for f in sorted(gaps))
+            for t, gaps in sorted(by_t.items())]
+
+
+# report, .dat file, .dat header, report columns read, their rows -> .dat lines
+PLOTS = (
+    ("contraction.csv", "contraction_loglog.dat", "# k  loglog_inv_delta",
+     ("k", "sup_dist", "tv"),
+     lambda rows: [f"{int(k)} {math.log(math.log(1.0 / max(sup, tv))):.17g}"
+                   for k, sup, tv in rows if 0.0 < max(sup, tv) < 1.0]),
+    ("density_f1.csv", "kappa_vs_t.dat", "# t  kappa_hat", ("t", "kappa_hat"),
+     lambda rows: [f"{t:.17g} {kappa:.17g}" for t, kappa in rows]),
+    ("census.csv", "census_gap_vs_t.dat", "# t  largest_gap_per_family",
+     ("t", "family", "largest_gap"), _gap_lines),
+)
+
+
 def _cmd_plots(args):
     out = Path(args.out)
     made = []
-    contraction = out / "contraction.csv"
-    if contraction.exists():
-        rows = contraction.read_text().strip().splitlines()[1:]
-        lines = ["# k  loglog_inv_delta"]
-        for row in rows:
-            k, _t, sup, tv, _ratio = row.split(",")
-            delta = max(float(sup), float(tv))
-            if 0.0 < delta < 1.0:
-                lines.append(f"{int(k)} {math.log(math.log(1.0 / delta)):.17g}")
-        (out / "contraction_loglog.dat").write_text("\n".join(lines) + "\n")
-        made.append("contraction_loglog.dat")
-    density = out / "density_f1.csv"
-    if density.exists():
-        rows = density.read_text().strip().splitlines()[1:]
-        lines = ["# t  kappa_hat"]
-        for row in rows:
-            t, _m, kappa, _tot = row.split(",")
-            lines.append(f"{float(t):.17g} {float(kappa):.17g}")
-        (out / "kappa_vs_t.dat").write_text("\n".join(lines) + "\n")
-        made.append("kappa_vs_t.dat")
-    census = out / "census.csv"
-    if census.exists():
-        rows = census.read_text().strip().splitlines()[1:]
-        by_t = {}
-        for row in rows:
-            t, family, _n, gap, _c, _tv = row.split(",")
-            by_t.setdefault(float(t), {})[int(family)] = float(gap)
-        lines = ["# t  largest_gap_per_family"]
-        for t in sorted(by_t):
-            gaps = " ".join(f"{by_t[t][f]:.17g}" for f in sorted(by_t[t]))
-            lines.append(f"{t:.17g} {gaps}")
-        (out / "census_gap_vs_t.dat").write_text("\n".join(lines) + "\n")
-        made.append("census_gap_vs_t.dat")
+    for report, dat, header, names, to_lines in PLOTS:
+        path = out / report
+        if not path.exists():
+            continue
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            try:
+                rows = [[float(row.get(n)) for n in names] for row in reader]
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path} line {reader.line_num}: columns "
+                                  f"{names} must hold numbers") from None
+        (out / dat).write_text("\n".join([header, *to_lines(rows)]) + "\n")
+        made.append(dat)
     if not made:
         print("no plottable CSV files found", file=sys.stderr)
         return EXIT_CONFIG
@@ -161,25 +166,12 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
-        for d in exc.diagnostics:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ContractViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ConvergenceError as exc:
-        print(f"solver divergence: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except HyperbolicityError as exc:
-        print(f"hyperbolicity error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        _, code, prefix = next(r for r in FAILURES if isinstance(exc, r[0]))
+        for line in (exc.diagnostics if isinstance(exc, ConfigError)
+                     else [exc]):
+            print(f"{prefix}: {line}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -552,7 +552,9 @@ def verify_hypotheses(model, samples_per_axis=32, admitted_only=False):
     wedge inequalities of the eigenvector fields.  Violations are collected,
     never raised.  One pass stacks each grid point's speeds and curvature
     matrix; each check is then a column of per-point values, reduced once,
-    so violations come check by check, non-hyperbolic states first.
+    so violations come check by check, non-hyperbolic states first.  A
+    point passes a check only where its value is finite, and a check with
+    a NaN value has margin NaN: a flux whose Hessian overflows fails.
 
     By default the sweep probes the whole box (so a box straying past a
     sonic line shows up as a sign violation); with ``admitted_only`` it
@@ -590,7 +592,7 @@ def _sweep_hypotheses(model, samples_per_axis, admitted_only):
             w12.append(wedge(eig.r(1), eig.r(2)))
     lams, curv = np.reshape(lams, (-1, n)), np.reshape(curv, (-1, n, n))
     # one column of per-point values per check; a point passes where its
-    # value is positive, or at least SPEED_FLOOR for the speed floor
+    # value is finite and positive, or at least SPEED_FLOOR for the speed floor
     columns = {"speed_signs": np.min(np.hstack([-lams[:, :p], lams[:, p:]]), axis=1),
                "speed_floor": np.min(np.abs(lams), axis=1),
                **{f"gnl_{i + 1}": curv[:, i, i] for i in range(n)}}
@@ -602,12 +604,15 @@ def _sweep_hypotheses(model, samples_per_axis, admitted_only):
             columns[f"wedge_bend_{i + 1}"] = -(
                 curv[:, k, i] / (lams[:, i] - lams[:, k]) * w)
     # builtin min is a running minimum from inf: of equal values it keeps
-    # the first, which fixes the sign of a zero margin
+    # the first, which fixes the sign of a zero margin; it skips NaN, so a
+    # column holding NaN gets the margin NaN
     margins = {"speed_band": max([0.0, *np.max(np.abs(lams), axis=1).tolist()])}
     checks = {"speed_band": bool(np.isfinite(margins["speed_band"]))}
     for name, column in columns.items():
-        fails = column < SPEED_FLOOR if name == "speed_floor" else column <= 0
-        margins[name] = min([np.inf, *column.tolist()])
+        rule = column >= SPEED_FLOOR if name == "speed_floor" else column > 0
+        fails = ~(rule & np.isfinite(column))
+        margins[name] = (np.nan if np.isnan(column).any()
+                         else min([np.inf, *column.tolist()]))
         checks[name] = not fails.any()
         violations += [(name, used[j]) for j in np.flatnonzero(fails)]
     return HypothesisReport(checks, margins, violations, len(used))

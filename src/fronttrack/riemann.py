@@ -55,15 +55,11 @@ def _wave_points(model, ul, sigmas, first=1):
     return points
 
 
-def _compose(model, ul, sigmas, first=1):
-    """The last state of _wave_points; ul when there are no strengths."""
+def compose_waves(model, ul, sigmas, first=1):
+    """Apply the Lax curves of families first, first + 1, ... with the given
+    strengths; the last state, or ul when there are no strengths."""
     points = _wave_points(model, ul, sigmas, first)
     return points[-1].state if points else np.asarray(ul, dtype=float)
-
-
-def compose_waves(model, ul, sigmas):
-    """Apply the Lax curves of families 1..n with the given strengths."""
-    return _compose(model, ul, sigmas)
 
 
 def _coords(model, u):
@@ -182,8 +178,8 @@ def split_boundary_pair(model, v, v_prime):
 
     def fn(sig):
         nonlocal last
-        upper = _compose(model, vp, sig[p:], p + 1)
-        lower = _compose(model, v, sig[:p])
+        upper = compose_waves(model, vp, sig[p:], p + 1)
+        lower = compose_waves(model, v, sig[:p])
         last = lower, upper - lower
         return last[1]
 
@@ -218,8 +214,9 @@ def split_boundary_pair_reverse(model, w, u_star):
     def fn(x):
         nonlocal residual
         v3, sig = x[:n], x[n:]
-        residual = np.concatenate([_compose(model, v3, sig[p:], p + 1) - w,
-                                   _compose(model, v3, sig[:p]) - us])
+        residual = np.concatenate(
+            [compose_waves(model, v3, sig[p:], p + 1) - w,
+             compose_waves(model, v3, sig[:p]) - us])
         return residual
 
     x = newton_solve(fn, np.concatenate([us, sig0]), jac0, "(reverse split)")

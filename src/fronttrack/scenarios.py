@@ -239,11 +239,11 @@ _SCHEMA = {
         "riemann": {**_COMMON, "riemann": (_REQUIRED, _block("riemann"))},
         "curves": {**_COMMON, "curves": (_REQUIRED, _block("curves"))},
         "steer": {**_TRACKED, **_CHAINED,
-                  "omega": (_REQUIRED, _STATE),
-                  "omega_prime": (_REQUIRED, _STATE)},
+                  "omega": (_REQUIRED, _admissible),
+                  "omega_prime": (_REQUIRED, _admissible)},
         "stabilize": {**_TRACKED, **_CHAINED,
                       "initial": _INITIAL,
-                      "u_star": (_REQUIRED, _STATE),
+                      "u_star": (_REQUIRED, _admissible),
                       "k_max": (4, _is(lambda v, m: _integer(v) and 1 <= v <= 50,
                                        "{name}={value!r} must be an integer "
                                        "in 1..50")),
@@ -283,9 +283,10 @@ _SCHEMA = {
         "dense_shocks": _DENSE,
         "rarefaction_only": _DENSE,
     },
-    "riemann": {"ul": (_REQUIRED, _STATE), "ur": (_REQUIRED, _STATE)},
+    "riemann": {"ul": (_REQUIRED, _admissible),
+                "ur": (_REQUIRED, _admissible)},
     "curves": {
-        "u0": (_REQUIRED, _STATE),
+        "u0": (_REQUIRED, _admissible),
         "family": (None, _FAMILY),
         "branch": (None, _is(lambda v, m: v in ("lax", "shock", "rarefaction"),
                              "{name}={value!r} must be lax | shock | "

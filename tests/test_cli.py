@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 import warnings
@@ -10,7 +11,9 @@ from fronttrack import scenarios, tracking
 from fronttrack.control import crossing_time
 from fronttrack.curves import lax_curve
 from fronttrack.cli import main
-from fronttrack.errors import DomainError
+from fronttrack.errors import (ConfigError, ContractViolationError,
+                               ConvergenceError, DomainError,
+                               HyperbolicityError, RadiusError)
 from fronttrack.models import verify_hypotheses
 from fronttrack.scenarios import validate_config
 
@@ -235,7 +238,13 @@ def test_stabilize_scenario_and_plots(tmp_path):
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
     assert deltas[-1] < 1e-9
     assert main(["plots", "--out", str(out_dir), "--quiet"]) == 0
-    assert (out_dir / "contraction_loglog.dat").exists()
+    expected = [[int(row["k"]), math.log(math.log(1.0 / delta))]
+                for row, delta in zip(_csv_rows(out_dir / "contraction.csv"),
+                                      deltas)
+                if 0.0 < delta < 1.0]
+    assert expected
+    assert _dat_rows(out_dir / "contraction_loglog.dat",
+                     "# k  loglog_inv_delta") == expected
 
 
 def test_counterexample_scenario_plots(tmp_path):
@@ -259,8 +268,46 @@ def test_counterexample_scenario_plots(tmp_path):
     assert manifest["metrics"]["sign_unresolved"] == 0
     assert (out_dir / "census.csv").exists()
     assert main(["plots", "--out", str(out_dir), "--quiet"]) == 0
-    assert (out_dir / "kappa_vs_t.dat").exists()
-    assert (out_dir / "census_gap_vs_t.dat").exists()
+    density = _csv_rows(out_dir / "density_f1.csv")
+    assert len(density) == 8
+    assert _dat_rows(out_dir / "kappa_vs_t.dat", "# t  kappa_hat") == [
+        [float(row["t"]), float(row["kappa_hat"])] for row in density]
+    gaps = {}
+    for row in _csv_rows(out_dir / "census.csv"):
+        gaps.setdefault(float(row["t"]), {})[int(row["family"])] = float(
+            row["largest_gap"])
+    assert sorted(gaps) == [0.0, 0.5, 1.0]
+    assert _dat_rows(out_dir / "census_gap_vs_t.dat",
+                     "# t  largest_gap_per_family") == [
+        [t, *(gaps[t][f] for f in sorted(gaps[t]))] for t in sorted(gaps)]
+
+
+@pytest.mark.parametrize("report, text", [
+    ("contraction.csv", "k,t,sup_dist,tv,ratio\n0,0.0,0.1\n"),
+    ("census.csv", "t,family,n_shocks,largest_gap,creation_count,tv\n"
+                   "0.0,1,3,abc,0,0.1\n"),
+    ("density_f1.csv", "t,max_density,total_mass\n0.5,1.0,2.0\n"),
+], ids=["short-row", "not-a-number", "missing-column"])
+def test_malformed_report_exits_2_naming_it(tmp_path, capsys, report, text):
+    (tmp_path / report).write_text(text)
+    assert main(["plots", "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {tmp_path / report} line 2: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.dat"))
+
+
+def _csv_rows(path):
+    """The rows of a CSV report as dicts of column name to text."""
+    header, *rows = path.read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def _dat_rows(path, header):
+    """The number rows of a .dat file, after checking its header line."""
+    first, *rows = path.read_text().splitlines()
+    assert first == header
+    return [[float(x) for x in row.split()] for row in rows]
 
 
 def test_sweep_mode_writes_subdirectories(tmp_path):
@@ -387,15 +434,30 @@ def test_initial_states_are_checked_per_kind():
     assert any("initial.base" in d for d in validate_config(config))
 
 
-def test_domain_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
-    def leaves_domain(config, model, out):
-        raise DomainError("state [3. 0.] outside admissible domain")
-    monkeypatch.setitem(scenarios._RUNNERS, "evolve", leaves_domain)
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError(["first diagnostic", "second diagnostic"]), 2, "config error"),
+    (ContractViolationError("V + c0 Q increased", {"step": 3}), 4,
+     "invariant violation"),
+    (ConvergenceError("Newton stalled"), 3, "solver divergence"),
+    # a ConvergenceError: the first row of the table it matches applies
+    (RadiusError("jump 0.6 exceeds Riemann radius 0.5"), 3, "solver divergence"),
+    (DomainError("state [3. 0.] outside admissible domain"), 3, "domain error"),
+    (HyperbolicityError("coincident characteristic speeds at [1. 0.]"), 3,
+     "hyperbolicity error"),
+    (OSError("disk full"), 2, "error"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_failure_during_run_exits_with_its_code(tmp_path, monkeypatch, capsys,
+                                                error, code, prefix):
+    def fails(config, model, out):
+        raise error
+    monkeypatch.setitem(scenarios._RUNNERS, "evolve", fails)
     cfg = _write(tmp_path, "evolve.json", _evolve_config())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--quiet"]) == 3
-    err = capsys.readouterr().err
-    assert err == "domain error: state [3. 0.] outside admissible domain\n"
+                 "--quiet"]) == code
+    lines = (error.diagnostics if isinstance(error, ConfigError)
+             else [str(error)])
+    assert capsys.readouterr().err == "".join(f"{prefix}: {line}\n"
+                                              for line in lines)
 
 
 def test_event_budget_exceeded_exits_4(tmp_path, monkeypatch, capsys):
@@ -554,6 +616,12 @@ def _valid_config(experiment):
      "census.times=[-5.0] must lie in [0, horizon=1.0]"),
     ("counterexample", "density.times", [0.5, 1.5],
      "density.times=[0.5, 1.5] must lie in [0, horizon=1.0]"),
+    # states of the right length outside the gas box [[0.5, 1.5], [-0.4, 0.4]]
+    *[(experiment, key, [3.0, 0.0],
+       f"{key}=[3.0, 0.0] lies outside the admissible domain of the model")
+      for experiment, key in [("riemann", "riemann.ul"), ("riemann", "riemann.ur"),
+                              ("curves", "curves.u0"), ("steer", "omega"),
+                              ("steer", "omega_prime"), ("stabilize", "u_star")]],
 ])
 def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
                                                key, value, diagnostic):
@@ -570,7 +638,8 @@ def test_config_the_runner_cannot_read_exits_2(tmp_path, capsys, experiment,
     out_dir = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out_dir),
                  "--quiet"]) == 2
-    assert diagnostic in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert diagnostic in err and err.count("\n") == 1
     assert not out_dir.exists()
 
 

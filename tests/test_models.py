@@ -599,3 +599,23 @@ def test_tabled_sweep_matches_the_running_accumulators(model, samples,
     assert (_sweep_outcome(_sweep_hypotheses, model, samples, admitted_only)
             == _sweep_outcome(reference_sweep_hypotheses, model, samples,
                               admitted_only))
+
+
+def test_non_finite_sweep_values_fail_their_checks():
+    # f = (-u + u^-152, v + v^2/2): u^-152 overflows the Hessian at u = 0.01
+    # while the Jacobian stays finite, so grad(lambda_1) . r_1 is inf and
+    # grad(lambda_2) . r_2 is 0 * inf = NaN at every grid point
+    model = TableModel([[(-1.0, (1, 0)), (1.0, (-152, 0))],
+                        [(1.0, (0, 1)), (0.5, (0, 2))]], 1,
+                       Box([0.01, -0.1], [0.0101, 0.1]))
+    report = verify_hypotheses(model, 3)
+    assert report.n_samples == 9
+    for name in ("gnl_1", "gnl_2", "wedge_bend_1", "wedge_bend_2"):
+        assert not report.checks[name], name
+        assert sum(check == name for check, _ in report.violations) == 9
+    assert report.margins["gnl_1"] == np.inf
+    assert np.isnan(report.margins["gnl_2"])
+    assert "gnl_2              FAIL  margin= nan" in report.summary().splitlines()
+    # the finite checks keep their margins
+    assert report.checks["speed_signs"] and report.checks["speed_floor"]
+    assert report.margins["speed_floor"] == pytest.approx(0.9)
