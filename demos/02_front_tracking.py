@@ -9,7 +9,7 @@ import numpy as np
 
 from fronttrack import (
     Box, GasModel, Simulation, calibrate_interaction_constant, check_upsilon,
-    lax_curve, wave_measures,
+    lax_curve,
 )
 from fronttrack.profiles import profile_from_jumps
 
@@ -59,6 +59,9 @@ ok, worst, n = check_upsilon(sim, c0, 10 * sim.eps)
 print(f"\nV + c0 Q monotone across {n} interactions "
       f"(c0={c0:.4f}, worst increment {worst:.1e}): {ok}")
 
-m = wave_measures(sim.now)
-print(f"wave measures at the end: |mu1-| = {m.mass(1, -1):.5f}, "
-      f"|mu1+| = {m.mass(1, +1):.2e}, |mu2-| = {m.mass(2, -1):.2e}")
+# every front is one atom of its family's wave measure
+fam, sig = sim.now.families, sim.now.sigmas
+print(f"wave measures at the end: "
+      f"|mu1-| = {np.abs(sig[(fam == 1) & (sig < 0)]).sum():.5f}, "
+      f"|mu1+| = {sig[(fam == 1) & (sig > 0)].sum():.2e}, "
+      f"|mu2-| = {np.abs(sig[(fam == 2) & (sig < 0)]).sum():.2e}")

@@ -37,8 +37,8 @@ from .riemann import (
 )
 from .scenarios import run_scenario, validate_config
 from .tracking import (
-    InteractionRecord, Simulation, Snapshot, WaveMeasure,
-    calibrate_interaction_constant, check_upsilon, wave_measures,
+    InteractionRecord, Simulation, Snapshot, calibrate_interaction_constant,
+    check_upsilon,
 )
 
 __version__ = "0.1.0"

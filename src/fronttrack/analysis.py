@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import lax_curve
 from .profiles import PiecewiseConstant
-from .tracking import TIME_TIE, wave_measures
+from .tracking import TIME_TIE
 
 DEFAULT_CENSUS_FLOOR = 1e-6      # below this a jump counts as wave dust
 DEFAULT_SIGN_FLOOR = 1e-11       # opposite-family output resolvable above this
@@ -44,22 +44,21 @@ class DensityReport:
 def positive_wave_density(snapshot, family, cells=64, probe=None):
     """Bin the positive (rarefaction) atoms of one family on a uniform grid.
 
-    Front-tracking profiles carry purely atomic wave measures, so the
-    density bound becomes a binned-mass bound; shocks contribute nothing.
+    Front-tracking profiles carry purely atomic wave measures, each front
+    an atom of its signed strength at its position, so the density bound
+    becomes a binned-mass bound; shocks contribute nothing.
     """
     if probe is None:
         probe = _default_probe(snapshot.a, snapshot.b)
     lo, hi = probe
     edges = np.linspace(lo, hi, cells + 1)
-    measure = wave_measures(snapshot)
-    xs, sizes = measure.atoms(family, sign=+1)
+    atoms = (snapshot.families == family) & (snapshot.sigmas > 0)
     densities = np.zeros(cells)
     width = (hi - lo) / cells
-    for x, s in zip(xs, sizes):
-        if lo <= x < hi:
-            densities[int((x - lo) / width)] += s / width
-        elif x == hi:
-            densities[-1] += s / width
+    for x, s in zip(snapshot.xs[atoms], snapshot.sigmas[atoms]):
+        if lo <= x <= hi:
+            # (x - lo) / width rounds up to cells for x an ulp below hi
+            densities[min(int((x - lo) / width), cells - 1)] += s / width
     max_density = float(np.max(densities)) if cells else 0.0
     return DensityReport(float(snapshot.time), int(family), (lo, hi), edges,
                          densities, max_density,
@@ -189,41 +188,39 @@ class CensusReport:
     tv: float
 
 
-def _same_family_shock_collisions(sim, family):
-    """(record, opposite-family output strength) of every collision of two
-    or more fronts that are all shocks of ``family``; the strength is 0.0
-    when the collision emits no wave of the other family."""
-    other = 2 if family == 1 else 1
+def _same_family_shock_collisions(sim):
+    """(record, family-2 output strength) of every collision of two or more
+    fronts that are all family-1 shocks; the strength is 0.0 when the
+    collision emits no family-2 wave."""
     for rec in sim.records:
         if rec.kind != "collision" or len(rec.in_ids) < 2:
             continue
-        if not all(f == family and k == "shock"
+        if not all(f == 1 and k == "shock"
                    for f, k in zip(rec.in_families, rec.in_kinds)):
             continue
-        out = [s for f, s in zip(rec.out_families, rec.out_sigmas) if f == other]
+        out = [s for f, s in zip(rec.out_families, rec.out_sigmas) if f == 2]
         yield rec, out[0] if out else 0.0
 
 
-def creation_events(sim, floor=DEFAULT_SIGN_FLOOR, family=1):
-    """Interactions where same-family shocks collide and emit a resolvable
-    shock of the other family: strength below -floor."""
+def creation_events(sim, floor=DEFAULT_SIGN_FLOOR):
+    """Interactions where family-1 shocks collide and emit a resolvable
+    family-2 shock: strength below -floor."""
     return [(rec.time, rec.x)
-            for rec, sig in _same_family_shock_collisions(sim, family)
+            for rec, sig in _same_family_shock_collisions(sim)
             if sig < -floor]
 
 
-def same_family_collision_compliance(sim, family=1,
-                                     sign_floor=DEFAULT_SIGN_FLOOR):
-    """Sign audit of pure same-family shock collisions.
+def same_family_collision_compliance(sim, sign_floor=DEFAULT_SIGN_FLOOR):
+    """Sign audit of pure family-1 shock collisions.
 
-    Returns (events, compliant, unresolved): every collision of family-i
-    shocks must emit a strictly negative (shock) wave of the other family.
+    Returns (events, compliant, unresolved): every collision of family-1
+    shocks must emit a strictly negative (shock) wave of family 2.
     An output is resolved when its magnitude exceeds the sign floor, the
     rule ``creation_events`` applies; outputs at or below the floor are
     counted unresolved rather than judged.
     """
     n_events = n_compliant = n_unresolved = 0
-    for _rec, sig in _same_family_shock_collisions(sim, family):
+    for _rec, sig in _same_family_shock_collisions(sim):
         n_events += 1
         if abs(sig) <= sign_floor:
             n_unresolved += 1

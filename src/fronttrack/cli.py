@@ -168,8 +168,7 @@ def main(argv=None):
         return handler(args)
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         _, code, prefix = next(r for r in FAILURES if isinstance(exc, r[0]))
-        for line in (exc.diagnostics if isinstance(exc, ConfigError)
-                     else [exc]):
+        for line in getattr(exc, "diagnostics", [exc]):
             print(f"{prefix}: {line}", file=sys.stderr)
         return code
 

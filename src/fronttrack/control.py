@@ -73,11 +73,11 @@ class ContractionRecord:
     def deltas(self):
         return np.array([r.delta for r in self.rows])
 
-    def loglog_fit(self, floor=1e-13):
+    def loglog_fit(self):
         """Slope/intercept/R^2 of log log(1/delta_k) against k."""
         ks, ys = [], []
         for r in self.rows:
-            if r.delta > floor and r.delta < 1.0:
+            if 1e-13 < r.delta < 1.0:    # smaller deltas are round-off
                 ks.append(r.k)
                 ys.append(math.log(math.log(1.0 / r.delta)))
         if len(ks) < 2:

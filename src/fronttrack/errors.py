@@ -26,9 +26,9 @@ SOLVER_ERRORS = (DomainError, ConvergenceError, HyperbolicityError)
 class ContractViolationError(RuntimeError):
     """A structural contract was violated (wrong-family injection, failed contraction)."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, context=None):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.context = context or {}
 
 
 class ConfigError(ValueError):

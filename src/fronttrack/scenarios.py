@@ -505,8 +505,8 @@ def _write_snapshot(out, rel_base, snap):
     })
 
 
-def _write_sim_logs(out, sim, prefix=""):
-    out.write_csv(prefix + "functionals.csv", ["t", "V", "Q", "TV"],
+def _write_sim_logs(out, sim):
+    out.write_csv("functionals.csv", ["t", "V", "Q", "TV"],
                   sim.functional_history)
     rows = []
     for rec in sim.records:
@@ -514,7 +514,7 @@ def _write_sim_logs(out, sim, prefix=""):
                      ";".join(str(i) for i in rec.in_ids),
                      ";".join(str(i) for i in rec.out_ids),
                      rec.dV, rec.dQ])
-    out.write_csv(prefix + "interactions.csv",
+    out.write_csv("interactions.csv",
                   ["t", "x", "kind", "in_ids", "out_ids", "dV", "dQ"], rows)
 
 

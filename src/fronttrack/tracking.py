@@ -8,21 +8,21 @@ earliest adjacent-front collision or boundary crossing.  A collision poses
 the Riemann problem between the cell states on either side of the colliding
 fronts and solves it exactly; outgoing rarefactions are fanned into pieces
 of strength at most eps_fronts, and fronts reaching a boundary leave without
-reflection.  Everything the diagnostics need (interaction log, functional
-history, snapshot history, boundary flux integrals) is accumulated as the
-simulation advances.
+reflection.  The snapshot is the one record of a profile: the history of
+snapshots, the interaction log and the boundary flux integrals are all the
+diagnostics read, and the functional history is a view of the snapshots.
 
 The profile changes at four kinds of point only: initial jumps, collisions,
 boundary exits and boundary injections.  Each replaces a run of fronts by
 the waves of one Riemann solution (none for an exit) through one private
 step, which splices the new snapshot, sets the new fronts' generations and,
-for every kind but the initial fronts, logs the functionals and appends the
-interaction record and the snapshot.
+for every kind but the initial fronts, appends the interaction record and
+the snapshot.
 
-The same step updates a running interaction potential Q from the splice
-alone: pairs of untouched fronts keep their contribution, so Q changes only
-through the pairs that involve a replaced or a new front (Bressan 2000,
-ch. 7).
+The same step gives the new snapshot its interaction potential Q from the
+splice alone: pairs of untouched fronts keep their contribution, so Q
+changes only through the pairs that involve a replaced or a new front
+(Bressan 2000, ch. 7).
 """
 
 import bisect
@@ -45,16 +45,17 @@ CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
 CALIBRATION_SIGMAS = (0.01, 0.1)    # range of the drawn |strengths|
 CALIBRATION_BOX_MARGIN = 0.25       # box shrink factor, per side
 Q_NOISE = 1e-12         # float noise of the local update dQ of the potential
-# numeric per-front columns of a Snapshot, in the order new fronts list them
-_FRONT_COLUMNS = ("ids", "xs", "families", "sigmas", "speeds", "generations")
+# per-front columns of a Snapshot, in the order new fronts list them
+_FRONT_COLUMNS = ("ids", "xs", "families", "sigmas", "speeds", "generations",
+                  "kinds")
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """Immutable piecewise-constant profile at a fixed time; front j
-    separates cells j and j + 1 of ``states``."""
+    separates cells j and j + 1 of ``states``, and ``q`` is the interaction
+    potential Q of its fronts."""
 
-    model: object
     time: float
     a: float
     b: float
@@ -64,8 +65,9 @@ class Snapshot:
     sigmas: np.ndarray
     speeds: np.ndarray
     generations: np.ndarray
-    kinds: tuple
+    kinds: np.ndarray      # object dtype: shock | rarefaction | contact
     states: np.ndarray     # (n_fronts + 1, n)
+    q: float
 
     @property
     def n_fronts(self):
@@ -73,6 +75,10 @@ class Snapshot:
 
     def profile(self):
         return PiecewiseConstant(self.a, self.b, self.xs, self.states)
+
+    def total_strength(self):
+        """Glimm's V: the sum of the fronts' |sigma|."""
+        return float(np.sum(np.abs(self.sigmas)))
 
     def tv(self):
         if self.n_fronts == 0:
@@ -117,36 +123,12 @@ class InteractionRecord:
     dQ: float
 
 
-@dataclass(frozen=True)
-class WaveMeasure:
-    """Atomic wave measures of a snapshot, one atom per jump and family."""
-
-    positions: dict        # family -> np.ndarray of x
-    sizes: dict            # family -> np.ndarray of signed sigma
-
-    def mass(self, family, sign=None):
-        s = self.sizes.get(family)
-        if s is None or len(s) == 0:
-            return 0.0
-        if sign is None:
-            return float(np.sum(np.abs(s)))
-        if sign > 0:
-            return float(np.sum(s[s > 0]))
-        return float(-np.sum(s[s < 0]))
-
-    def atoms(self, family, sign=None):
-        xs = self.positions.get(family, np.empty(0))
-        ss = self.sizes.get(family, np.empty(0))
-        if sign is None:
-            return xs, ss
-        mask = ss > 0 if sign > 0 else ss < 0
-        return xs[mask], ss[mask]
-
-
 class Simulation:
     """Front-tracking run over one model and interval.  Its profile is the
     Snapshot ``now``, which every event replaces by splicing its columns;
-    arrays are never written in place, because ``history`` shares them."""
+    arrays are never written in place, because ``history`` shares them.
+    ``history`` holds the snapshot of time 0 and of every recorded event,
+    and ``records`` the events' interaction records."""
 
     def __init__(self, model, profile, eps_fronts):
         if eps_fronts <= 0:
@@ -156,41 +138,38 @@ class Simulation:
         self.b = float(profile.b)
         self.eps = float(eps_fronts)
         self.records = []
-        self.functional_history = []
         self.history = []
         self.dropped_mass = 0.0
         self.boundary_flux_integral = np.zeros((2, model.n))
-        self._q = 0.0          # interaction potential Q of now, kept by _step
-        self._rarefactions = np.zeros(0, dtype=bool)  # of now, kept by _step
         self._next_uid = 0
         self._event_count = 0
         self._instant_events = 0
 
         values = np.array(np.atleast_2d(profile.values), dtype=float)
         ints, floats = np.empty(0, dtype=int), np.empty(0)
-        self.now = Snapshot(model, 0.0, self.a, self.b, ints, floats, ints,
-                            floats, floats, ints, (), values[:1])
+        self.now = Snapshot(0.0, self.a, self.b, ints, floats, ints, floats,
+                            floats, ints, np.empty(0, dtype=object),
+                            values[:1], 0.0)
         for j, x in enumerate(profile.xs):
             k = self.now.n_fronts
             self._step(k, k, self.now.states[k],
                        solve_riemann(model, values[j], values[j + 1]).waves, x)
-        self._log_functionals()
         self.history.append(self.now)
 
     @property
     def time(self):
         return self.now.time
 
+    @property
+    def functional_history(self):
+        """(t, V, Q, TV) of every history snapshot."""
+        return [(s.time, s.total_strength(), s.q, s.tv()) for s in self.history]
+
     # -- bookkeeping -------------------------------------------------------
 
     def _uid(self):
         self._next_uid += 1
         return self._next_uid - 1
-
-    def _log_functionals(self):
-        s = self.now
-        self.functional_history.append(
-            (s.time, float(np.sum(np.abs(s.sigmas))), self._q, s.tv()))
 
     def _where(self):
         """Diagnostics of an engine contract violation."""
@@ -199,8 +178,7 @@ class Simulation:
     def _incoming(self, lo, hi):
         """ids, families, sigmas and kinds of fronts lo..hi - 1."""
         s = self.now
-        return [col[lo:hi].tolist() for col in (s.ids, s.families, s.sigmas)] \
-            + [list(s.kinds[lo:hi])]
+        return [col[lo:hi].tolist() for col in (s.ids, s.families, s.sigmas, s.kinds)]
 
     def _step(self, lo, hi, left, waves, x, kind=None):
         """The one change of the profile: replace fronts lo..hi - 1 by the
@@ -212,12 +190,11 @@ class Simulation:
         wave (first piece) or the curve point that made it carries.  A new
         front takes the least generation of the replaced fronts of its
         family, else one more than the least replaced generation, else 1.
-        The running potential Q takes the change of the splice (see
-        ``_potential_change``), for every kind, the initial fronts too.
-        With a ``kind`` the event is recorded: the functionals are logged,
-        and the record (dV from the last two rows, as V does not read
-        positions, which alone move between events; dQ from the splice)
-        and the new snapshot are appended.
+        The new snapshot's potential q is the old one plus the change of
+        the splice (see ``_potential_change``), for every kind, the initial
+        fronts too.  With a ``kind`` the event is recorded: the record (dV
+        the change of V across the splice, dQ that of q) and the new
+        snapshot are appended.
         """
         s = self.now
         incoming = self._incoming(lo, hi)
@@ -225,7 +202,7 @@ class Simulation:
         least = {}
         for fam, gen in zip(incoming[1], gens):
             least[fam] = min(gen, least.get(fam, gen))
-        new = {name: [] for name in _FRONT_COLUMNS + ("kinds", "rights")}
+        new = {name: [] for name in _FRONT_COLUMNS + ("rights",)}
         for wave in waves:
             if abs(wave.sigma) < SIGMA_NULL:
                 self.dropped_mass += abs(wave.sigma)
@@ -247,25 +224,21 @@ class Simulation:
                     new[name].append(val)
 
         dQ = self._potential_change(lo, hi, incoming, new)
-        self._q += dQ
 
         def put(col, vals):
             return np.concatenate((col[:lo], np.asarray(vals, dtype=col.dtype),
                                    col[hi:]))
 
-        self._rarefactions = put(self._rarefactions,
-                                 [k == "rarefaction" for k in new["kinds"]])
         self.now = replace(
             s, **{name: put(getattr(s, name), new[name]) for name in _FRONT_COLUMNS},
-            kinds=s.kinds[:lo] + tuple(new["kinds"]) + s.kinds[hi:],
             states=np.concatenate((s.states[:lo], [left, *new["rights"]],
-                                   s.states[hi + 1:])))
+                                   s.states[hi + 1:])),
+            q=s.q + dQ)
         if kind is not None:
-            self._log_functionals()
-            (_, V0, _, _), (_, V1, _, _) = self.functional_history[-2:]
             self.records.append(InteractionRecord(
                 self.time, x, kind, *incoming, new["ids"], new["families"],
-                new["sigmas"], new["kinds"], V1 - V0, dQ))
+                new["sigmas"], new["kinds"],
+                self.now.total_strength() - s.total_strength(), dQ))
             self.history.append(self.now)
         return new
 
@@ -278,10 +251,9 @@ class Simulation:
         one family, and Q sums s_i s_j over the approaching pairs.  The
         untouched fronts left of lo and right of hi enter as per-family
         strength sums, of all fronts and of rarefactions, binned by
-        family - 1 + n is_rarefaction; the rarefaction mask is spliced with
-        the fronts, not read from kinds."""
+        family - 1 + n is_rarefaction."""
         s, n = self.now, self.model.n
-        keys, sig = s.families - 1 + n * self._rarefactions, np.abs(s.sigmas)
+        keys, sig = s.families - 1 + n * (s.kinds == "rarefaction"), np.abs(s.sigmas)
         sides = []
         for part in (slice(0, lo), slice(hi, None)):
             others, rars = np.bincount(keys[part], sig[part], 2 * n).reshape(2, n)
@@ -454,15 +426,6 @@ def _potential(families, sigmas, kinds, left, right):
         if rar:
             rars[f - 1] += s
     return q
-
-
-def wave_measures(snapshot):
-    """Per-family atomic wave measures of a snapshot: every front is one
-    elementary wave, so its signed strength is an atom at its position."""
-    families = range(1, snapshot.model.n + 1)
-    return WaveMeasure(
-        {i: snapshot.xs[snapshot.families == i] for i in families},
-        {i: snapshot.sigmas[snapshot.families == i] for i in families})
 
 
 def check_upsilon(sim, c0, tol):

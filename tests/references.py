@@ -334,3 +334,13 @@ def reference_sweep_hypotheses(model, samples_per_axis, admitted_only):
             margins[f"wedge_bend_{i}"] = -wedge_bend[i - 1]
 
     return HypothesisReport(checks, margins, violations, n_used)
+
+
+def wave_mass(snap, family, sign=None):
+    """Mass of one family's atomic wave measure in a snapshot, each front
+    an atom of its signed strength; sign +1 or -1 keeps only the positive
+    or the negative atoms."""
+    s = snap.sigmas[snap.families == family]
+    if sign is not None:
+        s = s[np.sign(s) == sign]
+    return float(np.sum(np.abs(s)))

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from fronttrack.analysis import (
-    creation_events, dense_initial_data, density_series,
+    _default_probe, creation_events, dense_initial_data, density_series,
     kappa_trend, positive_wave_density, same_family_collision_compliance,
     shock_census, strongest_front, track_shock_strength,
 )
 from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.profiles import profile_from_jumps
 from fronttrack.riemann import solve_riemann
-from fronttrack.tracking import Simulation, wave_measures
+from fronttrack.tracking import Simulation
+
+from references import wave_mass
 
 U0 = np.array([1.0, 0.0])
 
@@ -42,6 +44,16 @@ def test_density_of_spread_fan_is_near_one(gas):
                                        float(snap.xs[-1]) + 1e-9))
     assert rep.total_mass == pytest.approx(0.3, abs=1e-9)
     assert rep.max_density == pytest.approx(0.3 / width, rel=0.10)
+
+
+def test_density_bins_an_atom_an_ulp_below_the_probe_edge(gas):
+    # here (x - lo) / width rounds up to the number of cells
+    a, b = -0.9936443603065133, 2.1304813064819355
+    x = np.nextafter(_default_probe(a, b)[1], -np.inf)
+    prof = profile_from_jumps(a, b, U0, [(x, lax_curve(gas, U0, 1, 0.05).state)])
+    rep = positive_wave_density(Simulation(gas, prof, 0.1).now, 1, cells=50)
+    assert rep.densities[-1] > 0.0
+    assert rep.total_mass == pytest.approx(0.05, abs=1e-12)
 
 
 def test_kappa_stays_bounded_for_rarefaction_only_run(gas):
@@ -188,10 +200,9 @@ def test_positive_mass_never_increases_across_interactions(gas):
     times = [s.time for s in sim.history]
     for rec in collisions:
         idx = times.index(rec.time)
-        before = wave_measures(sim.history[idx - 1])
-        after = wave_measures(sim.history[idx])
-        mass_before = sum(before.mass(f, +1) for f in (1, 2))
-        mass_after = sum(after.mass(f, +1) for f in (1, 2))
+        before, after = sim.history[idx - 1], sim.history[idx]
+        mass_before = sum(wave_mass(before, f, +1) for f in (1, 2))
+        mass_after = sum(wave_mass(after, f, +1) for f in (1, 2))
         assert mass_after <= mass_before + 1e-6
 
 
@@ -217,9 +228,8 @@ def test_dense_shocks_classify_clean(gas):
     assert total == pytest.approx(-0.05, abs=1e-10)
     sim = Simulation(gas, prof, 0.01)
     assert sim.now.n_fronts == 15
-    m = wave_measures(sim.now)
-    assert m.mass(1, +1) == 0.0
-    assert m.mass(2) == pytest.approx(0.0, abs=1e-10)
+    assert wave_mass(sim.now, 1, +1) == 0.0
+    assert wave_mass(sim.now, 2) == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 15, 31])

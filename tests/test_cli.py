@@ -454,8 +454,7 @@ def test_failure_during_run_exits_with_its_code(tmp_path, monkeypatch, capsys,
     cfg = _write(tmp_path, "evolve.json", _evolve_config())
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--quiet"]) == code
-    lines = (error.diagnostics if isinstance(error, ConfigError)
-             else [str(error)])
+    lines = getattr(error, "diagnostics", [error])
     assert capsys.readouterr().err == "".join(f"{prefix}: {line}\n"
                                               for line in lines)
 

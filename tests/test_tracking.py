@@ -10,8 +10,10 @@ from fronttrack.riemann import (Wave, solve_riemann, split_boundary_pair,
                                split_boundary_pair_reverse)
 from fronttrack.tracking import (
     SPACE_TIE, TIME_TIE, Event, Simulation,
-    calibrate_interaction_constant, check_upsilon, wave_measures,
+    calibrate_interaction_constant, check_upsilon,
 )
+
+from references import wave_mass
 
 U0 = np.array([1.0, 0.0])
 
@@ -200,19 +202,17 @@ def test_wave_measures_single_shock(gas):
     u1 = shock_curve(gas, U0, 1, -0.2).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, u1)])
     sim = Simulation(gas, prof, 0.1)
-    m = wave_measures(sim.now)
-    assert m.mass(1, -1) == pytest.approx(0.2, abs=1e-10)
-    assert m.mass(1, +1) == 0.0
-    assert m.mass(2) == pytest.approx(0.0, abs=1e-10)
+    assert wave_mass(sim.now, 1, -1) == pytest.approx(0.2, abs=1e-10)
+    assert wave_mass(sim.now, 1, +1) == 0.0
+    assert wave_mass(sim.now, 2) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_wave_measures_fan_pieces(gas):
     cp = lax_curve(gas, U0, 2, 0.3)
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, cp.state)])
     sim = Simulation(gas, prof, 0.1)
-    m = wave_measures(sim.now)
-    assert m.mass(2, +1) == pytest.approx(0.3, abs=1e-9)
-    assert m.mass(2, -1) == pytest.approx(0.0, abs=1e-10)
+    assert wave_mass(sim.now, 2, +1) == pytest.approx(0.3, abs=1e-9)
+    assert wave_mass(sim.now, 2, -1) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_wave_measures_match_construction(gas):
@@ -220,9 +220,8 @@ def test_wave_measures_match_construction(gas):
     u2 = lax_curve(gas, u1, 2, 0.07).state
     prof = profile_from_jumps(0.0, 1.0, U0, [(0.3, u1), (0.7, u2)])
     sim = Simulation(gas, prof, 0.2)
-    m = wave_measures(sim.now)
-    assert m.mass(1, -1) == pytest.approx(0.12, abs=1e-8)
-    assert m.mass(2, +1) == pytest.approx(0.07, abs=1e-8)
+    assert wave_mass(sim.now, 1, -1) == pytest.approx(0.12, abs=1e-8)
+    assert wave_mass(sim.now, 2, +1) == pytest.approx(0.07, abs=1e-8)
 
 
 def _cascade(gas_slow, n=15, budget=0.05, eps=0.01, horizon=25.0):
@@ -255,12 +254,10 @@ def test_wave_measures_match_riemann_resolve_of_every_jump(gas_slow):
             sol = solve_riemann(gas_slow, snap.states[j], snap.states[j + 1])
             for wave in sol.waves:
                 ref[j, wave.family - 1] += wave.sigma
-        m = wave_measures(snap)
+        # each front is the one atom of its family at its position
         for family in range(1, gas_slow.n + 1):
-            xs, sizes = m.atoms(family)
             at = snap.families == family
-            assert np.array_equal(xs, snap.xs[at])
-            assert np.max(np.abs(sizes - ref[at, family - 1]),
+            assert np.max(np.abs(snap.sigmas[at] - ref[at, family - 1]),
                           initial=0.0) <= 1e-10
             assert np.max(np.abs(ref[~at, family - 1]), initial=0.0) <= 1e-10
 
@@ -280,8 +277,9 @@ def test_advance_to_snapshot_unchanged_by_later_events(gas):
     sim = Simulation(gas, prof, 0.02)
     snap = sim.advance_to(0.02)
     before = {name: np.copy(getattr(snap, name)) for name in (
-        "ids", "xs", "families", "sigmas", "speeds", "generations", "states")}
-    time, kinds, n_records = snap.time, snap.kinds, len(sim.records)
+        "ids", "xs", "families", "sigmas", "speeds", "generations", "kinds",
+        "states")}
+    time, q, n_records = snap.time, snap.q, len(sim.records)
     sim.advance_to(0.3)
     assert len(sim.records) > n_records
     target = np.array([1.04, 0.02])
@@ -290,7 +288,7 @@ def test_advance_to_snapshot_unchanged_by_later_events(gas):
     sim.inject_boundary_riemann(
         "a", split_boundary_pair_reverse(gas, sim.trace("a"), target).state)
     sim.advance_to(1.0)
-    assert (snap.time, snap.kinds) == (time, kinds)
+    assert (snap.time, snap.q) == (time, q)
     for name, values in before.items():
         assert np.array_equal(getattr(snap, name), values), name
 
@@ -436,16 +434,20 @@ def dense_gas_jumps(seed, n_jumps=20, size=0.08):
     return [((k + 0.5) / n_jumps, u) for k, u in enumerate(states)]
 
 
-def assert_history_potential_is_pairwise(sim):
-    assert len(sim.functional_history) == len(sim.history)
-    for (_t, _V, Q, _TV), snap in zip(sim.functional_history, sim.history):
-        Q_ref = pairwise_functionals(snap)[1]
-        assert abs(Q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
+def assert_history_functionals_are_pairwise(sim):
+    """Every history snapshot carries the pairwise Q as its q, and the
+    functional history reads its V and TV from the snapshot's columns."""
+    functionals = sim.functional_history
+    assert len(functionals) == len(sim.history)
+    for (t, V, Q, TV), snap in zip(functionals, sim.history):
+        V_ref, Q_ref, TV_ref = pairwise_functionals(snap)
+        assert (t, V, Q, TV) == (snap.time, V_ref, snap.q, TV_ref)
+        assert abs(snap.q - Q_ref) <= 1e-12 * max(1.0, Q_ref)
 
 
 def test_running_potential_matches_pairwise_on_cascade(gas_slow):
     sim = _cascade(gas_slow)
-    assert_history_potential_is_pairwise(sim)
+    assert_history_functionals_are_pairwise(sim)
 
 
 def dense_evolve():
@@ -459,23 +461,7 @@ def dense_evolve():
 def test_running_potential_matches_pairwise_on_dense_evolve():
     sim = dense_evolve()
     assert len(sim.records) >= 500
-    assert_history_potential_is_pairwise(sim)
-
-
-def checked_rarefaction_mask(monkeypatch):
-    """Require, before every update of Q, that the spliced rarefaction mask
-    is kinds == "rarefaction" of the profile; count the updates."""
-    updates = []
-    update = Simulation._potential_change
-
-    def checked(self, lo, hi, incoming, new):
-        assert self._rarefactions.tolist() == [
-            kind == "rarefaction" for kind in self.now.kinds]
-        updates.append(lo)
-        return update(self, lo, hi, incoming, new)
-
-    monkeypatch.setattr(Simulation, "_potential_change", checked)
-    return updates
+    assert_history_functionals_are_pairwise(sim)
 
 
 def linear_evolve():
@@ -492,10 +478,9 @@ def linear_evolve():
                               ref_state=[1.0, 0.98], min_speed=0.002)),
     dense_evolve, linear_evolve,
 ], ids=["cascade", "dense_evolve", "linear_evolve"])
-def test_rarefaction_mask_is_the_kinds(run, monkeypatch):
-    updates = checked_rarefaction_mask(monkeypatch)
+def test_rarefaction_mask_is_the_kinds(run):
     sim = run()
-    assert len(updates) >= len(sim.records) >= 40
+    assert len(sim.records) >= 40
     # the Riemann solver names the kinds: contacts on linear models, else
     # shocks for sigma < 0 and rarefactions for sigma > 0
     nonlinear = sim.model.kind != "linear"
