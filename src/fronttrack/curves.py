@@ -9,7 +9,6 @@ the chart normalization the rarefaction curve is the exact flow of r_i.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, RadiusError
 from .models import GNL_FLOOR, _curvature, wedge
@@ -49,8 +48,10 @@ def rarefaction_curve(model, u0, family, sigma):
         w[family - 1] += sigma
         state = model.from_riemann(w)
     else:
-        # the numeric eigenvectors have unit length, so the flow parameter
-        # is the chartless strength sigma
+        # imported here so that only a chartless model imports
+        # scipy.integrate; the numeric eigenvectors have unit length, so the
+        # flow parameter is the chartless strength sigma
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(lambda _, u: model.eigen(u).r(family),
                         (0.0, sigma), u0, method="DOP853",
                         rtol=1e-12, atol=1e-13, dense_output=False)

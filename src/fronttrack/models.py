@@ -434,14 +434,22 @@ class GasModel(FluxModel):
         rho = rho0 + x
         return np.array([rho, v0 + e * x * q]), v0 + e * rho * q
 
-    def riemann_strengths(self, ul, ur):
-        """Strengths (sigma_1, sigma_2) of the Riemann solution from ul to ur.
+    def riemann_middle(self, ul, ur):
+        """Middle state of the Riemann solution from ul to ur, found first
+        and kept (Toro 2009, ch. 4).
 
         The middle density is the root of vL(rho) - vR(rho), where
         vL = v_l - f(rho; rho_l) and vR = v_r + f(rho; rho_r), and f is the
         chart jump dh for rho below the base density and the Hugoniot jump
         phi above it.  The root is seeded at the two-rarefaction state
         (w1 of ul, w2 of ur).
+
+        Returns (um, sigmas, speeds, residual): the middle state
+        (rho_m, v_m); the strengths, the Riemann-coordinate jumps
+        w1(um) - w1(ul) and w2(ur) - w2(um); the Hugoniot speeds of the two
+        jumps from the mass jump, v_l - rho_m q_l and v_r + rho_m q_r, which
+        are the shock speeds where a wave is a shock; and the root's
+        residual |vL(rho_m) - vR(rho_m)|.
         """
         rho_l, v_l = float(ul[0]), float(ul[1])
         rho_r, v_r = float(ur[0]), float(ur[1])
@@ -452,20 +460,21 @@ class GasModel(FluxModel):
         seed = (th * h_mid / self.K) ** (1.0 / th)
 
         def jump(rho0, x):
-            """f(rho0 + x; rho0), its slope, and dh."""
+            """f(rho0 + x; rho0), its slope, dh and q."""
             dh, ddh, q, dxq = self._wave_terms(rho0, x)
-            return (dh, ddh, dh) if x <= 0.0 else (x * q, dxq, dh)
+            return (dh, ddh, dh, q) if x <= 0.0 else (x * q, dxq, dh, q)
 
         def gap(rho):
-            f_l, df_l, _ = jump(rho_l, rho - rho_l)
-            f_r, df_r, _ = jump(rho_r, rho - rho_r)
+            f_l, df_l, _, _ = jump(rho_l, rho - rho_l)
+            f_r, df_r, _, _ = jump(rho_r, rho - rho_r)
             return f_l + f_r + v_r - v_l, df_l + df_r
 
         rho = scalar_root(gap, seed, 0.0, math.inf, context="(gas riemann)")
-        f_l, _, dh_l = jump(rho_l, rho - rho_l)
-        f_r, _, dh_r = jump(rho_r, rho - rho_r)
+        f_l, _, dh_l, q_l = jump(rho_l, rho - rho_l)
+        f_r, _, dh_r, q_r = jump(rho_r, rho - rho_r)
         v_m = 0.5 * (v_l - f_l + v_r + f_r)
-        return np.array([v_m - v_l - dh_l, v_r - v_m - dh_r])
+        return (np.array([rho, v_m]), np.array([v_m - v_l - dh_l, v_r - v_m - dh_r]),
+                (v_l - rho * q_l, v_r + rho * q_r), abs(f_l + f_r + v_r - v_l))
 
     def structurally_valid(self, u):
         rho, v = np.asarray(u, dtype=float).tolist()

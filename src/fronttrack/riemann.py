@@ -112,21 +112,58 @@ def _solution_from_sigmas(model, ul, sigmas, ur, points=None):
                            tuple(waves), residual)
 
 
+def _gas_solution(model, ul, ur):
+    """The gas Riemann solution built from the middle state its root keeps
+    (``GasModel.riemann_middle``): a rarefaction moves at lambda_i of its
+    two ends, a shock at its mass-jump speed.  A root residual, a shock's
+    Rankine-Hugoniot residual from the flux, or a shock's violation of the
+    Lax condition lambda_i(right) <= s <= lambda_i(left) above RESIDUAL_TOL
+    raises ConvergenceError."""
+    um, sigmas, speeds, residual = model.riemann_middle(ul, ur)
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(f"gas riemann residual {residual:.3e} above tolerance")
+    model.check_domain(um)
+    states = (ul, um, ur)
+    lams = [model.lambdas(u) for u in states]
+    waves = []
+    for i, sigma in enumerate(sigmas.tolist()):
+        if abs(sigma) < SIGMA_NULL:
+            continue
+        left, right = states[i], states[i + 1]
+        lo, hi = float(lams[i][i]), float(lams[i + 1][i])
+        if sigma >= 0.0:
+            waves.append(Wave(i + 1, sigma, "rarefaction", lo, hi, left, right))
+            continue
+        s = speeds[i]
+        rh = float(np.max(np.abs(model.flux(right) - model.flux(left)
+                                 - s * (right - left))))
+        if rh > RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"gas shock family {i + 1}: RH residual {rh:.3e} above tolerance")
+        if max(hi - s, s - lo) > RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"gas shock family {i + 1} at speed {s!r} violates the Lax "
+                f"condition {lo!r} >= s >= {hi!r}")
+        waves.append(Wave(i + 1, sigma, "shock", s, s, left, right, rh))
+    return RiemannSolution(sigmas, states, tuple(waves), residual)
+
+
 def solve_riemann(model, ul, ur):
-    """Strengths sigma_1..sigma_n with Psi_n o ... o Psi_1 (ul) = ur.
+    """Strengths sigma_1..sigma_n with Psi_n o ... o Psi_1 (ul) = ur, the
+    intermediate states and the elementary waves.
 
     Linear models project on the left eigenbasis, at any jump.  The gas
-    model solves one scalar equation for the middle density
-    (``GasModel.riemann_strengths``).  Other models run Broyden-Newton on
-    the strength vector from the Riemann-coordinate jump, seeded with the
-    right eigenbasis at ul, which is the Jacobian of the curve composition
-    at zero strength.  The strengths are then recomposed along the Lax
-    curves, and a recomposition that misses ur by more than RESIDUAL_TOL
-    raises ConvergenceError.  A nonlinear model raises RadiusError when the
-    data jump exceeds DELTA_RIEMANN.
-
-    Each Lax curve point is computed once per solve, with no cache: the
-    solution is built from the points of Newton's last evaluation, its root.
+    model finds its middle state by one scalar root and builds the waves
+    from (ul, um, ur) (``_gas_solution``); the root's residual and each
+    shock's Rankine-Hugoniot residual and Lax margin are its checks, and no
+    Lax curve is evaluated.  Other models run Broyden-Newton on the strength
+    vector from the Riemann-coordinate jump, seeded with the right
+    eigenbasis at ul, which is the Jacobian of the curve composition at
+    zero strength; the solution is built from the Lax curve points of
+    Newton's last evaluation, its root, so each point is computed once, and
+    a composition that misses ur by more than RESIDUAL_TOL raises
+    ConvergenceError.  A nonlinear model raises RadiusError when the data
+    jump exceeds DELTA_RIEMANN.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -138,18 +175,18 @@ def solve_riemann(model, ul, ur):
         return _solution_from_sigmas(model, ul, sig, ur=ur)
     dw = _checked_jump(model, ul, ur, "data jump", "solvable")
     if float(np.max(np.abs(ur - ul))) == 0.0:
-        return _solution_from_sigmas(model, ul, np.zeros(model.n), ur=ur)
+        return RiemannSolution(np.zeros(model.n), (ul,) * (model.n + 1), (), 0.0)
+    if model.kind == "gas":
+        return _gas_solution(model, ul, ur)
 
     points = None
-    if model.kind == "gas":
-        sig = model.riemann_strengths(ul, ur)
-    else:
-        def fn(sig):
-            nonlocal points
-            points = _wave_points(model, ul, sig)
-            return points[-1].state - ur
 
-        sig = newton_solve(fn, dw, model.eigen(ul).right, "(riemann)")
+    def fn(sig):
+        nonlocal points
+        points = _wave_points(model, ul, sig)
+        return points[-1].state - ur
+
+    sig = newton_solve(fn, dw, model.eigen(ul).right, "(riemann)")
     sol = _solution_from_sigmas(model, ul, sig, ur=ur, points=points)
     if sol.residual > RESIDUAL_TOL:
         raise ConvergenceError(f"riemann residual {sol.residual:.3e} above tolerance")

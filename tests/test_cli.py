@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -869,6 +872,34 @@ def _readme_config():
 def _tree(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_gas_run_does_not_import_the_integrator(tmp_path):
+    # only the chartless rarefaction integrates, so a fresh process runs the
+    # README counterexample without scipy.integrate, and a custom-table
+    # Riemann run imports it when it needs it
+    script = """
+import json, sys
+import fronttrack.cli
+from fronttrack import scenarios
+scenarios.run_scenario(json.loads(sys.argv[1]), sys.argv[2])
+assert "scipy.integrate" not in sys.modules
+scenarios.run_scenario(json.loads(sys.argv[3]), sys.argv[4])
+assert "scipy.integrate" in sys.modules
+"""
+    table = {"schema": "scenario-v1", "experiment": "riemann",
+             "model": TABLE_BLOCK,
+             "riemann": {"ul": [1.0, 0.0], "ur": [1.05, 0.1]}}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", script,
+                    json.dumps(_readme_config()), str(tmp_path / "readme"),
+                    json.dumps(table), str(tmp_path / "table")],
+                   env=env, check=True)
+    assert (tmp_path / "readme" / "manifest.json").is_file()
+    manifest = json.loads((tmp_path / "table" / "manifest.json").read_text())
+    assert manifest["metrics"]["residual"] <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["readme", "steer", "stabilize"])

@@ -1,7 +1,8 @@
 """Property tests for the closed-form gas waves: GasModel.hugoniot_point and
-GasModel.riemann_strengths on random gases, against the jump conditions, the
-Riemann chart, the 3x3 Newton shock solve they replace, and the generic
-Riemann solver on the custom-table twin of the gamma = 2 gas."""
+GasModel.riemann_middle on random gases, against the jump conditions, the
+Riemann chart, the 3x3 Newton shock solve they replace, the recomposition
+along the Lax curves, and the generic Riemann solver on the custom-table twin
+of the gamma = 2 gas."""
 
 import math
 
@@ -12,7 +13,9 @@ from fronttrack.curves import lax_curve, rarefaction_curve, shock_curve
 from fronttrack.errors import DomainError
 from fronttrack.models import Box, GasModel, TableModel
 from fronttrack.newton import newton_solve
-from fronttrack.riemann import compose_waves, solve_riemann
+from fronttrack.riemann import (
+    RESIDUAL_TOL, _solution_from_sigmas, compose_waves, solve_riemann,
+)
 
 from references import chart_gradient
 
@@ -152,6 +155,33 @@ def test_gas_riemann_round_trip(data):
     sol = solve_riemann(gas, ul, ur)
     assert np.max(np.abs(sol.sigmas - sig)) <= 1e-10
     assert sol.residual <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gas_solve_matches_its_recomposition_along_the_lax_curves(data):
+    gas = data.draw(gases())
+    ul = data.draw(subsonic_states(gas))
+    sig = [data.draw(st.floats(-0.08, 0.08)) for _ in range(2)]
+    try:
+        ur = compose_waves(gas, ul, sig)
+    except DomainError:
+        assume(False)
+    sol = solve_riemann(gas, ul, ur)
+    old = _solution_from_sigmas(gas, ul, sol.sigmas, ur)
+    assert ([(w.family, w.kind) for w in sol.waves]
+            == [(w.family, w.kind) for w in old.waves])
+    for state, ref in zip(sol.states, old.states, strict=True):
+        assert np.max(np.abs(state - ref)) <= 1e-12
+    # relative to the speed scale at ul: the recomposition inverts the chart
+    # with the power 1 / theta, which amplifies its roundoff as gamma -> 1
+    scale = float(np.max(np.abs(gas.lambdas(ul))))
+    for wave, ref in zip(sol.waves, old.waves):
+        assert abs(wave.speed_lo - ref.speed_lo) <= 1e-14 * scale
+        assert abs(wave.speed_hi - ref.speed_hi) <= 1e-14 * scale
+        assert wave.rh_residual <= RESIDUAL_TOL
+    assert sol.residual <= RESIDUAL_TOL
+    assert old.residual <= RESIDUAL_TOL
 
 
 GAS2 = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fronttrack.curves import lax_curve
-from fronttrack.errors import SOLVER_ERRORS, DomainError, RadiusError
+from fronttrack.errors import (
+    SOLVER_ERRORS, ConvergenceError, DomainError, RadiusError,
+)
 from fronttrack import riemann
 from fronttrack.models import Box, GasModel, LinearModel, TableModel
+from fronttrack.profiles import profile_from_jumps
 from fronttrack.riemann import (
     DELTA_RIEMANN, RESIDUAL_TOL, _coords, _solution_from_sigmas, compose_waves,
     solve_riemann, split_boundary_pair, split_boundary_pair_reverse,
 )
+from fronttrack.tracking import Simulation
 from references import (
     ProbeDomainError, reference_fd_solve_riemann, reference_split_boundary_pair,
     reference_split_boundary_pair_reverse,
@@ -248,12 +252,72 @@ def test_split_computes_each_curve_point_once(model_name, split, reference,
 
 def test_chart_solves_compute_one_curve_point_per_family(gas, diag_linear,
                                                          monkeypatch):
+    # the gas builds its waves from the middle state of its root and
+    # evaluates no Lax curve; the linear projection composes one point per
+    # family
     calls = counted_lax_curve(monkeypatch)
-    for model, ur in ((gas, UL), (gas, [1.1, 0.05]), (gas, [0.9, 0.1]),
-                      (diag_linear, [0.3, -0.2])):
+    for model, ur, points in ((gas, UL, 0), (gas, [1.1, 0.05], 0),
+                              (gas, [0.9, 0.1], 0),
+                              (diag_linear, [0.3, -0.2], diag_linear.n)):
         calls.clear()
         solve_riemann(model, UL, np.array(ur))
-        assert len(calls) == model.n
+        assert len(calls) == points
+
+
+# -- the gas solve's own checks -------------------------------------------------
+
+def perturb_gas_middle(monkeypatch, residual=0.0, speed=0.0):
+    """Make the gas root report a larger residual, or shock speeds moved by
+    ``speed``, on every solve."""
+    middle = GasModel.riemann_middle
+
+    def perturbed(self, ul, ur):
+        um, sigmas, speeds, res = middle(self, ul, ur)
+        return um, sigmas, tuple(s + speed for s in speeds), res + residual
+
+    monkeypatch.setattr(GasModel, "riemann_middle", perturbed)
+
+
+PERTURBATIONS = pytest.mark.parametrize("perturbation, message", [
+    ({"residual": 10 * RESIDUAL_TOL}, "gas riemann residual"),
+    ({"speed": 1e-6}, "RH residual"),
+], ids=["root residual", "RH residual"])
+
+
+@PERTURBATIONS
+def test_gas_solve_raises_beyond_its_checks(gas, perturbation, message,
+                                            monkeypatch):
+    ur = compose_waves(gas, UL, [-0.1, -0.05])
+    assert [w.kind for w in solve_riemann(gas, UL, ur).waves] == ["shock"] * 2
+    perturb_gas_middle(monkeypatch, **perturbation)
+    with pytest.raises(ConvergenceError, match=message):
+        solve_riemann(gas, UL, ur)
+
+
+def test_gas_solve_raises_on_a_shock_beyond_its_lax_margin(gas, monkeypatch):
+    # the expansive branch of the family-1 Hugoniot locus through UL meets
+    # Rankine-Hugoniot at its speed, but not the Lax condition
+    um, speed = gas.hugoniot_point(UL, 1, 0.1)
+    monkeypatch.setattr(GasModel, "riemann_middle", lambda self, ul, ur: (
+        um, np.array([-0.1, 0.0]), (speed, 0.0), 0.0))
+    with pytest.raises(ConvergenceError, match="violates the Lax condition"):
+        solve_riemann(gas, UL, um)
+
+
+@PERTURBATIONS
+def test_failed_collision_solve_is_recorded_before_it_raises(
+        gas, perturbation, message, monkeypatch):
+    u1 = lax_curve(gas, UL, 1, -0.06).state
+    u2 = lax_curve(gas, u1, 1, -0.05).state
+    sim = Simulation(gas, profile_from_jumps(0.0, 1.0, UL, [(0.9, u1), (0.91, u2)]),
+                     0.05)
+    event = sim.next_event()
+    assert event.kind == "collision"
+    perturb_gas_middle(monkeypatch, **perturbation)
+    with pytest.raises(ConvergenceError, match=message):
+        sim.advance_to(event.time)
+    record = sim.records[-1]
+    assert (record.kind, record.time, record.in_families) == ("error", event.time, [1, 1])
 
 
 # -- the Broyden Newton against Newton on a forward-difference Jacobian ---------

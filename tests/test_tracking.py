@@ -464,6 +464,26 @@ def test_running_potential_matches_pairwise_on_dense_evolve():
     assert_history_functionals_are_pairwise(sim)
 
 
+def test_collisions_keep_the_cell_right_of_their_fan_bitwise(monkeypatch):
+    # the gas solve ends its last wave at ur itself, so a collision that
+    # emits a family-2 wave leaves the cell right of its fan as it was
+    resolve = Simulation._resolve
+    kept = []
+
+    def checked_resolve(self, event):
+        right = self.now.states[event.hi + 1].tobytes()
+        resolve(self, event)
+        record = self.records[-1]
+        if event.kind == "collision" and 2 in record.out_families:
+            kept.append(self.now.states[event.lo + len(record.out_ids)].tobytes()
+                        == right)
+
+    monkeypatch.setattr(Simulation, "_resolve", checked_resolve)
+    dense_evolve()
+    assert len(kept) >= 100
+    assert all(kept)
+
+
 def linear_evolve():
     model = LinearModel(np.diag([-1.0, 1.0]))
     jumps = [(x, np.array([np.sin(7 * x), np.cos(5 * x)]))
