@@ -14,12 +14,13 @@ GNL_FLOOR, and otherwise so that their first nonzero component is.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, HyperbolicityError
-from .newton import scalar_root
+from .newton import RES_TOL, scalar_root
 
 SPEED_FLOOR = 1e-6     # least admissible |characteristic speed|
 SPEED_SAMPLES = 33     # grid points per axis of the least-speed sweep
@@ -397,8 +398,9 @@ class GasModel(FluxModel):
         rho = rho0 + x
         h0 = self.K / th * rho0 ** th
         p0 = self.K * self.K * rho0 ** g1 / g1
-        # (P(rho) - P(rho0)) / x, whose limit at x = 0 is P'(rho0)
-        secant = p0 * math.expm1(g1 * lg) / x if x else g1 * p0 / rho0
+        # (P(rho) - P(rho0)) / x, or its limit P'(rho0) once expm1 underflows
+        e = math.expm1(g1 * lg)
+        secant = p0 * e / x if abs(e) >= sys.float_info.min else g1 * p0 / rho0
         total = rho + rho0
         q = math.sqrt(2.0 * secant / total)
         dp = g1 * p0 * math.exp(g1 * lg) / rho
@@ -434,47 +436,51 @@ class GasModel(FluxModel):
         rho = rho0 + x
         return np.array([rho, v0 + e * x * q]), v0 + e * rho * q
 
-    def riemann_middle(self, ul, ur):
-        """Middle state of the Riemann solution from ul to ur, found first
-        and kept (Toro 2009, ch. 4).
+    def riemann_middle(self, u1, u2, d1=1, d2=-1):
+        """Crossing of the family-1 Lax curve through u1 with the family-2
+        Lax curve through u2, each taken forward (d_i = 1) or backward (-1)
+        from its base (Toro 2009, ch. 4): (ul, ur) is the Riemann problem,
+        (v, v', 1, 1) the boundary split, (u*, w, -1, -1) the reverse one.
 
-        The middle density is the root of vL(rho) - vR(rho), where
-        vL = v_l - f(rho; rho_l) and vR = v_r + f(rho; rho_r), and f is the
-        chart jump dh for rho below the base density and the Hugoniot jump
-        phi above it.  The root is seeded at the two-rarefaction state
-        (w1 of ul, w2 of ur).
+        The crossing density is the root of the increasing gap
+        f(rho; rho_1) + f(rho; rho_2) + v_2 - v_1, seeded where the chart
+        branches meet, at (w1 of u2, w2 of u1).  f is the Hugoniot jump x q
+        above the base density for family 1 forward and family 2 backward,
+        below it otherwise, and the chart jump dh on the other side.  A
+        backward family-1 curve keeps u1 when the gap there is below RES_TOL,
+        as Newton keeps a start that meets its tolerance.
 
-        Returns (um, sigmas, speeds, residual): the middle state
-        (rho_m, v_m); the strengths, the Riemann-coordinate jumps
-        w1(um) - w1(ul) and w2(ur) - w2(um); the Hugoniot speeds of the two
-        jumps from the mass jump, v_l - rho_m q_l and v_r + rho_m q_r, which
-        are the shock speeds where a wave is a shock; and the root's
-        residual |vL(rho_m) - vR(rho_m)|.
+        Returns (um, sigmas, speeds, residual): the crossing; the jumps
+        w_i(right) - w_i(left) of its two waves; the mass-jump speeds of u1 to
+        um and um to u2, v_1 - rho_m q_1 and v_2 + rho_m q_2, which are the
+        shock speeds where a wave is a shock; and the gap at rho_m.
         """
-        rho_l, v_l = float(ul[0]), float(ul[1])
-        rho_r, v_r = float(ur[0]), float(ur[1])
+        rho_1, v_1 = float(u1[0]), float(u1[1])
+        rho_2, v_2 = float(u2[0]), float(u2[1])
         th = self.theta
-        h_mid = 0.5 * (v_r - v_l) + 0.5 * self.K / th * (rho_l ** th + rho_r ** th)
+        h_mid = 0.5 * (v_1 - v_2) + 0.5 * self.K / th * (rho_1 ** th + rho_2 ** th)
         if h_mid <= 0.0:
             raise DomainError("Riemann coordinates hit vacuum (w2 <= w1)")
         seed = (th * h_mid / self.K) ** (1.0 / th)
 
-        def jump(rho0, x):
-            """f(rho0 + x; rho0), its slope, dh and q."""
+        def jump(rho0, x, above):
+            """f(rho0 + x; rho0), its slope, dh and q; Hugoniot if x * above > 0."""
             dh, ddh, q, dxq = self._wave_terms(rho0, x)
-            return (dh, ddh, dh, q) if x <= 0.0 else (x * q, dxq, dh, q)
+            return (dh, ddh, dh, q) if x * above <= 0.0 else (x * q, dxq, dh, q)
 
         def gap(rho):
-            f_l, df_l, _, _ = jump(rho_l, rho - rho_l)
-            f_r, df_r, _, _ = jump(rho_r, rho - rho_r)
-            return f_l + f_r + v_r - v_l, df_l + df_r
+            f_1, df_1, _, _ = jump(rho_1, rho - rho_1, d1)
+            f_2, df_2, _, _ = jump(rho_2, rho - rho_2, -d2)
+            return f_1 + f_2 + v_2 - v_1, df_1 + df_2
 
-        rho = scalar_root(gap, seed, 0.0, math.inf, context="(gas riemann)")
-        f_l, _, dh_l, q_l = jump(rho_l, rho - rho_l)
-        f_r, _, dh_r, q_r = jump(rho_r, rho - rho_r)
-        v_m = 0.5 * (v_l - f_l + v_r + f_r)
-        return (np.array([rho, v_m]), np.array([v_m - v_l - dh_l, v_r - v_m - dh_r]),
-                (v_l - rho * q_l, v_r + rho * q_r), abs(f_l + f_r + v_r - v_l))
+        rho = (rho_1 if d1 < 0 and abs(gap(rho_1)[0]) < RES_TOL
+               else scalar_root(gap, seed, 0.0, math.inf, context="(gas riemann)"))
+        f_1, _, dh_1, q_1 = jump(rho_1, rho - rho_1, d1)
+        f_2, _, dh_2, q_2 = jump(rho_2, rho - rho_2, -d2)
+        v_m = v_1 if rho == rho_1 else 0.5 * (v_1 - f_1 + v_2 + f_2)
+        sigmas = [d1 * (v_m - v_1 - dh_1), d2 * (v_m - v_2 + dh_2)]
+        return (np.array([rho, v_m]), np.array(sigmas),
+                (v_1 - rho * q_1, v_2 + rho * q_2), abs(f_1 + f_2 + v_2 - v_1))
 
     def structurally_valid(self, u):
         rho, v = np.asarray(u, dtype=float).tolist()

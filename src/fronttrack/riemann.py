@@ -112,17 +112,24 @@ def _solution_from_sigmas(model, ul, sigmas, ur, points=None):
                            tuple(waves), residual)
 
 
-def _gas_solution(model, ul, ur):
-    """The gas Riemann solution built from the middle state its root keeps
-    (``GasModel.riemann_middle``): a rarefaction moves at lambda_i of its
-    two ends, a shock at its mass-jump speed.  A root residual, a shock's
-    Rankine-Hugoniot residual from the flux, or a shock's violation of the
-    Lax condition lambda_i(right) <= s <= lambda_i(left) above RESIDUAL_TOL
-    raises ConvergenceError."""
-    um, sigmas, speeds, residual = model.riemann_middle(ul, ur)
+def _gas_crossing(model, solve, *ends):
+    """``model.riemann_middle(*ends)``; a root residual above RESIDUAL_TOL
+    raises ConvergenceError, a crossing outside the domain DomainError."""
+    um, sigmas, speeds, residual = model.riemann_middle(*ends)
     if residual > RESIDUAL_TOL:
-        raise ConvergenceError(f"gas riemann residual {residual:.3e} above tolerance")
+        raise ConvergenceError(f"gas {solve} residual {residual:.3e} above tolerance")
     model.check_domain(um)
+    return um, sigmas, speeds, residual
+
+
+def _gas_solution(model, ul, ur):
+    """The gas Riemann solution built from the crossing of the family-1
+    curve forward from ul and the family-2 curve backward from ur
+    (``_gas_crossing``): a rarefaction moves at lambda_i of its two ends, a
+    shock at its mass-jump speed.  A shock's RH residual from the flux, or
+    its violation of the Lax condition lambda_i(right) <= s <= lambda_i(left),
+    above RESIDUAL_TOL raises ConvergenceError."""
+    um, sigmas, speeds, residual = _gas_crossing(model, "riemann", ul, ur)
     states = (ul, um, ur)
     lams = [model.lambdas(u) for u in states]
     waves = []
@@ -198,7 +205,8 @@ def split_boundary_pair(model, v, v_prime):
     families >= p+1, with the strengths of both groups.
 
     This is the full-rank splitting that lets a boundary datum at x = b send
-    only left-moving families into the domain.  Newton is seeded with the
+    only left-moving families into the domain.  The gas crosses its curves
+    forward from v and v'.  Other models run Newton, seeded with the
     Jacobian at zero strength, [-r_1..r_p (v) | r_p+1..r_n (v')].  A jump
     from v to v' beyond DELTA_RIEMANN raises RadiusError.  Each Lax curve
     point is computed once per solve, with no cache: the middle state and
@@ -207,6 +215,9 @@ def split_boundary_pair(model, v, v_prime):
     v = np.asarray(v, dtype=float)
     vp = np.asarray(v_prime, dtype=float)
     dw = _checked_jump(model, v, vp, "|v - v'| =", "split")
+    if model.kind == "gas":
+        state, sig, _, residual = _gas_crossing(model, "split", v, vp, 1, 1)
+        return BoundarySplit(state, sig, residual)
     p = model.p
     sig0 = np.concatenate([dw[:p], -dw[p:]])
     jac0 = model.eigen(vp).right.copy()
@@ -229,17 +240,20 @@ def split_boundary_pair_reverse(model, w, u_star):
     """State v''' from which families >= p+1 reach w and families <= p
     reach u_star; used to steer the x = a boundary toward u_star.
 
-    Newton starts at v''' = u_star with the whole coordinate jump on the
+    The gas crosses its curves backward from u_star and w.  Other models
+    run Newton from v''' = u_star with the whole coordinate jump on the
     upper families, from the Jacobian [[I, 0, R_upper], [I, R_lower, 0]] at
-    zero strength.  On a Riemann chart that start is exact when w lies on
-    the upper-family curve through u_star, and u_star is returned bitwise.
-    A jump from u_star to w beyond DELTA_RIEMANN raises RadiusError.  Each
-    Lax curve point is computed once per solve, with no cache: the residual
-    is that of Newton's last evaluation, at the root.
+    zero strength.  Either way u_star is returned bitwise when w lies on the
+    upper-family curve through it.  A jump beyond DELTA_RIEMANN raises
+    RadiusError.  Each Lax curve point is computed once per solve, with no
+    cache: the residual is that of Newton's last evaluation, at the root.
     """
     w = np.asarray(w, dtype=float)
     us = np.asarray(u_star, dtype=float)
     dw = _checked_jump(model, us, w, "|w - u*| =", "split")
+    if model.kind == "gas":
+        state, sig, _, residual = _gas_crossing(model, "split", us, w, -1, -1)
+        return BoundarySplit(state, sig, residual)
     p, n = model.p, model.n
     sig0 = np.concatenate([np.zeros(p), dw[p:]])
     right = model.eigen(us).right

@@ -259,6 +259,22 @@ def reference_split_boundary_pair_reverse(model, w, u_star, fd=False):
     return x[:n], x[n:], float(np.max(np.abs(fn(x))))
 
 
+def split_recomposition_gap(model, data, split, reverse=False):
+    """Largest gap between the ends of a boundary split and its Lax curves
+    composed with its strengths: from v and v' to the state for the split
+    of (v, v'), from the state to w and u* for the reverse split of
+    (w, u*)."""
+    p, sig, state = model.p, split.sigmas, split.state
+    if reverse:
+        w, u_star = data
+        legs = [(state, sig[p:], p + 1, w), (state, sig[:p], 1, u_star)]
+    else:
+        v, vp = data
+        legs = [(v, sig[:p], 1, state), (vp, sig[p:], p + 1, state)]
+    return max(float(np.max(np.abs(_compose_afresh(model, u, s, first) - end)))
+               for u, s, first, end in legs)
+
+
 def reference_sweep_hypotheses(model, samples_per_axis, admitted_only):
     """The structural-hypothesis sweep with one running accumulator per
     check, updated and flagged point by point: violations in grid order,

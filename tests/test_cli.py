@@ -145,6 +145,21 @@ def test_curves_experiment_writes_csv(tmp_path):
     assert exc.value.code == 2
 
 
+def test_curves_at_the_least_subnormal_strength_exit_0(tmp_path):
+    # a shock this weak once made the gas Hugoniot term divide by zero
+    config = {"schema": "scenario-v1", "experiment": "curves",
+              "model": {"kind": "gas", "K": 0.5, "gamma": 1.2},
+              "curves": {"u0": [1.0, 0.0], "family": 1, "branch": "shock",
+                         "sigma_min": -5e-324, "sigma_max": -5e-324,
+                         "samples": 1}}
+    cfg = _write(tmp_path, "curves.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 0
+    assert len((out_dir / "curves.csv").read_text().strip().splitlines()) == 2
+
+
 def test_run_and_riemann_build_the_model_once(tmp_path, monkeypatch):
     config = {"schema": "scenario-v1", "experiment": "riemann",
               "model": dict(GAS_BLOCK),

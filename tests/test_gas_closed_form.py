@@ -1,23 +1,29 @@
 """Property tests for the closed-form gas waves: GasModel.hugoniot_point and
 GasModel.riemann_middle on random gases, against the jump conditions, the
-Riemann chart, the 3x3 Newton shock solve they replace, the recomposition
-along the Lax curves, and the generic Riemann solver on the custom-table twin
-of the gamma = 2 gas."""
+Riemann chart, the Newton solves they replace (the 3x3 shock solve and both
+boundary splits), the recomposition along the Lax curves, and the generic
+Riemann solver on the custom-table twin of the gamma = 2 gas."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fronttrack import models
 from fronttrack.curves import lax_curve, rarefaction_curve, shock_curve
-from fronttrack.errors import DomainError
+from fronttrack.errors import SOLVER_ERRORS, DomainError
 from fronttrack.models import Box, GasModel, TableModel
-from fronttrack.newton import newton_solve
+from fronttrack.newton import RES_TOL, newton_solve, scalar_root
 from fronttrack.riemann import (
-    RESIDUAL_TOL, _solution_from_sigmas, compose_waves, solve_riemann,
+    DELTA_RIEMANN, RESIDUAL_TOL, _solution_from_sigmas, compose_waves,
+    solve_riemann, split_boundary_pair, split_boundary_pair_reverse,
 )
 
-from references import chart_gradient
+from references import (
+    chart_gradient, reference_split_boundary_pair,
+    reference_split_boundary_pair_reverse, split_recomposition_gap,
+)
 
 # wide enough that only the subsonic predicate limits the domain
 WIDE = Box([1e-3, -50.0], [50.0, 50.0])
@@ -182,6 +188,62 @@ def test_gas_solve_matches_its_recomposition_along_the_lax_curves(data):
         assert wave.rh_residual <= RESIDUAL_TOL
     assert sol.residual <= RESIDUAL_TOL
     assert old.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("gamma", [1.05, 1.2, 1.4])
+@pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310, -1e-310])
+def test_wave_terms_take_their_limit_at_a_tiny_offset(gamma, x):
+    # expm1 underflows below the normal range, where (P(rho) - P(rho0)) / x
+    # has no digits left and once made q = 0
+    for rho0 in (0.7, 1.0, 1.5):
+        terms = GasModel(K=0.5, gamma=gamma)._wave_terms(rho0, x)
+        assert all(map(math.isfinite, terms))
+        assert terms[2] > 0.0
+
+
+def test_gas_riemann_seed_is_the_two_rarefaction_state(gas, monkeypatch):
+    # on two-rarefaction data the chart branches of both curves are the
+    # solution, so the seed is the root up to roundoff
+    gaps = []
+
+    def recorded(fn, x, lo, hi, context=""):
+        gaps.append(fn(x)[0])
+        return scalar_root(fn, x, lo, hi, context)
+
+    monkeypatch.setattr(models, "scalar_root", recorded)
+    for sigmas in ([0.1, 0.1], [0.02, 0.15], [0.2, 0.01]):
+        ul = np.array([1.0, 0.0])
+        gaps.clear()
+        gas.riemann_middle(ul, compose_waves(gas, ul, sigmas))
+        assert len(gaps) == 1 and abs(gaps[0]) < RES_TOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gas_splits_match_the_newton_reference(data):
+    gas = data.draw(gases())
+    u1 = data.draw(subsonic_states(gas, mach=0.5))
+    # inside the radius by more than the roundoff of the chart round trip
+    radius = 0.99 * DELTA_RIEMANN
+    dw = [data.draw(st.floats(-radius, radius)) for _ in range(2)]
+    try:
+        u2 = gas.from_riemann(gas.to_riemann(u1) + dw)
+        gas.check_domain(u2)
+    except DomainError:
+        assume(False)
+    for split, reference, ends, reverse in (
+            (split_boundary_pair, reference_split_boundary_pair, (u1, u2), False),
+            (split_boundary_pair_reverse, reference_split_boundary_pair_reverse,
+             (u2, u1), True)):
+        try:
+            state, sigmas, _ = reference(gas, *ends)
+        except SOLVER_ERRORS:
+            continue
+        got = split(gas, *ends)
+        assert np.max(np.abs(got.state - state)) <= 1e-11
+        assert np.max(np.abs(got.sigmas - sigmas)) <= 1e-11
+        assert got.residual <= RESIDUAL_TOL
+        assert split_recomposition_gap(gas, ends, got, reverse) <= RESIDUAL_TOL
 
 
 GAS2 = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
