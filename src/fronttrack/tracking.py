@@ -1,33 +1,44 @@
 """Event-driven front tracking on a bounded interval.
 
 A Simulation carries a piecewise-constant profile between the absorbing
-boundaries x = a and x = b as one Snapshot of columns: straight-line fronts,
-sorted by position, exist only as its per-front columns, and front j
-separates cells j and j + 1 of its cell states.  The next event is the
-earliest adjacent-front collision or boundary crossing.  A collision poses
-the Riemann problem between the cell states on either side of the colliding
-fronts and solves it exactly; outgoing rarefactions are fanned into pieces
-of strength at most eps_fronts, and fronts reaching a boundary leave without
-reflection.  The snapshot is the one record of a profile: the history of
-snapshots, the interaction log and the boundary flux integrals are all the
-diagnostics read, and the functional history is a view of the snapshots.
+boundaries x = a and x = b.  Straight-line fronts are born once: a new
+front writes its birth point and time, family, strength, speed,
+generation, kind and right state to an append-only front table, and stays
+there.  The live profile is the left-to-right list of live front ids plus
+the state of cell 0: front j separates cells j and j + 1, and cell j + 1 is
+the right state of front j.  A front sits at x_birth + speed (t - t_birth),
+so no event moves the others.
+
+The next event is the earliest adjacent-front collision or boundary
+crossing.  Candidate times wait in a heap with lazy deletion (Holden &
+Risebro 2015, ch. 2): a change of the profile queues only the pairs and
+fronts it creates, and an entry whose fronts are no longer live and
+adjacent is dropped when it surfaces.  A collision poses the Riemann
+problem between the cell states on either side of the colliding fronts and
+solves it exactly; outgoing rarefactions are fanned into pieces of strength
+at most eps_fronts, and fronts reaching a boundary leave without
+reflection.
 
 The profile changes at four kinds of point only: initial jumps, collisions,
 boundary exits and boundary injections.  Each replaces a run of fronts by
 the waves of one Riemann solution (none for an exit) through one private
-step, which splices the new snapshot, sets the new fronts' generations and,
-for every kind but the initial fronts, appends the interaction record and
-the snapshot.
+step, which splices the live list, writes the new fronts to the table and
+queues their candidates and, for every kind but the initial fronts,
+appends the interaction record and logs the event: its time, the potential
+Q, cell 0 and the live ids.  Snapshots are rebuilt from the table and that
+log on access: ``now``, every entry of ``history`` and ``snapshot_at``.
 
-The same step gives the new snapshot its interaction potential Q from the
+The same step gives the profile its interaction potential Q from the
 splice alone: pairs of untouched fronts keep their contribution, so Q
 changes only through the pairs that involve a replaced or a new front
 (Bressan 2000, ch. 7).
 """
 
 import bisect
+import heapq
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +56,16 @@ CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
 CALIBRATION_SIGMAS = (0.01, 0.1)    # range of the drawn |strengths|
 CALIBRATION_BOX_MARGIN = 0.25       # box shrink factor, per side
 Q_NOISE = 1e-12         # float noise of the local update dQ of the potential
-# per-front columns of a Snapshot, in the order new fronts list them
-_FRONT_COLUMNS = ("ids", "xs", "families", "sigmas", "speeds", "generations",
-                  "kinds")
+# A time t queued at one instant and the same time evaluated later differ
+# by roundoff of at most about 3e-15 (|a| + |b|) / closing speed + 5e-16 t;
+# its heap key is t less KEY_SLACK times the same two terms.
+KEY_SLACK = 1e-14
+# columns of the front table, indexed by front id: birth point and time,
+# then speed, family, strength, kind, generation, the potential's bin
+# family - 1 + n is_rarefaction, and right state
+_TABLE = (("x0", float), ("t0", float), ("speeds", float), ("families", int),
+          ("sigmas", float), ("kinds", object), ("generations", int),
+          ("keys", int), ("rights", float))
 
 
 @dataclass(frozen=True)
@@ -81,9 +99,7 @@ class Snapshot:
         return float(np.sum(np.abs(self.sigmas)))
 
     def tv(self):
-        if self.n_fronts == 0:
-            return 0.0
-        return float(np.sum(np.linalg.norm(np.diff(self.states, axis=0), axis=1)))
+        return _tv(self.states)
 
     def sup_distance(self, ref):
         ref = np.asarray(ref, dtype=float)
@@ -99,7 +115,7 @@ class Event:
     hi: int
 
 
-@dataclass
+@dataclass(slots=True)
 class InteractionRecord:
     """One change of the profile: at ``time`` and point ``x`` an event of
     ``kind`` (collision | exit_a | exit_b | inject_a | inject_b, or error
@@ -123,86 +139,153 @@ class InteractionRecord:
     dQ: float
 
 
+class _History(Sequence):
+    """Read-only sequence of a run's profiles: the snapshot of time 0 and
+    of every recorded event, each rebuilt from the front table and the
+    event log when it is read."""
+
+    def __init__(self, sim):
+        self._sim = sim
+
+    def __len__(self):
+        return len(self._sim._log)
+
+    def __getitem__(self, k):
+        return self._sim._snapshot(*self._sim._log[k])
+
+
 class Simulation:
-    """Front-tracking run over one model and interval.  Its profile is the
-    Snapshot ``now``, which every event replaces by splicing its columns;
-    arrays are never written in place, because ``history`` shares them.
-    ``history`` holds the snapshot of time 0 and of every recorded event,
-    and ``records`` the events' interaction records."""
+    """Front-tracking run over one model and interval.
+
+    The fronts live in an append-only table, and the profile is the list of
+    live front ids plus cell 0, spliced by every event; no event copies the
+    profile.  ``now`` is the profile at ``time`` as a Snapshot.
+    ``history`` is a read-only view of the snapshots of time 0 and of every
+    recorded event, each rebuilt on access from the event log, and
+    ``records`` holds the events' interaction records.
+    """
 
     def __init__(self, model, profile, eps_fronts):
-        if eps_fronts <= 0:
+        if not eps_fronts > 0:
             raise ValueError("eps_fronts must be positive")
         self.model = model
         self.a = float(profile.a)
         self.b = float(profile.b)
         self.eps = float(eps_fronts)
+        self.time = 0.0
         self.records = []
-        self.history = []
         self.dropped_mass = 0.0
         self.boundary_flux_integral = np.zeros((2, model.n))
-        self._next_uid = 0
         self._event_count = 0
         self._instant_events = 0
+        self._table = {name: np.empty((64, model.n) if name == "rights" else 64,
+                                      dtype) for name, dtype in _TABLE}
+        self._n_born = 0
+        self._order = []         # live front ids, left to right
+        self._right_of = {}      # live front id -> id of its right neighbour
+        self._queue = []         # heap of (key, i, j): pair i, j or exit i, i
+        self._log = []           # (time, q, cell 0, live ids) per snapshot
+        self._q = 0.0            # Q of the live fronts
+        self._now = self._edge_flux = None
+        self._xscale = abs(self.a) + abs(self.b)
 
         values = np.array(np.atleast_2d(profile.values), dtype=float)
-        ints, floats = np.empty(0, dtype=int), np.empty(0)
-        self.now = Snapshot(0.0, self.a, self.b, ints, floats, ints, floats,
-                            floats, ints, np.empty(0, dtype=object),
-                            values[:1], 0.0)
+        self._cell0 = values[0]
         for j, x in enumerate(profile.xs):
-            k = self.now.n_fronts
-            self._step(k, k, self.now.states[k],
+            k = len(self._order)
+            self._step(k, k, self._cell(k),
                        solve_riemann(model, values[j], values[j + 1]).waves, x)
-        self.history.append(self.now)
+        self._log.append((self.time, self._q, self._cell0, tuple(self._order)))
 
     @property
-    def time(self):
-        return self.now.time
+    def now(self):
+        """The profile at ``time`` as a Snapshot, built on first read and
+        kept until the profile or the clock changes."""
+        if self._now is None:
+            self._now = self._snapshot(self.time, self._q, self._cell0, self._order)
+        return self._now
+
+    @property
+    def history(self):
+        return _History(self)
 
     @property
     def functional_history(self):
-        """(t, V, Q, TV) of every history snapshot."""
-        return [(s.time, s.total_strength(), s.q, s.tv()) for s in self.history]
+        """(t, V, Q, TV) of every history snapshot, from the columns it
+        needs: strengths and states."""
+        sigmas, rights = self._table["sigmas"], self._table["rights"]
+        out = []
+        for t, q, cell0, order in self._log:
+            ids = np.fromiter(order, int, len(order))
+            out.append((t, float(np.sum(np.abs(sigmas[ids]))), q,
+                        _tv(np.concatenate((cell0[None], rights[ids])))))
+        return out
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _uid(self):
-        self._next_uid += 1
-        return self._next_uid - 1
 
     def _where(self):
         """Diagnostics of an engine contract violation."""
         return {"time": float(self.time), "events": self._event_count}
 
-    def _incoming(self, lo, hi):
-        """ids, families, sigmas and kinds of fronts lo..hi - 1."""
-        s = self.now
-        return [col[lo:hi].tolist() for col in (s.ids, s.families, s.sigmas, s.kinds)]
+    def _snapshot(self, t, q, cell0, order):
+        """The profile of the live ids ``order`` and cell 0 at time t."""
+        table = self._table
+        ids = np.fromiter(order, int, len(order))
+        speeds = table["speeds"][ids]
+        return Snapshot(t, self.a, self.b, ids,
+                        table["x0"][ids] + speeds * (t - table["t0"][ids]),
+                        table["families"][ids], table["sigmas"][ids], speeds,
+                        table["generations"][ids], table["kinds"][ids],
+                        np.concatenate((cell0[None], table["rights"][ids])), q)
+
+    def _cell(self, j):
+        """State of cell j of the live profile."""
+        return self._cell0 if j == 0 else self._table["rights"][self._order[j - 1]]
+
+    def _incoming(self, ids):
+        """ids, families, sigmas and kinds of the fronts in the list ``ids``."""
+        return [ids] + [self._table[name][ids].tolist()
+                        for name in ("families", "sigmas", "kinds")]
+
+    def _born(self, x, speed, family, sigma, kind, generation, right):
+        """Write a new front to the table at the present time; its id."""
+        uid, table = self._n_born, self._table
+        if uid == len(table["x0"]):
+            for name, col in table.items():
+                table[name] = np.concatenate((col, np.empty_like(col)))
+        key = family - 1 + self.model.n * (kind == "rarefaction")
+        for col, val in zip(table.values(), (x, self.time, speed, family, sigma,
+                                             kind, generation, key, right)):
+            col[uid] = val
+        self._n_born += 1
+        return uid
 
     def _step(self, lo, hi, left, waves, x, kind=None):
         """The one change of the profile: replace fronts lo..hi - 1 by the
         fronts that materialize ``waves`` at x, and cells lo..hi by ``left``
-        and their right states; return the new fronts' columns.
+        and their right states; return the new fronts' columns.  Every cell
+        but cell 0 is the right state of the front left of it, so ``left``
+        is taken only when lo is 0.
 
         Rarefactions are fanned into pieces of strength at most eps, each
         moving at the characteristic speed of its left state, which the
         wave (first piece) or the curve point that made it carries.  A new
         front takes the least generation of the replaced fronts of its
         family, else one more than the least replaced generation, else 1.
-        The new snapshot's potential q is the old one plus the change of
-        the splice (see ``_potential_change``), for every kind, the initial
-        fronts too.  With a ``kind`` the event is recorded: the record (dV
-        the change of V across the splice, dQ that of q) and the new
-        snapshot are appended.
+        The potential Q changes by the change of the splice (see
+        ``_potential_change``), for every kind, the initial fronts too.
+        With a ``kind`` the event is recorded: the record (dV the change of
+        V across the splice, dQ that of Q) is appended and the event logged.
         """
-        s = self.now
-        incoming = self._incoming(lo, hi)
-        gens = s.generations[lo:hi].tolist()
+        order, table = self._order, self._table
+        gone = order[lo:hi]
+        incoming = self._incoming(gone)
+        gens = table["generations"][gone].tolist()
         least = {}
         for fam, gen in zip(incoming[1], gens):
             least[fam] = min(gen, least.get(fam, gen))
-        new = {name: [] for name in _FRONT_COLUMNS + ("rights",)}
+        new = {name: [] for name in ("ids", "families", "sigmas", "speeds",
+                                     "kinds")}
         for wave in waves:
             if abs(wave.sigma) < SIGMA_NULL:
                 self.dropped_mass += abs(wave.sigma)
@@ -218,46 +301,63 @@ class Simulation:
             gen = least.get(wave.family, 1 + min(gens, default=0))
             for point, right in zip(chain, [p.state for p in chain[1:]]
                                     + [wave.right]):
-                row = (self._uid(), x, wave.family, piece, point.speed, gen,
-                       wave.kind, right)
-                for name, val in zip(new, row):
+                uid = self._born(x, point.speed, wave.family, piece,
+                                 wave.kind, gen, right)
+                for name, val in zip(new, (uid, wave.family, piece,
+                                           point.speed, wave.kind)):
                     new[name].append(val)
 
-        dQ = self._potential_change(lo, hi, incoming, new)
+        order[lo:hi] = new["ids"]
+        if lo == 0:
+            self._cell0 = np.array(left, dtype=float)
+        end = lo + len(new["ids"])
+        if lo == 0 or end == len(order):
+            self._edge_flux = None
+        # relink and queue the new fronts with their neighbours
+        for uid in gone:
+            del self._right_of[uid]
+        chain = order[max(lo - 1, 0):end]
+        for i, j in zip(chain, chain[1:] + order[end:end + 1] + [None]):
+            self._right_of[i] = j
+            if j is not None:
+                self._push(i, j)
+        for uid in new["ids"]:
+            self._push(uid, uid)
+        # a live front has at most two live entries, its exit and its pair
+        # with the right neighbour: past four per front, drop the stale ones
+        if len(self._queue) > 4 * len(order) + 64:
+            self._queue = [e for e in self._queue if self._queued(*e[1:])]
+            heapq.heapify(self._queue)
 
-        def put(col, vals):
-            return np.concatenate((col[:lo], np.asarray(vals, dtype=col.dtype),
-                                   col[hi:]))
-
-        self.now = replace(
-            s, **{name: put(getattr(s, name), new[name]) for name in _FRONT_COLUMNS},
-            states=np.concatenate((s.states[:lo], [left, *new["rights"]],
-                                   s.states[hi + 1:])),
-            q=s.q + dQ)
+        dQ = self._potential_change(lo, end, incoming, new)
+        self._q += dQ
+        self._now = None
         if kind is not None:
+            dV = sum(map(abs, new["sigmas"])) - sum(map(abs, incoming[2]))
             self.records.append(InteractionRecord(
                 self.time, x, kind, *incoming, new["ids"], new["families"],
-                new["sigmas"], new["kinds"],
-                self.now.total_strength() - s.total_strength(), dQ))
-            self.history.append(self.now)
+                new["sigmas"], new["kinds"], dV, dQ))
+            self._log.append((self.time, self._q, self._cell0, tuple(order)))
         return new
 
-    def _potential_change(self, lo, hi, incoming, new):
-        """Change of the interaction potential Q when fronts lo..hi - 1 of
-        ``now`` (``incoming``) give way to the ``new`` fronts' columns.
+    def _potential_change(self, lo, end, incoming, new):
+        """Change of the interaction potential Q when the ``incoming``
+        fronts give way to the ``new`` fronts' columns, which are fronts
+        lo..end - 1 of the live list.
 
         With s_j = |sigma_j| over the fronts in left-to-right order, a pair
         i < j approaches unless fam_i < fam_j or both are rarefactions of
         one family, and Q sums s_i s_j over the approaching pairs.  The
-        untouched fronts left of lo and right of hi enter as per-family
-        strength sums, of all fronts and of rarefactions, binned by
-        family - 1 + n is_rarefaction."""
-        s, n = self.now, self.model.n
-        keys, sig = s.families - 1 + n * (s.kinds == "rarefaction"), np.abs(s.sigmas)
+        untouched fronts left of lo and from end on enter as per-family
+        strength sums, of all fronts and of rarefactions, binned by their
+        key family - 1 + n is_rarefaction."""
+        n, table = self.model.n, self._table
+        ids = np.fromiter(self._order, int, len(self._order))
+        keys, strengths = table["keys"][ids], np.abs(table["sigmas"][ids])
         sides = []
-        for part in (slice(0, lo), slice(hi, None)):
-            others, rars = np.bincount(keys[part], sig[part], 2 * n).reshape(2, n)
-            sides.append(((others + rars).tolist(), rars.tolist()))
+        for part in (slice(0, lo), slice(end, None)):
+            sums = np.bincount(keys[part], strengths[part], 2 * n).tolist()
+            sides.append(([s + r for s, r in zip(sums, sums[n:])], sums[n:]))
         _, fams, sigmas, kinds = incoming
         return (_potential(new["families"], new["sigmas"], new["kinds"], *sides)
                 - _potential(fams, sigmas, kinds, *sides))
@@ -268,20 +368,58 @@ class Simulation:
         """Profile value adjacent to a boundary; no ghost cells."""
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
-        return self.now.states[0 if side == "a" else -1].copy()
+        return self._cell(0 if side == "a" else len(self._order)).copy()
 
     def snapshot_at(self, t):
-        """The last history snapshot at or before t (within TIME_TIE), found
-        by bisection, with positions advanced to t.  The history holds no
-        profile outside [0, time + TIME_TIE]: such a t raises ValueError."""
+        """The profile after the last event at or before t (within
+        TIME_TIE), found by bisection of the event log, with positions at t.
+        The log holds no profile outside [0, time + TIME_TIE]: such a t
+        raises ValueError."""
         if not 0.0 <= t <= self.time + TIME_TIE:
             raise ValueError(f"no snapshot at t={t}: the simulation covers "
                              f"[0, {self.time}]")
-        k = bisect.bisect_right(self.history, t + TIME_TIE, key=lambda s: s.time)
-        snap = self.history[k - 1]
-        return replace(snap, time=t, xs=snap.xs + snap.speeds * (t - snap.time))
+        k = bisect.bisect_right(self._log, t + TIME_TIE, key=lambda e: e[0])
+        return self._snapshot(t, *self._log[k - 1][1:])
 
     # -- core loop -----------------------------------------------------------
+
+    def _candidate(self, i, j):
+        """(time, point, heap key) of the collision of live adjacent fronts
+        i < j, or of the boundary exit of front i when j == i, from the
+        present positions; None when they do not approach (it does not
+        move).  The key is the time less its roundoff bound KEY_SLACK."""
+        table, t = self._table, self.time
+        x0, t0, speeds = table["x0"], table["t0"], table["speeds"]
+        si = speeds.item(i)
+        xi = x0.item(i) + si * (t - t0.item(i))
+        if i == j:
+            if abs(si) <= 1e-14:
+                return None
+            point = self.a if si < 0.0 else self.b
+            closing = abs(si)
+            dt = (point - xi) / si
+        else:
+            sj = speeds.item(j)
+            closing = si - sj
+            if not closing > 1e-14:
+                return None
+            dt = (x0.item(j) + sj * (t - t0.item(j)) - xi) / closing
+        if dt < 0.0:           # max(dt, 0.0), keeping -0.0
+            dt = 0.0
+        if i != j:
+            point = xi + si * dt
+        time = t + dt
+        return time, point, time - KEY_SLACK * (self._xscale / closing + time)
+
+    def _queued(self, i, j):
+        """Whether a queue entry of fronts i and j is a live candidate:
+        front i is live, and j is i or its right neighbour."""
+        return i in self._right_of and (i == j or self._right_of[i] == j)
+
+    def _push(self, i, j):
+        cand = self._candidate(i, j)
+        if cand is not None:
+            heapq.heappush(self._queue, (cand[2], i, j))
 
     def next_event(self):
         """Earliest future collision or boundary crossing, ties merged.
@@ -292,46 +430,53 @@ class Simulation:
         before exits, then the leftmost front.  A winning collision absorbs
         every candidate collision within SPACE_TIE of its point: the event
         spans all their fronts and takes the earliest of their times.
-        """
-        xs, sp = self.now.xs, self.now.speeds
-        if len(xs) == 0:
-            return None
-        ds = sp[:-1] - sp[1:]
-        cj = np.flatnonzero(ds > 1e-14)        # pair (j, j + 1) approaches
-        dt = (xs[cj + 1] - xs[cj]) / ds[cj]
-        dt = np.where(dt < 0.0, 0.0, dt)       # max(dt, 0.0), keeping -0.0
-        ej = np.flatnonzero(np.abs(sp) > 1e-14)
-        walls = np.where(sp[ej] < 0.0, self.a, self.b)
-        edt = (walls - xs[ej]) / sp[ej]
-        edt = np.where(edt < 0.0, 0.0, edt)
-        times = np.concatenate((self.time + dt, self.time + edt))
-        if len(times) == 0:
-            return None
-        points = np.concatenate((xs[cj] + sp[cj] * dt, walls))
-        is_exit = np.arange(len(times)) >= len(cj)
-        near = np.flatnonzero(times <= times.min() + TIME_TIE)
-        # lexsort is stable: equal keys keep collisions, then exits, in
-        # front order
-        first = near[np.lexsort((is_exit[near], points[near]))[0]]
-        if is_exit[first]:
-            j = int(ej[first - len(cj)])
-            kind = "exit_a" if sp[j] < 0.0 else "exit_b"
-            return Event(times[first], points[first], kind, j, j)
-        x0 = points[first]
-        group = near[~is_exit[near] & (np.abs(points[near] - x0) <= SPACE_TIE)]
-        return Event(times[group].min(), x0, "collision",
-                     int(cj[group].min()), int(cj[group].max()) + 1)
 
-    def _advance_positions(self, t):
-        s = self.now
-        dt = t - s.time
+        The candidates come from the heap: every live entry keyed within
+        TIME_TIE of the earliest time met so far is popped and its time and
+        point computed again from the present positions, which takes in
+        every candidate of the rule, because a key is never above its time.
+        All of them are pushed back; the winners go stale when the event
+        removes their fronts.
+        """
+        queue = self._queue
+        found = {}
+        best = math.inf
+        while queue and queue[0][0] <= best + TIME_TIE:
+            _, i, j = heapq.heappop(queue)
+            if (i, j) not in found and self._queued(i, j):
+                found[i, j] = self._candidate(i, j)
+                best = min(best, found[i, j][0])
+        for (i, j), (_, _, key) in found.items():
+            heapq.heappush(queue, (key, i, j))
+        if not found:
+            return None
+        order = self._order
+        near = [(point, i == j, order.index(i), time)
+                for (i, j), (time, point, _) in found.items()
+                if time <= best + TIME_TIE]
+        x0, is_exit, lo, time = min(near)
+        if is_exit:
+            kind = "exit_a" if self._table["speeds"][order[lo]] < 0.0 else "exit_b"
+            return Event(time, x0, kind, lo, lo)
+        group = [(j, time) for point, is_exit, j, time in near
+                 if not is_exit and abs(point - x0) <= SPACE_TIE]
+        return Event(min(time for _, time in group), x0, "collision",
+                     min(group)[0], max(group)[0] + 1)
+
+    def _advance(self, t):
+        """Move the clock to t, adding the boundary fluxes over the wait."""
+        dt = t - self.time
         if dt < 0:
             raise ValueError("cannot move backwards in time")
         if dt == 0.0:
             return
-        self.boundary_flux_integral[0] += self.model.flux(s.states[0]) * dt
-        self.boundary_flux_integral[1] += self.model.flux(s.states[-1]) * dt
-        self.now = replace(s, time=t, xs=s.xs + s.speeds * dt)
+        if self._edge_flux is None:
+            self._edge_flux = [self.model.flux(self._cell(j))
+                               for j in (0, len(self._order))]
+        self.boundary_flux_integral[0] += self._edge_flux[0] * dt
+        self.boundary_flux_integral[1] += self._edge_flux[1] * dt
+        self.time = t
+        self._now = None
 
     def _resolve(self, event):
         if event.time - self.time < TIME_TIE:
@@ -347,22 +492,23 @@ class Simulation:
             raise ContractViolationError(
                 f"exceeded MAX_EVENTS={MAX_EVENTS} at t={self.time}",
                 self._where())
-        self._advance_positions(event.time)
+        self._advance(event.time)
 
-        s, lo, hi = self.now, event.lo, event.hi
+        lo, hi = event.lo, event.hi
         if event.kind != "collision":
             # the cell on the boundary side of the front leaves with it
-            self._step(lo, lo + 1, s.states[lo + (event.kind == "exit_a")], (),
+            self._step(lo, lo + 1, self._cell(lo + (event.kind == "exit_a")), (),
                        event.x, event.kind)
             return
+        ul = self._cell(lo)
         try:
-            sol = solve_riemann(self.model, s.states[lo], s.states[hi + 1])
+            sol = solve_riemann(self.model, ul, self._cell(hi + 1))
         except ConvergenceError:
             self.records.append(InteractionRecord(
-                self.time, event.x, "error", *self._incoming(lo, hi + 1),
+                self.time, event.x, "error", *self._incoming(self._order[lo:hi + 1]),
                 [], [], [], [], 0.0, 0.0))
             raise
-        speeds = self._step(lo, hi + 1, s.states[lo], sol.waves, event.x,
+        speeds = self._step(lo, hi + 1, ul, sol.waves, event.x,
                             "collision")["speeds"]
         if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
             raise ContractViolationError(
@@ -370,7 +516,7 @@ class Simulation:
                 self._where())
 
     def advance_to(self, t):
-        """Resolve every event up to time t and move fronts there."""
+        """Resolve every event up to time t and move the clock there."""
         if t < self.time:
             raise ValueError("cannot advance into the past")
         while True:
@@ -378,7 +524,7 @@ class Simulation:
             if ev is None or ev.time > t:
                 break
             self._resolve(ev)
-        self._advance_positions(t)
+        self._advance(t)
         return self.now
 
     # -- boundaries ------------------------------------------------------------
@@ -404,10 +550,17 @@ class Simulation:
                 f"{[w.family for w in wrong]} into the wrong side",
                 {"sigmas": [w.sigma for w in wrong]})
         # at x = a the outer state becomes cell 0
-        k = self.now.n_fronts if at_b else 0
+        k = len(self._order) if at_b else 0
         return self._step(k, k, trace if at_b else outer,
                           [w for w, e in zip(sol.waves, enters) if e],
                           self.b if at_b else self.a, f"inject_{side}")["ids"]
+
+
+def _tv(states):
+    """Total variation of a profile with cell states ``states``."""
+    if len(states) == 1:
+        return 0.0
+    return float(np.sum(np.linalg.norm(np.diff(states, axis=0), axis=1)))
 
 
 def _potential(families, sigmas, kinds, left, right):

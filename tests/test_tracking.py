@@ -1,15 +1,25 @@
+import copy
+import dataclasses
+import json
+import math
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fronttrack.control import steer_constant_states
 from fronttrack.curves import lax_curve, shock_curve
 from fronttrack.errors import ContractViolationError
 from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.profiles import constant_profile, profile_from_jumps
 from fronttrack.riemann import (Wave, solve_riemann, split_boundary_pair,
                                split_boundary_pair_reverse)
+from fronttrack.scenarios import build_initial, build_model
 from fronttrack.tracking import (
-    SPACE_TIE, TIME_TIE, Event, Simulation,
+    SPACE_TIE, TIME_TIE, Event, Simulation, Snapshot,
     calibrate_interaction_constant, check_upsilon,
 )
 
@@ -30,6 +40,14 @@ def test_constant_data_has_no_fronts(gas):
     snap = sim.advance_to(10.0)
     assert snap.tv() == 0.0
     assert np.allclose(snap.states[0], U0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.01, float("nan")])
+def test_eps_fronts_must_be_positive(gas, eps):
+    # a NaN eps would fail every "sigma > eps" test and fan no rarefaction
+    prof = profile_from_jumps(0.0, 1.0, U0, [(0.5, lax_curve(gas, U0, 2, 0.2).state)])
+    with pytest.raises(ValueError, match="eps_fronts must be positive"):
+        Simulation(gas, prof, eps)
 
 
 def test_single_shock_jump_resolves_to_one_front(gas):
@@ -627,3 +645,168 @@ def test_next_event_matches_loop_on_mirrored_gas_jumps(checked_next_event):
     sim.advance_to(0.15)
     assert len(sim.records) >= 100
     assert sum(ties > 1 for _, ties in checked_next_event) >= 20
+
+
+# -- the history view and the event queue ----------------------------------------
+
+
+def assert_same_snapshot(snap, ref):
+    """Every field of two snapshots equal, arrays column by column, bit for
+    bit."""
+    for field in dataclasses.fields(Snapshot):
+        a, b = getattr(snap, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            same = (a.tolist() == b.tolist() if b.dtype == object
+                    else a.tobytes() == b.tobytes())
+        else:
+            same = np.float64(a).tobytes() == np.float64(b).tobytes()
+        assert same, field.name
+
+
+@pytest.fixture
+def live_copies(monkeypatch):
+    """Deep copies of each simulation's ``now``, taken when its constructor
+    returns and after every recorded event, by simulation."""
+    copies = {}
+    init, step = Simulation.__init__, Simulation._step
+
+    def copied_init(self, *args):
+        init(self, *args)
+        copies[self] = [copy.deepcopy(self.now)]
+
+    def copied_step(self, lo, hi, left, waves, x, kind=None):
+        new = step(self, lo, hi, left, waves, x, kind)
+        if kind is not None:
+            copies[self].append(copy.deepcopy(self.now))
+        return new
+    monkeypatch.setattr(Simulation, "__init__", copied_init)
+    monkeypatch.setattr(Simulation, "_step", copied_step)
+    return copies
+
+
+def gas_steer():
+    gas = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
+    return steer_constant_states(gas, U0, np.array([1.10, 0.08]), (0.0, 1.0),
+                                 0.01, chain_step=0.05).sim
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _cascade(GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),
+                              ref_state=[1.0, 0.98], min_speed=0.002)),
+    dense_evolve, linear_evolve, gas_steer,
+], ids=["cascade", "dense_evolve", "linear_evolve", "gas_steer"])
+def test_history_rebuilds_the_live_profiles_bitwise(run, live_copies):
+    sim = run()
+    assert len(sim.records) >= 16
+    if run is gas_steer:
+        assert {"inject_a", "inject_b"} <= {rec.kind for rec in sim.records}
+    ref = live_copies[sim]
+    assert len(sim.history) == len(ref) == len(sim.records) + 1
+    for snap, live in zip(sim.history, ref):
+        assert_same_snapshot(snap, live)
+
+
+def test_snapshot_at_an_event_time_shows_the_event():
+    # contacts of speeds 1 and -1 from x = 1/4 and 3/4 cross at (t, x) =
+    # (1/4, 1/2) exactly; a snapshot at t, or within TIME_TIE before it,
+    # shows the crossed fronts, and one 2 TIME_TIE before it the first ones
+    lin = LinearModel(np.diag([-1.0, 1.0]))
+    sim = Simulation(lin, contact_profile(lin, 0.0, 1.0, [(0.25, 2), (0.75, 1)]),
+                     0.1)
+    sim.advance_to(0.5)
+    before, after = sim.history[0], sim.history[1]
+    assert (after.time, after.xs.tolist()) == (0.25, [0.5, 0.5])
+    for t, snap in ((0.25, after), (0.25 - 0.5 * TIME_TIE, after),
+                    (0.25 - 2 * TIME_TIE, before)):
+        at = sim.snapshot_at(t)
+        assert at.time == t
+        assert at.ids.tolist() == snap.ids.tolist()
+        assert np.array_equal(at.states, snap.states)
+        assert np.array_equal(at.xs, snap.xs + snap.speeds * (t - snap.time))
+
+
+def queue_audit(sim):
+    """Check that every live candidate is queued with a key at or below its
+    time, and that every other entry names a front no longer live, which
+    cannot fire because ids are never reused; return how many there are."""
+    snap, t = sim.now, sim.time
+    ids, xs, sp = snap.ids.tolist(), snap.xs, snap.speeds
+    due = {}
+    for k, i in enumerate(ids):
+        if abs(sp[k]) > 1e-14:
+            wall = sim.a if sp[k] < 0.0 else sim.b
+            due[i, i] = t + max((wall - xs[k]) / sp[k], 0.0)
+        if k + 1 < len(ids) and sp[k] - sp[k + 1] > 1e-14:
+            due[i, ids[k + 1]] = t + max((xs[k + 1] - xs[k]) / (sp[k] - sp[k + 1]),
+                                         0.0)
+    keys, dead = {}, 0
+    for key, i, j in sim._queue:
+        if (i, j) in due:
+            keys[i, j] = min(key, keys.get((i, j), math.inf))
+        else:
+            assert i not in ids or j not in ids
+            dead += 1
+    for pair, time in due.items():
+        assert keys[pair] <= time
+    return dead
+
+
+@pytest.mark.parametrize("jumps, stale", [
+    # the 3-2 pair would meet at t = 4/7, but the 2-1 pair meets at t = 0.1
+    # and takes front 1 from the queued collision of fronts 0 and 1
+    ([(0.1, 3), (0.5, 2), (0.6, 1)], (0, 1)),
+    # front 0 would leave at b at t = 1/2, but meets front 1 at t = 0.4/1.7
+    ([(0.5, 3), (0.9, 1)], (0, 0)),
+], ids=["queued_collision", "queued_exit"])
+def test_splices_leave_no_stale_entry_that_can_fire(jumps, stale, monkeypatch,
+                                                    checked_next_event):
+    audits = []
+    resolve = Simulation._resolve
+
+    def audited(self, event):
+        resolve(self, event)
+        audits.append((queue_audit(self), {(i, j) for _, i, j in self._queue}))
+    monkeypatch.setattr(Simulation, "_resolve", audited)
+    lin = LinearModel(np.diag([-0.7, 0.3, 1.0]))
+    sim = Simulation(lin, contact_profile(lin, 0.0, 1.0, jumps), 0.1)
+    assert stale in {(i, j) for _, i, j in sim._queue}
+    assert queue_audit(sim) == 0
+    sim.advance_to(5.0)
+    assert sim.records[0].kind == "collision"
+    dead, queued = audits[0]
+    assert stale in queued and stale[1] in sim.records[0].in_ids and dead >= 1
+    assert sim.now.n_fronts == 0
+    assert len(checked_next_event) == len(sim.records) + 1
+
+
+def readme_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+def engine_peak(n):
+    """Events and tracemalloc peak (B) of the engine alone, no writers, on
+    the README counterexample with initial.n = n."""
+    config = readme_config()
+    config["initial"]["n"] = n
+    model = build_model(config["model"])
+    prof = build_initial(config["initial"], model, tuple(config["domain"]))
+    tracemalloc.start()
+    try:
+        sim = Simulation(model, prof, config["epsilon"])
+        sim.advance_to(config["horizon"])
+        return len(sim.records), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# engine_peak(255), in bytes, when every event stored a full snapshot in the
+# history (Python 3.11.7, numpy 2.4.6)
+PEAK_WITH_SNAPSHOTS = 86_186_556
+
+
+def test_engine_memory_is_a_fifth_of_a_snapshot_per_event():
+    events, peak = engine_peak(255)
+    assert events == 5559
+    assert 5 * peak <= PEAK_WITH_SNAPSHOTS
