@@ -151,6 +151,8 @@ class _History(Sequence):
         return len(self._sim._log)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
         return self._sim._snapshot(*self._sim._log[k])
 
 
@@ -184,9 +186,9 @@ class Simulation:
         self._order = []         # live front ids, left to right
         self._right_of = {}      # live front id -> id of its right neighbour
         self._queue = []         # heap of (key, i, j): pair i, j or exit i, i
-        self._log = []           # (time, q, cell 0, live ids) per snapshot
+        self._log = []           # (time, q, cell 0, int32 live ids) per snapshot
         self._q = 0.0            # Q of the live fronts
-        self._now = self._edge_flux = None
+        self._now = None
         self._xscale = abs(self.a) + abs(self.b)
 
         values = np.array(np.atleast_2d(profile.values), dtype=float)
@@ -195,7 +197,8 @@ class Simulation:
             k = len(self._order)
             self._step(k, k, self._cell(k),
                        solve_riemann(model, values[j], values[j + 1]).waves, x)
-        self._log.append((self.time, self._q, self._cell0, tuple(self._order)))
+        self._log.append((self.time, self._q, self._cell0,
+                          np.array(self._order, dtype=np.int32)))
 
     @property
     def now(self):
@@ -215,8 +218,7 @@ class Simulation:
         needs: strengths and states."""
         sigmas, rights = self._table["sigmas"], self._table["rights"]
         out = []
-        for t, q, cell0, order in self._log:
-            ids = np.fromiter(order, int, len(order))
+        for t, q, cell0, ids in self._log:
             out.append((t, float(np.sum(np.abs(sigmas[ids]))), q,
                         _tv(np.concatenate((cell0[None], rights[ids])))))
         return out
@@ -230,7 +232,7 @@ class Simulation:
     def _snapshot(self, t, q, cell0, order):
         """The profile of the live ids ``order`` and cell 0 at time t."""
         table = self._table
-        ids = np.fromiter(order, int, len(order))
+        ids = np.array(order, dtype=int)
         speeds = table["speeds"][ids]
         return Snapshot(t, self.a, self.b, ids,
                         table["x0"][ids] + speeds * (t - table["t0"][ids]),
@@ -311,8 +313,6 @@ class Simulation:
         if lo == 0:
             self._cell0 = np.array(left, dtype=float)
         end = lo + len(new["ids"])
-        if lo == 0 or end == len(order):
-            self._edge_flux = None
         # relink and queue the new fronts with their neighbours
         for uid in gone:
             del self._right_of[uid]
@@ -329,7 +329,8 @@ class Simulation:
             self._queue = [e for e in self._queue if self._queued(*e[1:])]
             heapq.heapify(self._queue)
 
-        dQ = self._potential_change(lo, end, incoming, new)
+        ids = np.fromiter(order, int, len(order))
+        dQ = self._potential_change(ids, lo, end, incoming, new)
         self._q += dQ
         self._now = None
         if kind is not None:
@@ -337,13 +338,14 @@ class Simulation:
             self.records.append(InteractionRecord(
                 self.time, x, kind, *incoming, new["ids"], new["families"],
                 new["sigmas"], new["kinds"], dV, dQ))
-            self._log.append((self.time, self._q, self._cell0, tuple(order)))
+            self._log.append((self.time, self._q, self._cell0,
+                              ids.astype(np.int32)))
         return new
 
-    def _potential_change(self, lo, end, incoming, new):
+    def _potential_change(self, ids, lo, end, incoming, new):
         """Change of the interaction potential Q when the ``incoming``
         fronts give way to the ``new`` fronts' columns, which are fronts
-        lo..end - 1 of the live list.
+        lo..end - 1 of the live ids ``ids``.
 
         With s_j = |sigma_j| over the fronts in left-to-right order, a pair
         i < j approaches unless fam_i < fam_j or both are rarefactions of
@@ -352,7 +354,6 @@ class Simulation:
         strength sums, of all fronts and of rarefactions, binned by their
         key family - 1 + n is_rarefaction."""
         n, table = self.model.n, self._table
-        ids = np.fromiter(self._order, int, len(self._order))
         keys, strengths = table["keys"][ids], np.abs(table["sigmas"][ids])
         sides = []
         for part in (slice(0, lo), slice(end, None)):
@@ -470,11 +471,9 @@ class Simulation:
             raise ValueError("cannot move backwards in time")
         if dt == 0.0:
             return
-        if self._edge_flux is None:
-            self._edge_flux = [self.model.flux(self._cell(j))
-                               for j in (0, len(self._order))]
-        self.boundary_flux_integral[0] += self._edge_flux[0] * dt
-        self.boundary_flux_integral[1] += self._edge_flux[1] * dt
+        self.boundary_flux_integral[0] += self.model.flux(self._cell(0)) * dt
+        self.boundary_flux_integral[1] += (
+            self.model.flux(self._cell(len(self._order))) * dt)
         self.time = t
         self._now = None
 

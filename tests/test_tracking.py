@@ -707,6 +707,21 @@ def test_history_rebuilds_the_live_profiles_bitwise(run, live_copies):
         assert_same_snapshot(snap, live)
 
 
+def test_history_slices_like_a_list():
+    sim = linear_evolve()
+    snaps = list(sim.history)
+    assert len(snaps) >= 16
+    pairs = list(zip(sim.history, sim.history[1:] + [None]))
+    assert len(pairs) == len(snaps) and pairs[-1][1] is None
+    for k in (slice(1, None), slice(None, -3), slice(-5, None, 2),
+              slice(None, None, -1), slice(4, 2), slice(None)):
+        got = sim.history[k]
+        assert isinstance(got, list) and len(got) == len(snaps[k])
+        for snap, ref in zip(got, snaps[k]):
+            assert_same_snapshot(snap, ref)
+    assert_same_snapshot(sim.history[-1], snaps[-1])
+
+
 def test_snapshot_at_an_event_time_shows_the_event():
     # contacts of speeds 1 and -1 from x = 1/4 and 3/4 cross at (t, x) =
     # (1/4, 1/2) exactly; a snapshot at t, or within TIME_TIE before it,
@@ -785,28 +800,24 @@ def readme_config():
     return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
-def engine_peak(n):
-    """Events and tracemalloc peak (B) of the engine alone, no writers, on
-    the README counterexample with initial.n = n."""
+def test_engine_memory_is_a_fifth_of_a_snapshot_per_event():
+    # the tracemalloc peak of the engine alone, no writers, on the README
+    # counterexample with initial.n = 255, against the column bytes of the
+    # snapshots that the history view rebuilds: one stored per event would
+    # hold them all
     config = readme_config()
-    config["initial"]["n"] = n
+    config["initial"]["n"] = 255
     model = build_model(config["model"])
     prof = build_initial(config["initial"], model, tuple(config["domain"]))
     tracemalloc.start()
     try:
         sim = Simulation(model, prof, config["epsilon"])
         sim.advance_to(config["horizon"])
-        return len(sim.records), tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-# engine_peak(255), in bytes, when every event stored a full snapshot in the
-# history (Python 3.11.7, numpy 2.4.6)
-PEAK_WITH_SNAPSHOTS = 86_186_556
-
-
-def test_engine_memory_is_a_fifth_of_a_snapshot_per_event():
-    events, peak = engine_peak(255)
-    assert events == 5559
-    assert 5 * peak <= PEAK_WITH_SNAPSHOTS
+    assert len(sim.history) == len(sim.records) + 1 == 5560
+    stored = sum(getattr(snap, field.name).nbytes for snap in sim.history
+                 for field in dataclasses.fields(Snapshot)
+                 if isinstance(getattr(snap, field.name), np.ndarray))
+    assert 5 * peak <= stored
