@@ -15,7 +15,7 @@ GNL_FLOOR, and otherwise so that their first nonzero component is.
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,21 +60,25 @@ class Box:
 
     lows: np.ndarray
     highs: np.ndarray
+    # (lo - DOMAIN_SLACK, hi + DOMAIN_SLACK) per component, as floats
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lows", np.asarray(self.lows, dtype=float))
         object.__setattr__(self, "highs", np.asarray(self.highs, dtype=float))
         if np.any(self.lows >= self.highs):
             raise ValueError("box must have lows < highs")
+        object.__setattr__(self, "_bounds", tuple(zip(
+            (self.lows - DOMAIN_SLACK).tolist(),
+            (self.highs + DOMAIN_SLACK).tolist())))
 
     def contains(self, u):
-        """Whether the point u lies in the box widened by DOMAIN_SLACK; NaN
-        never does.  Compares Python floats: numpy reductions on a 2-vector
+        """Whether the point u, a list of floats, lies in the box widened by
+        DOMAIN_SLACK; NaN never does, and a u of the wrong length raises
+        ValueError.  Compares Python floats: numpy reductions on a 2-vector
         cost more than the comparisons."""
-        return all(lo - DOMAIN_SLACK <= x <= hi + DOMAIN_SLACK
-                   for x, lo, hi in zip(np.asarray(u, dtype=float).tolist(),
-                                        self.lows.tolist(), self.highs.tolist(),
-                                        strict=True))
+        return all(lo <= x <= hi
+                   for x, (lo, hi) in zip(u, self._bounds, strict=True))
 
     def grid(self, samples_per_axis):
         axes = [np.linspace(lo, hi, samples_per_axis)
@@ -219,11 +223,14 @@ class FluxModel:
     # -- domain ------------------------------------------------------------
 
     def structurally_valid(self, u):
-        """Positivity-type constraints that make the flux evaluable."""
-        return all(map(math.isfinite, np.asarray(u, dtype=float).tolist()))
+        """Positivity-type constraints that make the flux evaluable, on the
+        state u as a list of floats."""
+        return all(map(math.isfinite, u))
 
     def in_domain(self, u):
-        u = np.asarray(u, dtype=float)
+        """Whether the state u is structurally valid and in the box; u is
+        converted to a list of floats once, for both tests."""
+        u = np.asarray(u, dtype=float).tolist()
         return self.structurally_valid(u) and self.box.contains(u)
 
     def check_domain(self, u):
@@ -325,7 +332,9 @@ class GasModel(FluxModel):
         return self.K * rho ** self.theta
 
     def flux(self, u):
-        rho, v = u
+        """f(u), from u unpacked once into Python floats: the arithmetic and
+        libm pow of numpy scalars, without their per-operation cost."""
+        rho, v = np.asarray(u, dtype=float).tolist()
         return np.array([rho * v,
                          0.5 * v * v + self.K ** 2 * rho ** (self.gamma - 1.0)
                          / (self.gamma - 1.0)])
@@ -336,7 +345,8 @@ class GasModel(FluxModel):
                          [self.K ** 2 * rho ** (self.gamma - 2.0), v]])
 
     def lambdas(self, u):
-        rho, v = u
+        """(v - c, v + c) at u, in Python floats as ``flux``."""
+        rho, v = np.asarray(u, dtype=float).tolist()
         c = self.sound_speed(rho)
         return np.array([v - c, v + c])
 
@@ -360,21 +370,26 @@ class GasModel(FluxModel):
         return np.full(2, 0.25 * (self.gamma + 1.0))
 
     def _w_raw(self, u):
-        rho, v = u
+        """(v - h, v + h) at u, h = (K / theta) rho^theta, as Python floats."""
+        rho, v = np.asarray(u, dtype=float).tolist()
         s = (self.K / self.theta) * rho ** self.theta
-        return np.array([v - s, v + s])
+        return v - s, v + s
 
     def to_riemann(self, u):
-        return self._w_raw(np.asarray(u, dtype=float)) - self._w_ref
+        """Riemann coordinates of u relative to ref_state, in Python floats
+        as ``flux``."""
+        (w1, w2), (r1, r2) = self._w_raw(u), self._w_ref
+        return np.array([w1 - r1, w2 - r2])
 
     def from_riemann(self, w):
-        raw = np.asarray(w, dtype=float) + self._w_ref
-        spread = 0.5 * (raw[1] - raw[0])
+        """The state at Riemann coordinates w, in Python floats as ``flux``."""
+        (w1, w2), (r1, r2) = np.asarray(w, dtype=float).tolist(), self._w_ref
+        raw1, raw2 = w1 + r1, w2 + r2
+        spread = 0.5 * (raw2 - raw1)
         if spread <= 0.0:
             raise DomainError("Riemann coordinates hit vacuum (w2 <= w1)")
         rho = (self.theta * spread / self.K) ** (1.0 / self.theta)
-        v = 0.5 * (raw[0] + raw[1])
-        return np.array([rho, v])
+        return np.array([rho, 0.5 * (raw1 + raw2)])
 
     # -- closed-form wave curves -------------------------------------------
     #
@@ -483,7 +498,7 @@ class GasModel(FluxModel):
                 (v_1 - rho * q_1, v_2 + rho * q_2), abs(f_1 + f_2 + v_2 - v_1))
 
     def structurally_valid(self, u):
-        rho, v = np.asarray(u, dtype=float).tolist()
+        rho, v = u
         if not (math.isfinite(rho) and math.isfinite(v)):
             return False
         if rho <= 0.0:

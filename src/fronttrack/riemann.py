@@ -75,7 +75,7 @@ def _checked_jump(model, u_from, u_to, label, kind):
     model.check_domain(u_from)
     model.check_domain(u_to)
     dw = _coords(model, u_to) - _coords(model, u_from)
-    jump = float(np.max(np.abs(dw)))
+    jump = max(map(abs, dw.tolist()))
     if jump > DELTA_RIEMANN:
         raise RadiusError(
             f"{label} {jump:.3g} exceeds {kind} radius {DELTA_RIEMANN}")
@@ -131,19 +131,19 @@ def _gas_solution(model, ul, ur):
     above RESIDUAL_TOL raises ConvergenceError."""
     um, sigmas, speeds, residual = _gas_crossing(model, "riemann", ul, ur)
     states = (ul, um, ur)
-    lams = [model.lambdas(u) for u in states]
+    lams = [model.lambdas(u).tolist() for u in states]
     waves = []
     for i, sigma in enumerate(sigmas.tolist()):
         if abs(sigma) < SIGMA_NULL:
             continue
         left, right = states[i], states[i + 1]
-        lo, hi = float(lams[i][i]), float(lams[i + 1][i])
+        lo, hi = lams[i][i], lams[i + 1][i]
         if sigma >= 0.0:
             waves.append(Wave(i + 1, sigma, "rarefaction", lo, hi, left, right))
             continue
         s = speeds[i]
-        rh = float(np.max(np.abs(model.flux(right) - model.flux(left)
-                                 - s * (right - left))))
+        rh = max(map(abs, (model.flux(right) - model.flux(left)
+                           - s * (right - left)).tolist()))
         if rh > RESIDUAL_TOL:
             raise ConvergenceError(
                 f"gas shock family {i + 1}: RH residual {rh:.3e} above tolerance")
@@ -181,7 +181,7 @@ def solve_riemann(model, ul, ur):
         sig = model.eigen(ul).left @ (ur - ul)
         return _solution_from_sigmas(model, ul, sig, ur=ur)
     dw = _checked_jump(model, ul, ur, "data jump", "solvable")
-    if float(np.max(np.abs(ur - ul))) == 0.0:
+    if ul.tolist() == ur.tolist():
         return RiemannSolution(np.zeros(model.n), (ul,) * (model.n + 1), (), 0.0)
     if model.kind == "gas":
         return _gas_solution(model, ul, ur)

@@ -178,6 +178,29 @@ def _waves_in_radius(name, initial, model, config):
     return []
 
 
+def _jump_positions(name, initial, model, config):
+    """Jump positions finite, inside the domain [a, b] and non-decreasing:
+    one diagnostic per position that is not, each one checked against the
+    last position that passed."""
+    dom = config.get("domain")
+    if initial["kind"] != "jumps" or not _numbers(dom, 2):
+        return []
+    a, b = dom
+    diags, last = [], a
+    for k, (x, _) in enumerate(initial["jumps"]):
+        where = f"{name}.jumps[{k}] position {x!r}"
+        # an int is finite, and math.isfinite would overflow on a long one
+        if isinstance(x, float) and not math.isfinite(x):
+            diags.append(f"{where} must be finite")
+        elif not a <= x <= b:
+            diags.append(f"{where} lies outside the domain [{a!r}, {b!r}]")
+        elif x < last:
+            diags.append(f"{where} lies left of the previous position {last!r}")
+        else:
+            last = x
+    return diags
+
+
 _CONSTANT_RULE = _is(lambda v, m: v["kind"] != "constant",
                      "counterexample tracks family-1 shocks: a constant "
                      "initial profile has no family-1 front")
@@ -220,7 +243,7 @@ _COMMON = {
 _DOMAIN = {"domain": (_REQUIRED, _INTERVAL)}
 _TRACKED = {**_COMMON, **_DOMAIN, "epsilon": (0.01, _POSITIVE)}
 _CHAINED = {"model": (_REQUIRED, _CHARTED), "delta_chain": (0.05, _POSITIVE)}
-_INITIAL = (_REQUIRED, _block("initial", _waves_in_radius))
+_INITIAL = (_REQUIRED, _block("initial", _waves_in_radius, _jump_positions))
 _EVOLVE = {
     **_TRACKED,
     "initial": _INITIAL,
@@ -251,7 +274,8 @@ _SCHEMA = {
         "counterexample": {
             **_EVOLVE,
             "initial": (_REQUIRED, _block("initial", _waves_in_radius,
-                                         _CONSTANT_RULE, _FAMILY_1_RULE)),
+                                         _jump_positions, _CONSTANT_RULE,
+                                         _FAMILY_1_RULE)),
             "census": (None, _block("census", _block_times)),
             "density": (None, _block("density", _block_times)),
         },

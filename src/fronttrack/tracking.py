@@ -329,7 +329,7 @@ class Simulation:
             self._queue = [e for e in self._queue if self._queued(*e[1:])]
             heapq.heapify(self._queue)
 
-        ids = np.fromiter(order, int, len(order))
+        ids = np.fromiter(order, np.int32, len(order))
         dQ = self._potential_change(ids, lo, end, incoming, new)
         self._q += dQ
         self._now = None
@@ -338,8 +338,7 @@ class Simulation:
             self.records.append(InteractionRecord(
                 self.time, x, kind, *incoming, new["ids"], new["families"],
                 new["sigmas"], new["kinds"], dV, dQ))
-            self._log.append((self.time, self._q, self._cell0,
-                              ids.astype(np.int32)))
+            self._log.append((self.time, self._q, self._cell0, ids))
         return new
 
     def _potential_change(self, ids, lo, end, incoming, new):
@@ -354,7 +353,8 @@ class Simulation:
         strength sums, of all fronts and of rarefactions, binned by their
         key family - 1 + n is_rarefaction."""
         n, table = self.model.n, self._table
-        keys, strengths = table["keys"][ids], np.abs(table["sigmas"][ids])
+        # take costs less than indexing by int32 ids
+        keys, strengths = table["keys"].take(ids), np.abs(table["sigmas"].take(ids))
         sides = []
         for part in (slice(0, lo), slice(end, None)):
             sums = np.bincount(keys[part], strengths[part], 2 * n).tolist()

@@ -6,14 +6,15 @@ from fronttrack import riemann
 from fronttrack.curves import _gnl, lax_curve, rarefaction_curve
 from fronttrack.errors import (
     SOLVER_ERRORS, ConvergenceError, DomainError, HyperbolicityError,
+    RadiusError,
 )
 from fronttrack.models import (
-    GNL_FLOOR, SPEED_FLOOR, EigenStructure, HypothesisReport, _curvature,
-    _loose_valid, wedge,
+    DOMAIN_SLACK, GNL_FLOOR, SPEED_FLOOR, EigenStructure, HypothesisReport,
+    _curvature, _loose_valid, wedge,
 )
 from fronttrack.newton import MAX_ITER, RES_TOL, STEP_TOL, newton_solve
 from fronttrack.riemann import (
-    RESIDUAL_TOL, _checked_jump, _coords, _solution_from_sigmas,
+    DELTA_RIEMANN, RESIDUAL_TOL, _checked_jump, _coords, _solution_from_sigmas,
 )
 
 
@@ -360,3 +361,63 @@ def wave_mass(snap, family, sign=None):
     if sign is not None:
         s = s[np.sign(s) == sign]
     return float(np.sum(np.abs(s)))
+
+
+# -- the domain test, the gas state methods and the jump check on arrays -------
+# Each computes on numpy arrays and numpy float64 scalars, where the package
+# unpacks a state into Python floats once; the arithmetic and the libm pow are
+# the same, so the results agree bit for bit.
+
+
+def reference_box_contains(box, u):
+    """Box.contains with the widened bounds formed on every call from the
+    box's arrays."""
+    return all(lo - DOMAIN_SLACK <= x <= hi + DOMAIN_SLACK
+               for x, lo, hi in zip(np.asarray(u, dtype=float).tolist(),
+                                    box.lows.tolist(), box.highs.tolist(),
+                                    strict=True))
+
+
+def reference_gas_flux(gas, u):
+    rho, v = np.asarray(u, dtype=float)
+    return np.array([rho * v,
+                     0.5 * v * v + gas.K ** 2 * rho ** (gas.gamma - 1.0)
+                     / (gas.gamma - 1.0)])
+
+
+def reference_gas_lambdas(gas, u):
+    rho, v = np.asarray(u, dtype=float)
+    c = gas.K * rho ** gas.theta
+    return np.array([v - c, v + c])
+
+
+def _reference_w_raw(gas, u):
+    rho, v = np.asarray(u, dtype=float)
+    s = (gas.K / gas.theta) * rho ** gas.theta
+    return np.array([v - s, v + s])
+
+
+def reference_gas_to_riemann(gas, u):
+    return _reference_w_raw(gas, u) - _reference_w_raw(gas, gas.ref_state)
+
+
+def reference_gas_from_riemann(gas, w):
+    raw = np.asarray(w, dtype=float) + _reference_w_raw(gas, gas.ref_state)
+    spread = 0.5 * (raw[1] - raw[0])
+    if spread <= 0.0:
+        raise DomainError("Riemann coordinates hit vacuum (w2 <= w1)")
+    rho = (gas.theta * spread / gas.K) ** (1.0 / gas.theta)
+    v = 0.5 * (raw[0] + raw[1])
+    return np.array([rho, v])
+
+
+def reference_checked_jump(model, u_from, u_to, label, kind):
+    """_checked_jump with the jump reduced by numpy."""
+    model.check_domain(u_from)
+    model.check_domain(u_to)
+    dw = _coords(model, u_to) - _coords(model, u_from)
+    jump = float(np.max(np.abs(dw)))
+    if jump > DELTA_RIEMANN:
+        raise RadiusError(
+            f"{label} {jump:.3g} exceeds {kind} radius {DELTA_RIEMANN}")
+    return dw

@@ -439,6 +439,33 @@ def test_out_of_domain_initial_state_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("xs, diagnostic", [
+    ([0.7, 0.3], "initial.jumps[1] position 0.3 lies left of the previous "
+                 "position 0.7"),
+    ([math.nan], "initial.jumps[0] position nan must be finite"),
+    ([1.5], "initial.jumps[0] position 1.5 lies outside the domain [0.0, 1.0]"),
+], ids=["unsorted", "nan", "outside"])
+def test_bad_jump_position_exits_2(tmp_path, capsys, xs, diagnostic):
+    config = {**_evolve_config(), "domain": [0.0, 1.0]}
+    config["initial"] = {"kind": "jumps", "left": [1.0, 0.995],
+                         "jumps": [[x, [1.02, 0.99]] for x in xs]}
+    cfg = _write(tmp_path, "bad_jumps.json", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().out == diagnostic + "\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    assert not out_dir.exists()
+
+
+def test_jump_positions_on_the_domain_edges_and_repeated_are_valid():
+    config = {**_evolve_config(), "domain": [0.0, 1.0]}
+    config["initial"] = {"kind": "jumps", "left": [1.0, 0.995],
+                         "jumps": [[x, [1.0, 0.995]] for x in (0, 0.5, 0.5, 1)]}
+    assert validate_config(config) == []
+
+
 def test_initial_states_are_checked_per_kind():
     config = _evolve_config()
     config["initial"] = {"kind": "constant", "value": [1.0, 2.0]}

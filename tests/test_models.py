@@ -7,12 +7,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fronttrack.curves import shock_deviation_coefficient
 from fronttrack.errors import SOLVER_ERRORS, DomainError, HyperbolicityError
 from fronttrack.models import (
-    SPEED_SAMPLES, Box, GasModel, LinearModel, TableModel, _sweep_hypotheses,
-    crossing_time, verify_hypotheses,
+    DOMAIN_SLACK, SPEED_SAMPLES, Box, GasModel, LinearModel, TableModel,
+    _sweep_hypotheses, crossing_time, verify_hypotheses,
 )
 
 from references import (
-    chart_gradient, reference_deviation_coefficient, reference_numeric_eigen,
+    chart_gradient, reference_box_contains, reference_deviation_coefficient,
+    reference_gas_flux, reference_gas_from_riemann, reference_gas_lambdas,
+    reference_gas_to_riemann, reference_numeric_eigen,
     reference_sweep_hypotheses, reference_wedge_bend,
 )
 
@@ -256,6 +258,89 @@ def test_in_domain_matches_numpy_reference_on_every_edge(model):
             for v in edges:
                 u = np.array([rho, v])
                 assert model.in_domain(u) == numpy_in_domain(model, u), u
+
+
+# -- the float path of the box test and the gas state methods ----------------
+
+@pytest.mark.parametrize("model", DOMAIN_MODELS,
+                         ids=["gas", "gas_sonic", "linear3", "table"])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_box_contains_matches_the_reference(model, data):
+    u = data.draw(points(model))
+    assert model.box.contains(u) == reference_box_contains(model.box, u)
+
+
+@pytest.mark.parametrize("model", DOMAIN_MODELS,
+                         ids=["gas", "gas_sonic", "linear3", "table"])
+def test_box_contains_each_widened_bound_but_not_its_outer_neighbour(model):
+    box = model.box
+    for k in range(model.n):
+        for bound, outward in ((box.lows[k] - DOMAIN_SLACK, -np.inf),
+                               (box.highs[k] + DOMAIN_SLACK, np.inf)):
+            for x, inside in ((np.nextafter(bound, -outward), True),
+                              (bound, True),
+                              (np.nextafter(bound, outward), False)):
+                u = np.array(model.ref_state, dtype=float)
+                u[k] = x
+                assert box.contains(u.tolist()) is inside, (k, x)
+                assert reference_box_contains(box, u) is inside, (k, x)
+
+
+@pytest.mark.parametrize("model", DOMAIN_MODELS,
+                         ids=["gas", "gas_sonic", "linear3", "table"])
+def test_a_state_of_the_wrong_length_raises_value_error(model):
+    for u in (model.ref_state[:-1], np.append(model.ref_state, 1.0)):
+        with pytest.raises(ValueError):
+            model.box.contains(u.tolist())
+        with pytest.raises(ValueError):
+            reference_box_contains(model.box, u)
+        with pytest.raises(ValueError):
+            model.in_domain(u)
+
+
+def _bits(a):
+    """The bytes of a float64 array: equal bytes are bitwise-equal values,
+    signed zeros and NaN included."""
+    assert a.dtype == np.float64
+    return a.tobytes()
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+GAS_MODELS = st.builds(GasModel, K=st.floats(0.1, 10.0), gamma=st.floats(1.1, 2.9))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gas=GAS_MODELS,
+       # a density past 1e100 would overflow rho^(gamma - 1), which Python
+       # raises and numpy returns as inf; a negative one has a complex power
+       # in Python and no admissible state
+       rho=st.one_of(st.floats(0.0, 1e100), st.sampled_from([-0.0, *NON_FINITE])),
+       v=st.floats(allow_nan=True, allow_infinity=True))
+def test_gas_state_methods_match_the_numpy_scalar_reference_bitwise(gas, rho, v):
+    u = np.array([rho, v])
+    for method, reference in ((gas.flux, reference_gas_flux),
+                              (gas.lambdas, reference_gas_lambdas),
+                              (gas.to_riemann, reference_gas_to_riemann)):
+        with np.errstate(all="ignore"):
+            want = _bits(reference(gas, u))
+        assert _bits(method(u)) == want
+        assert _bits(method([rho, v])) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(gas=GAS_MODELS,
+       w=st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(NON_FINITE)),
+                  min_size=2, max_size=2))
+def test_gas_from_riemann_matches_the_numpy_scalar_reference_bitwise(gas, w):
+    outcomes = []
+    for inverse in (gas.from_riemann, lambda w: reference_gas_from_riemann(gas, w)):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(_bits(inverse(np.array(w))))
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- exact derivatives against the finite-difference and loop references -----

@@ -17,8 +17,9 @@ from fronttrack.riemann import (
 )
 from fronttrack.tracking import Simulation
 from references import (
-    ProbeDomainError, reference_fd_solve_riemann, reference_split_boundary_pair,
-    reference_split_boundary_pair_reverse, split_recomposition_gap,
+    ProbeDomainError, reference_checked_jump, reference_fd_solve_riemann,
+    reference_split_boundary_pair, reference_split_boundary_pair_reverse,
+    split_recomposition_gap,
 )
 
 UL = np.array([1.0, 0.0])
@@ -336,6 +337,58 @@ def test_failed_collision_solve_is_recorded_before_it_raises(
         sim.advance_to(event.time)
     record = sim.records[-1]
     assert (record.kind, record.time, record.in_families) == ("error", event.time, [1, 1])
+
+
+# -- the jump check against its array form ---------------------------------------
+
+RADIUS_STEPS = [DELTA_RIEMANN, np.nextafter(DELTA_RIEMANN, 0.0),
+                np.nextafter(DELTA_RIEMANN, 1.0), DELTA_RIEMANN - 4e-16,
+                DELTA_RIEMANN + 4e-16, 0.1, 0.5]
+
+
+def _jump_outcome(check, *args):
+    """The bytes of a jump check's dw, or its error class and message."""
+    try:
+        return check(*args).tobytes()
+    except (RadiusError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_jump_check_matches_its_array_form_at_the_radius(data, gas):
+    model = data.draw(st.sampled_from([gas, GAS_TABLE]))
+    ul = np.array([data.draw(st.floats(0.6, 1.4)), data.draw(st.floats(-0.4, 0.4))])
+    if model is gas:
+        # a chart jump of the drawn size in one coordinate, which the chart
+        # reproduces to within roundoff: the check meets both sides of the
+        # radius and the radius itself
+        w = gas.to_riemann(ul)
+        w[data.draw(st.sampled_from([0, 1]))] += (
+            data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(
+                st.sampled_from(RADIUS_STEPS)))
+        ur = gas.from_riemann(w)
+    else:
+        ur = ul + np.array([data.draw(st.floats(-0.4, 0.4)) for _ in range(2)])
+    got = _jump_outcome(riemann._checked_jump, model, ul, ur, "data jump", "solvable")
+    want = _jump_outcome(reference_checked_jump, model, ul, ur, "data jump",
+                         "solvable")
+    assert got == want
+    if not (isinstance(want, tuple) and want[0] is DomainError):
+        jump = float(np.max(np.abs(_coords(model, ur) - _coords(model, ul))))
+        assert isinstance(got, tuple) == (jump > DELTA_RIEMANN)
+
+
+def test_jump_check_admits_the_radius_and_refuses_the_next_float(diag_linear):
+    # the identity chart of diag(-1, 1) gives the jump exactly
+    ul = np.zeros(2)
+    for check in (riemann._checked_jump, reference_checked_jump):
+        ur = np.array([0.0, -DELTA_RIEMANN])
+        assert check(diag_linear, ul, ur, "|v - v'| =", "split").tolist() == [
+            0.0, -DELTA_RIEMANN]
+        ur = np.array([0.0, -np.nextafter(DELTA_RIEMANN, 1.0)])
+        with pytest.raises(RadiusError, match="exceeds split radius"):
+            check(diag_linear, ul, ur, "|v - v'| =", "split")
 
 
 # -- the Broyden Newton against Newton on a forward-difference Jacobian ---------
