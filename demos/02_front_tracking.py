@@ -36,15 +36,20 @@ for x, family, kind, sigma, speed in zip(snap.xs, snap.families, snap.kinds,
 
 sim.advance_to(7.0)
 
+
+def fronts(ids):
+    """Family, kind (S or R) and strength of the fronts ``ids``, read from
+    the front table: a record names its fronts by id."""
+    table = sim.fronts
+    return ", ".join(f"{table['families'][i]}"
+                     f"{'S' if table['kinds'][i] == 'shock' else 'R'}"
+                     f"({table['sigmas'][i]:+.1e})" for i in ids)
+
+
 print("\ninteraction log:")
 for rec in sim.records:
     if rec.kind == "collision":
-        ins = ", ".join(f"{f}{'S' if k == 'shock' else 'R'}({s:+.1e})"
-                        for f, s, k in zip(rec.in_families, rec.in_sigmas,
-                                           rec.in_kinds))
-        outs = ", ".join(f"{f}{'S' if k == 'shock' else 'R'}({s:+.1e})"
-                         for f, s, k in zip(rec.out_families, rec.out_sigmas,
-                                            rec.out_kinds))
+        ins, outs = fronts(rec.in_ids), fronts(rec.out_ids)
         print(f"  t={rec.time:7.3f} x={rec.x:.4f}  [{ins}] -> [{outs}]  "
               f"dQ={rec.dQ:+.2e}")
     else:

@@ -102,31 +102,19 @@ def track_shock_strength(sim, front_id):
 
     At each interaction the lineage continues through the outgoing wave of
     the same family (merges recorded); it ends when the front exits or no
-    same-family wave comes out (cancellation, reported via ``fate``).
+    same-family wave comes out (cancellation, reported via ``fate``).  An
+    id that was never born raises KeyError.
     """
-    consumed = {}
-    born = {}
-    for rec in sim.records:
-        for uid in rec.in_ids:
-            consumed[uid] = rec
-        for uid in rec.out_ids:
-            born[uid] = rec
-
-    if front_id in born:        # the record that created it
-        rec = born[front_id]
-        j = rec.out_ids.index(front_id)
-        t0, x0, family, sigma0 = (rec.time, rec.x, rec.out_families[j],
-                                  rec.out_sigmas[j])
-    else:                       # an initial front
-        first = sim.history[0]
-        hit = np.flatnonzero(first.ids == front_id)
-        if len(hit) == 0:
-            raise KeyError(f"front {front_id} never appears in the history")
-        j = hit[0]
-        t0, x0, family, sigma0 = (first.time, first.xs[j], first.families[j],
-                                  first.sigmas[j])
+    fronts = sim.fronts
+    # numpy indexing would wrap a negative id
+    if not 0 <= front_id < len(fronts["x0"]):
+        raise KeyError(f"front {front_id} was never born")
+    families, sigmas = fronts["families"].tolist(), fronts["sigmas"].tolist()
+    consumed = {uid: rec for rec in sim.records for uid in rec.in_ids}
+    family = families[front_id]
     lineage = [front_id]
-    samples = [(t0, x0, abs(sigma0))]
+    samples = [(fronts["t0"][front_id], fronts["x0"][front_id],
+                abs(sigmas[front_id]))]
     merges = []
     fate = "alive"
     cur = front_id
@@ -136,19 +124,15 @@ def track_shock_strength(sim, front_id):
             fate = "exited"
             samples.append((rec.time, rec.x, samples[-1][2]))
             break
-        outs = [(uid, s) for uid, f, s in
-                zip(rec.out_ids, rec.out_families, rec.out_sigmas)
-                if f == family]
-        same_in = [uid for uid, f in zip(rec.in_ids, rec.in_families)
-                   if f == family]
-        if len(same_in) > 1:
+        outs = [uid for uid in rec.out_ids if families[uid] == family]
+        if sum(families[uid] == family for uid in rec.in_ids) > 1:
             merges.append(rec.time)
         if not outs:
             fate = "cancelled"
             samples.append((rec.time, rec.x, 0.0))
             break
-        uid, sig = max(outs, key=lambda p: abs(p[1]))
-        samples.append((rec.time, rec.x, abs(sig)))
+        uid = max(outs, key=lambda u: abs(sigmas[u]))
+        samples.append((rec.time, rec.x, abs(sigmas[uid])))
         lineage.append(uid)
         cur = uid
     if fate == "alive":
@@ -192,13 +176,15 @@ def _same_family_shock_collisions(sim):
     """(record, family-2 output strength) of every collision of two or more
     fronts that are all family-1 shocks; the strength is 0.0 when the
     collision emits no family-2 wave."""
+    fronts = sim.fronts
+    families, sigmas, kinds = (fronts[name].tolist()
+                               for name in ("families", "sigmas", "kinds"))
     for rec in sim.records:
         if rec.kind != "collision" or len(rec.in_ids) < 2:
             continue
-        if not all(f == 1 and k == "shock"
-                   for f, k in zip(rec.in_families, rec.in_kinds)):
+        if not all(families[i] == 1 and kinds[i] == "shock" for i in rec.in_ids):
             continue
-        out = [s for f, s in zip(rec.out_families, rec.out_sigmas) if f == 2]
+        out = [sigmas[i] for i in rec.out_ids if families[i] == 2]
         yield rec, out[0] if out else 0.0
 
 

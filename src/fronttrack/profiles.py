@@ -42,14 +42,10 @@ class PiecewiseConstant:
             yield edges[j], edges[j + 1], self.values[j]
 
     def total_variation(self):
-        if len(self.values) < 2:
-            return 0.0
-        jumps = np.diff(self.values, axis=0)
-        return float(np.sum(np.linalg.norm(jumps, axis=1)))
+        return total_variation(self.values)
 
     def sup_distance(self, ref):
-        ref = np.asarray(ref, dtype=float)
-        return float(np.max(np.linalg.norm(self.values - ref[None, :], axis=1)))
+        return sup_distance(self.values, ref)
 
     def mean(self):
         return self.integral() / (self.b - self.a)
@@ -58,6 +54,19 @@ class PiecewiseConstant:
         edges = np.concatenate(([self.a], self.xs, [self.b]))
         widths = np.diff(edges)
         return np.sum(widths[:, None] * self.values, axis=0)
+
+
+def total_variation(values):
+    """Sum of the norms of the jumps between consecutive cell values."""
+    if len(values) < 2:
+        return 0.0
+    return float(np.sum(np.linalg.norm(np.diff(values, axis=0), axis=1)))
+
+
+def sup_distance(values, ref):
+    """Largest norm of a cell value minus the state ``ref``."""
+    ref = np.asarray(ref, dtype=float)
+    return float(np.max(np.linalg.norm(values - ref[None, :], axis=1)))
 
 
 def constant_profile(a, b, value):

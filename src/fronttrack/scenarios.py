@@ -178,17 +178,18 @@ def _waves_in_radius(name, initial, model, config):
     return []
 
 
-def _jump_positions(name, initial, model, config):
-    """Jump positions finite, inside the domain [a, b] and non-decreasing:
+def _positions(name, xs, config):
+    """Positions xs finite, inside the domain [a, b] and non-decreasing:
     one diagnostic per position that is not, each one checked against the
-    last position that passed."""
+    last position that passed.  A list of non-numbers is left to its own
+    check."""
     dom = config.get("domain")
-    if initial["kind"] != "jumps" or not _numbers(dom, 2):
+    if not (_numbers(dom, 2) and _numbers(xs)):
         return []
     a, b = dom
     diags, last = [], a
-    for k, (x, _) in enumerate(initial["jumps"]):
-        where = f"{name}.jumps[{k}] position {x!r}"
+    for k, x in enumerate(xs):
+        where = f"{name}[{k}] position {x!r}"
         # an int is finite, and math.isfinite would overflow on a long one
         if isinstance(x, float) and not math.isfinite(x):
             diags.append(f"{where} must be finite")
@@ -199,6 +200,13 @@ def _jump_positions(name, initial, model, config):
         else:
             last = x
     return diags
+
+
+def _jump_positions(name, initial, model, config):
+    """The positions of a jumps profile, by the rule of _positions."""
+    if initial["kind"] != "jumps":
+        return []
+    return _positions(f"{name}.jumps", [x for x, _ in initial["jumps"]], config)
 
 
 _CONSTANT_RULE = _is(lambda v, m: v["kind"] != "constant",
@@ -214,10 +222,19 @@ _LINEAR = _is(lambda v, m: m is None or m.kind == "linear",
               "linear_control needs a linear model")
 _PROFILE_RULE = _is(
     lambda v, m: m is None or (
-        _numbers(v["xs"]) and sorted(v["xs"]) == v["xs"]
+        _numbers(v["xs"])
         and isinstance(v["values"], list) and len(v["values"]) == len(v["xs"]) + 1
         and all(_numbers(u, m.n) for u in v["values"])),
     "{name} must have sorted xs and len(xs) + 1 values of {n} numbers")
+
+
+def _breakpoints(name, profile, model, config):
+    """A linear_control profile: len(xs) + 1 values, and breakpoints xs
+    by the rule of jump positions, _positions."""
+    return (_PROFILE_RULE(name, profile, model, config)
+            or _positions(f"{name}.xs", profile["xs"], config))
+
+
 _BOX = _is(lambda v, m: isinstance(v, list) and all(
     _numbers(pair, 2) and pair[0] < pair[1] for pair in v),
     "{name}={value!r} must be per-component [low, high] pairs with low < high")
@@ -281,8 +298,8 @@ _SCHEMA = {
         },
         "linear_control": {**_COMMON, **_DOMAIN,
                            "model": (_REQUIRED, _LINEAR),
-                           "phi": (_REQUIRED, _block("phi", _PROFILE_RULE)),
-                           "psi": (_REQUIRED, _block("psi", _PROFILE_RULE)),
+                           "phi": (_REQUIRED, _block("phi", _breakpoints)),
+                           "psi": (_REQUIRED, _block("psi", _breakpoints)),
                            "T": (_REQUIRED, _crossing)},
     },
     "model": {

@@ -25,8 +25,10 @@ the waves of one Riemann solution (none for an exit) through one private
 step, which splices the live list, writes the new fronts to the table and
 queues their candidates and, for every kind but the initial fronts,
 appends the interaction record and logs the event: its time, the potential
-Q, cell 0 and the live ids.  Snapshots are rebuilt from the table and that
-log on access: ``now``, every entry of ``history`` and ``snapshot_at``.
+Q, cell 0 and the live ids.  The table is the one record of a front: an
+interaction record names its fronts by id, and ``fronts`` shows the table's
+columns.  Snapshots are rebuilt from the table and the log on access:
+``now``, every entry of ``history`` and ``snapshot_at``.
 
 The same step gives the profile its interaction potential Q from the
 splice alone: pairs of untouched fronts keep their contribution, so Q
@@ -44,7 +46,7 @@ import numpy as np
 
 from .curves import SIGMA_NULL, CurvePoint, lax_curve, rarefaction_curve
 from .errors import SOLVER_ERRORS, ContractViolationError, ConvergenceError
-from .profiles import PiecewiseConstant
+from .profiles import PiecewiseConstant, sup_distance, total_variation
 from .riemann import solve_riemann
 
 TIME_TIE = 1e-12        # events closer than this are simultaneous
@@ -94,16 +96,11 @@ class Snapshot:
     def profile(self):
         return PiecewiseConstant(self.a, self.b, self.xs, self.states)
 
-    def total_strength(self):
-        """Glimm's V: the sum of the fronts' |sigma|."""
-        return float(np.sum(np.abs(self.sigmas)))
-
     def tv(self):
-        return _tv(self.states)
+        return total_variation(self.states)
 
     def sup_distance(self, ref):
-        ref = np.asarray(ref, dtype=float)
-        return float(np.max(np.linalg.norm(self.states - ref[None, :], axis=1)))
+        return sup_distance(self.states, ref)
 
 
 @dataclass(frozen=True)
@@ -119,22 +116,16 @@ class Event:
 class InteractionRecord:
     """One change of the profile: at ``time`` and point ``x`` an event of
     ``kind`` (collision | exit_a | exit_b | inject_a | inject_b, or error
-    for a collision whose Riemann solve failed) replaced the incoming
-    fronts (``in_ids``, ``in_families``, ``in_sigmas``, ``in_kinds``) by
-    the outgoing ones (``out_*``, the same columns); ``dV`` and ``dQ`` are
-    the changes of the Glimm functionals across it."""
+    for a collision whose Riemann solve failed) replaced the fronts
+    ``in_ids`` by the fronts ``out_ids``, whose columns are in the front
+    table (``Simulation.fronts``); ``dV`` and ``dQ`` are the changes of the
+    Glimm functionals across it."""
 
     time: float
     x: float
     kind: str
     in_ids: list
-    in_families: list
-    in_sigmas: list
-    in_kinds: list
     out_ids: list
-    out_families: list
-    out_sigmas: list
-    out_kinds: list
     dV: float
     dQ: float
 
@@ -163,8 +154,9 @@ class Simulation:
     live front ids plus cell 0, spliced by every event; no event copies the
     profile.  ``now`` is the profile at ``time`` as a Snapshot.
     ``history`` is a read-only view of the snapshots of time 0 and of every
-    recorded event, each rebuilt on access from the event log, and
-    ``records`` holds the events' interaction records.
+    recorded event, each rebuilt on access from the event log,
+    ``records`` holds the events' interaction records, which name fronts
+    by id, and ``fronts`` shows the front table.
     """
 
     def __init__(self, model, profile, eps_fronts):
@@ -213,6 +205,16 @@ class Simulation:
         return _History(self)
 
     @property
+    def fronts(self):
+        """The front table: read-only views of its columns (birth point x0
+        and time t0, speeds, families, sigmas, kinds, generations, keys and
+        right states) over the ids 0 .. n_born - 1."""
+        views = {name: col[:self._n_born] for name, col in self._table.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        return views
+
+    @property
     def functional_history(self):
         """(t, V, Q, TV) of every history snapshot, from the columns it
         needs: strengths and states."""
@@ -220,7 +222,7 @@ class Simulation:
         out = []
         for t, q, cell0, ids in self._log:
             out.append((t, float(np.sum(np.abs(sigmas[ids]))), q,
-                        _tv(np.concatenate((cell0[None], rights[ids])))))
+                        total_variation(np.concatenate((cell0[None], rights[ids])))))
         return out
 
     # -- bookkeeping -------------------------------------------------------
@@ -244,11 +246,6 @@ class Simulation:
         """State of cell j of the live profile."""
         return self._cell0 if j == 0 else self._table["rights"][self._order[j - 1]]
 
-    def _incoming(self, ids):
-        """ids, families, sigmas and kinds of the fronts in the list ``ids``."""
-        return [ids] + [self._table[name][ids].tolist()
-                        for name in ("families", "sigmas", "kinds")]
-
     def _born(self, x, speed, family, sigma, kind, generation, right):
         """Write a new front to the table at the present time; its id."""
         uid, table = self._n_born, self._table
@@ -265,9 +262,9 @@ class Simulation:
     def _step(self, lo, hi, left, waves, x, kind=None):
         """The one change of the profile: replace fronts lo..hi - 1 by the
         fronts that materialize ``waves`` at x, and cells lo..hi by ``left``
-        and their right states; return the new fronts' columns.  Every cell
-        but cell 0 is the right state of the front left of it, so ``left``
-        is taken only when lo is 0.
+        and their right states; return the new fronts' ids and speeds.
+        Every cell but cell 0 is the right state of the front left of it, so
+        ``left`` is taken only when lo is 0.
 
         Rarefactions are fanned into pieces of strength at most eps, each
         moving at the characteristic speed of its left state, which the
@@ -281,13 +278,11 @@ class Simulation:
         """
         order, table = self._order, self._table
         gone = order[lo:hi]
-        incoming = self._incoming(gone)
         gens = table["generations"][gone].tolist()
         least = {}
-        for fam, gen in zip(incoming[1], gens):
+        for fam, gen in zip(table["families"][gone].tolist(), gens):
             least[fam] = min(gen, least.get(fam, gen))
-        new = {name: [] for name in ("ids", "families", "sigmas", "speeds",
-                                     "kinds")}
+        first, speeds = self._n_born, []
         for wave in waves:
             if abs(wave.sigma) < SIGMA_NULL:
                 self.dropped_mass += abs(wave.sigma)
@@ -303,16 +298,15 @@ class Simulation:
             gen = least.get(wave.family, 1 + min(gens, default=0))
             for point, right in zip(chain, [p.state for p in chain[1:]]
                                     + [wave.right]):
-                uid = self._born(x, point.speed, wave.family, piece,
-                                 wave.kind, gen, right)
-                for name, val in zip(new, (uid, wave.family, piece,
-                                           point.speed, wave.kind)):
-                    new[name].append(val)
+                self._born(x, point.speed, wave.family, piece, wave.kind, gen,
+                           right)
+                speeds.append(point.speed)
 
-        order[lo:hi] = new["ids"]
+        new = list(range(first, self._n_born))
+        order[lo:hi] = new
         if lo == 0:
             self._cell0 = np.array(left, dtype=float)
-        end = lo + len(new["ids"])
+        end = lo + len(new)
         # relink and queue the new fronts with their neighbours
         for uid in gone:
             del self._right_of[uid]
@@ -321,7 +315,7 @@ class Simulation:
             self._right_of[i] = j
             if j is not None:
                 self._push(i, j)
-        for uid in new["ids"]:
+        for uid in new:
             self._push(uid, uid)
         # a live front has at most two live entries, its exit and its pair
         # with the right neighbour: past four per front, drop the stale ones
@@ -330,20 +324,22 @@ class Simulation:
             heapq.heapify(self._queue)
 
         ids = np.fromiter(order, np.int32, len(order))
-        dQ = self._potential_change(ids, lo, end, incoming, new)
+        # the replaced and the new fronts' keys and strengths
+        was, out = ([table[name][part].tolist() for name in ("keys", "sigmas")]
+                    for part in (gone, slice(first, self._n_born)))
+        dQ = self._potential_change(ids, lo, end, was, out)
         self._q += dQ
         self._now = None
         if kind is not None:
-            dV = sum(map(abs, new["sigmas"])) - sum(map(abs, incoming[2]))
-            self.records.append(InteractionRecord(
-                self.time, x, kind, *incoming, new["ids"], new["families"],
-                new["sigmas"], new["kinds"], dV, dQ))
+            dV = sum(map(abs, out[1])) - sum(map(abs, was[1]))
+            self.records.append(InteractionRecord(self.time, x, kind, gone, new,
+                                                  dV, dQ))
             self._log.append((self.time, self._q, self._cell0, ids))
-        return new
+        return new, speeds
 
-    def _potential_change(self, ids, lo, end, incoming, new):
-        """Change of the interaction potential Q when the ``incoming``
-        fronts give way to the ``new`` fronts' columns, which are fronts
+    def _potential_change(self, ids, lo, end, was, out):
+        """Change of the interaction potential Q when the fronts of keys and
+        strengths ``was`` give way to those of ``out``, which are fronts
         lo..end - 1 of the live ids ``ids``.
 
         With s_j = |sigma_j| over the fronts in left-to-right order, a pair
@@ -359,9 +355,7 @@ class Simulation:
         for part in (slice(0, lo), slice(end, None)):
             sums = np.bincount(keys[part], strengths[part], 2 * n).tolist()
             sides.append(([s + r for s, r in zip(sums, sums[n:])], sums[n:]))
-        _, fams, sigmas, kinds = incoming
-        return (_potential(new["families"], new["sigmas"], new["kinds"], *sides)
-                - _potential(fams, sigmas, kinds, *sides))
+        return _potential(n, *out, *sides) - _potential(n, *was, *sides)
 
     # -- views ---------------------------------------------------------------
 
@@ -504,11 +498,9 @@ class Simulation:
             sol = solve_riemann(self.model, ul, self._cell(hi + 1))
         except ConvergenceError:
             self.records.append(InteractionRecord(
-                self.time, event.x, "error", *self._incoming(self._order[lo:hi + 1]),
-                [], [], [], [], 0.0, 0.0))
+                self.time, event.x, "error", self._order[lo:hi + 1], [], 0.0, 0.0))
             raise
-        speeds = self._step(lo, hi + 1, ul, sol.waves, event.x,
-                            "collision")["speeds"]
+        _, speeds = self._step(lo, hi + 1, ul, sol.waves, event.x, "collision")
         if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
             raise ContractViolationError(
                 f"outgoing wave speeds not ordered at t={self.time}",
@@ -552,26 +544,20 @@ class Simulation:
         k = len(self._order) if at_b else 0
         return self._step(k, k, trace if at_b else outer,
                           [w for w, e in zip(sol.waves, enters) if e],
-                          self.b if at_b else self.a, f"inject_{side}")["ids"]
+                          self.b if at_b else self.a, f"inject_{side}")[0]
 
 
-def _tv(states):
-    """Total variation of a profile with cell states ``states``."""
-    if len(states) == 1:
-        return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(states, axis=0), axis=1)))
-
-
-def _potential(families, sigmas, kinds, left, right):
+def _potential(n, keys, sigmas, left, right):
     """Q of the pairs that involve the fronts listed left to right, with
     each other and with the fronts outside, whose per-family strength sums
     (all fronts, rarefactions) on each side are ``left`` and ``right``.  A
-    front meets the list's earlier fronts as part of ``left``."""
+    front meets the list's earlier fronts as part of ``left``.  A front's
+    key is family - 1 + n is_rarefaction, for n families."""
     total, rars = list(left[0]), list(left[1])
     right_total, right_rars = right
     q = 0.0
-    for f, sigma, kind in zip(families, sigmas, kinds):
-        s, rar = abs(sigma), kind == "rarefaction"
+    for key, sigma in zip(keys, sigmas):
+        f, s, rar = key % n + 1, abs(sigma), key >= n
         q += s * (sum(total[f - 1:]) + sum(right_total[:f])
                   - rar * (rars[f - 1] + right_rars[f - 1]))
         total[f - 1] += s

@@ -100,6 +100,20 @@ def test_strength_dips_slightly_when_crossed_by_opposite_shock(gas):
     assert 1.0 - 5.0 * abs(s2) <= track.min_ratio <= 1.0
 
 
+def test_tracking_a_front_that_was_never_born_raises_key_error(gas):
+    u1 = shock_curve(gas, U0, 1, -0.06).state
+    u2 = shock_curve(gas, u1, 1, -0.05).state
+    prof = profile_from_jumps(0.0, 1.0, U0, [(0.9, u1), (0.91, u2)])
+    sim = Simulation(gas, prof, 0.05)
+    sim.advance_to(0.5)
+    n_born = len(sim.fronts["x0"])
+    assert n_born > 2 and track_shock_strength(sim, n_born - 1).lineage == [n_born - 1]
+    # a negative id would wrap to a front counted from the end
+    for uid in (-1, n_born):
+        with pytest.raises(KeyError, match=f"front {uid} was never born"):
+            track_shock_strength(sim, uid)
+
+
 def test_strength_grows_when_absorbing_same_family(gas):
     u1 = shock_curve(gas, U0, 1, -0.06).state
     u2 = shock_curve(gas, u1, 1, -0.05).state
@@ -169,10 +183,11 @@ def test_creation_and_compliance_share_one_rule(cascade):
     """A creation is a compliant collision: an opposite-family output counts
     only when its magnitude exceeds the floor, also at exactly the floor."""
     _prof, sim = cascade
+    fam, sig, kind = (sim.fronts[name] for name in ("families", "sigmas", "kinds"))
     outputs = [s for rec in sim.records
                if rec.kind == "collision" and len(rec.in_ids) >= 2
-               and set(zip(rec.in_families, rec.in_kinds)) == {(1, "shock")}
-               for f, s in zip(rec.out_families, rec.out_sigmas) if f == 2]
+               and set(zip(fam[rec.in_ids], kind[rec.in_ids])) == {(1, "shock")}
+               for f, s in zip(fam[rec.out_ids], sig[rec.out_ids]) if f == 2]
     at_floor = -outputs[0]
     assert at_floor > 0.0
     for floor in (0.0, 1e-11, 1e-6, at_floor):

@@ -459,10 +459,36 @@ def test_bad_jump_position_exits_2(tmp_path, capsys, xs, diagnostic):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("profile, xs, diagnostic", [
+    ("phi", [math.nan], "phi.xs[0] position nan must be finite"),
+    ("phi", [1.5], "phi.xs[0] position 1.5 lies outside the domain [0.0, 1.0]"),
+    ("psi", [0.7, 0.3], "psi.xs[1] position 0.3 lies left of the previous "
+                        "position 0.7"),
+], ids=["nan", "outside", "unsorted"])
+def test_bad_linear_control_breakpoint_exits_2(tmp_path, capsys, profile, xs,
+                                               diagnostic):
+    config = _valid_config("linear_control")
+    config[profile] = {"xs": xs, "values": [[0.1, 0.2]] * (len(xs) + 1)}
+    cfg = _write(tmp_path, "bad_breakpoints.json", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().out == diagnostic + "\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    assert not out_dir.exists()
+
+
 def test_jump_positions_on_the_domain_edges_and_repeated_are_valid():
     config = {**_evolve_config(), "domain": [0.0, 1.0]}
     config["initial"] = {"kind": "jumps", "left": [1.0, 0.995],
                          "jumps": [[x, [1.0, 0.995]] for x in (0, 0.5, 0.5, 1)]}
+    assert validate_config(config) == []
+
+
+def test_breakpoints_on_the_domain_edges_and_repeated_are_valid():
+    config = _valid_config("linear_control")
+    config["phi"] = {"xs": [0, 0.5, 0.5, 1], "values": [[0.1, 0.2]] * 5}
     assert validate_config(config) == []
 
 

@@ -71,7 +71,8 @@ def test_merge_sign_other_exponents(gas_gamma):
     assert ev.kind == "collision"
     sim.advance_to(ev.time)
     rec = [r for r in sim.records if r.kind == "collision"][0]
-    out = dict(zip(rec.out_families, rec.out_sigmas))
+    fronts = sim.fronts
+    out = dict(zip(fronts["families"][rec.out_ids], fronts["sigmas"][rec.out_ids]))
     assert out[2] < 0
 
 
@@ -123,8 +124,9 @@ def test_linear3_steering(linear3):
     tau = crossing_time(linear3, (0.0, 1.0))
     assert res.plan.horizon == pytest.approx(
         2 * tau * (len(res.plan.actions) // 2))
+    families = res.sim.fronts["families"]
     for rec in res.sim.records:
         if rec.kind == "inject_b":
-            assert all(f <= 2 for f in rec.out_families)
+            assert all(f <= 2 for f in families[rec.out_ids])
         elif rec.kind == "inject_a":
-            assert all(f == 3 for f in rec.out_families)
+            assert all(f == 3 for f in families[rec.out_ids])

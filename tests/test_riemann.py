@@ -336,7 +336,8 @@ def test_failed_collision_solve_is_recorded_before_it_raises(
     with pytest.raises(ConvergenceError, match=message):
         sim.advance_to(event.time)
     record = sim.records[-1]
-    assert (record.kind, record.time, record.in_families) == ("error", event.time, [1, 1])
+    assert (record.kind, record.time, sim.fronts["families"][record.in_ids].tolist()
+            ) == ("error", event.time, [1, 1])
 
 
 # -- the jump check against its array form ---------------------------------------

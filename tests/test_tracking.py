@@ -110,7 +110,8 @@ def test_same_family_shock_merge_emits_opposite_shock(gas):
     assert ev.kind == "collision"
     sim.advance_to(ev.time)
     rec = [r for r in sim.records if r.kind == "collision"][0]
-    out = dict(zip(rec.out_families, rec.out_sigmas))
+    fronts = sim.fronts
+    out = dict(zip(fronts["families"][rec.out_ids], fronts["sigmas"][rec.out_ids]))
     assert out[1] == pytest.approx(sa + sb, abs=1e-4)
     assert out[2] < 0
     predicted = PRODUCTION * sa * sb * (sa + sb)
@@ -128,8 +129,9 @@ def test_shock_absorbing_same_family_rarefaction_emits_rarefaction(gas):
     sim = Simulation(gas, prof, 0.1)
     sim.advance_to(5.0)
     rec = [r for r in sim.records if r.kind == "collision"][0]
-    out = dict(zip(rec.out_families, rec.out_sigmas))
-    kinds = dict(zip(rec.out_families, rec.out_kinds))
+    fronts = sim.fronts
+    out = dict(zip(fronts["families"][rec.out_ids], fronts["sigmas"][rec.out_ids]))
+    kinds = dict(zip(fronts["families"][rec.out_ids], fronts["kinds"][rec.out_ids]))
     assert out[1] == pytest.approx(ss + sr, abs=1e-4)
     assert out[2] > 0
     assert kinds[2] == "rarefaction"
@@ -323,7 +325,7 @@ def test_interactions_emit_at_most_n_families(gas_slow):
     sim = _cascade(gas_slow)
     for rec in sim.records:
         if rec.kind == "collision":
-            assert len(set(rec.out_families)) <= gas_slow.n
+            assert len(set(sim.fronts["families"][rec.out_ids])) <= gas_slow.n
 
 
 def test_tv_controlled_by_initial_potential(gas_slow):
@@ -492,7 +494,7 @@ def test_collisions_keep_the_cell_right_of_their_fan_bitwise(monkeypatch):
         right = self.now.states[event.hi + 1].tobytes()
         resolve(self, event)
         record = self.records[-1]
-        if event.kind == "collision" and 2 in record.out_families:
+        if event.kind == "collision" and 2 in self.fronts["families"][record.out_ids]:
             kept.append(self.now.states[event.lo + len(record.out_ids)].tobytes()
                         == right)
 
@@ -705,6 +707,36 @@ def test_history_rebuilds_the_live_profiles_bitwise(run, live_copies):
     assert len(sim.history) == len(ref) == len(sim.records) + 1
     for snap, live in zip(sim.history, ref):
         assert_same_snapshot(snap, live)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _cascade(GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),
+                              ref_state=[1.0, 0.98], min_speed=0.002)),
+    dense_evolve, linear_evolve, gas_steer,
+], ids=["cascade", "dense_evolve", "linear_evolve", "gas_steer"])
+def test_records_name_the_fronts_of_the_history(run):
+    # a record's incoming fronts are those the snapshot before it loses and
+    # its outgoing fronts those the one after it gains, and the front table
+    # holds their columns bit for bit
+    sim = run()
+    fronts = sim.fronts
+    assert len(sim.records) >= 16
+    assert all(not col.flags.writeable for col in fronts.values())
+    for k, rec in enumerate(sim.records):
+        before, after = sim.history[k], sim.history[k + 1]
+        lost = set(before.ids.tolist()) - set(after.ids.tolist())
+        gained = set(after.ids.tolist()) - set(before.ids.tolist())
+        assert rec.in_ids == [i for i in before.ids.tolist() if i in lost]
+        assert rec.out_ids == [i for i in after.ids.tolist() if i in gained]
+        for ids, snap in ((rec.in_ids, before), (rec.out_ids, after)):
+            where = {uid: j for j, uid in enumerate(snap.ids.tolist())}
+            js = [where[uid] for uid in ids]
+            for name in ("families", "sigmas", "speeds", "generations"):
+                col = getattr(snap, name)[js]
+                assert fronts[name][ids].tobytes() == col.tobytes(), name
+            assert fronts["kinds"][ids].tolist() == snap.kinds[js].tolist()
+            rights = snap.states[[j + 1 for j in js]]
+            assert fronts["rights"][ids].tobytes() == rights.tobytes()
 
 
 def test_history_slices_like_a_list():
