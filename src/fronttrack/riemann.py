@@ -1,4 +1,6 @@
-"""Riemann problems and boundary splitting solves on composed Lax curves."""
+"""Riemann problems and boundary splitting solves on composed Lax curves.
+Every Riemann solution is built by ``_solution``: a shock's RH residual and
+Lax margin are checked, a linear contact's RH residual is carried unchecked."""
 
 from dataclasses import dataclass
 
@@ -14,7 +16,10 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Wave:
-    """One elementary wave of a Riemann solution."""
+    """One elementary wave of a Riemann solution.  ``rh_residual`` is
+    max |f(right) - f(left) - s (right - left)| at its speed s: at most
+    RESIDUAL_TOL for a shock, unchecked roundoff for a contact, 0.0 for a
+    rarefaction."""
 
     family: int
     sigma: float
@@ -82,34 +87,51 @@ def _checked_jump(model, u_from, u_to, label, kind):
     return dw
 
 
-def _classify(model, wave_point, family, ul):
-    sigma = wave_point.sigma
-    if model.kind == "linear":
-        kind = "contact"
-        lo = hi = wave_point.speed
-    elif sigma < 0.0:
-        kind = "shock"
-        lo = hi = wave_point.speed
-    else:
-        kind = "rarefaction"
-        lo = model.lambdas(ul)[family - 1]
-        hi = wave_point.speed
-    return Wave(family, float(sigma), kind, float(lo), float(hi),
-                np.asarray(ul, dtype=float), wave_point.state,
-                wave_point.residual)
+def _solution(model, states, sigmas, speeds, residual):
+    """The solution whose wave of family i + 1 has strength sigmas[i] and
+    joins states[i] to states[i + 1], less its null waves.  A linear
+    model's waves are contacts at lambda_i; otherwise a rarefaction moves at
+    lambda_i of its two ends and a shock at speeds[i].  A shock's RH
+    residual, or its violation of the Lax condition lambda_i(right) <= s <=
+    lambda_i(left), above RESIDUAL_TOL raises ConvergenceError.  A contact's
+    is not checked: a linear model solves jumps of any size, so its residual
+    is roundoff of the size of |u|."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    lams = [model.lambdas(u).tolist() for u in states]
+    waves = []
+    for i, sigma in enumerate(sigmas.tolist()):
+        if abs(sigma) < SIGMA_NULL:
+            continue
+        left, right = states[i], states[i + 1]
+        lo, hi = lams[i][i], lams[i + 1][i]
+        if model.kind == "linear":
+            kind, s = "contact", lo
+        elif sigma >= 0.0:
+            waves.append(Wave(i + 1, sigma, "rarefaction", lo, hi, left, right))
+            continue
+        else:
+            kind, s = "shock", float(speeds[i])
+        rh = max(map(abs, (model.flux(right) - model.flux(left)
+                           - s * (right - left)).tolist()))
+        if kind == "shock" and rh > RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"shock family {i + 1}: RH residual {rh:.3e} above tolerance")
+        if kind == "shock" and max(hi - s, s - lo) > RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"shock family {i + 1} at speed {s!r} violates the Lax "
+                f"condition {lo!r} >= s >= {hi!r}")
+        waves.append(Wave(i + 1, sigma, kind, s, s, left, right, rh))
+    return RiemannSolution(sigmas, tuple(states), tuple(waves), residual)
 
 
 def _solution_from_sigmas(model, ul, sigmas, ur, points=None):
-    states = [np.asarray(ul, dtype=float)]
-    waves = []
+    """The solution through the Lax curve points composed from ul with the
+    strengths (``points``, when known), and its residual |states[-1] - ur|."""
     points = points or _wave_points(model, ul, sigmas)
-    for i, (s, cp) in enumerate(zip(sigmas, points), start=1):
-        if abs(s) >= SIGMA_NULL:
-            waves.append(_classify(model, cp, i, states[-1]))
-        states.append(cp.state)
+    states = [np.asarray(ul, dtype=float)] + [cp.state for cp in points]
     residual = float(np.max(np.abs(states[-1] - np.asarray(ur, dtype=float))))
-    return RiemannSolution(np.asarray(sigmas, dtype=float), tuple(states),
-                           tuple(waves), residual)
+    return _solution(model, states, sigmas, [cp.speed for cp in points],
+                     residual)
 
 
 def _gas_crossing(model, solve, *ends):
@@ -122,55 +144,22 @@ def _gas_crossing(model, solve, *ends):
     return um, sigmas, speeds, residual
 
 
-def _gas_solution(model, ul, ur):
-    """The gas Riemann solution built from the crossing of the family-1
-    curve forward from ul and the family-2 curve backward from ur
-    (``_gas_crossing``): a rarefaction moves at lambda_i of its two ends, a
-    shock at its mass-jump speed.  A shock's RH residual from the flux, or
-    its violation of the Lax condition lambda_i(right) <= s <= lambda_i(left),
-    above RESIDUAL_TOL raises ConvergenceError."""
-    um, sigmas, speeds, residual = _gas_crossing(model, "riemann", ul, ur)
-    states = (ul, um, ur)
-    lams = [model.lambdas(u).tolist() for u in states]
-    waves = []
-    for i, sigma in enumerate(sigmas.tolist()):
-        if abs(sigma) < SIGMA_NULL:
-            continue
-        left, right = states[i], states[i + 1]
-        lo, hi = lams[i][i], lams[i + 1][i]
-        if sigma >= 0.0:
-            waves.append(Wave(i + 1, sigma, "rarefaction", lo, hi, left, right))
-            continue
-        s = speeds[i]
-        rh = max(map(abs, (model.flux(right) - model.flux(left)
-                           - s * (right - left)).tolist()))
-        if rh > RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"gas shock family {i + 1}: RH residual {rh:.3e} above tolerance")
-        if max(hi - s, s - lo) > RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"gas shock family {i + 1} at speed {s!r} violates the Lax "
-                f"condition {lo!r} >= s >= {hi!r}")
-        waves.append(Wave(i + 1, sigma, "shock", s, s, left, right, rh))
-    return RiemannSolution(sigmas, states, tuple(waves), residual)
-
-
 def solve_riemann(model, ul, ur):
     """Strengths sigma_1..sigma_n with Psi_n o ... o Psi_1 (ul) = ur, the
     intermediate states and the elementary waves.
 
     Linear models project on the left eigenbasis, at any jump.  The gas
-    model finds its middle state by one scalar root and builds the waves
-    from (ul, um, ur) (``_gas_solution``); the root's residual and each
-    shock's Rankine-Hugoniot residual and Lax margin are its checks, and no
-    Lax curve is evaluated.  Other models run Broyden-Newton on the strength
-    vector from the Riemann-coordinate jump, seeded with the right
+    model finds its middle state by one scalar root (``_gas_crossing``),
+    and no Lax curve is evaluated.  Other models run Broyden-Newton on the
+    strength vector from the Riemann-coordinate jump, seeded with the right
     eigenbasis at ul, which is the Jacobian of the curve composition at
-    zero strength; the solution is built from the Lax curve points of
-    Newton's last evaluation, its root, so each point is computed once, and
-    a composition that misses ur by more than RESIDUAL_TOL raises
-    ConvergenceError.  A nonlinear model raises RadiusError when the data
-    jump exceeds DELTA_RIEMANN.
+    zero strength; the states and shock speeds are those of the Lax curve
+    points of Newton's last evaluation, its root, so each point is computed
+    once, and a composition that misses ur by more than RESIDUAL_TOL raises
+    ConvergenceError.  ``_solution`` builds the waves of every model: a
+    shock's RH residual and Lax margin are checked, a linear contact's RH
+    residual is carried unchecked.  A nonlinear model raises RadiusError
+    when the data jump exceeds DELTA_RIEMANN.
     """
     ul = np.asarray(ul, dtype=float)
     ur = np.asarray(ur, dtype=float)
@@ -184,7 +173,8 @@ def solve_riemann(model, ul, ur):
     if ul.tolist() == ur.tolist():
         return RiemannSolution(np.zeros(model.n), (ul,) * (model.n + 1), (), 0.0)
     if model.kind == "gas":
-        return _gas_solution(model, ul, ur)
+        um, sigmas, speeds, residual = _gas_crossing(model, "riemann", ul, ur)
+        return _solution(model, (ul, um, ur), sigmas, speeds, residual)
 
     points = None
 

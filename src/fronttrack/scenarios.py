@@ -48,8 +48,13 @@ def _integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _numbers(v, n=None):
-    return (isinstance(v, list) and all(map(_number, v))
+def _finite(v):
+    """A finite JSON number; math.isfinite would overflow on a long int."""
+    return _number(v) and (isinstance(v, int) or math.isfinite(v))
+
+
+def _numbers(v, n=None, each=_number):
+    return (isinstance(v, list) and all(map(each, v))
             and (n is None or len(v) == n))
 
 
@@ -64,13 +69,13 @@ def _is(test, message):
     return check
 
 
-_POSITIVE = _is(lambda v, m: _number(v) and v > 0,
-                "{name}={value!r} must be positive")
+_POSITIVE = _is(lambda v, m: _finite(v) and v > 0,
+                "{name}={value!r} must be positive and finite")
 _COUNT = _is(lambda v, m: _integer(v) and v >= 1,
              "{name}={value!r} must be a positive integer")
 _NUMBER = _is(lambda v, m: _number(v), "{name}={value!r} must be a number")
-_INTERVAL = _is(lambda v, m: _numbers(v, 2) and v[0] < v[1],
-                "{name}={value!r} must be [lo, hi] with lo < hi")
+_INTERVAL = _is(lambda v, m: _numbers(v, 2, _finite) and v[0] < v[1],
+                "{name}={value!r} must be [lo, hi] with lo < hi, both finite")
 _TIMES = _is(lambda v, m: v is None or _numbers(v),
              "{name} must be a list of numbers")
 _STATE = _is(lambda v, m: _numbers(v, None if m is None else m.n),
@@ -190,8 +195,7 @@ def _positions(name, xs, config):
     diags, last = [], a
     for k, x in enumerate(xs):
         where = f"{name}[{k}] position {x!r}"
-        # an int is finite, and math.isfinite would overflow on a long one
-        if isinstance(x, float) and not math.isfinite(x):
+        if not _finite(x):
             diags.append(f"{where} must be finite")
         elif not a <= x <= b:
             diags.append(f"{where} lies outside the domain [{a!r}, {b!r}]")
@@ -225,7 +229,7 @@ _PROFILE_RULE = _is(
         _numbers(v["xs"])
         and isinstance(v["values"], list) and len(v["values"]) == len(v["xs"]) + 1
         and all(_numbers(u, m.n) for u in v["values"])),
-    "{name} must have sorted xs and len(xs) + 1 values of {n} numbers")
+    "{name} must have numeric xs and len(xs) + 1 values of {n} numbers")
 
 
 def _breakpoints(name, profile, model, config):
@@ -236,9 +240,11 @@ def _breakpoints(name, profile, model, config):
 
 
 _BOX = _is(lambda v, m: isinstance(v, list) and all(
-    _numbers(pair, 2) and pair[0] < pair[1] for pair in v),
-    "{name}={value!r} must be per-component [low, high] pairs with low < high")
-_MODEL_COMMON = {"box": (None, _BOX), "ref_state": (None, _STATE),
+    _numbers(pair, 2, _finite) and pair[0] < pair[1] for pair in v),
+    "{name}={value!r} must be finite [low, high] pairs with low < high")
+_FINITE_STATE = _is(lambda v, m: _numbers(v, None, _finite),
+                    "{name}={value!r} must be a state of finite numbers")
+_MODEL_COMMON = {"box": (None, _BOX), "ref_state": (None, _FINITE_STATE),
                  "curve_radius": (None, _POSITIVE)}
 _DENSE = {
     "n": (_REQUIRED, _COUNT),

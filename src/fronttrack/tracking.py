@@ -94,7 +94,9 @@ class Snapshot:
         return len(self.xs)
 
     def profile(self):
-        return PiecewiseConstant(self.a, self.b, self.xs, self.states)
+        """The profile; a front roundoff crossed joins the one before it."""
+        return PiecewiseConstant(self.a, self.b, np.maximum.accumulate(self.xs),
+                                 self.states)
 
     def tv(self):
         return total_variation(self.states)

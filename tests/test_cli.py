@@ -479,6 +479,46 @@ def test_bad_linear_control_breakpoint_exits_2(tmp_path, capsys, profile, xs,
     assert not out_dir.exists()
 
 
+def _non_finite_config(case):
+    """A config with one non-finite number, which json.dumps writes as
+    Infinity or NaN."""
+    if case == "horizon":
+        return {**_readme_config(), "horizon": math.inf}
+    if case == "box":
+        config = _readme_config()
+        config["model"]["box"] = [[0.96, math.inf], [0.9, 1.0]]
+        return config
+    if case == "domain":
+        return {**_readme_config(), "domain": [0, math.inf]}
+    if case == "T":
+        return {**_valid_config("linear_control"), "T": math.inf}
+    # a jump of 1.84 in the Riemann coordinates, beyond the solvable radius,
+    # which a NaN reference state would hide from the radius check
+    config = _valid_config("riemann")
+    config["model"]["ref_state"] = [math.nan, 0]
+    config["riemann"] = {"ul": [0.5, -0.4], "ur": [1.5, 0.4]}
+    return config
+
+
+@pytest.mark.parametrize("case, diagnostic", [
+    ("horizon", "horizon=inf must be positive and finite"),
+    ("box", "model.box=[[0.96, inf], [0.9, 1.0]] must be finite [low, high] "
+            "pairs with low < high"),
+    ("domain", "domain=[0, inf] must be [lo, hi] with lo < hi, both finite"),
+    ("T", "T=inf must be positive and finite"),
+    ("ref_state", "model.ref_state=[nan, 0] must be a state of finite numbers"),
+], ids=["horizon", "box", "domain", "T", "ref_state"])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, case, diagnostic):
+    cfg = _write(tmp_path, "non_finite.json", _non_finite_config(case))
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().out == diagnostic + "\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    assert not out_dir.exists()
+
+
 def test_jump_positions_on_the_domain_edges_and_repeated_are_valid():
     config = {**_evolve_config(), "domain": [0.0, 1.0]}
     config["initial"] = {"kind": "jumps", "left": [1.0, 0.995],
@@ -630,8 +670,8 @@ def _valid_config(experiment):
     ("steer", "model", TABLE_BLOCK, "steer needs a Riemann chart"),
     ("stabilize", "model", TABLE_BLOCK, "stabilize needs a Riemann chart"),
     ("linear_control", "phi.values", [[0.0, 0.0]],
-     "phi must have sorted xs and len(xs) + 1 values of 2 numbers"),
-    ("linear_control", "psi.values", [[0.3]], "psi must have sorted xs"),
+     "phi must have numeric xs and len(xs) + 1 values of 2 numbers"),
+    ("linear_control", "psi.values", [[0.3]], "psi must have numeric xs"),
     ("evolve", "model.box", [[0.5, 1.5]],
      "model block rejected: box has 1 [low, high] pairs for 2 components"),
     ("riemann", "model.box", [], "model block rejected: box has 0 [low, high]"),

@@ -2,7 +2,9 @@
 GasModel.riemann_middle on random gases, against the jump conditions, the
 Riemann chart, the Newton solves they replace (the 3x3 shock solve and both
 boundary splits), the recomposition along the Lax curves, and the generic
-Riemann solver on the custom-table twin of the gamma = 2 gas."""
+Riemann solver on the custom-table twin of the gamma = 2 gas.  The
+recomposition test also runs the twin and a three-family linear model, and
+checks the waves of every model."""
 
 import math
 
@@ -13,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fronttrack import models
 from fronttrack.curves import lax_curve, rarefaction_curve, shock_curve
 from fronttrack.errors import SOLVER_ERRORS, DomainError
-from fronttrack.models import Box, GasModel, TableModel
+from fronttrack.models import Box, GasModel, LinearModel, TableModel
 from fronttrack.newton import RES_TOL, newton_solve, scalar_root
 from fronttrack.riemann import (
     DELTA_RIEMANN, RESIDUAL_TOL, _solution_from_sigmas, compose_waves,
@@ -27,6 +29,12 @@ from references import (
 
 # wide enough that only the subsonic predicate limits the domain
 WIDE = Box([1e-3, -50.0], [50.0, 50.0])
+
+GAS2 = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
+# the same flux as GAS2 written as a monomial table: (rho v, v^2/2 + rho)
+TWIN = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], p=1,
+                  box=Box([0.5, -0.6], [1.5, 0.6]))
+LINEAR3 = LinearModel([[-2.0, 0.2, 0.0], [0.1, -1.0, 0.1], [0.0, 0.2, 1.5]])
 
 
 @st.composite
@@ -163,29 +171,66 @@ def test_gas_riemann_round_trip(data):
     assert sol.residual <= 1e-10
 
 
+@st.composite
+def riemann_data(draw):
+    """A drawn gas and a subsonic state, or the table twin of GAS2 or the
+    three-family linear model and a state inside its box; and strengths to
+    compose from the state."""
+    model = draw(st.one_of(gases(), st.sampled_from([TWIN, LINEAR3])))
+    if model is LINEAR3:
+        ul = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+        return model, ul, [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
+    if model is TWIN:
+        ul = np.array([draw(st.floats(0.8, 1.2)), draw(st.floats(-0.2, 0.2))])
+    else:
+        ul = draw(subsonic_states(model))
+    return model, ul, [draw(st.floats(-0.08, 0.08)) for _ in range(2)]
+
+
+def assert_wave_invariants(model, sol):
+    """A linear model's waves are contacts at lambda_i; otherwise a
+    rarefaction moves at lambda_i of its ends, bitwise, and a shock meets
+    Rankine-Hugoniot and the Lax condition to within RESIDUAL_TOL."""
+    for w in sol.waves:
+        lam_left = model.lambdas(w.left)[w.family - 1]
+        lam_right = model.lambdas(w.right)[w.family - 1]
+        if model.kind == "linear":
+            assert w.kind == "contact"
+            assert w.speed_lo == w.speed_hi == lam_left
+        elif w.sigma >= 0.0:
+            assert w.kind == "rarefaction"
+            assert (w.speed_lo, w.speed_hi) == (lam_left, lam_right)
+        else:
+            s = w.speed_lo
+            assert w.kind == "shock" and w.speed_hi == s
+            rh = np.max(np.abs(model.flux(w.right) - model.flux(w.left)
+                               - s * (w.right - w.left)))
+            assert rh <= RESIDUAL_TOL
+            assert max(lam_right - s, s - lam_left) <= RESIDUAL_TOL
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_gas_solve_matches_its_recomposition_along_the_lax_curves(data):
-    gas = data.draw(gases())
-    ul = data.draw(subsonic_states(gas))
-    sig = [data.draw(st.floats(-0.08, 0.08)) for _ in range(2)]
+def test_solve_matches_its_recomposition_along_the_lax_curves(data):
+    model, ul, sig = data.draw(riemann_data())
     try:
-        ur = compose_waves(gas, ul, sig)
+        ur = compose_waves(model, ul, sig)
     except DomainError:
         assume(False)
-    sol = solve_riemann(gas, ul, ur)
-    old = _solution_from_sigmas(gas, ul, sol.sigmas, ur)
+    sol = solve_riemann(model, ul, ur)
+    old = _solution_from_sigmas(model, ul, sol.sigmas, ur)
     assert ([(w.family, w.kind) for w in sol.waves]
             == [(w.family, w.kind) for w in old.waves])
     for state, ref in zip(sol.states, old.states, strict=True):
         assert np.max(np.abs(state - ref)) <= 1e-12
     # relative to the speed scale at ul: the recomposition inverts the chart
     # with the power 1 / theta, which amplifies its roundoff as gamma -> 1
-    scale = float(np.max(np.abs(gas.lambdas(ul))))
+    scale = float(np.max(np.abs(model.lambdas(ul))))
     for wave, ref in zip(sol.waves, old.waves):
         assert abs(wave.speed_lo - ref.speed_lo) <= 1e-14 * scale
         assert abs(wave.speed_hi - ref.speed_hi) <= 1e-14 * scale
-        assert wave.rh_residual <= RESIDUAL_TOL
+    assert_wave_invariants(model, sol)
+    assert_wave_invariants(model, old)
     assert sol.residual <= RESIDUAL_TOL
     assert old.residual <= RESIDUAL_TOL
 
@@ -246,10 +291,6 @@ def test_gas_splits_match_the_newton_reference(data):
         assert split_recomposition_gap(gas, ends, got, reverse) <= RESIDUAL_TOL
 
 
-GAS2 = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
-# the same flux as GAS2 written as a monomial table: (rho v, v^2/2 + rho)
-TWIN = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], p=1,
-                  box=Box([0.5, -0.6], [1.5, 0.6]))
 
 
 @settings(max_examples=15, deadline=None)

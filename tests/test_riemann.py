@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fronttrack import curves, riemann
 from fronttrack.curves import lax_curve
 from fronttrack.errors import (
     SOLVER_ERRORS, ConvergenceError, DomainError, RadiusError,
 )
-from fronttrack import riemann
 from fronttrack.models import Box, GasModel, LinearModel, TableModel
 from fronttrack.profiles import profile_from_jumps
 from fronttrack.riemann import (
@@ -283,7 +283,7 @@ def test_chart_solves_compute_one_curve_point_per_family(gas, diag_linear,
         assert len(calls) == points
 
 
-# -- the gas solve's own checks -------------------------------------------------
+# -- the Riemann solves' own checks ---------------------------------------
 
 def perturb_gas_middle(monkeypatch, residual=0.0, speed=0.0):
     """Make the gas root report a larger residual, or shock speeds moved by
@@ -321,6 +321,36 @@ def test_gas_solve_raises_on_a_shock_beyond_its_lax_margin(gas, monkeypatch):
         um, np.array([-0.1, 0.0]), (speed, 0.0), 0.0))
     with pytest.raises(ConvergenceError, match="violates the Lax condition"):
         solve_riemann(gas, UL, um)
+
+
+def test_table_solve_raises_on_a_shock_off_its_speed(monkeypatch):
+    # the chartless shock solve hands on a speed 1e-6 off: its states, and
+    # so Newton's root, are those of a good solve, but the shock's RH
+    # residual from the flux is not
+    newton_shock = curves._newton_shock
+
+    def off_speed(*args):
+        state, speed = newton_shock(*args)
+        return state, speed + 1e-6
+
+    ur = compose_waves(GAS_TABLE, UL, [-0.07, 0.03])
+    assert [w.kind for w in solve_riemann(GAS_TABLE, UL, ur).waves] == [
+        "shock", "rarefaction"]
+    monkeypatch.setattr(curves, "_newton_shock", off_speed)
+    with pytest.raises(ConvergenceError, match="shock family 1: RH residual"):
+        solve_riemann(GAS_TABLE, UL, ur)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7])
+def test_large_linear_jump_is_solved_with_unchecked_contacts(scale):
+    # a linear model solves jumps of any size; a contact's RH residual is
+    # roundoff of |u|, above RESIDUAL_TOL here, so it is carried, not checked
+    model = LinearModel([[-1.0, 0.3], [0.2, 1.0]], box=Box([-1e8] * 2, [1e8] * 2))
+    ul, ur = scale * np.array([0.1, -0.3]), scale * np.array([-0.2, 0.5])
+    sol = solve_riemann(model, ul, ur)
+    assert [w.kind for w in sol.waves] == ["contact", "contact"]
+    assert sol.residual <= 1e-15 * scale
+    assert max(w.rh_residual for w in sol.waves) <= 1e-15 * scale
 
 
 @PERTURBATIONS
