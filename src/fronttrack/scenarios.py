@@ -105,6 +105,13 @@ def _jumps(name, value, model, parent):
     return diags
 
 
+def _finite_number(name, value, model, parent):
+    """A number, and a finite one: a NaN floor compares false with every
+    strength."""
+    return _NUMBER(name, value, model, parent) or (
+        [] if _finite(value) else [f"{name}={value!r} must be finite"])
+
+
 def _strength(name, value, model, parent):
     """A wave strength the model's curves reach."""
     diags = _NUMBER(name, value, model, parent)
@@ -313,7 +320,9 @@ _SCHEMA = {
                 "gamma": (None, _is(lambda v, m: _number(v) and 1 < v < 3,
                                     "{name}={value!r} outside the admissible "
                                     "range 1 < gamma < 3")),
-                "min_speed": (None, _NUMBER),
+                "min_speed": (None, _is(lambda v, m: _finite(v) and v >= 0,
+                                        "{name}={value!r} must be finite "
+                                        "and >= 0")),
                 **_MODEL_COMMON},
         "linear": {"A": (_REQUIRED, None), **_MODEL_COMMON},
         "custom-table": {
@@ -342,8 +351,9 @@ _SCHEMA = {
         "sigma_max": (None, _strength),
         "samples": (None, _COUNT),
     },
-    "census": {"times": (None, _TIMES), "floor": (None, _NUMBER),
-               "creation_floor": (None, _NUMBER), "probe": (None, _INTERVAL)},
+    "census": {"times": (None, _TIMES), "floor": (None, _finite_number),
+               "creation_floor": (None, _finite_number),
+               "probe": (None, _INTERVAL)},
     "density": {"times": (None, _TIMES), "cells": (None, _COUNT),
                 "probe": (None, _INTERVAL)},
     "phi": _PROFILE,
@@ -386,19 +396,27 @@ def validate_config(config):
 def _validate(config):
     """Diagnostics of the config, and the model its model block builds
     (None when the block is rejected).  The model block is checked and
-    built first, since other checks read the model; each sweep variant is
+    built first, since other checks read the model, and a ref_state it
+    gives must be admissible for the model it builds; each sweep variant is
     checked once the config itself passes."""
     if not isinstance(config, dict):
         return ["config must be a JSON object"], None
     diags, model = [], None
     if "model" in config:
-        diags = _block_diags("model", config["model"], "model", None)
+        block = config["model"]
+        diags = _block_diags("model", block, "model", None)
         if not diags:
             try:
-                model = build_model(config["model"])
+                model = build_model(block)
             except (TypeError, ValueError, KeyError, OverflowError,
                     HyperbolicityError) as exc:
                 diags = [f"model block rejected: {exc}"]
+            else:
+                if "ref_state" in block:
+                    diags = _admissible("model.ref_state", block["ref_state"],
+                                        model, block)
+                if diags:
+                    model = None
     diags += _block_diags("", config, "experiment", model)
     if not diags:
         for k, overrides in enumerate(config.get("sweep", [])):

@@ -6,7 +6,8 @@ front writes its birth point and time, family, strength, speed,
 generation, kind and right state to an append-only front table, and stays
 there.  The live profile is the left-to-right list of live front ids plus
 the state of cell 0: front j separates cells j and j + 1, and cell j + 1 is
-the right state of front j.  A front sits at x_birth + speed (t - t_birth),
+the right state of front j.  The live ids are one int32 array, spliced by
+every change of the profile.  A front sits at x_birth + speed (t - t_birth),
 so no event moves the others.
 
 The next event is the earliest adjacent-front collision or boundary
@@ -22,16 +23,23 @@ reflection.
 The profile changes at four kinds of point only: initial jumps, collisions,
 boundary exits and boundary injections.  Each replaces a run of fronts by
 the waves of one Riemann solution (none for an exit) through one private
-step, which splices the live list, writes the new fronts to the table and
+step, which splices the live ids, writes the new fronts to the table and
 queues their candidates and, for every kind but the initial fronts,
-appends the interaction record and logs the event: its time, the potential
-Q, cell 0 and the live ids.  The table is the one record of a front: an
-interaction record names its fronts by id, and ``fronts`` shows the table's
-columns.  Snapshots are rebuilt from the table and the log on access:
-``now``, every entry of ``history`` and ``snapshot_at``.
+appends the interaction record and logs the event as its splice: its time,
+the Glimm functionals, cell 0, the first index lo of the splice and the
+index of its record, which names the fronts that left and came in.  The
+table is the one record of a front: an interaction record names its fronts
+by id, and ``fronts`` shows the table's columns.  Snapshots are rebuilt
+from the table and the log on access: ``now``, every entry of ``history``
+and ``snapshot_at``.  A past profile's live ids are replayed from the
+nearest checkpoint of the live ids, which the log stores whenever the ids
+spliced since the last one outnumber the live ones, so the log holds
+O(events) ids.
 
-The same step gives the profile its interaction potential Q from the
-splice alone: pairs of untouched fronts keep their contribution, so Q
+The same step keeps the Glimm functionals of the profile from the splice
+alone: the total strength V and the total variation TV move by the
+strengths and the jumps of the cells it replaces, and pairs of untouched
+fronts keep their contribution to the interaction potential Q, so Q
 changes only through the pairs that involve a replaced or a new front
 (Bressan 2000, ch. 7).
 """
@@ -39,6 +47,7 @@ changes only through the pairs that involve a replaced or a new front
 import bisect
 import heapq
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -135,7 +144,8 @@ class InteractionRecord:
 class _History(Sequence):
     """Read-only sequence of a run's profiles: the snapshot of time 0 and
     of every recorded event, each rebuilt from the front table and the
-    event log when it is read."""
+    event log when it is read.  An entry replays the log's splices from the
+    nearest checkpoint before it; a slice and iteration replay once."""
 
     def __init__(self, sim):
         self._sim = sim
@@ -144,21 +154,38 @@ class _History(Sequence):
         return len(self._sim._log)
 
     def __getitem__(self, k):
+        n = len(self)
         if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        return self._sim._snapshot(*self._sim._log[k])
+            wanted = range(*k.indices(n))
+            if not wanted:
+                return []
+            first = min(wanted)
+            snaps = list(self._snapshots(first, max(wanted) + 1))
+            return [snaps[m - first] for m in wanted]
+        k = operator.index(k)
+        if not -n <= k < n:
+            raise IndexError("history index out of range")
+        return next(self._snapshots(k % n, k % n + 1))
+
+    def __iter__(self):
+        return self._snapshots(0, len(self))
+
+    def _snapshots(self, start, stop):
+        for (t, q, _, _, cell0, _, _), ids in self._sim._replay(start, stop):
+            yield self._sim._snapshot(t, q, cell0, ids)
 
 
 class Simulation:
     """Front-tracking run over one model and interval.
 
-    The fronts live in an append-only table, and the profile is the list of
-    live front ids plus cell 0, spliced by every event; no event copies the
-    profile.  ``now`` is the profile at ``time`` as a Snapshot.
-    ``history`` is a read-only view of the snapshots of time 0 and of every
-    recorded event, each rebuilt on access from the event log,
-    ``records`` holds the events' interaction records, which name fronts
-    by id, and ``fronts`` shows the front table.
+    The fronts live in an append-only table, and the profile is the int32
+    array of live front ids plus cell 0, spliced by every event; no event
+    copies the profile, and an event's work on V, Q and TV and its log
+    entry grow with its splice.  ``now`` is the profile at ``time`` as a
+    Snapshot.  ``history`` is a read-only view of the snapshots of time 0
+    and of every recorded event, each rebuilt on access by replaying the
+    event log's splices, ``records`` holds the events' interaction
+    records, which name fronts by id, and ``fronts`` shows the front table.
     """
 
     def __init__(self, model, profile, eps_fronts):
@@ -177,29 +204,38 @@ class Simulation:
         self._table = {name: np.empty((64, model.n) if name == "rights" else 64,
                                       dtype) for name, dtype in _TABLE}
         self._n_born = 0
-        self._order = []         # live front ids, left to right
+        self._ids = np.empty(0, np.int32)  # live front ids, left to right
         self._right_of = {}      # live front id -> id of its right neighbour
         self._queue = []         # heap of (key, i, j): pair i, j or exit i, i
-        self._log = []           # (time, q, cell 0, int32 live ids) per snapshot
-        self._q = 0.0            # Q of the live fronts
+        # per snapshot (time, Q, V, TV, cell 0, lo, record index): an event
+        # spliced its record's out_ids into the live ids in place of its
+        # in_ids, from index lo; time 0 has no record (index -1)
+        self._log = []
+        # (log index, live ids after that entry): time 0, and then an entry
+        # once the ids spliced since the last checkpoint outnumber the live
+        # ones; a spliced array is never written, so it is stored as it is
+        self._checkpoints = []
+        self._spliced = 0        # ids spliced since the last checkpoint
+        self._q = self._v = self._tv = 0.0   # Q, V and TV of the live fronts
         self._now = None
         self._xscale = abs(self.a) + abs(self.b)
 
         values = np.array(np.atleast_2d(profile.values), dtype=float)
         self._cell0 = values[0]
         for j, x in enumerate(profile.xs):
-            k = len(self._order)
+            k = len(self._ids)
             self._step(k, k, self._cell(k),
                        solve_riemann(model, values[j], values[j + 1]).waves, x)
-        self._log.append((self.time, self._q, self._cell0,
-                          np.array(self._order, dtype=np.int32)))
+        self._log.append((self.time, self._q, self._v, self._tv, self._cell0,
+                          0, -1))
+        self._checkpoints.append((0, self._ids))
 
     @property
     def now(self):
         """The profile at ``time`` as a Snapshot, built on first read and
         kept until the profile or the clock changes."""
         if self._now is None:
-            self._now = self._snapshot(self.time, self._q, self._cell0, self._order)
+            self._now = self._snapshot(self.time, self._q, self._cell0, self._ids)
         return self._now
 
     @property
@@ -218,20 +254,31 @@ class Simulation:
 
     @property
     def functional_history(self):
-        """(t, V, Q, TV) of every history snapshot, from the columns it
-        needs: strengths and states."""
-        sigmas, rights = self._table["sigmas"], self._table["rights"]
-        out = []
-        for t, q, cell0, ids in self._log:
-            out.append((t, float(np.sum(np.abs(sigmas[ids]))), q,
-                        total_variation(np.concatenate((cell0[None], rights[ids])))))
-        return out
+        """(t, V, Q, TV) of every history snapshot, read from the event log:
+        the running values, within roundoff of the sums over a snapshot."""
+        return [(t, v, q, tv) for t, q, v, tv, *_ in self._log]
 
     # -- bookkeeping -------------------------------------------------------
 
     def _where(self):
         """Diagnostics of an engine contract violation."""
         return {"time": float(self.time), "events": self._event_count}
+
+    def _replay(self, start, stop):
+        """(log entry, live ids) of the log entries start..stop - 1.  The
+        ids are one list, spliced forward from the last checkpoint at or
+        before start, so each is read before the next is drawn."""
+        log, records = self._log, self.records
+        m, ids = self._checkpoints[bisect.bisect_right(
+            self._checkpoints, start, key=lambda c: c[0]) - 1]
+        ids = ids.tolist()
+        for k in range(m, stop):
+            entry = log[k]
+            if k > m:
+                lo, rec = entry[5], records[entry[6]]
+                ids[lo:lo + len(rec.in_ids)] = rec.out_ids
+            if k >= start:
+                yield entry, ids
 
     def _snapshot(self, t, q, cell0, order):
         """The profile of the live ids ``order`` and cell 0 at time t."""
@@ -246,7 +293,7 @@ class Simulation:
 
     def _cell(self, j):
         """State of cell j of the live profile."""
-        return self._cell0 if j == 0 else self._table["rights"][self._order[j - 1]]
+        return self._cell0 if j == 0 else self._table["rights"][self._ids.item(j - 1)]
 
     def _born(self, x, speed, family, sigma, kind, generation, right):
         """Write a new front to the table at the present time; its id."""
@@ -273,16 +320,27 @@ class Simulation:
         wave (first piece) or the curve point that made it carries.  A new
         front takes the least generation of the replaced fronts of its
         family, else one more than the least replaced generation, else 1.
-        The potential Q changes by the change of the splice (see
-        ``_potential_change``), for every kind, the initial fronts too.
-        With a ``kind`` the event is recorded: the record (dV the change of
-        V across the splice, dQ that of Q) is appended and the event logged.
+        V, TV and the potential Q change by the change of the splice (see
+        ``_potential_change``), for every kind, the initial fronts too: TV by
+        the jumps between the cells lo..hi + 1 it replaces, which become
+        cells lo..end + 1 (hi + 1 and end + 1 capped at the last cell).  With
+        a ``kind`` the event is recorded: the record (dV the change of V
+        across the splice, dQ that of Q) is appended and the event logged.
         """
-        order, table = self._order, self._table
-        gone = order[lo:hi]
-        gens = table["generations"][gone].tolist()
+        ids, table = self._ids, self._table
+        gone = ids[lo:hi].tolist()
+        # the replaced fronts' keys, strengths, generations and families,
+        # read by id: a splice is short
+        *was, gens, fams = ([table[name].item(uid) for uid in gone]
+                            for name in ("keys", "sigmas", "generations",
+                                         "families"))
+        # cells lo..hi + 1, as lists of floats
+        cells = table["rights"].take(ids[max(lo - 1, 0):hi + 1], 0).tolist()
+        if lo == 0:
+            cells.insert(0, self._cell0.tolist())
+        kept = cells[-1:] if hi < len(ids) else []
         least = {}
-        for fam, gen in zip(table["families"][gone].tolist(), gens):
+        for fam, gen in zip(fams, gens):
             least[fam] = min(gen, least.get(fam, gen))
         first, speeds = self._n_born, []
         for wave in waves:
@@ -305,15 +363,18 @@ class Simulation:
                 speeds.append(point.speed)
 
         new = list(range(first, self._n_born))
-        order[lo:hi] = new
+        ids = self._ids = np.concatenate(
+            (ids[:lo], np.arange(first, self._n_born, dtype=np.int32), ids[hi:]))
         if lo == 0:
             self._cell0 = np.array(left, dtype=float)
         end = lo + len(new)
         # relink and queue the new fronts with their neighbours
         for uid in gone:
             del self._right_of[uid]
-        chain = order[max(lo - 1, 0):end]
-        for i, j in zip(chain, chain[1:] + order[end:end + 1] + [None]):
+        chain = ids[max(lo - 1, 0):end + 1].tolist()
+        if end == len(ids):
+            chain.append(None)
+        for i, j in zip(chain, chain[1:]):
             self._right_of[i] = j
             if j is not None:
                 self._push(i, j)
@@ -321,22 +382,32 @@ class Simulation:
             self._push(uid, uid)
         # a live front has at most two live entries, its exit and its pair
         # with the right neighbour: past four per front, drop the stale ones
-        if len(self._queue) > 4 * len(order) + 64:
+        if len(self._queue) > 4 * len(ids) + 64:
             self._queue = [e for e in self._queue if self._queued(*e[1:])]
             heapq.heapify(self._queue)
 
-        ids = np.fromiter(order, np.int32, len(order))
-        # the replaced and the new fronts' keys and strengths
-        was, out = ([table[name][part].tolist() for name in ("keys", "sigmas")]
-                    for part in (gone, slice(first, self._n_born)))
+        out = [table[name][first:self._n_born].tolist()
+               for name in ("keys", "sigmas")]
         dQ = self._potential_change(ids, lo, end, was, out)
+        dV = sum(map(abs, out[1])) - sum(map(abs, was[1]))
         self._q += dQ
+        if len(ids):
+            self._v += dV
+            self._tv += (_tv([self._cell0.tolist() if lo == 0 else cells[0]]
+                             + table["rights"][first:self._n_born].tolist()
+                             + kept) - _tv(cells))
+        else:                  # no roundoff outlives the last front
+            self._v = self._tv = 0.0
         self._now = None
         if kind is not None:
-            dV = sum(map(abs, out[1])) - sum(map(abs, was[1]))
             self.records.append(InteractionRecord(self.time, x, kind, gone, new,
                                                   dV, dQ))
-            self._log.append((self.time, self._q, self._cell0, ids))
+            self._log.append((self.time, self._q, self._v, self._tv,
+                              self._cell0, lo, len(self.records) - 1))
+            self._spliced += len(gone) + len(new)
+            if self._spliced > len(ids):
+                self._checkpoints.append((len(self._log) - 1, ids))
+                self._spliced = 0
         return new, speeds
 
     def _potential_change(self, ids, lo, end, was, out):
@@ -351,7 +422,6 @@ class Simulation:
         strength sums, of all fronts and of rarefactions, binned by their
         key family - 1 + n is_rarefaction."""
         n, table = self.model.n, self._table
-        # take costs less than indexing by int32 ids
         keys, strengths = table["keys"].take(ids), np.abs(table["sigmas"].take(ids))
         sides = []
         for part in (slice(0, lo), slice(end, None)):
@@ -365,18 +435,19 @@ class Simulation:
         """Profile value adjacent to a boundary; no ghost cells."""
         if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
-        return self._cell(0 if side == "a" else len(self._order)).copy()
+        return self._cell(0 if side == "a" else len(self._ids)).copy()
 
     def snapshot_at(self, t):
         """The profile after the last event at or before t (within
-        TIME_TIE), found by bisection of the event log, with positions at t.
-        The log holds no profile outside [0, time + TIME_TIE]: such a t
-        raises ValueError."""
+        TIME_TIE), found by bisection of the event log and replayed from the
+        nearest checkpoint, with positions at t.  The log holds no profile
+        outside [0, time + TIME_TIE]: such a t raises ValueError."""
         if not 0.0 <= t <= self.time + TIME_TIE:
             raise ValueError(f"no snapshot at t={t}: the simulation covers "
                              f"[0, {self.time}]")
-        k = bisect.bisect_right(self._log, t + TIME_TIE, key=lambda e: e[0])
-        return self._snapshot(t, *self._log[k - 1][1:])
+        k = bisect.bisect_right(self._log, t + TIME_TIE, key=lambda e: e[0]) - 1
+        (_, q, _, _, cell0, _, _), ids = next(self._replay(k, k + 1))
+        return self._snapshot(t, q, cell0, ids)
 
     # -- core loop -----------------------------------------------------------
 
@@ -433,7 +504,8 @@ class Simulation:
         point computed again from the present positions, which takes in
         every candidate of the rule, because a key is never above its time.
         All of them are pushed back; the winners go stale when the event
-        removes their fronts.
+        removes their fronts.  A front's index in the live ids is looked up
+        for the winner alone, and for the candidates it ties with.
         """
         queue = self._queue
         found = {}
@@ -447,18 +519,27 @@ class Simulation:
             heapq.heappush(queue, (key, i, j))
         if not found:
             return None
-        order = self._order
-        near = [(point, i == j, order.index(i), time)
+        ids = self._ids
+        index = lambda i: int((ids == i).argmax())  # noqa: E731
+        near = [(point, i == j, i, time)
                 for (i, j), (time, point, _) in found.items()
                 if time <= best + TIME_TIE]
-        x0, is_exit, lo, time = min(near)
+        x0, is_exit, i, time = min(near)
+        tied = [c for c in near if c[:2] == (x0, is_exit)]
+        if len(tied) > 1:      # the leftmost front breaks a tie of point and kind
+            x0, is_exit, i, time = min(tied, key=lambda c: index(c[2]))
         if is_exit:
-            kind = "exit_a" if self._table["speeds"][order[lo]] < 0.0 else "exit_b"
+            lo = index(i)
+            kind = "exit_a" if self._table["speeds"].item(i) < 0.0 else "exit_b"
             return Event(time, x0, kind, lo, lo)
-        group = [(j, time) for point, is_exit, j, time in near
+        group = [(i, time) for point, is_exit, i, time in near
                  if not is_exit and abs(point - x0) <= SPACE_TIE]
+        if len(group) == 1:
+            lo = index(i)
+            return Event(time, x0, "collision", lo, lo + 1)
+        group = sorted((index(i), time) for i, time in group)
         return Event(min(time for _, time in group), x0, "collision",
-                     min(group)[0], max(group)[0] + 1)
+                     group[0][0], group[-1][0] + 1)
 
     def _advance(self, t):
         """Move the clock to t, adding the boundary fluxes over the wait."""
@@ -469,7 +550,7 @@ class Simulation:
             return
         self.boundary_flux_integral[0] += self.model.flux(self._cell(0)) * dt
         self.boundary_flux_integral[1] += (
-            self.model.flux(self._cell(len(self._order))) * dt)
+            self.model.flux(self._cell(len(self._ids))) * dt)
         self.time = t
         self._now = None
 
@@ -500,7 +581,8 @@ class Simulation:
             sol = solve_riemann(self.model, ul, self._cell(hi + 1))
         except ConvergenceError:
             self.records.append(InteractionRecord(
-                self.time, event.x, "error", self._order[lo:hi + 1], [], 0.0, 0.0))
+                self.time, event.x, "error", self._ids[lo:hi + 1].tolist(), [],
+                0.0, 0.0))
             raise
         _, speeds = self._step(lo, hi + 1, ul, sol.waves, event.x, "collision")
         if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
@@ -543,10 +625,16 @@ class Simulation:
                 f"{[w.family for w in wrong]} into the wrong side",
                 {"sigmas": [w.sigma for w in wrong]})
         # at x = a the outer state becomes cell 0
-        k = len(self._order) if at_b else 0
+        k = len(self._ids) if at_b else 0
         return self._step(k, k, trace if at_b else outer,
                           [w for w, e in zip(sol.waves, enters) if e],
                           self.b if at_b else self.a, f"inject_{side}")[0]
+
+
+def _tv(cells):
+    """Sum of the norms of the jumps between consecutive cells, each a list
+    of floats."""
+    return sum(map(math.dist, cells, cells[1:]))
 
 
 def _potential(n, keys, sigmas, left, right):

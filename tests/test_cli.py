@@ -519,6 +519,35 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, case, diagnostic):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("block, key, value, diagnostic", [
+    # a NaN floor compares false with every strength: the census counted
+    # wrong and the run exited 0
+    ("census", "floor", math.nan, "census.floor=nan must be finite"),
+    ("census", "creation_floor", math.nan,
+     "census.creation_floor=nan must be finite"),
+    # a negative margin widens the sign pattern past the sonic line: the
+    # hypothesis sweep failed and the run exited 4
+    ("model", "min_speed", -1, "model.min_speed=-1 must be finite and >= 0"),
+    # a negative density made the Riemann coordinates of the reference
+    # state complex: the run exited 1 with a TypeError
+    ("model", "ref_state", [-1, 0.995], "model.ref_state=[-1, 0.995] lies "
+                                        "outside the admissible domain of the "
+                                        "model"),
+], ids=["census_floor", "creation_floor", "min_speed", "ref_state"])
+def test_config_values_a_run_cannot_use_exit_2(tmp_path, capsys, block, key,
+                                               value, diagnostic):
+    config = _valid_config("counterexample")
+    config.setdefault(block, {})[key] = value
+    cfg = _write(tmp_path, "unusable.json", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().out == diagnostic + "\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+    assert not out_dir.exists()
+
+
 def test_jump_positions_on_the_domain_edges_and_repeated_are_valid():
     config = {**_evolve_config(), "domain": [0.0, 1.0]}
     config["initial"] = {"kind": "jumps", "left": [1.0, 0.995],

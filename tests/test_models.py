@@ -300,10 +300,13 @@ def test_a_state_of_the_wrong_length_raises_value_error(model):
 
 
 def _bits(a):
-    """The bytes of a float64 array: equal bytes are bitwise-equal values,
-    signed zeros and NaN included."""
+    """The bytes of a float64 array with every NaN made the one default NaN:
+    equal bytes are bitwise-equal values, signed zeros included, with NaNs
+    in the same places.  IEEE 754 does not say which payload an add or a
+    multiply of two NaNs keeps, and CPython's float add keeps another one
+    once its bytecode is specialized, so payloads are not compared."""
     assert a.dtype == np.float64
-    return a.tobytes()
+    return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
