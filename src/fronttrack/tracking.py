@@ -145,7 +145,8 @@ class _History(Sequence):
     """Read-only sequence of a run's profiles: the snapshot of time 0 and
     of every recorded event, each rebuilt from the front table and the
     event log when it is read.  An entry replays the log's splices from the
-    nearest checkpoint before it; a slice and iteration replay once."""
+    nearest checkpoint before it; a slice and iteration replay once and
+    build the snapshots they return, no others."""
 
     def __init__(self, sim):
         self._sim = sim
@@ -157,21 +158,19 @@ class _History(Sequence):
         n = len(self)
         if isinstance(k, slice):
             wanted = range(*k.indices(n))
-            if not wanted:
-                return []
-            first = min(wanted)
-            snaps = list(self._snapshots(first, max(wanted) + 1))
-            return [snaps[m - first] for m in wanted]
+            if wanted.step > 0:
+                return list(self._snapshots(wanted))
+            return list(self._snapshots(wanted[::-1]))[::-1]
         k = operator.index(k)
         if not -n <= k < n:
             raise IndexError("history index out of range")
-        return next(self._snapshots(k % n, k % n + 1))
+        return next(self._snapshots(range(k % n, k % n + 1)))
 
     def __iter__(self):
-        return self._snapshots(0, len(self))
+        return self._snapshots(range(len(self)))
 
-    def _snapshots(self, start, stop):
-        for (t, q, _, _, cell0, _, _), ids in self._sim._replay(start, stop):
+    def _snapshots(self, wanted):
+        for (t, q, _, _, cell0, _, _), ids in self._sim._replay(wanted):
             yield self._sim._snapshot(t, q, cell0, ids)
 
 
@@ -264,20 +263,23 @@ class Simulation:
         """Diagnostics of an engine contract violation."""
         return {"time": float(self.time), "events": self._event_count}
 
-    def _replay(self, start, stop):
-        """(log entry, live ids) of the log entries start..stop - 1.  The
-        ids are one list, spliced forward from the last checkpoint at or
-        before start, so each is read before the next is drawn."""
+    def _replay(self, wanted):
+        """(log entry, live ids) of the log entries of the ascending range
+        ``wanted``.  The ids are one list, spliced forward from the last
+        checkpoint at or before its first entry, so each is read before the
+        next is drawn."""
+        if not wanted:
+            return
         log, records = self._log, self.records
         m, ids = self._checkpoints[bisect.bisect_right(
-            self._checkpoints, start, key=lambda c: c[0]) - 1]
+            self._checkpoints, wanted[0], key=lambda c: c[0]) - 1]
         ids = ids.tolist()
-        for k in range(m, stop):
+        for k in range(m, wanted[-1] + 1):
             entry = log[k]
             if k > m:
                 lo, rec = entry[5], records[entry[6]]
                 ids[lo:lo + len(rec.in_ids)] = rec.out_ids
-            if k >= start:
+            if k in wanted:
                 yield entry, ids
 
     def _snapshot(self, t, q, cell0, order):
@@ -446,7 +448,7 @@ class Simulation:
             raise ValueError(f"no snapshot at t={t}: the simulation covers "
                              f"[0, {self.time}]")
         k = bisect.bisect_right(self._log, t + TIME_TIE, key=lambda e: e[0]) - 1
-        (_, q, _, _, cell0, _, _), ids = next(self._replay(k, k + 1))
+        (_, q, _, _, cell0, _, _), ids = next(self._replay(range(k, k + 1)))
         return self._snapshot(t, q, cell0, ids)
 
     # -- core loop -----------------------------------------------------------
@@ -505,7 +507,8 @@ class Simulation:
         every candidate of the rule, because a key is never above its time.
         All of them are pushed back; the winners go stale when the event
         removes their fronts.  A front's index in the live ids is looked up
-        for the winner alone, and for the candidates it ties with.
+        only for the fronts of the event: the exits at the winning point, or
+        the collisions the winner absorbs.
         """
         queue = self._queue
         found = {}
@@ -524,20 +527,15 @@ class Simulation:
         near = [(point, i == j, i, time)
                 for (i, j), (time, point, _) in found.items()
                 if time <= best + TIME_TIE]
-        x0, is_exit, i, time = min(near)
-        tied = [c for c in near if c[:2] == (x0, is_exit)]
-        if len(tied) > 1:      # the leftmost front breaks a tie of point and kind
-            x0, is_exit, i, time = min(tied, key=lambda c: index(c[2]))
-        if is_exit:
-            lo = index(i)
+        x0, is_exit, _, _ = min(near)
+        if is_exit:            # the leftmost of the exits at x0 wins
+            lo, i, time = min((index(i), i, time)
+                              for point, ex, i, time in near
+                              if ex and point == x0)
             kind = "exit_a" if self._table["speeds"].item(i) < 0.0 else "exit_b"
             return Event(time, x0, kind, lo, lo)
-        group = [(i, time) for point, is_exit, i, time in near
-                 if not is_exit and abs(point - x0) <= SPACE_TIE]
-        if len(group) == 1:
-            lo = index(i)
-            return Event(time, x0, "collision", lo, lo + 1)
-        group = sorted((index(i), time) for i, time in group)
+        group = sorted((index(i), time) for point, ex, i, time in near
+                       if not ex and abs(point - x0) <= SPACE_TIE)
         return Event(min(time for _, time in group), x0, "collision",
                      group[0][0], group[-1][0] + 1)
 

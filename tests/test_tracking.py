@@ -780,6 +780,31 @@ def test_history_slices_like_a_list():
     assert_same_snapshot(sim.history[-1], snaps[-1])
 
 
+def test_history_builds_only_the_snapshots_it_returns(monkeypatch):
+    sim = linear_evolve()
+    snaps = list(sim.history)
+    assert len(snaps) >= 16
+    built = []
+    snapshot = Simulation._snapshot
+
+    def counted(self, *args):
+        built.append(args)
+        return snapshot(self, *args)
+
+    monkeypatch.setattr(Simulation, "_snapshot", counted)
+    for k in (slice(None, None, 5), slice(-2, 1, -7), slice(3, None, 4),
+              slice(None, None, -1), slice(4, 2), slice(1, 2)):
+        built.clear()
+        got = sim.history[k]
+        assert len(built) == len(got) == len(snaps[k])
+        for snap, ref in zip(got, snaps[k]):
+            assert_same_snapshot(snap, ref)
+    for k in (0, 7, -1):
+        built.clear()
+        assert_same_snapshot(sim.history[k], snaps[k])
+        assert len(built) == 1
+
+
 def test_snapshot_at_an_event_time_shows_the_event():
     # contacts of speeds 1 and -1 from x = 1/4 and 3/4 cross at (t, x) =
     # (1/4, 1/2) exactly; a snapshot at t, or within TIME_TIE before it,
