@@ -1,6 +1,8 @@
-"""Riemann problems and boundary splitting solves on composed Lax curves.
+"""Riemann problems and boundary splits on composed Lax curves.
 Every Riemann solution is built by ``_solution``: a shock's RH residual and
-Lax margin are checked, a linear contact's RH residual is carried unchecked."""
+Lax margin are checked, a linear contact's RH residual is carried unchecked.
+A boundary split needs a Riemann chart: the gas crosses two of its curves,
+a linear model projects on its left eigenbasis."""
 
 from dataclasses import dataclass
 
@@ -49,21 +51,21 @@ class BoundarySplit:
     residual: float
 
 
-def _wave_points(model, ul, sigmas, first=1):
-    """Lax curve points of families first, first + 1, ... composed from ul
-    with the given strengths."""
+def _wave_points(model, ul, sigmas):
+    """Lax curve points of families 1, 2, ... composed from ul with the
+    given strengths."""
     u = np.asarray(ul, dtype=float)
     points = []
-    for i, s in enumerate(np.asarray(sigmas, dtype=float), start=first):
+    for i, s in enumerate(np.asarray(sigmas, dtype=float), start=1):
         points.append(lax_curve(model, u, i, float(s)))
         u = points[-1].state
     return points
 
 
-def compose_waves(model, ul, sigmas, first=1):
-    """Apply the Lax curves of families first, first + 1, ... with the given
-    strengths; the last state, or ul when there are no strengths."""
-    points = _wave_points(model, ul, sigmas, first)
+def compose_waves(model, ul, sigmas):
+    """Apply the Lax curves of families 1, 2, ... with the given strengths;
+    the last state, or ul when there are no strengths."""
+    points = _wave_points(model, ul, sigmas)
     return points[-1].state if points else np.asarray(ul, dtype=float)
 
 
@@ -150,10 +152,10 @@ def solve_riemann(model, ul, ur):
 
     Linear models project on the left eigenbasis, at any jump.  The gas
     model finds its middle state by one scalar root (``_gas_crossing``),
-    and no Lax curve is evaluated.  Other models run Broyden-Newton on the
-    strength vector from the Riemann-coordinate jump, seeded with the right
-    eigenbasis at ul, which is the Jacobian of the curve composition at
-    zero strength; the states and shock speeds are those of the Lax curve
+    and no Lax curve is evaluated.  A chartless model runs Broyden-Newton on
+    the strength vector from the Riemann-coordinate jump, seeded with the
+    right eigenbasis at ul, which is the Jacobian of the curve composition
+    at zero strength; the states and shock speeds are those of the Lax curve
     points of Newton's last evaluation, its root, so each point is computed
     once, and a composition that misses ur by more than RESIDUAL_TOL raises
     ConvergenceError.  ``_solution`` builds the waves of every model: a
@@ -190,75 +192,49 @@ def solve_riemann(model, ul, ur):
     return sol
 
 
+def _split(model, a, b, label, d):
+    """The split of (a, b) = (v, v') forward (d = 1) or (u*, w) in reverse
+    (d = -1).  A chartless model raises NotImplementedError before any Lax
+    curve is evaluated, and a jump beyond DELTA_RIEMANN RadiusError.  The
+    gas crosses its two curves from a and b.  A linear model's Lax curves
+    are the lines u + sigma r_i, so its strengths are one projection on the
+    left eigenbasis, L (d (b - a)) with the upper group negated (in reverse,
+    L (w - u*) with the lower group negated), and its state is
+    a + d R_lower sigma_lower.  Strengths below SIGMA_NULL are zeroed first,
+    so u* comes back when w lies on its upper-family curve.  The residual
+    is the gap at b between the two groups' recompositions."""
+    if not model.has_chart:
+        raise NotImplementedError(f"{model.kind} model has no Riemann chart")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    _checked_jump(model, a, b, label, "split")
+    if model.kind == "gas":
+        state, sig, _, residual = _gas_crossing(model, "split", a, b, d, d)
+        return BoundarySplit(state, sig, residual)
+    p, eig = model.p, model.eigen(a)
+    sig = eig.left @ (d * (b - a))
+    sig[p:] = -sig[p:]
+    sig[np.abs(sig) < SIGMA_NULL] = 0.0
+    state = a + d * (eig.right[:, :p] @ sig[:p])
+    model.check_domain(state)
+    gap = b + d * (eig.right[:, p:] @ sig[p:]) - state
+    return BoundarySplit(state, sig, float(np.max(np.abs(gap))))
+
+
 def split_boundary_pair(model, v, v_prime):
     """Middle state v'' reachable from v by families <= p and from v' by
     families >= p+1, with the strengths of both groups.
 
     This is the full-rank splitting that lets a boundary datum at x = b send
-    only left-moving families into the domain.  The gas crosses its curves
-    forward from v and v'.  Other models run Newton, seeded with the
-    Jacobian at zero strength, [-r_1..r_p (v) | r_p+1..r_n (v')].  A jump
-    from v to v' beyond DELTA_RIEMANN raises RadiusError.  Each Lax curve
-    point is computed once per solve, with no cache: the middle state and
-    the residual are those of Newton's last evaluation, at the root.
+    only left-moving families into the domain.  ``_split`` solves it.
     """
-    v = np.asarray(v, dtype=float)
-    vp = np.asarray(v_prime, dtype=float)
-    dw = _checked_jump(model, v, vp, "|v - v'| =", "split")
-    if model.kind == "gas":
-        state, sig, _, residual = _gas_crossing(model, "split", v, vp, 1, 1)
-        return BoundarySplit(state, sig, residual)
-    p = model.p
-    sig0 = np.concatenate([dw[:p], -dw[p:]])
-    jac0 = model.eigen(vp).right.copy()
-    jac0[:, :p] = -model.eigen(v).right[:, :p]
-    last = None
-
-    def fn(sig):
-        nonlocal last
-        upper = compose_waves(model, vp, sig[p:], p + 1)
-        lower = compose_waves(model, v, sig[:p])
-        last = lower, upper - lower
-        return last[1]
-
-    sig = newton_solve(fn, sig0, jac0, "(boundary split)")
-    state, residual = last
-    return BoundarySplit(state, sig, float(np.max(np.abs(residual))))
+    return _split(model, v, v_prime, "|v - v'| =", 1)
 
 
 def split_boundary_pair_reverse(model, w, u_star):
     """State v''' from which families >= p+1 reach w and families <= p
     reach u_star; used to steer the x = a boundary toward u_star.
 
-    The gas crosses its curves backward from u_star and w.  Other models
-    run Newton from v''' = u_star with the whole coordinate jump on the
-    upper families, from the Jacobian [[I, 0, R_upper], [I, R_lower, 0]] at
-    zero strength.  Either way u_star is returned bitwise when w lies on the
-    upper-family curve through it.  A jump beyond DELTA_RIEMANN raises
-    RadiusError.  Each Lax curve point is computed once per solve, with no
-    cache: the residual is that of Newton's last evaluation, at the root.
+    ``_split`` solves it, and returns u_star itself when w lies on the
+    upper-family curve through it.
     """
-    w = np.asarray(w, dtype=float)
-    us = np.asarray(u_star, dtype=float)
-    dw = _checked_jump(model, us, w, "|w - u*| =", "split")
-    if model.kind == "gas":
-        state, sig, _, residual = _gas_crossing(model, "split", us, w, -1, -1)
-        return BoundarySplit(state, sig, residual)
-    p, n = model.p, model.n
-    sig0 = np.concatenate([np.zeros(p), dw[p:]])
-    right = model.eigen(us).right
-    jac0 = np.zeros((2 * n, 2 * n))
-    jac0[:n, :n] = jac0[n:, :n] = np.eye(n)
-    jac0[:n, n + p:], jac0[n:, n:n + p] = right[:, p:], right[:, :p]
-    residual = None
-
-    def fn(x):
-        nonlocal residual
-        v3, sig = x[:n], x[n:]
-        residual = np.concatenate(
-            [compose_waves(model, v3, sig[p:], p + 1) - w,
-             compose_waves(model, v3, sig[:p]) - us])
-        return residual
-
-    x = newton_solve(fn, np.concatenate([us, sig0]), jac0, "(reverse split)")
-    return BoundarySplit(x[:n], x[n:], float(np.max(np.abs(residual))))
+    return _split(model, u_star, w, "|w - u*| =", -1)

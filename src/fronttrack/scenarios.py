@@ -235,8 +235,8 @@ _PROFILE_RULE = _is(
     lambda v, m: m is None or (
         _numbers(v["xs"])
         and isinstance(v["values"], list) and len(v["values"]) == len(v["xs"]) + 1
-        and all(_numbers(u, m.n) for u in v["values"])),
-    "{name} must have numeric xs and len(xs) + 1 values of {n} numbers")
+        and all(_numbers(u, m.n, _finite) for u in v["values"])),
+    "{name} must have numeric xs and len(xs) + 1 values of {n} finite numbers")
 
 
 def _breakpoints(name, profile, model, config):
@@ -316,7 +316,9 @@ _SCHEMA = {
                            "T": (_REQUIRED, _crossing)},
     },
     "model": {
-        "gas": {"K": (None, _POSITIVE),
+        "gas": {"K": (None, _is(lambda v, m: _finite(v) and 0 < v < 2.0 ** 512,
+                                "{name}={value!r} must be in 0 < K < 2**512, "
+                                "where the flux's K**2 is a finite float")),
                 "gamma": (None, _is(lambda v, m: _number(v) and 1 < v < 3,
                                     "{name}={value!r} outside the admissible "
                                     "range 1 < gamma < 3")),

@@ -519,24 +519,43 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, case, diagnostic):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("block, key, value, diagnostic", [
+_K_RANGE = "must be in 0 < K < 2**512, where the flux's K**2 is a finite float"
+_FINITE_VALUES = "must have numeric xs and len(xs) + 1 values of 2 finite numbers"
+
+
+@pytest.mark.parametrize("experiment, block, key, value, diagnostic", [
     # a NaN floor compares false with every strength: the census counted
     # wrong and the run exited 0
-    ("census", "floor", math.nan, "census.floor=nan must be finite"),
-    ("census", "creation_floor", math.nan,
+    ("counterexample", "census", "floor", math.nan,
+     "census.floor=nan must be finite"),
+    ("counterexample", "census", "creation_floor", math.nan,
      "census.creation_floor=nan must be finite"),
     # a negative margin widens the sign pattern past the sonic line: the
     # hypothesis sweep failed and the run exited 4
-    ("model", "min_speed", -1, "model.min_speed=-1 must be finite and >= 0"),
+    ("counterexample", "model", "min_speed", -1,
+     "model.min_speed=-1 must be finite and >= 0"),
     # a negative density made the Riemann coordinates of the reference
     # state complex: the run exited 1 with a TypeError
-    ("model", "ref_state", [-1, 0.995], "model.ref_state=[-1, 0.995] lies "
-                                        "outside the admissible domain of the "
-                                        "model"),
-], ids=["census_floor", "creation_floor", "min_speed", "ref_state"])
-def test_config_values_a_run_cannot_use_exit_2(tmp_path, capsys, block, key,
-                                               value, diagnostic):
-    config = _valid_config("counterexample")
+    ("counterexample", "model", "ref_state", [-1, 0.995],
+     "model.ref_state=[-1, 0.995] lies outside the admissible domain of the "
+     "model"),
+    # K ** 2 overflowed in GasModel.hessian: the run exited 1 with an
+    # OverflowError
+    ("counterexample", "model", "K", 1e160, f"model.K=1e+160 {_K_RANGE}"),
+    ("counterexample", "model", "K", 1e300, f"model.K=1e+300 {_K_RANGE}"),
+    # max(0.0, nan) dropped the NaN: the run exited 0 with a reconstruction
+    # error of 0.0
+    ("linear_control", "phi", "values", [[math.nan, 0.0], [0.1, 0.2]],
+     f"phi {_FINITE_VALUES}"),
+    ("linear_control", "phi", "values", [[0.0, 0.0], [math.inf, 0.2]],
+     f"phi {_FINITE_VALUES}"),
+    ("linear_control", "psi", "values", [[0.3, -math.inf]],
+     f"psi {_FINITE_VALUES}"),
+], ids=["census_floor", "creation_floor", "min_speed", "ref_state", "K_1e160",
+        "K_1e300", "phi_nan", "phi_inf", "psi_minus_inf"])
+def test_config_values_a_run_cannot_use_exit_2(tmp_path, capsys, experiment,
+                                               block, key, value, diagnostic):
+    config = _valid_config(experiment)
     config.setdefault(block, {})[key] = value
     cfg = _write(tmp_path, "unusable.json", config)
     assert main(["validate", "--config", cfg]) == 2
@@ -699,7 +718,7 @@ def _valid_config(experiment):
     ("steer", "model", TABLE_BLOCK, "steer needs a Riemann chart"),
     ("stabilize", "model", TABLE_BLOCK, "stabilize needs a Riemann chart"),
     ("linear_control", "phi.values", [[0.0, 0.0]],
-     "phi must have numeric xs and len(xs) + 1 values of 2 numbers"),
+     "phi must have numeric xs and len(xs) + 1 values of 2 finite numbers"),
     ("linear_control", "psi.values", [[0.3]], "psi must have numeric xs"),
     ("evolve", "model.box", [[0.5, 1.5]],
      "model block rejected: box has 1 [low, high] pairs for 2 components"),
