@@ -22,7 +22,7 @@ from .errors import ContractViolationError, DomainError
 from .models import LinearModel, crossing_time
 from .profiles import PiecewiseConstant, constant_profile
 from .riemann import split_boundary_pair, split_boundary_pair_reverse
-from .tracking import Simulation
+from .tracking import MAX_EVENTS, Simulation
 
 EPS_FACTOR = 0.25   # front-tracking accuracy ratio of successive steps
 
@@ -192,13 +192,21 @@ def linear_exact_control(model, phi, psi, T):
 
 
 def _riemann_chain(model, omega, omega_prime, chain_step):
-    """Straight chain between two states in Riemann coordinates."""
+    """Straight chain between two states in Riemann coordinates.
+
+    A chain of more than MAX_EVENTS points raises ContractViolationError
+    before any point is built: each hop injects waves that must leave the
+    domain, so its run could only end at MAX_EVENTS."""
     w0 = model.to_riemann(np.asarray(omega, dtype=float))
     w1 = model.to_riemann(np.asarray(omega_prime, dtype=float))
     dist = float(np.linalg.norm(w1 - w0))
     if dist == 0.0:
         return []
     n_steps = max(1, math.ceil(dist / chain_step))
+    if n_steps > MAX_EVENTS:
+        raise ContractViolationError(
+            f"steering chain of {n_steps:.3g} points exceeds "
+            f"MAX_EVENTS={MAX_EVENTS}", {"points": n_steps})
     chain = []
     for k in range(1, n_steps + 1):
         u = model.from_riemann(w0 + (k / n_steps) * (w1 - w0))

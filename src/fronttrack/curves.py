@@ -3,7 +3,9 @@
 The strength parameter sigma is the jump of the corresponding Riemann
 coordinate across the wave for models with a chart (gas, linear), and the
 signed projection on the left eigenvector at the base point otherwise.  With
-the chart normalization the rarefaction curve is the exact flow of r_i.
+the chart normalization the rarefaction curve is the exact flow of r_i; a
+chartless rarefaction integrates that flow with the package's own DOP853
+(Hairer, Norsett & Wanner 1993, section II.5).
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,49 @@ from .models import GNL_FLOOR, _curvature, wedge
 from .newton import newton_solve, scalar_root
 
 SIGMA_NULL = 1e-12
+
+# DOP853 as scipy.integrate's solve_ivp steps it, with its coefficients and
+# arithmetic, so a curve point is the one solve_ivp(..., method="DOP853")
+# returns, bitwise: the rows of A below the diagonal, the weights B, and the
+# fifth- and third-order error weights E5 and E3 over the 12 stages and the
+# end point.  The field does not depend on time, so the nodes C are not
+# needed, and no dense output is formed.
+_A = [np.array(row) for row in (
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636])]
+_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+               1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+               -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+                0.0])
+_E3 = np.array([-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+                -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
+                0.0])
+RTOL, ATOL = 1e-12, 1e-13
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / 8   # of the seventh-order error estimate
 
 
 @dataclass(frozen=True)
@@ -34,7 +79,12 @@ def _check_radius(model, sigma):
 
 
 def rarefaction_curve(model, u0, family, sigma):
-    """Integral curve of r_family through u0, evaluated at parameter sigma."""
+    """Integral curve of r_family through u0, evaluated at parameter sigma.
+
+    A linear curve is the line u0 + sigma r_family, and a charted one moves
+    w_family by sigma.  A chartless curve is integrated by ``_dop853`` at
+    rtol 1e-12 and atol 1e-13 along ``_oriented_field``, which evaluates
+    the Hessian only at u0."""
     u0 = np.asarray(u0, dtype=float)
     model.check_domain(u0)
     _check_radius(model, sigma)
@@ -48,19 +98,103 @@ def rarefaction_curve(model, u0, family, sigma):
         w[family - 1] += sigma
         state = model.from_riemann(w)
     else:
-        # imported here so that only a chartless model imports
-        # scipy.integrate; the numeric eigenvectors have unit length, so the
-        # flow parameter is the chartless strength sigma
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(lambda _, u: model.eigen(u).r(family),
-                        (0.0, sigma), u0, method="DOP853",
-                        rtol=1e-12, atol=1e-13, dense_output=False)
-        if not sol.success:
-            raise DomainError(f"rarefaction integration failed: {sol.message}")
-        state = sol.y[:, -1]
+        # the numeric eigenvectors have unit length, so the flow parameter
+        # is the chartless strength sigma
+        r0 = model.eigen(u0).r(family)
+        state = _dop853(_oriented_field(model, family, r0), u0, r0,
+                        float(sigma))
     model.check_domain(state)
     return CurvePoint(state, float(model.lambdas(state)[family - 1]),
                       float(sigma))
+
+
+def _oriented_field(model, family, r0):
+    """The field u -> r_family(u), oriented continuously from r0 = r_family
+    at the base point: each evaluation takes the unit column of
+    ``model._sorted_basis`` and flips it where it points against the
+    previous evaluation.  Where the Hessian rule of ``model.eigen`` holds
+    the same sign, the two fields agree bitwise; near a point where
+    grad(lambda) . r vanishes the Hessian rule can flip between stages,
+    and the continuous one does not."""
+    prev = r0
+
+    def field(u):
+        nonlocal prev
+        r = model._sorted_basis(u)[1][:, family - 1]
+        if r @ prev < 0.0:
+            r = r * -1.0
+        prev = r
+        return r
+    return field
+
+
+def _norm(x):
+    """Euclidean norm of the vector x, in np.linalg.norm's arithmetic."""
+    return np.sqrt(x.dot(x))
+
+
+def _rms(x):
+    """Root mean square of the vector x, as scipy's ``norm``."""
+    return _norm(x) / x.size ** 0.5
+
+
+def _dop853(field, y0, f0, t_bound):
+    """y(t_bound) of y' = field(y), y(0) = y0, where f0 = field(y0).
+
+    The initial step of Hairer, Norsett & Wanner (section II.4), then
+    accepted steps of the 8(5,3) pair until t_bound is reached exactly;
+    a step is accepted when the E5/E3 error norm is below 1, and every
+    step size is rescaled by SAFETY * err^(-1/8) within [MIN_FACTOR,
+    MAX_FACTOR], never growing right after a rejection.  A step below ten
+    spacings of t raises DomainError."""
+    direction = np.sign(t_bound)
+    interval = abs(t_bound)
+    # the initial step: a first-order and a second-order size estimate
+    scale = ATOL + np.abs(y0) * RTOL
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((field(y0 + h0 * direction * f0) - f0) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 8))
+    h_abs = min(100 * h0, h1, interval)
+
+    t, y, f = 0.0, y0, f0
+    K = np.empty((13, len(y0)))   # the 12 stages and the field at the end
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise DomainError("rarefaction integration failed: required "
+                                  "step size is less than spacing between "
+                                  "numbers")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, a in enumerate(_A, start=1):
+                K[s] = field(y + np.dot(K[:s].T, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = field(y_new)
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            err5, err3 = np.dot(K.T, _E5) / scale, np.dot(K.T, _E3) / scale
+            # the squared norms as scipy forms them, rounded at the root
+            err5_2, err3_2 = _norm(err5) ** 2, _norm(err3) ** 2
+            err = (0.0 if err5_2 == 0 and err3_2 == 0 else
+                   h_abs * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(y)))
+            if err < 1:
+                factor = (MAX_FACTOR if err == 0 else
+                          min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
 
 
 def shock_curve(model, u0, family, sigma):

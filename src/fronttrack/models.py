@@ -166,7 +166,7 @@ class FluxModel:
     # -- eigenstructure ----------------------------------------------------
 
     def lambdas(self, u):
-        return self.eigen(u).lams
+        return self._sorted_basis(np.asarray(u, dtype=float))[0]
 
     def eigen(self, u):
         return self._numeric_eigen(np.asarray(u, dtype=float))
@@ -176,10 +176,11 @@ class FluxModel:
         eig = self.eigen(u)
         return _curvature(self.hessian(u), eig.right, eig.left).diagonal()
 
-    def _numeric_eigen(self, u):
-        """Eigenstructure from np.linalg.eig of the Jacobian.  The tests
-        and the sign rule run on Python floats: numpy reductions on arrays
-        of a few entries cost more than their arithmetic."""
+    def _sorted_basis(self, u):
+        """Ascending speeds and unit right eigenvectors, as columns, from
+        np.linalg.eig of the Jacobian, in the signs eig returns.  The tests
+        run on Python floats: numpy reductions on arrays of a few entries
+        cost more than their arithmetic."""
         jac = self.jacobian(u)
         if not np.isfinite(jac).all():
             raise DomainError(f"flux Jacobian is not finite at {u}")
@@ -198,11 +199,21 @@ class FluxModel:
             raise HyperbolicityError(f"coincident characteristic speeds at {u}")
         right = vecs[:, order]
         # np.linalg.norm's arithmetic, without its dispatch
-        right = right / np.sqrt(np.add.reduce(right * right, axis=0, keepdims=True))
+        return vals, right / np.sqrt(np.add.reduce(right * right, axis=0,
+                                                   keepdims=True))
+
+    def _numeric_eigen(self, u):
+        """Eigenstructure from ``_sorted_basis``, oriented by the Hessian.
+
+        Each r_i is signed so that grad(lambda_i) . r_i is positive where it
+        exceeds GNL_FLOOR, else so that its first nonzero component is; the
+        left basis is the inverse of the right one.  Only the orientation
+        needs the Hessian, so ``lambdas`` and the chartless rarefaction's
+        field, which orients each column against the previous one, read
+        ``_sorted_basis`` alone."""
+        vals, right = self._sorted_basis(u)
         left = np.linalg.inv(right)
-        # the sign of the genuine-nonlinearity factor where it is visible,
-        # else the sign of the first nonzero component; flipping column i of
-        # right flips row i of its inverse, exactly
+        # flipping column i of right flips row i of its inverse, exactly
         g = _curvature(self.hessian(u), right, left).diagonal()
         flip = [(gi if abs(gi) > GNL_FLOOR
                  else next((x for x in col if abs(x) > 1e-12), col[0])) < 0

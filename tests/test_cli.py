@@ -1030,32 +1030,83 @@ def _tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_gas_run_does_not_import_the_integrator(tmp_path):
-    # only the chartless rarefaction integrates, so a fresh process runs the
-    # README counterexample without scipy.integrate, and a custom-table
-    # Riemann run imports it when it needs it
+def _child_env():
+    """The environment of a fresh process that imports this package."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+
+
+def test_runs_import_no_scipy(tmp_path):
+    # the chartless rarefaction integrates with the package's own DOP853,
+    # so a fresh process runs the README counterexample and a custom-table
+    # Riemann problem, which integrates rarefactions, without any scipy
     script = """
 import json, sys
 import fronttrack.cli
 from fronttrack import scenarios
 scenarios.run_scenario(json.loads(sys.argv[1]), sys.argv[2])
-assert "scipy.integrate" not in sys.modules
+assert not [m for m in sys.modules if m.startswith("scipy")]
 scenarios.run_scenario(json.loads(sys.argv[3]), sys.argv[4])
-assert "scipy.integrate" in sys.modules
+assert not [m for m in sys.modules if m.startswith("scipy")]
 """
     table = {"schema": "scenario-v1", "experiment": "riemann",
              "model": TABLE_BLOCK,
              "riemann": {"ul": [1.0, 0.0], "ur": [1.05, 0.1]}}
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", script,
                     json.dumps(_readme_config()), str(tmp_path / "readme"),
                     json.dumps(table), str(tmp_path / "table")],
-                   env=env, check=True)
+                   env=_child_env(), check=True)
     assert (tmp_path / "readme" / "manifest.json").is_file()
     manifest = json.loads((tmp_path / "table" / "manifest.json").read_text())
     assert manifest["metrics"]["residual"] <= 1e-10
+
+
+def _run_cli_child(cfg, out):
+    """``fronttrack run`` in a fresh process; a run that has not ended after
+    20 s fails the test."""
+    return subprocess.run(
+        [sys.executable, "-m", "fronttrack.cli", "run", "--config", cfg,
+         "--out", str(out), "--quiet"],
+        env=_child_env(), capture_output=True, text=True, timeout=20)
+
+
+def test_chartless_rarefaction_where_gnl_nears_zero_exits_0(tmp_path):
+    # grad(lambda_1) . r_1 is above 0.03 at both ends of this curve but
+    # nears 0 between them, where the Hessian rule flips r_1: a field
+    # oriented by it at every stage made the integrator reject step after
+    # step, and the run had not ended after 20 s
+    config = {"schema": "scenario-v1", "experiment": "curves",
+              "model": {"kind": "custom-table",
+                        "terms": [[[0.5, [2, 0]], [1.0, [0, 1]]],
+                                  [[1.0, [1, 0]], [0.5, [0, 2]]]],
+                        "p": 1, "box": [[-0.5, 0.5], [-0.5, 0.5]]},
+              "curves": {"u0": [0.051, -0.017], "family": 1,
+                         "branch": "rarefaction", "sigma_min": 0.109,
+                         "sigma_max": 0.109, "samples": 1}}
+    cfg = _write(tmp_path, "curves.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    proc = _run_cli_child(cfg, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    header, row = (tmp_path / "out" / "curves.csv").read_text().splitlines()
+    assert header == "sigma,u0,u1,speed"
+    assert all(map(math.isfinite, map(float, row.split(","))))
+
+
+def test_steering_chain_beyond_the_event_budget_exits_4(tmp_path):
+    # the chain's Riemann-coordinate length grows with K: at K = 1e100 it
+    # has about 1.4e100 points, and each hop's waves must leave the domain,
+    # so the run could only end at MAX_EVENTS; it is refused before any
+    # point is built
+    config = _valid_config("steer")
+    config["model"]["K"] = 1e100
+    cfg = _write(tmp_path, "steer.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    proc = _run_cli_child(cfg, tmp_path / "out")
+    assert proc.returncode == 4
+    assert proc.stderr == ("invariant violation: steering chain of 1.4e+100 "
+                           "points exceeds MAX_EVENTS=2000000\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["readme", "steer", "stabilize"])

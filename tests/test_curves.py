@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fronttrack import curves
 from fronttrack.curves import (
@@ -7,11 +8,13 @@ from fronttrack.curves import (
     shock_curve, shock_deviation_coefficient,
 )
 from fronttrack.errors import (
-    ConvergenceError, DomainError, HyperbolicityError, RadiusError,
+    SOLVER_ERRORS, ConvergenceError, DomainError, HyperbolicityError,
+    RadiusError,
 )
 from fronttrack.models import Box, GasModel, TableModel
 
 from references import chart_gradient, reference_newton_shock
+from test_models import TABLE3
 
 U0 = np.array([1.0, 0.0])
 
@@ -235,3 +238,58 @@ def test_chartless_shock_integrates_no_rarefaction(monkeypatch):
             point = shock_curve(GAS_TWIN, U0, family, sigma)
             assert point.residual <= 1e-12
     assert calls == []
+
+
+# -- the chartless rarefaction against scipy's DOP853 -------------------------
+
+# f(u) = -g(-u) for the flux g of GAS_TWIN: the Jacobian at u is g's at -u,
+# so np.linalg.eig returns the same columns, while the Hessian changes sign,
+# and with it the orientation rule; every column eig returns points against
+# the oriented r_i, so the field's continuity flip acts at every stage
+MIRROR_TWIN = TableModel([[(-1.0, (1, 1))], [(-0.5, (0, 2)), (1.0, (1, 0))]], 1,
+                         Box([-1.5, -0.6], [-0.5, 0.6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chartless_rarefaction_is_solve_ivp_bitwise(data):
+    # the package's DOP853 along the continuously oriented field against
+    # solve_ivp along the Hessian-oriented one: the same state bitwise, or
+    # the same error class where the reference fails or leaves the domain;
+    # the three models' Hessian rules never flip between stages
+    from scipy.integrate import solve_ivp
+
+    model = data.draw(st.sampled_from([GAS_TWIN, MIRROR_TWIN, TABLE3]),
+                      label="model")
+    u0 = np.array([data.draw(st.floats(lo, hi), label="u0")
+                   for lo, hi in zip(model.box.lows, model.box.highs)])
+    family = data.draw(st.integers(1, model.n), label="family")
+    sigma = data.draw(st.floats(-0.2, 0.2).filter(bool), label="sigma")
+    try:
+        sol = solve_ivp(lambda _, u: model.eigen(u).r(family), (0, sigma), u0,
+                        method="DOP853", rtol=1e-12, atol=1e-13)
+    except SOLVER_ERRORS as exc:
+        with pytest.raises(type(exc)):
+            rarefaction_curve(model, u0, family, sigma)
+        return
+    want = sol.y[:, -1]
+    if not (sol.success and model.in_domain(want)):
+        with pytest.raises(DomainError):
+            rarefaction_curve(model, u0, family, sigma)
+        return
+    got = rarefaction_curve(model, u0, family, sigma).state
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.mark.parametrize("model, u0", [(GAS_TWIN, U0),
+                                       (TABLE3, np.array([0.1, -0.2, 0.3]))],
+                         ids=["gas_twin", "table3"])
+def test_chartless_rarefaction_evaluates_one_hessian(model, u0, monkeypatch):
+    # the Hessian orients r_family at the base point only; the field
+    # orients every other evaluation against the previous one
+    calls = []
+    hessian = type(model).hessian
+    monkeypatch.setattr(type(model), "hessian",
+                        lambda self, u: calls.append(u) or hessian(self, u))
+    rarefaction_curve(model, u0, 1, 0.15)
+    assert len(calls) == 1
