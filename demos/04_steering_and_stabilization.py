@@ -40,6 +40,8 @@ print(f"initial profile: 15 shocks, total strength 0.05, "
       f"TV = {profile.total_variation():.4f}")
 
 result = stabilize(slow, profile, u_star, k_max=3, eps0=0.006)
+if result.record.failure:
+    raise SystemExit(f"contraction failure: {result.record.failure}")
 print(f"tau = {result.tau:.2f}; each step spans 3 tau")
 print("contraction record:")
 print("   k        time       sup-dist             TV          delta")

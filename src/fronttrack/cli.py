@@ -115,19 +115,19 @@ def _cmd_riemann(args):
 def _gap_lines(rows):
     by_t = {}
     for t, family, gap in rows:
-        by_t.setdefault(t, {})[int(family)] = gap
-    return [f"{t:.17g} " + " ".join(f"{gaps[f]:.17g}" for f in sorted(gaps))
+        by_t.setdefault(t, {})[family] = gap
+    return [[t, *(gaps[f] for f in sorted(gaps))]
             for t, gaps in sorted(by_t.items())]
 
 
-# report, .dat file, .dat header, report columns read, their rows -> .dat lines
+# report, .dat file, .dat header, report columns read, their rows -> .dat rows
 PLOTS = (
     ("contraction.csv", "contraction_loglog.dat", "# k  loglog_inv_delta",
      ("k", "sup_dist", "tv"),
-     lambda rows: [f"{int(k)} {math.log(math.log(1.0 / max(sup, tv))):.17g}"
+     lambda rows: [[k, math.log(math.log(1.0 / max(sup, tv)))]
                    for k, sup, tv in rows if 0.0 < max(sup, tv) < 1.0]),
     ("density_f1.csv", "kappa_vs_t.dat", "# t  kappa_hat", ("t", "kappa_hat"),
-     lambda rows: [f"{t:.17g} {kappa:.17g}" for t, kappa in rows]),
+     lambda rows: rows),
     ("census.csv", "census_gap_vs_t.dat", "# t  largest_gap_per_family",
      ("t", "family", "largest_gap"), _gap_lines),
 )
@@ -147,7 +147,8 @@ def _cmd_plots(args):
             except (TypeError, ValueError):
                 raise ConfigError(f"{path} line {reader.line_num}: columns "
                                   f"{names} must hold numbers") from None
-        (out / dat).write_text("\n".join([header, *to_lines(rows)]) + "\n")
+        lines = [scenarios.text_row(line, " ") for line in to_lines(rows)]
+        (out / dat).write_text("\n".join([header, *lines]) + "\n")
         made.append(dat)
     if not made:
         print("no plottable CSV files found", file=sys.stderr)

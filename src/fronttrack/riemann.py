@@ -20,8 +20,8 @@ RESIDUAL_TOL = 1e-10
 class Wave:
     """One elementary wave of a Riemann solution.  ``rh_residual`` is
     max |f(right) - f(left) - s (right - left)| at its speed s: at most
-    RESIDUAL_TOL for a shock, unchecked roundoff for a contact, 0.0 for a
-    rarefaction."""
+    RESIDUAL_TOL max(1, |f(left)|, |f(right)|) for a shock, unchecked
+    roundoff for a contact, 0.0 for a rarefaction."""
 
     family: int
     sigma: float
@@ -95,9 +95,10 @@ def _solution(model, states, sigmas, speeds, residual):
     model's waves are contacts at lambda_i; otherwise a rarefaction moves at
     lambda_i of its two ends and a shock at speeds[i].  A shock's RH
     residual, or its violation of the Lax condition lambda_i(right) <= s <=
-    lambda_i(left), above RESIDUAL_TOL raises ConvergenceError.  A contact's
-    is not checked: a linear model solves jumps of any size, so its residual
-    is roundoff of the size of |u|."""
+    lambda_i(left), above RESIDUAL_TOL times the largest of 1 and the
+    |fluxes|, or |lambda_i|, at its ends raises ConvergenceError.  A
+    contact's is not checked: a linear model solves jumps of any size, so
+    its residual is roundoff of the size of |u|."""
     sigmas = np.asarray(sigmas, dtype=float)
     lams = [model.lambdas(u).tolist() for u in states]
     waves = []
@@ -113,15 +114,17 @@ def _solution(model, states, sigmas, speeds, residual):
             continue
         else:
             kind, s = "shock", float(speeds[i])
-        rh = max(map(abs, (model.flux(right) - model.flux(left)
-                           - s * (right - left)).tolist()))
-        if kind == "shock" and rh > RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"shock family {i + 1}: RH residual {rh:.3e} above tolerance")
-        if kind == "shock" and max(hi - s, s - lo) > RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"shock family {i + 1} at speed {s!r} violates the Lax "
-                f"condition {lo!r} >= s >= {hi!r}")
+        f_left, f_right = model.flux(left), model.flux(right)
+        rh = max(map(abs, (f_right - f_left - s * (right - left)).tolist()))
+        if kind == "shock":
+            scale = max(1.0, *map(abs, f_left.tolist() + f_right.tolist()))
+            if rh > RESIDUAL_TOL * scale:
+                raise ConvergenceError(f"shock family {i + 1}: RH residual "
+                                       f"{rh:.3e} above tolerance")
+            if max(hi - s, s - lo) > RESIDUAL_TOL * max(1.0, abs(lo), abs(hi)):
+                raise ConvergenceError(
+                    f"shock family {i + 1} at speed {s!r} violates the Lax "
+                    f"condition {lo!r} >= s >= {hi!r}")
         waves.append(Wave(i + 1, sigma, kind, s, s, left, right, rh))
     return RiemannSolution(sigmas, tuple(states), tuple(waves), residual)
 

@@ -25,12 +25,8 @@ from .tracking import Simulation, calibrate_interaction_constant, check_upsilon
 
 SCHEMA_ID = "scenario-v1"
 MANIFEST_ID = "manifest-v1"
-FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"     # the text of every number of a report
 _REQUIRED = "required"
-
-
-def _fmt(x):
-    return FLOAT_FMT % float(x)
 
 
 # -- the config schema ------------------------------------------------------------
@@ -518,6 +514,9 @@ def build_initial(block, model, domain):
 
 
 class _OutputSet:
+    """The files of one run.  A CSV row becomes text by text_row, and JSON
+    writes a numpy array or scalar as its tolist()."""
+
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.files = []
@@ -529,60 +528,54 @@ class _OutputSet:
         return path
 
     def write_csv(self, rel, header, rows):
-        path = self._register(rel)
-        lines = [",".join(header)]
-        for row in rows:
-            cells = []
-            for item in row:
-                if isinstance(item, str):
-                    cells.append(item)
-                elif isinstance(item, (int, np.integer)):
-                    cells.append(str(int(item)))
-                else:
-                    cells.append(_fmt(item))
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
+        lines = [",".join(header)] + [text_row(row, ",") for row in rows]
+        self._register(rel).write_text("\n".join(lines) + "\n")
 
     def write_json(self, rel, payload):
-        path = self._register(rel)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        self._register(rel).write_text(json.dumps(
+            payload, sort_keys=True, indent=1, default=_json_value) + "\n")
 
 
-def _snapshot_rows(snap):
-    edges = np.concatenate(([snap.a], snap.xs, [snap.b]))
-    rows = []
-    for j in range(len(snap.states)):
-        rows.append([edges[j], edges[j + 1]] + list(snap.states[j]))
-    return rows
+def text_row(row, sep):
+    """A report row as text, the one rule for every number of a CSV or .dat
+    file: a str cell as it is, any other cell FLOAT_FMT % cell."""
+    return sep.join(c if isinstance(c, str) else FLOAT_FMT % c for c in row)
+
+
+def _json_value(obj):
+    """The Python value of a numpy array or scalar, which json cannot write;
+    anything else raises TypeError, as json does."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
 
 
 def _write_snapshot(out, rel_base, snap):
     n = snap.states.shape[1]
     header = ["x_left", "x_right"] + [f"u{k}" for k in range(n)]
-    out.write_csv(rel_base + ".csv", header, _snapshot_rows(snap))
+    edges = np.concatenate(([snap.a], snap.xs, [snap.b]))
+    out.write_csv(rel_base + ".csv", header,
+                  np.column_stack((edges[:-1], edges[1:], snap.states)))
     out.write_json(rel_base + ".json", {
         "time": snap.time, "a": snap.a, "b": snap.b,
-        "xs": list(map(float, snap.xs)),
-        "families": list(map(int, snap.families)),
-        "sigmas": list(map(float, snap.sigmas)),
-        "speeds": list(map(float, snap.speeds)),
-        "generations": list(map(int, snap.generations)),
-        "kinds": list(snap.kinds),
-        "states": [list(map(float, s)) for s in snap.states],
+        "xs": snap.xs,
+        "families": snap.families,
+        "sigmas": snap.sigmas,
+        "speeds": snap.speeds,
+        "generations": snap.generations,
+        "kinds": snap.kinds,
+        "states": snap.states,
     })
 
 
 def _write_sim_logs(out, sim):
     out.write_csv("functionals.csv", ["t", "V", "Q", "TV"],
                   sim.functional_history)
-    rows = []
-    for rec in sim.records:
-        rows.append([rec.time, rec.x, rec.kind,
-                     ";".join(str(i) for i in rec.in_ids),
-                     ";".join(str(i) for i in rec.out_ids),
-                     rec.dV, rec.dQ])
     out.write_csv("interactions.csv",
-                  ["t", "x", "kind", "in_ids", "out_ids", "dV", "dQ"], rows)
+                  ["t", "x", "kind", "in_ids", "out_ids", "dV", "dQ"],
+                  [[r.time, r.x, r.kind, text_row(r.in_ids, ";"),
+                    text_row(r.out_ids, ";"), r.dV, r.dQ] for r in sim.records])
 
 
 # -- experiments ------------------------------------------------------------------
@@ -597,11 +590,11 @@ def _run_evolve(config, model, out):
                           "profile has no family-1 front")
     horizon = float(config["horizon"])
     times = config.get("snapshot_times") or [horizon]
-    tv_series = []
+    tv = {}
     for idx, t in enumerate(times):
         snap = sim.advance_to(float(t))
         _write_snapshot(out, f"snapshots/snap_{idx:03d}", snap)
-        tv_series.append((float(t), snap.tv()))
+        tv[FLOAT_FMT % t] = snap.tv()
     if sim.time < horizon:      # the run ends at its horizon, not its last snapshot
         sim.advance_to(horizon)
     _write_sim_logs(out, sim)
@@ -612,7 +605,7 @@ def _run_evolve(config, model, out):
             f"V + c0 Q increased by {worst:.3e} at some interaction",
             {"c0": c0})
     metrics = {
-        "tv": {_fmt(t): tv for t, tv in tv_series},
+        "tv": tv,
         "events": len(sim.records),
         "fronts_final": sim.now.n_fronts,
         "upsilon_c0": c0,
@@ -643,13 +636,13 @@ def _counterexample_reports(config, model, out, sim):
                    "creation_count", "tv"], rows)
     out.write_json("census.json", [{
         "time": rep.time,
-        "probe": list(rep.probe),
+        "probe": rep.probe,
         "tv": rep.tv,
         "creation_count": rep.creation_count,
-        "creation_events": [[t, x] for t, x in rep.creation_events],
+        "creation_events": rep.creation_events,
         "families": {str(f): {
-            "positions": list(map(float, rep.positions[f])),
-            "strengths": list(map(float, rep.strengths[f])),
+            "positions": rep.positions[f],
+            "strengths": rep.strengths[f],
             "largest_gap": rep.largest_gap[f],
         } for f in sorted(rep.positions)},
     } for rep in reports])
@@ -666,21 +659,21 @@ def _counterexample_reports(config, model, out, sim):
                       [[r.time, r.max_density, r.kappa_hat, r.total_mass]
                        for r in reps])
         out.write_json(f"density_f{family}.json", [{
-            "time": r.time, "family": r.family, "probe": list(r.probe),
+            "time": r.time, "family": r.family, "probe": r.probe,
             "max_density": r.max_density, "kappa_hat": r.kappa_hat,
-            "densities": list(map(float, r.densities)),
+            "densities": r.densities,
         } for r in reps])
 
-    n_ev, n_ok, n_unres = analysis.same_family_collision_compliance(sim)
+    n_ev, n_ok, n_unres = analysis.same_family_collision_compliance(
+        sim, census.get("creation_floor", analysis.DEFAULT_SIGN_FLOOR))
     sid = analysis.strongest_front(sim, 1)
     track = analysis.track_shock_strength(sim, sid)
-    out.write_csv("track.csv", ["t", "x", "abs_sigma"],
-                  [list(row) for row in track.samples])
+    out.write_csv("track.csv", ["t", "x", "abs_sigma"], track.samples)
     out.write_json("track.json", {
-        "lineage": [int(i) for i in track.lineage],
-        "samples": [list(map(float, row)) for row in track.samples],
+        "lineage": track.lineage,
+        "samples": track.samples,
         "min_ratio": track.min_ratio,
-        "merge_times": list(map(float, track.merges)),
+        "merge_times": track.merges,
         "fate": track.fate,
     })
 
@@ -726,8 +719,8 @@ def _run_steer(config, model, out):
         "hops": len(res.plan.actions) // 2,
         "horizon": res.plan.horizon,
         "final_sup_dist": final_dist,
-        "fronts_final": int(res.final_snapshot.n_fronts),
-        "hop_errors": [float(e) for e in res.hop_errors],
+        "fronts_final": res.final_snapshot.n_fronts,
+        "hop_errors": res.hop_errors,
     }
     return metrics
 
@@ -740,12 +733,10 @@ def _run_stabilize(config, model, out):
                             k_max=int(config["k_max"]),
                             eps0=float(config["epsilon"]),
                             chain_step=float(config["delta_chain"]),
-                            delta0=float(config["delta0"]),
-                            raise_on_failure=False)
-    rows = [[r.k, r.time, r.sup_dist, r.tv,
-             "nan" if math.isnan(r.ratio) else r.ratio]
-            for r in res.record.rows]
-    out.write_csv("contraction.csv", ["k", "t", "sup_dist", "tv", "ratio"], rows)
+                            delta0=float(config["delta0"]))
+    out.write_csv("contraction.csv", ["k", "t", "sup_dist", "tv", "ratio"],
+                  [[r.k, r.time, r.sup_dist, r.tv, r.ratio]
+                   for r in res.record.rows])
     actions = res.pre_plan.as_dicts()
     for step in res.steps:
         actions.extend(step.plan.as_dicts())
@@ -754,8 +745,8 @@ def _run_stabilize(config, model, out):
     violations = [v for step in res.steps for v in step.violations]
     metrics = {
         "tau": res.tau,
-        "deltas": [float(r.delta) for r in res.record.rows],
-        "ratios": [None if math.isnan(r.ratio) else float(r.ratio)
+        "deltas": [r.delta for r in res.record.rows],
+        "ratios": [None if math.isnan(r.ratio) else r.ratio
                    for r in res.record.rows],
         "loglog_slope": slope,
         "loglog_r2": r2,

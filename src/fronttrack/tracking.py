@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SIGMA_NULL, CurvePoint, lax_curve, rarefaction_curve
+from .curves import CurvePoint, lax_curve, rarefaction_curve
 from .errors import SOLVER_ERRORS, ContractViolationError, ConvergenceError
 from .profiles import PiecewiseConstant, sup_distance, total_variation
 from .riemann import solve_riemann
@@ -223,8 +223,8 @@ class Simulation:
         self._cell0 = values[0]
         for j, x in enumerate(profile.xs):
             k = len(self._ids)
-            self._step(k, k, self._cell(k),
-                       solve_riemann(model, values[j], values[j + 1]).waves, x)
+            self._step(k, k, self._cell(k), self._carried(
+                solve_riemann(model, values[j], values[j + 1])), x)
         self._log.append((self.time, self._q, self._v, self._tv, self._cell0,
                           0, -1))
         self._checkpoints.append((0, self._ids))
@@ -293,6 +293,16 @@ class Simulation:
                         table["generations"][ids], table["kinds"][ids],
                         np.concatenate((cell0[None], table["rights"][ids])), q)
 
+    def _carried(self, sol, waves=None):
+        """``waves``, else all waves of the Riemann solution sol, to become
+        fronts; each strength of sol none carries adds to ``dropped_mass``."""
+        waves = sol.waves if waves is None else waves
+        carried = {w.family for w in waves}
+        self.dropped_mass += sum(abs(s) for f, s in
+                                 enumerate(sol.sigmas.tolist(), 1)
+                                 if f not in carried)
+        return waves
+
     def _cell(self, j):
         """State of cell j of the live profile."""
         return self._cell0 if j == 0 else self._table["rights"][self._ids.item(j - 1)]
@@ -346,9 +356,6 @@ class Simulation:
             least[fam] = min(gen, least.get(fam, gen))
         first, speeds = self._n_born, []
         for wave in waves:
-            if abs(wave.sigma) < SIGMA_NULL:
-                self.dropped_mass += abs(wave.sigma)
-                continue
             m = 1
             if wave.kind == "rarefaction" and wave.sigma > self.eps:
                 m = math.ceil(wave.sigma / self.eps - 1e-9)
@@ -582,7 +589,8 @@ class Simulation:
                 self.time, event.x, "error", self._ids[lo:hi + 1].tolist(), [],
                 0.0, 0.0))
             raise
-        _, speeds = self._step(lo, hi + 1, ul, sol.waves, event.x, "collision")
+        _, speeds = self._step(lo, hi + 1, ul, self._carried(sol), event.x,
+                               "collision")
         if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
             raise ContractViolationError(
                 f"outgoing wave speeds not ordered at t={self.time}",
@@ -624,8 +632,8 @@ class Simulation:
                 {"sigmas": [w.sigma for w in wrong]})
         # at x = a the outer state becomes cell 0
         k = len(self._ids) if at_b else 0
-        return self._step(k, k, trace if at_b else outer,
-                          [w for w, e in zip(sol.waves, enters) if e],
+        waves = self._carried(sol, [w for w, e in zip(sol.waves, enters) if e])
+        return self._step(k, k, trace if at_b else outer, waves,
                           self.b if at_b else self.a, f"inject_{side}")[0]
 
 

@@ -85,8 +85,7 @@ def stabilize_sweep(stab_gas):
         profile = dense_initial_data(stab_gas, 15, -delta, (0.0, 1.0),
                                      base_state=u_star)
         t0 = time.perf_counter()
-        res = stabilize(stab_gas, profile, u_star, k_max=3, eps0=delta / 8.0,
-                        raise_on_failure=False)
+        res = stabilize(stab_gas, profile, u_star, k_max=3, eps0=delta / 8.0)
         out[delta] = (res, time.perf_counter() - t0)
     return out
 

@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fronttrack import scenarios, tracking
+from fronttrack.analysis import dense_strengths
 from fronttrack.control import crossing_time
-from fronttrack.curves import lax_curve
+from fronttrack.curves import SIGMA_NULL, lax_curve
 from fronttrack.cli import main
 from fronttrack.errors import (ConfigError, ContractViolationError,
                                ConvergenceError, DomainError,
@@ -102,6 +104,24 @@ def test_constant_evolve_reports_zero_tv(tmp_path):
     assert (out_dir / "snapshots" / "snap_000.csv").exists()
 
 
+def test_dropped_mass_counts_the_null_initial_waves(tmp_path):
+    # at level_decay 1e6 the four level-2 waves of n = 7 have strength
+    # 3e-14, below SIGMA_NULL: no front carries them, and dropped_mass is
+    # their total (it read 0.0 when only the engine's own filter counted)
+    config = _evolve_config()
+    config["initial"].update(level_decay=1e6)
+    cfg = _write(tmp_path, "null.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "metrics"]
+    initial = config["initial"]
+    strengths = np.abs(dense_strengths(initial["n"], initial["budget"], 1e6))
+    null = strengths[strengths < SIGMA_NULL]
+    assert len(null) == 4
+    assert abs(metrics["dropped_mass"] - float(np.sum(null))) <= 1e-15
+
+
 def test_runs_are_byte_identical(tmp_path):
     cfg = _write(tmp_path, "evolve.json", _evolve_config())
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -112,6 +132,41 @@ def test_runs_are_byte_identical(tmp_path):
     assert files1 == files2
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+
+def test_reports_write_each_value_type_one_way(tmp_path):
+    # every report number becomes text one way: text_row writes a CSV or
+    # .dat cell that is not a str as FLOAT_FMT % cell, and JSON writes a
+    # numpy value as its tolist(); a value of no JSON type raises
+    # TypeError, as json does
+    out = scenarios._OutputSet(tmp_path)
+    cells = ["shock", 7, np.int64(-3), True, np.bool_(False), 0.1, -0.0,
+             math.nan, math.inf, -math.inf, np.float64(1 / 3)]
+    out.write_csv("cells.csv", [f"c{k}" for k in range(len(cells))], [cells])
+    assert (tmp_path / "cells.csv").read_text() == (
+        "c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\n"
+        "shock,7,-3,1,0,0.10000000000000001,-0,nan,inf,-inf,"
+        "0.33333333333333331\n")
+    out.write_csv("rows.csv", ["t", "x"], np.array([[0.5, -0.0], [1, 2]]))
+    assert (tmp_path / "rows.csv").read_text() == "t,x\n0.5,-0\n1,2\n"
+    assert scenarios.text_row([3, 0.25, "x"], " ") == "3 0.25 x"
+    out.write_json("values.json", {
+        "str": "shock", "int": 7, "int64": np.int64(-3), "bool": True,
+        "bool_": np.bool_(False), "float": 0.1, "float64": np.float64(1 / 3),
+        "zero": -0.0, "special": [math.nan, math.inf, -math.inf],
+        "floats": np.array([0.1, -0.0, math.nan, -math.inf]),
+        "ints": np.array([[1, -2]]),
+        "objects": np.array(["shock", 3], dtype=object)})
+    assert (tmp_path / "values.json").read_text() == "\n".join([
+        '{', ' "bool": true,', ' "bool_": false,', ' "float": 0.1,',
+        ' "float64": 0.3333333333333333,',
+        ' "floats": [', '  0.1,', '  -0.0,', '  NaN,', '  -Infinity', ' ],',
+        ' "int": 7,', ' "int64": -3,', ' "ints": [', '  [', '   1,', '   -2',
+        '  ]', ' ],', ' "objects": [', '  "shock",', '  3', ' ],',
+        ' "special": [', '  NaN,', '  Infinity,', '  -Infinity', ' ],',
+        ' "str": "shock",', ' "zero": -0.0', '}', ''])
+    with pytest.raises(TypeError, match="Object of type set is not JSON"):
+        out.write_json("set.json", {"ids": {1, 2}})
 
 
 def test_riemann_subcommand_prints_table(tmp_path, capsys):
@@ -298,6 +353,20 @@ def test_counterexample_scenario_plots(tmp_path):
     assert _dat_rows(out_dir / "census_gap_vs_t.dat",
                      "# t  largest_gap_per_family") == [
         [t, *(gaps[t][f] for f in sorted(gaps[t]))] for t in sorted(gaps)]
+
+
+def test_sign_audit_resolves_by_the_census_creation_floor(tmp_path):
+    # the sign audit and the creation count apply one rule: a family-2
+    # output is resolved, and a creation, above census.creation_floor
+    config = {**_readme_config(), "census": {"creation_floor": 1e-9}}
+    cfg = _write(tmp_path, "floor.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "metrics"]
+    assert metrics["sign_compliant"] == metrics["creation_count"] == 8
+    assert metrics["sign_unresolved"] == 8
+    assert metrics["same_family_collisions"] == 16
 
 
 @pytest.mark.parametrize("report, text", [
@@ -870,6 +939,25 @@ def test_steer_run_ends_on_the_target(tmp_path):
     assert plan["horizon"] == metrics["horizon"]
     assert plan["horizon"] == pytest.approx(2 * metrics["hops"] * plan["tau"])
     assert plan["actions"][-1]["outer_state"] == pytest.approx([1.05, 0.02])
+    assert metrics["fronts_final"] == 0
+    assert metrics["final_sup_dist"] <= 1e-6
+
+
+@pytest.mark.parametrize("K, omega_prime", [(1e3, [1.001, 0.0005]),
+                                            (1e4, [1.0001, 0.0])],
+                         ids=["K_1e3", "K_1e4"])
+def test_steer_at_a_large_gas_K_exits_0(tmp_path, K, omega_prime):
+    # the gas flux scales with K**2, and a shock's RH residual with it: an
+    # absolute bound of 1e-10 made these runs exit 3 ("shock family 1: RH
+    # residual 1.196e-10 above tolerance" at K = 1e3)
+    config = _valid_config("steer")
+    config["model"]["K"] = K
+    config["omega_prime"] = omega_prime
+    cfg = _write(tmp_path, "steer.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "metrics"]
     assert metrics["fronts_final"] == 0
     assert metrics["final_sup_dist"] <= 1e-6
 

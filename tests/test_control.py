@@ -160,6 +160,7 @@ def test_stabilize_fixed_point(gas_slow):
     u_star = np.array([1.0, 0.98])
     res = stabilize(gas_slow, constant_profile(0.0, 1.0, u_star), u_star,
                     k_max=3, eps0=0.01)
+    assert res.record.failure == ""
     assert all(row.delta == 0.0 for row in res.record.rows)
 
 
@@ -188,6 +189,7 @@ def test_stabilize_pre_phase_reaches_far_target(gas_slow):
     prof = dense_initial_data(gas_slow, 7, -0.01, (0.0, 1.0),
                               base_state=[1.0, 0.98])
     res = stabilize(gas_slow, prof, u_star, k_max=2, eps0=0.002, delta0=0.03)
+    assert res.record.failure == ""
     assert len(res.pre_plan.actions) >= 2
     assert res.record.rows[0].delta < 0.03
     assert res.record.rows[-1].delta < 1e-8
@@ -213,6 +215,7 @@ def test_stabilize_reports_absolute_time(gas_slow, case):
         n_hops = len(res.pre_plan.actions) // 2
         assert n_hops >= 1
         start = (1 + 2 * n_hops) * res.tau
+    assert res.record.failure == ""
     tau = res.tau
     k_max = len(res.record.rows) - 1
     assert [row.time for row in res.record.rows] == pytest.approx(

@@ -1,27 +1,68 @@
-"""Write the outputs of every seed-1 request of the benchmark workloads.
+"""Write the outputs of every seed-1 request of the benchmark workloads, and
+of the fixed requests that reach the writers those never run.
 
 Usage: python tools/seed_outputs.py OUT
 
 Each request of perfbench/workloads.py runs through scenarios.run_scenario
-into OUT/<workload>/<index>, so two runs, or two checkouts, compare with
-``diff -r``.  A request that fails stops the script with its traceback.
+into OUT/<workload>/<index>, and each request of EXTRA into
+OUT/extra/<name>, so two runs, or two checkouts, compare with ``diff -r``.
+The extra requests are a gas and a custom-table ``curves`` run, a linear
+``steer`` and a ``linear_control`` run; ``fronttrack plots`` then writes its
+.dat files into copies of the first counterexample and stabilize runs,
+OUT/extra/plots_<kind>.  A request that fails stops the script with its
+traceback.
 """
 
+import shutil
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import fronttrack.cli  # noqa: E402
 import fronttrack.riemann  # noqa: E402
 import fronttrack.scenarios  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+_GAS = {"kind": "gas", "K": 1.0, "gamma": 2.0, "box": [[0.5, 1.5], [-0.4, 0.4]]}
+_TABLE = {"kind": "custom-table",
+          "terms": [[[1, [1, 1]]], [[0.5, [0, 2]], [1, [1, 0]]]],
+          "p": 1, "box": [[0.5, 1.5], [-0.4, 0.4]]}
+_LINEAR = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, 1.0]]}
+EXTRA = {
+    "curves_gas": {"experiment": "curves", "model": _GAS,
+                   "curves": {"u0": [1.0, 0.0], "samples": 5}},
+    "curves_table": {"experiment": "curves", "model": _TABLE,
+                     "curves": {"u0": [1.0, 0.0], "samples": 5}},
+    "steer_linear": {"experiment": "steer",
+                     "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
+                     "domain": [0.0, 1.0], "omega": [0.0, 0.0],
+                     "omega_prime": [0.3, -0.2]},
+    "linear_control": {"experiment": "linear_control", "model": _LINEAR,
+                       "domain": [0.0, 1.0], "T": 1.0,
+                       "phi": {"xs": [0.5], "values": [[0.0, 0.0], [0.1, 0.2]]},
+                       "psi": {"xs": [], "values": [[0.3, -0.1]]}},
+}
+PLOTTED = ("counterexample", "stabilize")   # request kinds plots reads
+
 
 def main(out):
+    plotted = {}
     for name, workload in WORKLOADS.items():
-        for i, (_, config, _) in enumerate(workload.requests(1, fronttrack)):
-            fronttrack.scenarios.run_scenario(config, str(Path(out, name, f"{i:03d}")))
+        for i, (kind, config, _) in enumerate(workload.requests(1, fronttrack)):
+            run = Path(out, name, f"{i:03d}")
+            fronttrack.scenarios.run_scenario(config, str(run))
+            if kind in PLOTTED:
+                plotted.setdefault(kind, run)
+    for name, config in EXTRA.items():
+        fronttrack.scenarios.run_scenario({"schema": "scenario-v1", **config},
+                                          str(Path(out, "extra", name)))
+    for kind, run in plotted.items():
+        copy = Path(out, "extra", f"plots_{kind}")
+        shutil.copytree(run, copy)
+        if fronttrack.cli.main(["plots", "--out", str(copy), "--quiet"]) != 0:
+            raise SystemExit(f"plots failed on {copy}")
 
 
 if __name__ == "__main__":
