@@ -217,8 +217,8 @@ def same_family_collision_compliance(sim, sign_floor=DEFAULT_SIGN_FLOOR):
 
 def shock_census(sim, times, probe=None, strength_floor=DEFAULT_CENSUS_FLOOR,
                  creation_floor=DEFAULT_SIGN_FLOOR):
-    """Per-time census of shocks above the dust floor, with largest gaps in
-    the probe interval and the cumulative opposite-family creation count."""
+    """Per-time census of the fronts of kind shock above the dust floor, with
+    largest gaps in the probe and the cumulative opposite-family creations."""
     if probe is None:
         probe = _default_probe(sim.a, sim.b)
     lo, hi = probe
@@ -228,7 +228,8 @@ def shock_census(sim, times, probe=None, strength_floor=DEFAULT_CENSUS_FLOOR,
         snap = sim.snapshot_at(t)
         positions, strengths, gaps = {}, {}, {}
         for family in range(1, sim.model.n + 1):
-            mask = (snap.families == family) & (snap.sigmas <= -strength_floor)
+            mask = ((snap.families == family) & (snap.kinds == "shock")
+                    & (snap.sigmas <= -strength_floor))
             xs = snap.xs[mask]
             keep = (xs >= lo) & (xs <= hi)
             xs = np.sort(xs[keep])

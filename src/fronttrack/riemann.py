@@ -140,10 +140,11 @@ def _solution_from_sigmas(model, ul, sigmas, ur, points=None):
 
 
 def _gas_crossing(model, solve, *ends):
-    """``model.riemann_middle(*ends)``; a root residual above RESIDUAL_TOL
+    """``model.riemann_middle(*ends)``; a root residual, in velocity units,
+    above RESIDUAL_TOL times the largest of 1 and the two mass-jump speeds
     raises ConvergenceError, a crossing outside the domain DomainError."""
     um, sigmas, speeds, residual = model.riemann_middle(*ends)
-    if residual > RESIDUAL_TOL:
+    if residual > RESIDUAL_TOL * max(1.0, abs(speeds[0]), abs(speeds[1])):
         raise ConvergenceError(f"gas {solve} residual {residual:.3e} above tolerance")
     model.check_domain(um)
     return um, sigmas, speeds, residual

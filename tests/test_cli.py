@@ -384,6 +384,12 @@ def test_malformed_report_exits_2_naming_it(tmp_path, capsys, report, text):
     assert not list(tmp_path.glob("*.dat"))
 
 
+def test_plots_without_reports_exits_2(tmp_path, capsys):
+    assert main(["plots", "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == "no plottable CSV files found\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _csv_rows(path):
     """The rows of a CSV report as dicts of column name to text."""
     header, *rows = path.read_text().splitlines()
@@ -944,12 +950,15 @@ def test_steer_run_ends_on_the_target(tmp_path):
 
 
 @pytest.mark.parametrize("K, omega_prime", [(1e3, [1.001, 0.0005]),
-                                            (1e4, [1.0001, 0.0])],
-                         ids=["K_1e3", "K_1e4"])
+                                            (1e4, [1.0001, 0.0]),
+                                            (1e6, [1.000001, 0.0])],
+                         ids=["K_1e3", "K_1e4", "K_1e6"])
 def test_steer_at_a_large_gas_K_exits_0(tmp_path, K, omega_prime):
     # the gas flux scales with K**2, and a shock's RH residual with it: an
     # absolute bound of 1e-10 made these runs exit 3 ("shock family 1: RH
-    # residual 1.196e-10 above tolerance" at K = 1e3)
+    # residual 1.196e-10 above tolerance" at K = 1e3); the gas root
+    # residual is a velocity, which scales with K: an absolute bound made
+    # K = 1e6 exit 3 ("gas split residual 1.486e-10 above tolerance")
     config = _valid_config("steer")
     config["model"]["K"] = K
     config["omega_prime"] = omega_prime
@@ -1002,10 +1011,39 @@ def _sweep_fields(experiment):
                      if f"{name}.{key}" not in fields]
 
 
-@pytest.mark.parametrize("experiment", scenarios.EXPERIMENTS)
-def test_no_valid_config_exits_1(tmp_path, capsys, experiment):
-    cfg = tmp_path / "case.json"
-    failures = []
+# then each numeric leaf of each experiment's valid config, its optional
+# blocks filled in, is set to each extreme value (_SWEEP_VALUES holds -1 and 0)
+_LEAF_VALUES = [math.nan, math.inf, -math.inf, 1e300, -1e-300]
+_LEAF_BLOCKS = {
+    "curves": {"curves": {"u0": [1.0, 0.0], "family": 1, "sigma_min": -0.1,
+                          "sigma_max": 0.1, "samples": 5}},
+    "counterexample": {
+        "census": {"times": [0.0, 1.0], "floor": 1e-6, "creation_floor": 1e-11,
+                   "probe": [0.01, 0.12]},
+        "density": {"times": [0.5, 1.0], "cells": 8, "probe": [0.01, 0.12]}},
+}
+
+
+def _numeric_leaves(node, path=()):
+    """The paths of the int and float leaves below node, bools excluded."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items
+                for leaf in _numeric_leaves(value, path + (key,))]
+    return [path] if type(node) in (int, float) else []
+
+
+def _finite_numbers(node):
+    """Whether every float below node is finite."""
+    if isinstance(node, (dict, list)):
+        values = node.values() if isinstance(node, dict) else node
+        return all(map(_finite_numbers, values))
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def _fuzz_cases(experiment):
+    """(case, config) pairs: each field set to each malformed value, then
+    each numeric leaf to each extreme value."""
     for field in _sweep_fields(experiment):
         for value in _SWEEP_VALUES:
             config = _valid_config(experiment)
@@ -1014,16 +1052,43 @@ def test_no_valid_config_exits_1(tmp_path, capsys, experiment):
             for name in blocks:
                 target = target.setdefault(name, {})
             target[last] = value
-            cfg.write_text(json.dumps(config))
-            out_dir = tmp_path / "out"
-            for argv in (["validate"], ["run", "--out", str(out_dir), "--quiet"]):
+            yield (field, value), config
+    base = {**_valid_config(experiment), **_LEAF_BLOCKS.get(experiment, {})}
+    assert validate_config(base) == []
+    for path in _numeric_leaves(base):
+        for value in _LEAF_VALUES:
+            config = json.loads(json.dumps(base))
+            *blocks, last = path
+            target = config
+            for name in blocks:
+                target = target[name]
+            target[last] = value
+            yield (path, value), config
+
+
+@pytest.mark.parametrize("experiment", scenarios.EXPERIMENTS)
+def test_no_valid_config_exits_1(tmp_path, capsys, experiment):
+    cfg = tmp_path / "case.json"
+    out_dir = tmp_path / "out"
+    failures = []
+    for case, config in _fuzz_cases(experiment):
+        cfg.write_text(json.dumps(config))
+        for argv in (["validate"], ["run", "--out", str(out_dir), "--quiet"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 try:
                     code = main(argv + ["--config", str(cfg)])
                 except Exception as exc:  # reported below, with the case
                     code = f"{type(exc).__name__}: {exc}"
-                if code not in (0, 2, 3, 4) or (code == 2 and out_dir.exists()):
-                    failures.append((field, value, argv[0], code))
-            shutil.rmtree(out_dir, ignore_errors=True)
+            if (code not in (0, 2, 3, 4) or (code == 2 and out_dir.exists())
+                    or caught):
+                failures.append((*case, argv[0], code,
+                                 [str(w.message) for w in caught]))
+        manifest = out_dir / "manifest.json"
+        if manifest.exists() and not _finite_numbers(
+                json.loads(manifest.read_text())["metrics"]):
+            failures.append((*case, "non-finite metric"))
+        shutil.rmtree(out_dir, ignore_errors=True)
     capsys.readouterr()
     assert failures == []
 
@@ -1097,6 +1162,43 @@ def test_overflowing_table_flux_exits_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == (
         "domain error: flux Jacobian is not finite at [1.05 0.1 ]\n")
+
+
+def test_riemann_middle_state_below_the_box_exits_3(tmp_path, capsys):
+    # the two rarefactions out of (0.92, -/+0.08) meet at density 0.845,
+    # below the box: the config is valid, and the run prints the middle
+    # state as numpy does
+    config = {"schema": "scenario-v1", "experiment": "riemann",
+              "model": {**GAS_BLOCK, "box": [[0.9, 1.1], [-0.4, 0.4]]},
+              "riemann": {"ul": [0.92, -0.08], "ur": [0.92, 0.08]}}
+    cfg = _write(tmp_path, "mid_outside.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "domain error: state [0.8448667 0.       ] outside admissible domain\n")
+
+
+def test_census_counts_only_fronts_of_kind_shock(tmp_path):
+    # a linear model's fronts are contacts, whatever the sign of their
+    # strength: the census once listed 7, 6, 5, 4 and 3 family-1 shocks here
+    config = {"schema": "scenario-v1", "experiment": "counterexample",
+              "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
+              "domain": [0.0, 1.0],
+              "initial": {"kind": "dense_shocks", "n": 7, "budget": 0.05},
+              "horizon": 0.5}
+    cfg = _write(tmp_path, "linear.json", config)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 0
+    census = json.loads((out_dir / "census.json").read_text())
+    assert [r["time"] for r in census] == [0.0, 0.125, 0.25, 0.375, 0.5]
+    assert all(family["positions"] == [] for r in census
+               for family in r["families"].values())
+    snap = json.loads((out_dir / "snapshots" / "snap_000.json").read_text())
+    assert set(snap["kinds"]) == {"contact"}
+    assert max(snap["sigmas"]) < -1e-3
 
 
 # -- the model cache: one model per distinct block, its facts computed once --

@@ -7,10 +7,12 @@ Each request of perfbench/workloads.py runs through scenarios.run_scenario
 into OUT/<workload>/<index>, and each request of EXTRA into
 OUT/extra/<name>, so two runs, or two checkouts, compare with ``diff -r``.
 The extra requests are a gas and a custom-table ``curves`` run, a linear
-``steer`` and a ``linear_control`` run; ``fronttrack plots`` then writes its
-.dat files into copies of the first counterexample and stabilize runs,
-OUT/extra/plots_<kind>.  A request that fails stops the script with its
-traceback.
+``steer``, a ``linear_control`` run, a ``stabilize`` run that starts far
+from its target, so its steering pre-phase runs, and a ``counterexample``
+whose initial jumps hold a rarefaction, so the density bins and the kappa
+fit see positive atoms; ``fronttrack plots`` then writes its .dat files into
+copies of the first counterexample and stabilize runs, OUT/extra/plots_<kind>.
+A request that fails stops the script with its traceback.
 """
 
 import shutil
@@ -23,7 +25,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import fronttrack.cli  # noqa: E402
 import fronttrack.riemann  # noqa: E402
 import fronttrack.scenarios  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import COUNTEREXAMPLE, STAB_GAS, WORKLOADS  # noqa: E402
 
 _GAS = {"kind": "gas", "K": 1.0, "gamma": 2.0, "box": [[0.5, 1.5], [-0.4, 0.4]]}
 _TABLE = {"kind": "custom-table",
@@ -43,6 +45,20 @@ EXTRA = {
                        "domain": [0.0, 1.0], "T": 1.0,
                        "phi": {"xs": [0.5], "values": [[0.0, 0.0], [0.1, 0.2]]},
                        "psi": {"xs": [], "values": [[0.3, -0.1]]}},
+    "stabilize_far": {"experiment": "stabilize", "model": STAB_GAS,
+                      "domain": [0.0, 1.0],
+                      "initial": {"kind": "dense_shocks", "n": 7, "budget": 0.02,
+                                  "base": [1.03, 0.96]},
+                      "u_star": [1.0, 0.98], "epsilon": 0.005, "k_max": 4,
+                      "delta0": 0.05},
+    # family-1 strengths -0.01, +0.015 and -0.01 from the left state
+    "counterexample_mixed": {
+        "experiment": "counterexample", "model": COUNTEREXAMPLE["model"],
+        "domain": COUNTEREXAMPLE["domain"], "horizon": 1.0,
+        "initial": {"kind": "jumps", "left": [1.0, 0.96], "jumps": [
+            [0.03, [1.005006251953122, 0.9550000019482513]],
+            [0.06, [0.9975015644458161, 0.9625000019482514]],
+            [0.09, [1.002501566406253, 0.9575000039013764]]]}},
 }
 PLOTTED = ("counterexample", "stabilize")   # request kinds plots reads
 
