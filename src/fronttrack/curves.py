@@ -111,7 +111,8 @@ def rarefaction_curve(model, u0, family, sigma):
 def _oriented_field(model, family, r0):
     """The field u -> r_family(u), oriented continuously from r0 = r_family
     at the base point: each evaluation takes the unit column of
-    ``model._sorted_basis`` and flips it where it points against the
+    ``model._sorted_basis``, in closed form for n = 2 and from
+    np.linalg.eig otherwise, and flips it where it points against the
     previous evaluation.  Where the Hessian rule of ``model.eigen`` holds
     the same sign, the two fields agree bitwise; near a point where
     grad(lambda) . r vanishes the Hessian rule can flip between stages,

@@ -9,11 +9,15 @@ The eigen-geometry is read from the flux's exact second derivative, through
 the curvature matrix C[k, i] = l_k D^2 f(u)[r_i, r_i] with l_k r_i = delta_ki
 (Lax 1957).  Its diagonal ``gnl(u)`` is grad(lambda_i) . r_i; numeric
 eigenvectors are oriented so that this factor is positive where it exceeds
-GNL_FLOOR, and otherwise so that their first nonzero component is.
+GNL_FLOOR, and otherwise so that their first nonzero component is.  A
+custom table, and a linear model once at construction, read speeds and unit
+eigenvectors from the Jacobian: in closed form when it is 2x2, from
+np.linalg.eig otherwise.
 """
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -177,26 +181,27 @@ class FluxModel:
         return _curvature(self.hessian(u), eig.right, eig.left).diagonal()
 
     def _sorted_basis(self, u):
-        """Ascending speeds and unit right eigenvectors, as columns, from
-        np.linalg.eig of the Jacobian, in the signs eig returns.  The tests
-        run on Python floats: numpy reductions on arrays of a few entries
-        cost more than their arithmetic."""
+        """Ascending speeds and unit right eigenvectors, as columns, of the
+        Jacobian: in closed form for a 2x2 one (``_basis_2x2``), else from
+        np.linalg.eig, in the signs eig returns.  The tests run on Python
+        floats: numpy reductions on arrays of a few entries cost more than
+        their arithmetic."""
         jac = self.jacobian(u)
-        if not np.isfinite(jac).all():
+        entries = jac.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise DomainError(f"flux Jacobian is not finite at {u}")
+        if jac.shape == (2, 2):
+            return _basis_2x2(*entries, u)
         vals, vecs = np.linalg.eig(jac)
         # eig returns real arrays when every imaginary part is zero, and
         # then no speed can be complex
+        imag = 0.0
         if vals.dtype.kind == "c":
-            if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
-                raise HyperbolicityError(f"complex characteristic speeds at {u}")
+            imag = float(np.max(np.abs(vals.imag)))
             vals, vecs = vals.real, vecs.real
         order = np.argsort(vals)
         vals = vals[order]
-        speeds = vals.tolist()
-        gaps = [b - a for a, b in zip(speeds, speeds[1:])]
-        if gaps and min(gaps) < 1e-10 * max(1.0, *map(abs, speeds)):
-            raise HyperbolicityError(f"coincident characteristic speeds at {u}")
+        _check_speeds(vals.tolist(), imag, u)
         right = vecs[:, order]
         # np.linalg.norm's arithmetic, without its dispatch
         return vals, right / np.sqrt(np.add.reduce(right * right, axis=0,
@@ -561,9 +566,11 @@ class TableModel(FluxModel):
         """The order-th derivative of the flux at u, shape (n,) * (order + 1).
 
         A power that overflows gives inf without a warning; the eigensolve
-        rejects a non-finite Jacobian with a DomainError."""
+        rejects a non-finite Jacobian with a DomainError.  The product is
+        the reduction np.prod runs, without its dispatch."""
         index, coef, exps = self._orders[order]
-        values = coef * np.prod(np.asarray(u, dtype=float) ** exps, axis=1)
+        values = coef * np.multiply.reduce(np.asarray(u, dtype=float) ** exps,
+                                           axis=1)
         return np.bincount(index, weights=values, minlength=self.n ** (
             order + 1)).reshape((self.n,) * (order + 1))
 
@@ -575,6 +582,51 @@ class TableModel(FluxModel):
 
     def hessian(self, u):
         return self._derivative(u, 2)
+
+
+def _check_speeds(speeds, imag, u):
+    """Raise HyperbolicityError where the ascending speeds at u, whose
+    largest imaginary part is imag, are complex or coincide."""
+    top = max(1.0, max(speeds), -min(speeds))
+    if imag > 1e-12 * top:
+        raise HyperbolicityError(f"complex characteristic speeds at {u}")
+    gaps = map(operator.sub, speeds[1:], speeds)
+    if min(gaps, default=math.inf) < 1e-10 * top:
+        raise HyperbolicityError(f"coincident characteristic speeds at {u}")
+
+
+def _basis_2x2(a, b, c, d, u):
+    """``_sorted_basis`` of the finite Jacobian J = [[a, b], [c, d]] at u.
+
+    With m = (a + d) / 2, h = (a - d) / 2 and q = h^2 + bc the speeds are
+    m -/+ sqrt(q): the one farther from 0 as written, the other as det J
+    over it, which cancels nothing.  r_i is the longer of the rows
+    (b, lambda_i - a) and (lambda_i - d, c) of adj(J - lambda_i I),
+    normalized.  J is first scaled by the power of two of its largest entry,
+    which is exact, so that no square or product overflows."""
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
+    c, d = math.ldexp(c, -e), math.ldexp(d, -e)
+    m, h = 0.5 * (a + d), 0.5 * (a - d)
+    q = h * h + b * c
+    if q > 0.0:
+        far = m + math.copysign(math.sqrt(q), m)
+        lo, hi = sorted((far, (a * d - b * c) / far))
+    else:
+        lo = hi = m
+    speeds = [math.ldexp(lo, e), math.ldexp(hi, e)]
+    _check_speeds(speeds, math.ldexp(math.sqrt(max(-q, 0.0)), e), u)
+    x1, y1 = _longer_unit(b, lo - a, lo - d, c)
+    x2, y2 = _longer_unit(b, hi - a, hi - d, c)
+    return np.array(speeds), np.array([[x1, x2], [y1, y2]])
+
+
+def _longer_unit(x, y, z, w):
+    """The longer of the vectors (x, y) and (z, w), normalized."""
+    if z * z + w * w > x * x + y * y:
+        x, y = z, w
+    norm = math.hypot(x, y)
+    return x / norm, y / norm
 
 
 def _curvature(hessian, right, left):

@@ -243,9 +243,11 @@ def test_chartless_shock_integrates_no_rarefaction(monkeypatch):
 # -- the chartless rarefaction against scipy's DOP853 -------------------------
 
 # f(u) = -g(-u) for the flux g of GAS_TWIN: the Jacobian at u is g's at -u,
-# so np.linalg.eig returns the same columns, while the Hessian changes sign,
-# and with it the orientation rule; every column eig returns points against
-# the oriented r_i, so the field's continuity flip acts at every stage
+# so the closed-form eigenbasis has the same columns, while the Hessian
+# changes sign, and with it the orientation rule; where a column of GAS_TWIN
+# at -u points along its oriented r_i, the same column of MIRROR_TWIN at u
+# points against its own: at each pair of mirrored states the field's
+# continuity flip acts in exactly one of the two
 MIRROR_TWIN = TableModel([[(-1.0, (1, 1))], [(-0.5, (0, 2)), (1.0, (1, 0))]], 1,
                          Box([-1.5, -0.6], [-0.5, 0.6]))
 

@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fronttrack.curves import shock_deviation_coefficient
 from fronttrack.errors import SOLVER_ERRORS, DomainError, HyperbolicityError
 from fronttrack.models import (
-    DOMAIN_SLACK, SPEED_SAMPLES, Box, GasModel, LinearModel, TableModel,
-    _sweep_hypotheses, crossing_time, verify_hypotheses,
+    DOMAIN_SLACK, SPEED_SAMPLES, Box, EigenStructure, FluxModel, GasModel,
+    LinearModel, TableModel, _sweep_hypotheses, crossing_time,
+    verify_hypotheses,
 )
 
 from references import (
@@ -521,8 +524,48 @@ def test_lambdas_are_the_eigen_speeds(model):
 
 # -- the numeric eigenstructure against the whole-array reference ------------
 
+EIGEN_ULPS = 8   # the 2x2 bounds in rounding units; 4.5 is the most seen
+EPS = float(np.finfo(float).eps)
+
+
+def is_eigenbasis(jac, eig):
+    """Whether J r_i = lambda_i r_i for every column r_i of eig.right within
+    EIGEN_ULPS ulps of max|J|."""
+    residual = jac @ eig.right - eig.right * eig.lams
+    return np.max(np.abs(residual)) <= EIGEN_ULPS * EPS * np.max(np.abs(jac))
+
+
+def assert_close_eigen(jac, eig, ref):
+    """The eigenstructure eig of the 2x2 matrix jac agrees with the LAPACK
+    reference ref up to rounding: speeds within EIGEN_ULPS ulps of max|J|
+    times kappa, the largest |l_i| (the speeds' condition number, 1 for a
+    symmetric J), r_i within that over the gap, and l_i within kappa^2 times
+    the r_i bound, since left is the inverse of right.  Where the first
+    component of r_i lies within its bound of the orientation rule's 1e-12
+    floor, either sign of r_i is right."""
+    for name in ("lams", "right", "left"):
+        got, want = getattr(eig, name), getattr(ref, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    kappa = max(math.hypot(*row) for row in ref.left.tolist())
+    tol = EIGEN_ULPS * EPS * float(np.max(np.abs(jac))) * kappa
+    tol_r = tol / float(ref.lams[1] - ref.lams[0])
+    ambiguous = np.abs(np.abs(ref.right[0]) - 1e-12) <= tol_r
+    signs = np.where(ambiguous & (np.sum(eig.right * ref.right, axis=0) < 0),
+                     -1.0, 1.0)
+    assert np.max(np.abs(eig.lams - ref.lams)) <= tol
+    assert np.max(np.abs(eig.right * signs - ref.right)) <= tol_r
+    assert (np.max(np.abs(eig.left * signs[:, None] - ref.left))
+            <= tol_r * kappa * kappa)
+
+
 def assert_same_eigen(model, u):
+    """_numeric_eigen is the array reference: bitwise for n != 2, and for
+    n = 2 within assert_close_eigen's bound, since the closed form cannot
+    repeat LAPACK's balancing, rotations and back-transform."""
     eig, ref = model._numeric_eigen(u), reference_numeric_eigen(model, u)
+    if model.n == 2:
+        assert_close_eigen(model.jacobian(u), eig, ref)
+        return
     for name in ("lams", "right", "left"):
         got, want = getattr(eig, name), getattr(ref, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, u)
@@ -569,6 +612,94 @@ def test_numeric_eigen_raises_as_the_array_reference(terms, u, error, message):
     with pytest.raises(error) as got:
         model._numeric_eigen(u)
     assert str(got.value) == str(want.value)
+
+
+class MatrixModel(FluxModel):
+    """A model of two components whose Jacobian is one given matrix and
+    whose Hessian is zero, so its eigenvectors are oriented by their first
+    component."""
+
+    def __init__(self, jac):
+        super().__init__(2, 0, Box([-1.0, -1.0], [1.0, 1.0]))
+        self.jac = jac
+
+    def jacobian(self, u):
+        return self.jac
+
+    def hessian(self, u):
+        return np.zeros((2, 2, 2))
+
+
+@st.composite
+def matrices_2x2(draw):
+    """2x2 matrices of entries in [-1, 1], +-0.0 among them, of one of
+    several shapes, scaled by 1e-150 to 1e150; a lone entry near the
+    largest float or a non-finite one is one more shape."""
+    unit = st.floats(-1.0, 1.0)
+    a, b, c, d = draw(st.lists(unit, min_size=4, max_size=4))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    shape = draw(st.sampled_from(["full", "upper", "lower", "diagonal",
+                                  "symmetric", "near_coincident", "extreme",
+                                  "non_finite"]))
+    if shape in ("lower", "diagonal"):
+        b = zero
+    if shape in ("upper", "diagonal"):
+        c = zero
+    if shape == "symmetric":
+        c = b
+    if shape == "near_coincident":
+        # a I + delta S: speeds a + delta * (the speeds of S)
+        delta = 10.0 ** -draw(st.integers(3, 16))
+        s = draw(st.lists(unit, min_size=4, max_size=4))
+        a, b, c, d = (a + delta * s[0], delta * s[1], delta * s[2],
+                      a + delta * s[3])
+    jac = np.array([[a, b], [c, d]]) * 10.0 ** draw(st.integers(-150, 150))
+    if shape in ("extreme", "non_finite"):
+        lone = (st.floats(1e300, 1.7e308) if shape == "extreme"
+                else st.sampled_from([np.inf, -np.inf, np.nan]))
+        jac[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = (
+            draw(lone) * draw(st.sampled_from([1.0, -1.0])))
+    return jac
+
+
+def _eigen_outcome(eigen, model, u):
+    """The eigenstructure, or the error's class and message."""
+    try:
+        return eigen(model, u)
+    except (DomainError, HyperbolicityError) as exc:
+        return type(exc), str(exc)
+
+
+def on_a_speed_threshold(jac):
+    """Whether the exact discriminant q = h^2 + bc of jac lies within
+    EIGEN_ULPS ulps of max|J|^2 of the complex or the coincident test's
+    threshold, where rounding, LAPACK's or the closed form's, decides."""
+    a, b, c, d = map(Fraction, jac.ravel().tolist())
+    m, q = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
+    top = max(Fraction(1), abs(m))
+    slack = (EIGEN_ULPS * Fraction(EPS)
+             * Fraction(float(np.max(np.abs(jac)))) ** 2)
+    return min(abs(q + (Fraction(1e-12) * top) ** 2),
+               abs(q - (Fraction(0.5e-10) * top) ** 2)) <= slack
+
+
+@settings(max_examples=300, deadline=None)
+# u = 0.01 of test_non_finite_sweep_values_fail_their_checks: h^2 overflows
+# unless J is scaled first
+@example(jac=np.array([[-1.52e308, 0.0], [0.0, 1.0]]))
+@given(jac=matrices_2x2())
+def test_closed_form_basis_has_the_outcome_of_lapack(jac):
+    model, u = MatrixModel(jac), np.zeros(2)
+    got = _eigen_outcome(MatrixModel._numeric_eigen, model, u)
+    want = _eigen_outcome(reference_numeric_eigen, model, u)
+    if isinstance(got, EigenStructure) and isinstance(want, EigenStructure):
+        assert is_eigenbasis(jac, got)
+        # LAPACK's balancing can lose an eigenvector when the entries span
+        # hundreds of orders of magnitude; there its columns are not checked
+        if is_eigenbasis(jac, want):
+            assert_close_eigen(jac, got, want)
+    elif got != want:
+        assert on_a_speed_threshold(jac), (got, want)
 
 
 # -- the curvature matrix against the finite-difference probes ---------------

@@ -6,15 +6,18 @@ Usage: python tools/seed_outputs.py OUT
 Each request of perfbench/workloads.py runs through scenarios.run_scenario
 into OUT/<workload>/<index>, and each request of EXTRA into
 OUT/extra/<name>, so two runs, or two checkouts, compare with ``diff -r``.
-The extra requests are a gas and a custom-table ``curves`` run, a linear
-``steer``, a ``linear_control`` run, a ``stabilize`` run that starts far
-from its target, so its steering pre-phase runs, and a ``counterexample``
-whose initial jumps hold a rarefaction, so the density bins and the kappa
-fit see positive atoms; ``fronttrack plots`` then writes its .dat files into
-copies of the first counterexample and stabilize runs, OUT/extra/plots_<kind>.
+The extra requests are a gas and a custom-table ``curves`` run, a 6-jump
+custom-table ``evolve``, whose rarefaction fans integrate chartless curves,
+a linear ``steer``, a ``linear_control`` run, a ``stabilize`` run that
+starts far from its target, so its steering pre-phase runs, and a
+``counterexample`` whose initial jumps hold a rarefaction, so the density
+bins and the kappa fit see positive atoms; ``fronttrack plots`` then
+writes its .dat files into copies of the first counterexample and
+stabilize runs, OUT/extra/plots_<kind>.
 A request that fails stops the script with its traceback.
 """
 
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -25,7 +28,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import fronttrack.cli  # noqa: E402
 import fronttrack.riemann  # noqa: E402
 import fronttrack.scenarios  # noqa: E402
-from workloads import COUNTEREXAMPLE, STAB_GAS, WORKLOADS  # noqa: E402
+from workloads import (  # noqa: E402
+    COUNTEREXAMPLE, STAB_GAS, WORKLOADS, evolve_config,
+)
 
 _GAS = {"kind": "gas", "K": 1.0, "gamma": 2.0, "box": [[0.5, 1.5], [-0.4, 0.4]]}
 _TABLE = {"kind": "custom-table",
@@ -37,6 +42,8 @@ EXTRA = {
                    "curves": {"u0": [1.0, 0.0], "samples": 5}},
     "curves_table": {"experiment": "curves", "model": _TABLE,
                      "curves": {"u0": [1.0, 0.0], "samples": 5}},
+    "evolve_table": {**evolve_config(random.Random(1), n_jumps=6),
+                     "model": _TABLE, "epsilon": 0.02},
     "steer_linear": {"experiment": "steer",
                      "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
                      "domain": [0.0, 1.0], "omega": [0.0, 0.0],
