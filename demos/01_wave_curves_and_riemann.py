@@ -24,10 +24,12 @@ print("== curves through (rho, u) = (1, 0) ==")
 for family in (1, 2):
     rar = rarefaction_curve(gas, u0, family, 0.15)
     shk = shock_curve(gas, u0, family, -0.15)
+    rh = np.max(np.abs(gas.flux(shk.state) - gas.flux(u0)
+                       - shk.speed * (shk.state - u0)))
     print(f"family {family}:")
     print(f"  rarefaction(+0.15) -> state {rar.state}, speed {rar.speed:+.6f}")
     print(f"  shock(-0.15)       -> state {shk.state}, speed {shk.speed:+.6f},"
-          f" jump-condition residual {shk.residual:.2e}")
+          f" jump-condition residual {rh:.2e}")
     lam_l = gas.lambdas(u0)[family - 1]
     lam_r = gas.lambdas(shk.state)[family - 1]
     print(f"  admissibility: {lam_l:+.4f} > {shk.speed:+.4f} > {lam_r:+.4f}")

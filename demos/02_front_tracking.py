@@ -59,7 +59,7 @@ print("\nfunctional history (t, V, Q, TV):")
 for t, V, Q, TV in sim.functional_history:
     print(f"  t={t:7.3f}  V={V:.6f}  Q={Q:.3e}  TV={TV:.6f}")
 
-c0 = calibrate_interaction_constant(gas, n_samples=60)
+c0 = calibrate_interaction_constant(gas)
 ok, worst, n = check_upsilon(sim, c0, 10 * sim.eps)
 print(f"\nV + c0 Q monotone across {n} interactions "
       f"(c0={c0:.4f}, worst increment {worst:.1e}): {ok}")

@@ -25,6 +25,7 @@ from .riemann import split_boundary_pair, split_boundary_pair_reverse
 from .tracking import MAX_EVENTS, Simulation
 
 EPS_FACTOR = 0.25   # front-tracking accuracy ratio of successive steps
+DELTA_FLOOR = 1e-9  # round-off level of stabilize's delta
 
 __all__ = [
     "crossing_time", "linear_exact_control", "steer_constant_states",
@@ -338,17 +339,17 @@ class StabilizeResult:
     u_star: np.ndarray
 
 
-def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1,
-              floor=1e-9):
+def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1):
     """Iterated stabilization toward u_star with geometrically tightening
     front-tracking accuracy (eps_k = eps0 * EPS_FACTOR^k).
 
     When the initial profile sits farther than delta0 from u_star, a
     steering pre-phase first waits tau and then hops along a
     Riemann-coordinate chain toward it.  Records delta_k = max(sup distance,
-    TV) at each step boundary, at absolute times; a non-decreasing delta
-    above the floor is a contraction failure, which ``record.failure``
-    states and the caller acts on.
+    TV) at each step boundary, at absolute times, up to step k_max or a
+    delta below DELTA_FLOOR; a non-decreasing delta above 10 DELTA_FLOOR
+    is a contraction failure, which ``record.failure`` states and the
+    caller acts on.
     """
     u_star = np.asarray(u_star, dtype=float)
     tau = crossing_time(model, (phi.a, phi.b))
@@ -375,7 +376,7 @@ def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1,
             prev = record.rows[-1].delta
             ratio = delta / prev ** 2 if prev > 0 else float("nan")
         record.rows.append(ContractionRow(k, t, sup, tv, delta, ratio))
-        if k == k_max or delta < floor:
+        if k == k_max or delta < DELTA_FLOOR:
             break
         eps_k = max(eps0 * EPS_FACTOR ** k, 1e-11)
         step = stabilization_step(model, current, u_star, eps_k, delta0=delta0)
@@ -385,7 +386,7 @@ def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1,
     deltas = record.deltas
     for k in range(1, len(deltas)):
         if deltas[k - 1] <= delta0 and deltas[k] >= deltas[k - 1] \
-                and deltas[k] > 10 * floor:
+                and deltas[k] > 10 * DELTA_FLOOR:
             record.failure = (f"delta did not decrease at step {k}: "
                               f"{deltas[k - 1]:.3e} -> {deltas[k]:.3e}")
             break

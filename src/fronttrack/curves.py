@@ -64,12 +64,13 @@ ERROR_EXPONENT = -1 / 8   # of the seventh-order error estimate
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Point on a parametrized wave curve through some base state."""
+    """Point on a parametrized wave curve through some base state; a shock
+    point's speed is its Rankine-Hugoniot speed, whose residual
+    ``riemann._solution`` measures."""
 
     state: np.ndarray
     speed: float
     sigma: float
-    residual: float = 0.0
 
 
 def _check_radius(model, sigma):
@@ -208,8 +209,7 @@ def shock_curve(model, u0, family, sigma):
     eigenpair of u0: the state u0 + sigma r_family(u0) and the speed
     lambda_family(u0).  The locus is tangent to r_family at u0 (Lax 1957),
     so the seed state is O(sigma^2) from the root and no curve is
-    integrated for it.  Either way the RH residual is measured from the
-    flux.
+    integrated for it.
     Admissibility is not enforced here; sigma > 0 parametrizes the
     non-entropic branch.
     """
@@ -218,17 +218,15 @@ def shock_curve(model, u0, family, sigma):
     _check_radius(model, sigma)
     if sigma == 0.0:
         return CurvePoint(u0.copy(), float(model.lambdas(u0)[family - 1]), 0.0)
-    f0 = model.flux(u0)
     if model.kind == "linear":
         eig = model.eigen(u0)
         state, speed = u0 + sigma * eig.r(family), eig.lam(family)
     elif model.kind == "gas":
         state, speed = model.hugoniot_point(u0, family, sigma)
     else:
-        state, speed = _newton_shock(model, u0, f0, family, sigma)
+        state, speed = _newton_shock(model, u0, model.flux(u0), family, sigma)
     model.check_domain(state)
-    residual = float(np.max(np.abs(model.flux(state) - f0 - speed * (state - u0))))
-    return CurvePoint(state, speed, float(sigma), residual)
+    return CurvePoint(state, speed, float(sigma))
 
 
 def _newton_shock(model, u0, f0, family, sigma):

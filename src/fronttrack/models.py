@@ -637,8 +637,8 @@ def _curvature(hessian, right, left):
     return np.einsum("ka,abc,bi,ci->ki", left, hessian, right, right)
 
 
-def verify_hypotheses(model, samples_per_axis=32, admitted_only=False):
-    """Sweep the working box and measure the structural hypotheses.
+def verify_hypotheses(model, samples_per_axis=32):
+    """Sweep the admissible domain and measure the structural hypotheses.
 
     Checks the speed sign pattern, the uniform speed floor, genuine
     nonlinearity of every family, and (for 2x2 systems) the clockwise-turning
@@ -649,27 +649,21 @@ def verify_hypotheses(model, samples_per_axis=32, admitted_only=False):
     point passes a check only where its value is finite, and a check with
     a NaN value has margin NaN: a flux whose Hessian overflows fails.
 
-    By default the sweep probes the whole box (so a box straying past a
-    sonic line shows up as a sign violation); with ``admitted_only`` it
-    audits only ``model.admitted_grid``, the declared admissible domain,
-    which is the admission check run before control experiments.
+    The sweep audits ``model.admitted_grid``, the states ``check_domain``
+    lets a run reach; it is the admission check run before control
+    experiments.
 
-    The report is computed once per model, keyed by (samples_per_axis,
-    admitted_only), and shared by later calls: models are immutable.  A
-    sweep that raises stores nothing.  A report that fails a check is kept,
-    and each caller that gates on it refuses the model again.
+    The report is computed once per model and samples_per_axis, and shared
+    by later calls: models are immutable.  A sweep that raises stores
+    nothing.  A report that fails a check is kept, and each caller that
+    gates on it refuses the model again.
     """
-    return model._fact(
-        ("hypotheses", samples_per_axis, bool(admitted_only)),
-        lambda: _sweep_hypotheses(model, samples_per_axis, admitted_only))
+    return model._fact(("hypotheses", samples_per_axis),
+                       lambda: _sweep_hypotheses(model, samples_per_axis))
 
 
-def _sweep_hypotheses(model, samples_per_axis, admitted_only):
-    if admitted_only:
-        pts = model.admitted_grid(samples_per_axis)
-    else:
-        pts = [u for u in model.box.grid(samples_per_axis)
-               if _loose_valid(model, u)]
+def _sweep_hypotheses(model, samples_per_axis):
+    pts = model.admitted_grid(samples_per_axis)
     n, p = model.n, model.p
     violations, used, lams, curv, w12 = [], [], [], [], []
     for u in pts:
@@ -709,16 +703,6 @@ def _sweep_hypotheses(model, samples_per_axis, admitted_only):
         checks[name] = not fails.any()
         violations += [(name, used[j]) for j in np.flatnonzero(fails)]
     return HypothesisReport(checks, margins, violations, len(used))
-
-
-def _loose_valid(model, u):
-    """Accept states the sweep should still probe (e.g. supersonic gas
-    states inside the box, which must show up as sign violations)."""
-    if not np.all(np.isfinite(u)):
-        return False
-    if isinstance(model, GasModel):
-        return u[0] > 0
-    return True
 
 
 def crossing_time(model, interval):

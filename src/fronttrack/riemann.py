@@ -199,21 +199,24 @@ def solve_riemann(model, ul, ur):
 def _split(model, a, b, label, d):
     """The split of (a, b) = (v, v') forward (d = 1) or (u*, w) in reverse
     (d = -1).  A chartless model raises NotImplementedError before any Lax
-    curve is evaluated, and a jump beyond DELTA_RIEMANN RadiusError.  The
-    gas crosses its two curves from a and b.  A linear model's Lax curves
-    are the lines u + sigma r_i, so its strengths are one projection on the
-    left eigenbasis, L (d (b - a)) with the upper group negated (in reverse,
-    L (w - u*) with the lower group negated), and its state is
+    curve is evaluated.  The gas crosses its two curves from a and b, and
+    raises RadiusError on a jump beyond DELTA_RIEMANN.  A linear model's Lax
+    curves are the lines u + sigma r_i, so it splits a jump of any size by
+    one projection on the left eigenbasis: its strengths are L (d (b - a))
+    with the upper group negated (in reverse, L (w - u*) with the lower
+    group negated), and its state is
     a + d R_lower sigma_lower.  Strengths below SIGMA_NULL are zeroed first,
     so u* comes back when w lies on its upper-family curve.  The residual
     is the gap at b between the two groups' recompositions."""
     if not model.has_chart:
         raise NotImplementedError(f"{model.kind} model has no Riemann chart")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    _checked_jump(model, a, b, label, "split")
     if model.kind == "gas":
+        _checked_jump(model, a, b, label, "split")
         state, sig, _, residual = _gas_crossing(model, "split", a, b, d, d)
         return BoundarySplit(state, sig, residual)
+    model.check_domain(a)
+    model.check_domain(b)
     p, eig = model.p, model.eigen(a)
     sig = eig.left @ (d * (b - a))
     sig[p:] = -sig[p:]

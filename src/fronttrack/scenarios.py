@@ -692,7 +692,9 @@ def _counterexample_reports(config, model, out, sim):
         "tracked_fate": track.fate,
         "kappa_trend_slope": slope,
         "kappa_trend_stderr": err,
-        "strength_parametrization": "riemann-coordinate-jump",
+        "strength_parametrization": (
+            "riemann-coordinate-jump" if model.has_chart
+            else "left-eigenvector-projection"),
     }
 
 
@@ -859,7 +861,7 @@ def _admission_gate(model, experiment):
         return
     if experiment not in ("steer", "stabilize", "counterexample"):
         return
-    report = verify_hypotheses(model, samples_per_axis=12, admitted_only=True)
+    report = verify_hypotheses(model, samples_per_axis=12)
     if not report.admitted:
         raise ContractViolationError(
             "model rejected by the hypothesis sweep:\n" + report.summary(),

@@ -63,6 +63,8 @@ SPACE_TIE = 1e-9        # simultaneous events closer than this share a point
 WRONG_FAMILY_TOL = 1e-8  # injected waves of the wrong side above this abort
 MAX_INSTANT_EVENTS = 10000
 MAX_EVENTS = 2_000_000
+CALIBRATION_SAMPLES = 200           # accepted interactions per calibration
+CALIBRATION_SEED = 0                # seed of the calibration draws
 CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
 CALIBRATION_SIGMAS = (0.01, 0.1)    # range of the drawn |strengths|
 CALIBRATION_BOX_MARGIN = 0.25       # box shrink factor, per side
@@ -687,34 +689,35 @@ def check_upsilon(sim, c0, tol):
     return (worst <= tol) and q_ok, worst, n_checked
 
 
-def calibrate_interaction_constant(model, n_samples=200, seed=0):
+def calibrate_interaction_constant(model):
     """Empirical constant c0 making V + c0 Q non-increasing for this model.
 
-    Samples random approaching two-wave interactions in the shrunken working
-    box and returns twice the worst observed production-to-potential ratio.
-    Raises ContractViolationError when fewer than n_samples of
-    CALIBRATION_DRAWS_PER_SAMPLE * n_samples draws are admissible.
+    Samples CALIBRATION_SAMPLES random approaching two-wave interactions in
+    the shrunken working box, drawn from CALIBRATION_SEED, and returns twice
+    the worst observed production-to-potential ratio.  Raises
+    ContractViolationError when fewer than CALIBRATION_SAMPLES of
+    CALIBRATION_DRAWS_PER_SAMPLE * CALIBRATION_SAMPLES draws are admissible.
 
-    c0 is computed once per model, keyed by (n_samples, seed), and reused:
-    models are immutable and the draws are seeded.  A calibration that
-    raises stores nothing, so it raises again on the next call.
+    c0 is computed once per model and reused: models are immutable and the
+    draws are seeded.  A calibration that raises stores nothing, so it
+    raises again on the next call.
     """
-    return model._fact(("c0", n_samples, seed),
-                       lambda: _calibrate(model, n_samples, seed))
+    return model._fact(("c0",), lambda: _calibrate(model))
 
 
-def _calibrate(model, n_samples, seed):
-    rng = np.random.default_rng(seed)
+def _calibrate(model):
+    rng = np.random.default_rng(CALIBRATION_SEED)
     inner = model.box.shrunk(CALIBRATION_BOX_MARGIN)
     lo, hi = CALIBRATION_SIGMAS
     worst = 0.0
     tried = draws = 0
-    while tried < n_samples:
-        if draws == CALIBRATION_DRAWS_PER_SAMPLE * n_samples:
+    while tried < CALIBRATION_SAMPLES:
+        if draws == CALIBRATION_DRAWS_PER_SAMPLE * CALIBRATION_SAMPLES:
             raise ContractViolationError(
                 f"interaction-constant calibration accepted {tried} of {draws} "
-                f"draws, short of {n_samples} samples: the working box shrunk "
-                f"by {CALIBRATION_BOX_MARGIN} holds too few admissible states",
+                f"draws, short of {CALIBRATION_SAMPLES} samples: the working "
+                f"box shrunk by {CALIBRATION_BOX_MARGIN} holds too few "
+                f"admissible states",
                 {"accepted": tried, "attempted": draws})
         draws += 1
         u0 = rng.uniform(inner.lows, inner.highs)

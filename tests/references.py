@@ -9,13 +9,19 @@ from fronttrack.errors import (
     RadiusError,
 )
 from fronttrack.models import (
-    DOMAIN_SLACK, GNL_FLOOR, SPEED_FLOOR, EigenStructure, HypothesisReport,
-    _curvature, _loose_valid, wedge,
+    DOMAIN_SLACK, GNL_FLOOR, SPEED_FLOOR, Box, EigenStructure,
+    HypothesisReport, LinearModel, TableModel, _curvature, wedge,
 )
 from fronttrack.newton import MAX_ITER, RES_TOL, STEP_TOL, newton_solve
 from fronttrack.riemann import (
     DELTA_RIEMANN, RESIDUAL_TOL, _checked_jump, _coords, _solution_from_sigmas,
 )
+
+# the gas at K = 1, gamma = 2 written as a monomial table: (rho v, v^2/2 + rho)
+GAS_TWIN = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], 1,
+                      Box([0.5, -0.6], [1.5, 0.6]))
+# three coupled families, two of them negative
+LINEAR3 = LinearModel([[-2.0, 0.2, 0.0], [0.1, -1.0, 0.1], [0.0, 0.2, 1.5]])
 
 
 def chart_gradient(gas, u, family):
@@ -276,15 +282,11 @@ def split_recomposition_gap(model, data, split, reverse=False):
                for u, s, first, end in legs)
 
 
-def reference_sweep_hypotheses(model, samples_per_axis, admitted_only):
+def reference_sweep_hypotheses(model, samples_per_axis):
     """The structural-hypothesis sweep with one running accumulator per
     check, updated and flagged point by point: violations in grid order,
     each margin the first of its equal worst values."""
-    if admitted_only:
-        pts = model.admitted_grid(samples_per_axis)
-    else:
-        pts = [u for u in model.box.grid(samples_per_axis)
-               if _loose_valid(model, u)]
+    pts = model.admitted_grid(samples_per_axis)
     checks, margins, violations = {}, {}, []
 
     sign_margin = np.inf

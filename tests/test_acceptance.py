@@ -234,9 +234,9 @@ def test_criterion_6_upsilon_monotonicity(near_sonic, stab_gas,
                                           counterexample_run,
                                           stabilize_sweep):
     checks = []
-    c0_near = calibrate_interaction_constant(near_sonic, n_samples=80, seed=6)
+    c0_near = calibrate_interaction_constant(near_sonic)
     checks.append(check_upsilon(counterexample_run[1], c0_near, 10 * 0.01))
-    c0_stab = calibrate_interaction_constant(stab_gas, n_samples=80, seed=6)
+    c0_stab = calibrate_interaction_constant(stab_gas)
     for res, _dt in stabilize_sweep.values():
         for step in res.steps:
             checks.append(check_upsilon(step.sim, c0_stab, 10 * step.sim.eps))

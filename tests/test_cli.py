@@ -971,6 +971,47 @@ def test_steer_at_a_large_gas_K_exits_0(tmp_path, K, omega_prime):
     assert metrics["final_sup_dist"] <= 1e-6
 
 
+def test_linear_steer_splits_a_jump_beyond_the_riemann_radius(tmp_path):
+    # a linear model splits by projection, at any jump, as it solves
+    # Riemann problems: one hop of 3.19 exited 3 ("|v - v'| = 3.19 exceeds
+    # split radius 0.3")
+    config = {"schema": "scenario-v1", "experiment": "steer",
+              "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
+              "domain": [0.0, 1.0], "omega": [0.0, 0.0],
+              "omega_prime": [3.0, -2.0], "delta_chain": 5.0}
+    cfg = _write(tmp_path, "steer.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "metrics"]
+    assert (metrics["hops"], metrics["fronts_final"]) == (1, 0)
+    assert metrics["final_sup_dist"] <= 1e-6
+
+
+@pytest.mark.parametrize("model, unit", [
+    (dict(NEAR_SONIC_BLOCK), "riemann-coordinate-jump"),
+    ({"kind": "custom-table",
+      "terms": [[[1, [1, 1]]], [[0.5, [0, 2]], [1, [1, 0]]]], "p": 1,
+      "box": [[0.5, 1.5], [-0.4, 0.4]]}, "left-eigenvector-projection"),
+], ids=["gas", "custom-table"])
+def test_counterexample_names_the_strength_unit_of_its_model(tmp_path, model,
+                                                             unit):
+    # a chartless model's strength is a left-eigenvector projection, which
+    # the manifest of a custom-table run called a Riemann-coordinate jump
+    config = {"schema": "scenario-v1", "experiment": "counterexample",
+              "model": model, "domain": [0.0, 1.0],
+              "initial": {"kind": "dense_shocks", "n": 7, "budget": 0.05,
+                          "base": model.get("ref_state", [1.0, 0.0])},
+              "horizon": 0.3, "epsilon": 0.02}
+    cfg = _write(tmp_path, "counterexample.json", config)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    metrics = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "metrics"]
+    assert metrics["strength_parametrization"] == unit
+
+
 def test_model_failing_the_hypothesis_sweep_exits_4(tmp_path, capsys):
     # f = (-u, v) is linear: no family is genuinely nonlinear
     config = {"schema": "scenario-v1", "experiment": "counterexample",

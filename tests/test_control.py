@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fronttrack import control
 from fronttrack.control import (
     crossing_time, linear_exact_control, stabilization_step, stabilize,
     steer_constant_states,
@@ -196,14 +197,14 @@ def test_stabilize_pre_phase_reaches_far_target(gas_slow):
 
 
 @pytest.mark.parametrize("case", ["steps", "pre_phase_then_steps"])
-def test_stabilize_reports_absolute_time(gas_slow, case):
+def test_stabilize_reports_absolute_time(gas_slow, case, monkeypatch):
     # floor 0 keeps the loop stepping after it reaches u_star exactly
+    monkeypatch.setattr(control, "DELTA_FLOOR", 0.0)
     if case == "steps":
         u_star = np.array([1.0, 0.98])
         prof = dense_initial_data(gas_slow, 15, -0.08, (0.0, 1.0),
                                   base_state=u_star)
-        res = stabilize(gas_slow, prof, u_star, k_max=3, eps0=0.01,
-                        floor=0.0)
+        res = stabilize(gas_slow, prof, u_star, k_max=3, eps0=0.01)
         start = 0.0
         assert res.pre_plan.actions == []
     else:
@@ -211,7 +212,7 @@ def test_stabilize_reports_absolute_time(gas_slow, case):
         prof = dense_initial_data(gas_slow, 7, -0.01, (0.0, 1.0),
                                   base_state=[1.0, 0.98])
         res = stabilize(gas_slow, prof, u_star, k_max=2, eps0=0.002,
-                        delta0=0.03, floor=0.0)
+                        delta0=0.03)
         n_hops = len(res.pre_plan.actions) // 2
         assert n_hops >= 1
         start = (1 + 2 * n_hops) * res.tau

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fronttrack import models
 from fronttrack.curves import lax_curve, rarefaction_curve, shock_curve
 from fronttrack.errors import SOLVER_ERRORS, DomainError
-from fronttrack.models import Box, GasModel, LinearModel, TableModel
+from fronttrack.models import Box, GasModel
 from fronttrack.newton import RES_TOL, newton_solve, scalar_root
 from fronttrack.riemann import (
     DELTA_RIEMANN, RESIDUAL_TOL, _solution_from_sigmas, compose_waves,
@@ -24,7 +24,7 @@ from fronttrack.riemann import (
 )
 
 from references import (
-    chart_gradient, reference_split_boundary_pair,
+    GAS_TWIN, LINEAR3, chart_gradient, reference_split_boundary_pair,
     reference_split_boundary_pair_reverse, split_recomposition_gap,
 )
 
@@ -32,10 +32,6 @@ from references import (
 WIDE = Box([1e-3, -50.0], [50.0, 50.0])
 
 GAS2 = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.6], [1.5, 0.6]))
-# the same flux as GAS2 written as a monomial table: (rho v, v^2/2 + rho)
-TWIN = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], p=1,
-                  box=Box([0.5, -0.6], [1.5, 0.6]))
-LINEAR3 = LinearModel([[-2.0, 0.2, 0.0], [0.1, -1.0, 0.1], [0.0, 0.2, 1.5]])
 
 
 @st.composite
@@ -177,11 +173,11 @@ def riemann_data(draw):
     """A drawn gas and a subsonic state, or the table twin of GAS2 or the
     three-family linear model and a state inside its box; and strengths to
     compose from the state."""
-    model = draw(st.one_of(gases(), st.sampled_from([TWIN, LINEAR3])))
+    model = draw(st.one_of(gases(), st.sampled_from([GAS_TWIN, LINEAR3])))
     if model is LINEAR3:
         ul = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
         return model, ul, [draw(st.floats(-0.5, 0.5)) for _ in range(3)]
-    if model is TWIN:
+    if model is GAS_TWIN:
         ul = np.array([draw(st.floats(0.8, 1.2)), draw(st.floats(-0.2, 0.2))])
     else:
         ul = draw(subsonic_states(model))
@@ -308,7 +304,7 @@ def test_gas_riemann_matches_generic_solver_on_table_twin(rho, v, s1, s2):
     ul = np.array([rho, v])
     ur = compose_waves(GAS2, ul, [s1, s2])
     gas = solve_riemann(GAS2, ul, ur)
-    table = solve_riemann(TWIN, ul, ur)
+    table = solve_riemann(GAS_TWIN, ul, ur)
     assert np.max(np.abs(gas.states[1] - table.states[1])) <= 1e-9
     # the table's Newton shock solve pins a speed only to its flux residual
     # over the jump, so compare shocks that are not tiny

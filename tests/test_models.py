@@ -15,8 +15,9 @@ from fronttrack.models import (
 )
 
 from references import (
-    chart_gradient, reference_box_contains, reference_deviation_coefficient,
-    reference_gas_flux, reference_gas_from_riemann, reference_gas_lambdas,
+    GAS_TWIN, chart_gradient, reference_box_contains,
+    reference_deviation_coefficient, reference_gas_flux,
+    reference_gas_from_riemann, reference_gas_lambdas,
     reference_gas_to_riemann, reference_numeric_eigen,
     reference_sweep_hypotheses, reference_wedge_bend,
 )
@@ -89,14 +90,6 @@ def test_hypotheses_pass_on_moderate_box():
     assert report.margins["wedge_r1_r2"] > 0
     assert report.margins["wedge_bend_1"] > 0
     assert report.margins["wedge_bend_2"] > 0
-
-
-def test_hypotheses_detect_sonic_crossing():
-    # lambda_1 = u - sqrt(rho) crosses zero inside this box (e.g. u=1.1, rho=1)
-    model = GasModel(K=1.0, gamma=2.0, box=Box([0.9, 0.8], [1.1, 1.2]))
-    report = verify_hypotheses(model, samples_per_axis=9)
-    assert not report.checks["speed_floor"]
-    assert any(name == "speed_floor" for name, _ in report.violations)
 
 
 def test_hypotheses_linear_diagonal(diag_linear):
@@ -195,9 +188,7 @@ GAS_SONIC = GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),
                      ref_state=[1.0, 0.98], min_speed=0.002)
 LINEAR3 = LinearModel(np.diag([-1.0, 0.5, 1.0]),
                       box=Box([-1.0, -2.0, 0.0], [1.0, 0.5, 3.0]))
-TABLE = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], 1,
-                   Box([0.5, -0.6], [1.5, 0.6]))
-DOMAIN_MODELS = [GAS_BOX, GAS_SONIC, LINEAR3, TABLE]
+DOMAIN_MODELS = [GAS_BOX, GAS_SONIC, LINEAR3, GAS_TWIN]
 
 
 def numpy_in_domain(model, u, slack=SLACK):
@@ -408,7 +399,7 @@ TABLE3 = TableModel([[(-2.0, (1, 0, 0)), (0.5, (2, 0, 0))],
                     1, Box([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5]))
 
 
-@pytest.mark.parametrize("model", [TABLE, LINEAR_TABLE, TABLE3],
+@pytest.mark.parametrize("model", [GAS_TWIN, LINEAR_TABLE, TABLE3],
                          ids=["gas_twin", "linear_table", "table3"])
 def test_orientation_matches_the_finite_difference_rule(model):
     for u in model.box.grid(32):
@@ -416,7 +407,7 @@ def test_orientation_matches_the_finite_difference_rule(model):
         assert np.array_equal(reference_orient(model, u, eig.right), eig.right), u
 
 
-@pytest.mark.parametrize("model", [TABLE, LINEAR_TABLE, TABLE3],
+@pytest.mark.parametrize("model", [GAS_TWIN, LINEAR_TABLE, TABLE3],
                          ids=["gas_twin", "linear_table", "table3"])
 def test_left_basis_is_the_inverse_of_the_oriented_right_basis(model):
     # the inverse is taken once, before orienting, and its rows flipped
@@ -430,14 +421,13 @@ def test_model_facts_are_computed_once_per_key():
     model = GasModel(K=1.0, gamma=2.0, box=Box([0.5, -0.4], [1.5, 0.4]))
     report = verify_hypotheses(model, samples_per_axis=6)
     assert verify_hypotheses(model, samples_per_axis=6) is report
-    assert verify_hypotheses(model, 6, admitted_only=True) is not report
     assert verify_hypotheses(model, samples_per_axis=7) is not report
     speed = model.least_speed()
     # tau is not cached: it scales with the interval
     assert crossing_time(model, (0.0, 2.0)) == 2.0 / speed
     assert crossing_time(model, (1.0, 1.5)) == 0.5 / speed
-    assert set(model._facts) == {("hypotheses", 6, False), ("least_speed",),
-                                 ("hypotheses", 6, True), ("hypotheses", 7, False)}
+    assert set(model._facts) == {("hypotheses", 6), ("least_speed",),
+                                 ("hypotheses", 7)}
 
 
 def test_an_empty_grid_raises_on_every_call():
@@ -497,12 +487,13 @@ def test_gas_gnl_is_the_chart_constant(gamma):
 
 def test_table_gnl_matches_finite_difference_of_speeds():
     h = 1e-6
-    for u in TABLE.admitted_grid(7):
-        eig = TABLE.eigen(u)
-        fd = [(TABLE.lambdas(u + h * eig.r(i)) - TABLE.lambdas(u - h * eig.r(i)))[i - 1]
-              / (2 * h) for i in (1, 2)]
-        assert np.allclose(TABLE.gnl(u), fd, atol=1e-7)
-        assert np.all(TABLE.gnl(u) > 0)
+    for u in GAS_TWIN.admitted_grid(7):
+        eig = GAS_TWIN.eigen(u)
+        fd = [(GAS_TWIN.lambdas(u + h * eig.r(i))
+               - GAS_TWIN.lambdas(u - h * eig.r(i)))[i - 1] / (2 * h)
+              for i in (1, 2)]
+        assert np.allclose(GAS_TWIN.gnl(u), fd, atol=1e-7)
+        assert np.all(GAS_TWIN.gnl(u) > 0)
 
 
 @pytest.mark.parametrize("model", [LinearModel([[-2.0, 0.5], [0.3, 1.5]]),
@@ -513,7 +504,7 @@ def test_linear_gnl_vanishes(model):
         assert np.array_equal(model.gnl(u), np.zeros(model.n))
 
 
-@pytest.mark.parametrize("model", [GAS_BOX, TABLE, TABLE3, LINEAR3],
+@pytest.mark.parametrize("model", [GAS_BOX, GAS_TWIN, TABLE3, LINEAR3],
                          ids=["gas", "gas_twin", "table3", "linear3"])
 def test_lambdas_are_the_eigen_speeds(model):
     # the curves and the Riemann waves read one speed from lambdas, not
@@ -572,8 +563,8 @@ def assert_same_eigen(model, u):
         assert got.tobytes() == want.tobytes(), (name, u)
 
 
-@pytest.mark.parametrize("model, samples", [(TABLE, 32), (LINEAR_TABLE, 16),
-                                            (TABLE3, 9)],
+@pytest.mark.parametrize("model, samples", [(GAS_TWIN, 32),
+                                            (LINEAR_TABLE, 16), (TABLE3, 9)],
                          ids=["gas_twin", "linear_table", "table3"])
 def test_numeric_eigen_is_the_array_reference_bitwise(model, samples):
     for u in model.box.grid(samples):
@@ -795,11 +786,11 @@ def swept_models(draw):
                                  TABLE3]))
 
 
-def _sweep_outcome(sweep, model, samples, admitted_only):
+def _sweep_outcome(sweep, model, samples):
     """Everything a report says, margins by repr so that a zero keeps its
     sign and violations as a multiset; or the error's class and message."""
     try:
-        report = sweep(model, samples, admitted_only)
+        report = sweep(model, samples)
     except SOLVER_ERRORS as exc:
         return type(exc), str(exc)
     return (report.checks, {k: repr(v) for k, v in report.margins.items()},
@@ -808,16 +799,13 @@ def _sweep_outcome(sweep, model, samples, admitted_only):
 
 
 @settings(max_examples=80, deadline=None)
-@example(model=CORNER_TABLE, samples=12, admitted_only=False)
-@example(model=LINEAR_TABLE, samples=5, admitted_only=True)
-@example(model=DECOUPLED_TABLE, samples=6, admitted_only=True)
-@given(model=swept_models(), samples=st.integers(3, 12),
-       admitted_only=st.booleans())
-def test_tabled_sweep_matches_the_running_accumulators(model, samples,
-                                                       admitted_only):
-    assert (_sweep_outcome(_sweep_hypotheses, model, samples, admitted_only)
-            == _sweep_outcome(reference_sweep_hypotheses, model, samples,
-                              admitted_only))
+@example(model=CORNER_TABLE, samples=12)
+@example(model=LINEAR_TABLE, samples=5)
+@example(model=DECOUPLED_TABLE, samples=6)
+@given(model=swept_models(), samples=st.integers(3, 12))
+def test_tabled_sweep_matches_the_running_accumulators(model, samples):
+    assert (_sweep_outcome(_sweep_hypotheses, model, samples)
+            == _sweep_outcome(reference_sweep_hypotheses, model, samples))
 
 
 def test_non_finite_sweep_values_fail_their_checks():

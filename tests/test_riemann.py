@@ -9,7 +9,7 @@ from fronttrack.curves import lax_curve
 from fronttrack.errors import (
     SOLVER_ERRORS, ConvergenceError, DomainError, RadiusError,
 )
-from fronttrack.models import Box, GasModel, LinearModel, TableModel
+from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.profiles import profile_from_jumps
 from fronttrack.riemann import (
     DELTA_RIEMANN, RESIDUAL_TOL, _coords, _solution_from_sigmas, compose_waves,
@@ -17,9 +17,9 @@ from fronttrack.riemann import (
 )
 from fronttrack.tracking import Simulation
 from references import (
-    ProbeDomainError, reference_checked_jump, reference_fd_solve_riemann,
-    reference_split_boundary_pair, reference_split_boundary_pair_reverse,
-    split_recomposition_gap,
+    GAS_TWIN, LINEAR3, ProbeDomainError, reference_checked_jump,
+    reference_fd_solve_riemann, reference_split_boundary_pair,
+    reference_split_boundary_pair_reverse, split_recomposition_gap,
 )
 
 UL = np.array([1.0, 0.0])
@@ -146,9 +146,6 @@ def test_gas_reverse_split_inside_the_box_past_newtons_seed(gas):
     assert split_recomposition_gap(gas, data, split, reverse=True) <= RESIDUAL_TOL
 
 
-LINEAR3 = LinearModel([[-2.0, 0.2, 0.0], [0.1, -1.0, 0.1], [0.0, 0.2, 1.5]])
-
-
 @st.composite
 def models_and_targets(draw):
     """A gas with drawn K and gamma and a subsonic u*, or the three-family
@@ -186,9 +183,6 @@ def test_reverse_split_from_upper_curve_returns_u_star_bitwise(data):
 
 # -- one Lax curve point per solve ---------------------------------------------
 
-GAS_TABLE = TableModel([[(1.0, (1, 1))], [(0.5, (0, 2)), (1.0, (1, 0))]], 1,
-                       Box([0.5, -0.6], [1.5, 0.6]))
-
 
 def counted_lax_curve(monkeypatch):
     calls = []
@@ -208,13 +202,13 @@ TABLE_SIGMAS = [(0.08, 0.05), (-0.07, 0.03), (0.04, -0.09), (-0.1, -0.06),
 
 @pytest.mark.parametrize("sigmas", TABLE_SIGMAS)
 def test_table_solve_computes_each_curve_point_once(sigmas, monkeypatch):
-    ur = compose_waves(GAS_TABLE, UL, sigmas)
+    ur = compose_waves(GAS_TWIN, UL, sigmas)
     calls = counted_lax_curve(monkeypatch)
-    sol = solve_riemann(GAS_TABLE, UL, ur)
-    assert len(calls) == len(set(calls)) > 2 * GAS_TABLE.n
+    sol = solve_riemann(GAS_TWIN, UL, ur)
+    assert len(calls) == len(set(calls)) > 2 * GAS_TWIN.n
     # the recomposition reuses Newton's last points: the same solution as
     # composing the strengths afresh
-    fresh = _solution_from_sigmas(GAS_TABLE, UL, sol.sigmas, ur=ur)
+    fresh = _solution_from_sigmas(GAS_TWIN, UL, sol.sigmas, ur=ur)
     assert sol.sigmas.tobytes() == fresh.sigmas.tobytes()
     assert [s.tobytes() for s in sol.states] == [s.tobytes() for s in fresh.states]
     assert sol.residual == fresh.residual <= 1e-10
@@ -232,12 +226,12 @@ def test_table_solve_computes_fewer_curve_points_than_fd_newton(sigmas,
                                                                monkeypatch):
     # the eigenbasis seed and Broyden's update replace the n extra curve
     # compositions of every forward-difference Jacobian
-    ur = compose_waves(GAS_TABLE, UL, sigmas)
+    ur = compose_waves(GAS_TWIN, UL, sigmas)
     calls = counted_lax_curve(monkeypatch)
-    solve_riemann(GAS_TABLE, UL, ur)
+    solve_riemann(GAS_TWIN, UL, ur)
     broyden = len(calls)
     calls.clear()
-    reference_fd_solve_riemann(GAS_TABLE, UL, ur)
+    reference_fd_solve_riemann(GAS_TWIN, UL, ur)
     assert broyden < len(calls)
 
 
@@ -256,7 +250,7 @@ def test_split_computes_each_curve_point_once(model_name, split, reference,
         # raises before it computes any curve point
         with pytest.raises(NotImplementedError,
                            match="^custom-table model has no Riemann chart$"):
-            split(GAS_TABLE, *data)
+            split(GAS_TWIN, *data)
         assert calls == []
         return
     # the gas crosses its two curves in closed form, up to one scalar root,
@@ -333,12 +327,12 @@ def test_table_solve_raises_on_a_shock_off_its_speed(monkeypatch):
         state, speed = newton_shock(*args)
         return state, speed + 1e-6
 
-    ur = compose_waves(GAS_TABLE, UL, [-0.07, 0.03])
-    assert [w.kind for w in solve_riemann(GAS_TABLE, UL, ur).waves] == [
+    ur = compose_waves(GAS_TWIN, UL, [-0.07, 0.03])
+    assert [w.kind for w in solve_riemann(GAS_TWIN, UL, ur).waves] == [
         "shock", "rarefaction"]
     monkeypatch.setattr(curves, "_newton_shock", off_speed)
     with pytest.raises(ConvergenceError, match="shock family 1: RH residual"):
-        solve_riemann(GAS_TABLE, UL, ur)
+        solve_riemann(GAS_TWIN, UL, ur)
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e7])
@@ -388,7 +382,7 @@ def _jump_outcome(check, *args):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_jump_check_matches_its_array_form_at_the_radius(data, gas):
-    model = data.draw(st.sampled_from([gas, GAS_TABLE]))
+    model = data.draw(st.sampled_from([gas, GAS_TWIN]))
     ul = np.array([data.draw(st.floats(0.6, 1.4)), data.draw(st.floats(-0.4, 0.4))])
     if model is gas:
         # a chart jump of the drawn size in one coordinate, which the chart
@@ -440,12 +434,12 @@ def _outcome(solve, *args, **kwargs):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_solves_agree_with_fd_newton_within_the_solvable_radius(data, gas):
-    model = data.draw(st.sampled_from([gas, GAS_TABLE]))
+    model = data.draw(st.sampled_from([gas, GAS_TWIN]))
     ul = np.array([data.draw(st.floats(0.5, 1.5)), data.draw(st.floats(-0.6, 0.6))])
     ur = ul + np.array([data.draw(st.floats(-0.25, 0.25)) for _ in range(2)])
     assume(model.in_domain(ur))
     assume(np.max(np.abs(_coords(model, ur) - _coords(model, ul))) <= DELTA_RIEMANN)
-    if model is GAS_TABLE:
+    if model is GAS_TWIN:
         # the gas solves its Riemann problem in closed form; a split needs
         # the chart that the table lacks
         pairs = [(solve_riemann, _outcome(solve_riemann, model, ul, ur),

@@ -316,7 +316,7 @@ def test_advance_to_snapshot_unchanged_by_later_events(gas):
 
 def test_upsilon_monotone_on_cascade(gas_slow):
     sim = _cascade(gas_slow)
-    c0 = calibrate_interaction_constant(gas_slow, n_samples=80, seed=1)
+    c0 = calibrate_interaction_constant(gas_slow)
     ok, worst, n_checked = check_upsilon(sim, c0, 10 * sim.eps)
     assert n_checked >= 5
     assert ok, f"worst increment {worst}"

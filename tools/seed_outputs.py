@@ -8,10 +8,12 @@ into OUT/<workload>/<index>, and each request of EXTRA into
 OUT/extra/<name>, so two runs, or two checkouts, compare with ``diff -r``.
 The extra requests are a gas and a custom-table ``curves`` run, a 6-jump
 custom-table ``evolve``, whose rarefaction fans integrate chartless curves,
-a linear ``steer``, a ``linear_control`` run, a ``stabilize`` run that
-starts far from its target, so its steering pre-phase runs, and a
-``counterexample`` whose initial jumps hold a rarefaction, so the density
-bins and the kappa fit see positive atoms; ``fronttrack plots`` then
+a ``riemann`` run on a 3x3 custom table, whose speeds come from LAPACK, a
+2-variant gas ``sweep`` on one worker, a linear ``steer``, a
+``linear_control`` run, a ``stabilize`` run that starts far from its
+target, so its steering pre-phase runs, and a ``counterexample`` whose
+initial jumps hold a rarefaction, so the density bins and the kappa fit
+see positive atoms; ``fronttrack plots`` then
 writes its .dat files into copies of the first counterexample and
 stabilize runs, OUT/extra/plots_<kind>.
 A request that fails stops the script with its traceback.
@@ -36,6 +38,12 @@ _GAS = {"kind": "gas", "K": 1.0, "gamma": 2.0, "box": [[0.5, 1.5], [-0.4, 0.4]]}
 _TABLE = {"kind": "custom-table",
           "terms": [[[1, [1, 1]]], [[0.5, [0, 2]], [1, [1, 0]]]],
           "p": 1, "box": [[0.5, 1.5], [-0.4, 0.4]]}
+# lower-triangular Jacobian, speeds -2 + u1 < u1 + u2 < 2 + u3
+_TABLE3 = {"kind": "custom-table",
+           "terms": [[[-2.0, [1, 0, 0]], [0.5, [2, 0, 0]]],
+                     [[0.5, [0, 2, 0]], [1.0, [1, 1, 0]]],
+                     [[2.0, [0, 0, 1]], [0.5, [0, 0, 2]], [1.0, [1, 1, 0]]]],
+           "p": 1, "box": [[-0.5, 0.5]] * 3}
 _LINEAR = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, 1.0]]}
 EXTRA = {
     "curves_gas": {"experiment": "curves", "model": _GAS,
@@ -44,6 +52,13 @@ EXTRA = {
                      "curves": {"u0": [1.0, 0.0], "samples": 5}},
     "evolve_table": {**evolve_config(random.Random(1), n_jumps=6),
                      "model": _TABLE, "epsilon": 0.02},
+    "riemann_table3": {"experiment": "riemann", "model": _TABLE3,
+                       "riemann": {"ul": [0.1, 0.2, 0.0],
+                                   "ur": [0.15, 0.17, 0.04]}},
+    "sweep_gas": {"experiment": "curves", "model": _GAS,
+                  "curves": {"u0": [1.0, 0.0], "samples": 3}, "workers": 1,
+                  "sweep": [{"curves": {"u0": [1.1, 0.05], "samples": 3}},
+                            {"curves": {"u0": [0.9, -0.05], "samples": 4}}]},
     "steer_linear": {"experiment": "steer",
                      "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
                      "domain": [0.0, 1.0], "omega": [0.0, 0.0],
@@ -79,8 +94,9 @@ def main(out):
             if kind in PLOTTED:
                 plotted.setdefault(kind, run)
     for name, config in EXTRA.items():
-        fronttrack.scenarios.run_scenario({"schema": "scenario-v1", **config},
-                                          str(Path(out, "extra", name)))
+        run = (fronttrack.scenarios.run_sweep if "sweep" in config
+               else fronttrack.scenarios.run_scenario)
+        run({"schema": "scenario-v1", **config}, str(Path(out, "extra", name)))
     for kind, run in plotted.items():
         copy = Path(out, "extra", f"plots_{kind}")
         shutil.copytree(run, copy)
