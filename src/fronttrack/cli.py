@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      DomainError, HyperbolicityError)
-from . import scenarios
+from . import control, scenarios
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,7 +125,8 @@ PLOTS = (
     ("contraction.csv", "contraction_loglog.dat", "# k  loglog_inv_delta",
      ("k", "sup_dist", "tv"),
      lambda rows: [[k, math.log(math.log(1.0 / max(sup, tv)))]
-                   for k, sup, tv in rows if 0.0 < max(sup, tv) < 1.0]),
+                   for k, sup, tv in rows
+                   if control.LOGLOG_FLOOR < max(sup, tv) < 1.0]),
     ("density_f1.csv", "kappa_vs_t.dat", "# t  kappa_hat", ("t", "kappa_hat"),
      lambda rows: rows),
     ("census.csv", "census_gap_vs_t.dat", "# t  largest_gap_per_family",

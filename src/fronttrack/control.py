@@ -21,11 +21,11 @@ import numpy as np
 from .errors import ContractViolationError, DomainError
 from .models import LinearModel, crossing_time
 from .profiles import PiecewiseConstant, constant_profile
-from .riemann import split_boundary_pair, split_boundary_pair_reverse
 from .tracking import MAX_EVENTS, Simulation
 
 EPS_FACTOR = 0.25   # front-tracking accuracy ratio of successive steps
 DELTA_FLOOR = 1e-9  # round-off level of stabilize's delta
+LOGLOG_FLOOR = 1e-13  # deltas at or below are round-off to the log-log fit
 
 __all__ = [
     "crossing_time", "linear_exact_control", "steer_constant_states",
@@ -78,7 +78,7 @@ class ContractionRecord:
         """Slope/intercept/R^2 of log log(1/delta_k) against k."""
         ks, ys = [], []
         for r in self.rows:
-            if 1e-13 < r.delta < 1.0:    # smaller deltas are round-off
+            if LOGLOG_FLOOR < r.delta < 1.0:
                 ks.append(r.k)
                 ys.append(math.log(math.log(1.0 / r.delta)))
         if len(ks) < 2:
@@ -219,18 +219,16 @@ def _riemann_chain(model, omega, omega_prime, chain_step):
 def _hop(sim, target, tau, actions, t0=0.0):
     """One boundary hop of ``sim`` toward ``target``, taking 2 tau.
 
-    Imposes the split of the x = b trace, so that only families <= p enter,
-    waits tau, imposes the reverse split of the x = a trace, so that only
-    families >= p+1 enter, and waits tau again.  Appends both actions at
-    absolute time t0 + ``sim.time`` and returns, per side, the injected ids
-    still inside at its deadline.
+    Injects the split of the x = b trace toward the target, so that only
+    families <= p enter, waits tau, injects the reverse split of the x = a
+    trace, so that only families >= p+1 enter, and waits tau again.  Appends
+    both outer states as actions at absolute time t0 + ``sim.time`` and
+    returns, per side, the injected ids still inside at its deadline.
     """
     t = sim.time
     stuck = []
-    for k, (side, split) in enumerate((("b", split_boundary_pair),
-                                       ("a", split_boundary_pair_reverse))):
-        state = split(sim.model, sim.trace(side), target).state
-        ids = sim.inject_boundary_riemann(side, state)
+    for k, side in enumerate("ba"):
+        ids, state = sim.inject_boundary_riemann(side, target)
         actions.append(ControlAction(t0 + sim.time, side, state))
         # deadlines count from the hop's start: the hop ends at t + 2 tau
         # exactly, not at (t + tau) + tau

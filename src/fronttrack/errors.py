@@ -24,7 +24,7 @@ SOLVER_ERRORS = (DomainError, ConvergenceError, HyperbolicityError)
 
 
 class ContractViolationError(RuntimeError):
-    """A structural contract was violated (wrong-family injection, failed contraction)."""
+    """A structural contract was violated (event caps, wave order, contraction)."""
 
     def __init__(self, message, context=None):
         super().__init__(message)

@@ -30,6 +30,7 @@ SPEED_FLOOR = 1e-6     # least admissible |characteristic speed|
 SPEED_SAMPLES = 33     # grid points per axis of the least-speed sweep
 DOMAIN_SLACK = 1e-9    # box widening of the admissible-domain test
 GNL_FLOOR = 1e-7       # least |grad(lambda_i) . r_i| of a nonlinear family
+EIG_RESIDUAL_TOL = 1e-10  # bound of |J r - lambda r| over max |J_ij|
 
 
 def wedge(x, y):
@@ -183,9 +184,9 @@ class FluxModel:
     def _sorted_basis(self, u):
         """Ascending speeds and unit right eigenvectors, as columns, of the
         Jacobian: in closed form for a 2x2 one (``_basis_2x2``), else from
-        np.linalg.eig, in the signs eig returns.  The tests run on Python
-        floats: numpy reductions on arrays of a few entries cost more than
-        their arithmetic."""
+        np.linalg.eig, in the signs eig returns, each column's residual
+        checked.  The tests run on Python floats: numpy reductions on arrays
+        of a few entries cost more than their arithmetic."""
         jac = self.jacobian(u)
         entries = jac.ravel().tolist()
         if not all(map(math.isfinite, entries)):
@@ -204,8 +205,14 @@ class FluxModel:
         _check_speeds(vals.tolist(), imag, u)
         right = vecs[:, order]
         # np.linalg.norm's arithmetic, without its dispatch
-        return vals, right / np.sqrt(np.add.reduce(right * right, axis=0,
-                                                   keepdims=True))
+        right /= np.sqrt(np.add.reduce(right * right, axis=0, keepdims=True))
+        # a column that LAPACK's balancing got wrong (entries spanning hundreds
+        # of orders of magnitude) becomes a null vector of J - lambda I
+        misses = (np.max(np.abs(jac @ right - right * vals), axis=0)
+                  > EIG_RESIDUAL_TOL * max(map(abs, entries)))
+        for i in np.flatnonzero(misses).tolist():
+            right[:, i] = np.linalg.svd(jac - vals[i] * np.eye(len(vals)))[2][-1]
+        return vals, right
 
     def _numeric_eigen(self, u):
         """Eigenstructure from ``_sorted_basis``, oriented by the Hessian.
@@ -637,7 +644,7 @@ def _curvature(hessian, right, left):
     return np.einsum("ka,abc,bi,ci->ki", left, hessian, right, right)
 
 
-def verify_hypotheses(model, samples_per_axis=32):
+def verify_hypotheses(model, samples_per_axis=12):
     """Sweep the admissible domain and measure the structural hypotheses.
 
     Checks the speed sign pattern, the uniform speed floor, genuine

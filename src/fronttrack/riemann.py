@@ -1,8 +1,8 @@
 """Riemann problems and boundary splits on composed Lax curves.
-Every Riemann solution is built by ``_solution``: a shock's RH residual and
-Lax margin are checked, a linear contact's RH residual is carried unchecked.
-A boundary split needs a Riemann chart: the gas crosses two of its curves,
-a linear model projects on its left eigenbasis."""
+The waves of every Riemann solution and split come from ``_solution``:
+a shock's RH residual and Lax margin are checked, a linear contact's is
+carried unchecked.  A boundary split needs a Riemann chart: the gas
+crosses two of its curves, a linear model projects on its left eigenbasis."""
 
 from dataclasses import dataclass
 
@@ -43,11 +43,12 @@ class RiemannSolution:
 
 @dataclass(frozen=True)
 class BoundarySplit:
-    """Result of a boundary splitting solve: the middle state and the wave
-    strengths of both groups."""
+    """Result of a boundary splitting solve: the middle state, the wave
+    strengths of both groups, and the waves of the group that enters."""
 
     state: np.ndarray
     sigmas: np.ndarray
+    waves: tuple
     residual: float
 
 
@@ -211,10 +212,13 @@ def _split(model, a, b, label, d):
     if not model.has_chart:
         raise NotImplementedError(f"{model.kind} model has no Riemann chart")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    enters = (np.arange(model.n) < model.p) == (d == 1)
     if model.kind == "gas":
         _checked_jump(model, a, b, label, "split")
-        state, sig, _, residual = _gas_crossing(model, "split", a, b, d, d)
-        return BoundarySplit(state, sig, residual)
+        state, sig, speeds, residual = _gas_crossing(model, "split", a, b, d, d)
+        sol = _solution(model, (a, state, state) if d == 1 else (state, state, b),
+                        np.where(enters, sig, 0.0), speeds, residual)
+        return BoundarySplit(state, sig, sol.waves, residual)
     model.check_domain(a)
     model.check_domain(b)
     p, eig = model.p, model.eigen(a)
@@ -224,7 +228,9 @@ def _split(model, a, b, label, d):
     state = a + d * (eig.right[:, :p] @ sig[:p])
     model.check_domain(state)
     gap = b + d * (eig.right[:, p:] @ sig[p:]) - state
-    return BoundarySplit(state, sig, float(np.max(np.abs(gap))))
+    sol = _solution_from_sigmas(model, a if d == 1 else state,
+                                np.where(enters, sig, 0.0), state if d == 1 else b)
+    return BoundarySplit(state, sig, sol.waves, float(np.max(np.abs(gap))))
 
 
 def split_boundary_pair(model, v, v_prime):

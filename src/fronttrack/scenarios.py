@@ -861,7 +861,7 @@ def _admission_gate(model, experiment):
         return
     if experiment not in ("steer", "stabilize", "counterexample"):
         return
-    report = verify_hypotheses(model, samples_per_axis=12)
+    report = verify_hypotheses(model)
     if not report.admitted:
         raise ContractViolationError(
             "model rejected by the hypothesis sweep:\n" + report.summary(),

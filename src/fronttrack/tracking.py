@@ -56,11 +56,10 @@ import numpy as np
 from .curves import CurvePoint, lax_curve, rarefaction_curve
 from .errors import SOLVER_ERRORS, ContractViolationError, ConvergenceError
 from .profiles import PiecewiseConstant, sup_distance, total_variation
-from .riemann import solve_riemann
+from .riemann import solve_riemann, split_boundary_pair, split_boundary_pair_reverse
 
 TIME_TIE = 1e-12        # events closer than this are simultaneous
 SPACE_TIE = 1e-9        # simultaneous events closer than this share a point
-WRONG_FAMILY_TOL = 1e-8  # injected waves of the wrong side above this abort
 MAX_INSTANT_EVENTS = 10000
 MAX_EVENTS = 2_000_000
 CALIBRATION_SAMPLES = 200           # accepted interactions per calibration
@@ -295,15 +294,14 @@ class Simulation:
                         table["generations"][ids], table["kinds"][ids],
                         np.concatenate((cell0[None], table["rights"][ids])), q)
 
-    def _carried(self, sol, waves=None):
-        """``waves``, else all waves of the Riemann solution sol, to become
-        fronts; each strength of sol none carries adds to ``dropped_mass``."""
-        waves = sol.waves if waves is None else waves
-        carried = {w.family for w in waves}
+    def _carried(self, sol):
+        """The waves of the Riemann solution sol, to become fronts; each
+        strength of sol none carries adds to ``dropped_mass``."""
+        carried = {w.family for w in sol.waves}
         self.dropped_mass += sum(abs(s) for f, s in
                                  enumerate(sol.sigmas.tolist(), 1)
                                  if f not in carried)
-        return waves
+        return sol.waves
 
     def _cell(self, j):
         """State of cell j of the live profile."""
@@ -612,31 +610,20 @@ class Simulation:
 
     # -- boundaries ------------------------------------------------------------
 
-    def inject_boundary_riemann(self, side, outer_state):
-        """Impose an outer state at a boundary and let the admissible
-        families of its Riemann problem with the trace enter the domain.
-
-        At x = b only families <= p may enter, at x = a only families
-        >= p+1; a wave of the wrong side above tolerance aborts the run.
-        Returns the list of injected front ids.
-        """
+    def inject_boundary_riemann(self, side, target):
+        """Inject the entering waves of the split of the trace at a boundary
+        toward ``target``: families <= p at x = b (``split_boundary_pair``),
+        >= p+1 at x = a (``split_boundary_pair_reverse``), where the split's
+        state becomes cell 0.  Returns the injected front ids and that
+        state, the outer state."""
         at_b = side == "b"
         trace = self.trace(side)
-        outer = np.asarray(outer_state, dtype=float)
-        sol = solve_riemann(self.model, *((trace, outer) if at_b else (outer, trace)))
-        enters = [(w.family <= self.model.p) == at_b for w in sol.waves]
-        wrong = [w for w, e in zip(sol.waves, enters)
-                 if not e and abs(w.sigma) > WRONG_FAMILY_TOL]
-        if wrong:
-            raise ContractViolationError(
-                f"injection at {side} would emit families "
-                f"{[w.family for w in wrong]} into the wrong side",
-                {"sigmas": [w.sigma for w in wrong]})
-        # at x = a the outer state becomes cell 0
+        split = (split_boundary_pair if at_b else split_boundary_pair_reverse)(
+            self.model, trace, target)
         k = len(self._ids) if at_b else 0
-        waves = self._carried(sol, [w for w, e in zip(sol.waves, enters) if e])
-        return self._step(k, k, trace if at_b else outer, waves,
-                          self.b if at_b else self.a, f"inject_{side}")[0]
+        new, _ = self._step(k, k, trace if at_b else split.state, split.waves,
+                            self.b if at_b else self.a, f"inject_{side}")
+        return new, split.state
 
 
 def _tv(cells):

@@ -13,7 +13,7 @@ import pytest
 
 from fronttrack import scenarios, tracking
 from fronttrack.analysis import dense_strengths
-from fronttrack.control import crossing_time
+from fronttrack.control import LOGLOG_FLOOR, crossing_time
 from fronttrack.curves import SIGMA_NULL, lax_curve
 from fronttrack.cli import main
 from fronttrack.errors import (ConfigError, ContractViolationError,
@@ -182,6 +182,30 @@ def test_riemann_subcommand_prints_table(tmp_path, capsys):
     assert len(payload["sigmas"]) == 2
 
 
+def test_riemann_waves_follow_eigenvectors_of_a_badly_scaled_jacobian(
+        tmp_path, capsys):
+    # J = [[0, e, 0], [1, 1, 0], [0, 0, 2]]: LAPACK's balancing returns the
+    # column (1, 0, 0) for the speed 0, whose residual |J r - 0 r| is 1
+    e = 5.19e-259
+    config = {"schema": "scenario-v1", "experiment": "riemann",
+              "model": {"kind": "custom-table", "p": 0,
+                        "box": [[-0.5, 0.5]] * 3,
+                        "terms": [[[e, [0, 1, 0]]],
+                                  [[1, [1, 0, 0]], [1, [0, 1, 0]]],
+                                  [[2, [0, 0, 1]]]]},
+              "riemann": {"ul": [0.0, 0.0, 0.0], "ur": [0.05, 0.02, 0.01]}}
+    cfg = _write(tmp_path, "riemann.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["riemann", "--config", cfg, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jac = np.array([[0.0, e, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    states = np.array(payload["states"])
+    for wave in payload["waves"]:
+        du = states[wave["family"]] - states[wave["family"] - 1]
+        assert np.max(np.abs(jac @ du - wave["speed_lo"] * du)) <= 1e-12
+
+
 def test_curves_experiment_writes_csv(tmp_path):
     config = {"schema": "scenario-v1", "experiment": "curves",
               "model": dict(GAS_BLOCK),
@@ -314,7 +338,7 @@ def test_stabilize_scenario_and_plots(tmp_path):
     expected = [[int(row["k"]), math.log(math.log(1.0 / delta))]
                 for row, delta in zip(_csv_rows(out_dir / "contraction.csv"),
                                       deltas)
-                if 0.0 < delta < 1.0]
+                if LOGLOG_FLOOR < delta < 1.0]
     assert expected
     assert _dat_rows(out_dir / "contraction_loglog.dat",
                      "# k  loglog_inv_delta") == expected
@@ -388,6 +412,15 @@ def test_plots_without_reports_exits_2(tmp_path, capsys):
     assert main(["plots", "--out", str(tmp_path), "--quiet"]) == 2
     assert capsys.readouterr().err == "no plottable CSV files found\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_loglog_plot_drops_the_deltas_the_fit_drops(tmp_path):
+    (tmp_path / "contraction.csv").write_text(
+        "k,t,sup_dist,tv,ratio\n0,0,0.5,0.25,nan\n1,1,1e-14,0,4e-14\n"
+        "2,2,0,0,0\n")
+    assert main(["plots", "--out", str(tmp_path), "--quiet"]) == 0
+    assert _dat_rows(tmp_path / "contraction_loglog.dat",
+                     "# k  loglog_inv_delta") == [[0.0, math.log(math.log(2.0))]]
 
 
 def _csv_rows(path):

@@ -185,6 +185,23 @@ def test_stabilize_dense_shock_run(gas_slow):
         assert step.violations == []
 
 
+def _record(deltas):
+    return control.ContractionRecord([
+        control.ContractionRow(k, float(k), d, d, d, float("nan"))
+        for k, d in enumerate(deltas)])
+
+
+def test_loglog_fit_of_a_doubly_exponential_contraction():
+    # delta_k = delta_0 ** (2 ** k): log log(1 / delta_k) = k ln 2 + const
+    record = _record([0.5 ** (2 ** k) for k in range(6)])
+    slope, intercept, r2 = record.loglog_fit()
+    assert slope == pytest.approx(np.log(2.0), rel=1e-12)
+    assert intercept == pytest.approx(np.log(np.log(2.0)), abs=1e-12)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    # one delta above the cut-off, the next one at it: no fit
+    assert _record([0.028, control.LOGLOG_FLOOR]).loglog_fit() == (0.0, 0.0, 0.0)
+
+
 def test_stabilize_pre_phase_reaches_far_target(gas_slow):
     u_star = np.array([1.04, 0.93])
     prof = dense_initial_data(gas_slow, 7, -0.01, (0.0, 1.0),

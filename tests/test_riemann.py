@@ -460,7 +460,7 @@ def test_solves_agree_with_fd_newton_within_the_solvable_radius(data, gas):
         if want is DomainError and model is gas and not isinstance(got, type):
             # the reference's Newton left the box at one of its own iterates;
             # the gas split, a crossing of its two curves, must recompose
-            split = riemann.BoundarySplit(got[0][0], got[1], got[2])
+            split = riemann.BoundarySplit(got[0][0], got[1], (), got[2])
             assert split_recomposition_gap(
                 model, (ul, ur), split,
                 reverse=solve is split_boundary_pair_reverse) <= RESIDUAL_TOL

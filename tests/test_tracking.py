@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from fronttrack.control import steer_constant_states
 from fronttrack.curves import lax_curve, shock_curve
-from fronttrack.errors import ContractViolationError
 from fronttrack.models import Box, GasModel, LinearModel
 from fronttrack.profiles import constant_profile, profile_from_jumps
 from fronttrack.riemann import (Wave, solve_riemann, split_boundary_pair,
@@ -23,7 +23,7 @@ from fronttrack.tracking import (
     calibrate_interaction_constant, check_upsilon,
 )
 
-from references import wave_mass
+from references import LINEAR3, wave_mass
 
 U0 = np.array([1.0, 0.0])
 
@@ -166,30 +166,31 @@ def test_advance_logs_exactly_one_interaction(gas):
 
 def test_injection_of_trace_is_a_no_op(gas):
     sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    new = sim.inject_boundary_riemann("b", sim.trace("b"))
-    assert new == []
+    for side in "ba":
+        new, outer = sim.inject_boundary_riemann(side, sim.trace(side))
+        assert new == []
+        assert outer.tolist() == U0.tolist()
     assert sim.now.n_fronts == 0
 
 
-def test_injection_of_split_state_sends_low_families_only(gas):
-    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.05)
-    target = np.array([1.04, 0.02])
-    split = split_boundary_pair(gas, sim.trace("b"), target)
-    new_ids = sim.inject_boundary_riemann("b", split.state)
-    assert new_ids
-    snap = sim.now
-    injected = np.isin(snap.ids, new_ids)
-    assert all(snap.families[injected] <= gas.p)
-    assert all(snap.generations[injected] == 1)
-    assert sum(snap.sigmas[injected]) == pytest.approx(
-        float(split.sigmas[0]), abs=1e-8)
-
-
-def test_injection_of_wrong_side_state_is_rejected(gas):
-    sim = Simulation(gas, constant_profile(0.0, 1.0, U0), 0.1)
-    bad_outer = lax_curve(gas, sim.trace("b"), 2, -0.05).state
-    with pytest.raises(ContractViolationError):
-        sim.inject_boundary_riemann("b", bad_outer)
+def test_injection_sends_the_entering_waves_of_its_split(gas):
+    for (model, u0, target), (side, split) in itertools.product(
+            ((gas, U0, [1.04, 0.02]), (LINEAR3, np.zeros(3), [0.3, -0.2, 0.1])),
+            (("b", split_boundary_pair), ("a", split_boundary_pair_reverse))):
+        # eps above every strength: no rarefaction is fanned into pieces;
+        # LINEAR3 has p = 2, so its x = b split enters two families
+        sim = Simulation(model, constant_profile(0.0, 1.0, u0), 1.0)
+        want = split(model, sim.trace(side), target)
+        new, outer = sim.inject_boundary_riemann(side, target)
+        assert outer.tolist() == want.state.tolist()
+        enters = (range(1, model.p + 1) if side == "b"
+                  else range(model.p + 1, model.n + 1))
+        assert all(want.sigmas[f - 1] != 0.0 for f in enters)
+        fronts = sim.fronts
+        assert fronts["families"][new].tolist() == list(enters)
+        assert fronts["sigmas"][new].tolist() == [
+            want.sigmas[f - 1] for f in enters]
+        assert all(fronts["generations"][new] == 1)
 
 
 def test_functionals_empty(gas):
@@ -304,10 +305,8 @@ def test_advance_to_snapshot_unchanged_by_later_events(gas):
     sim.advance_to(0.3)
     assert len(sim.records) > n_records
     target = np.array([1.04, 0.02])
-    sim.inject_boundary_riemann(
-        "b", split_boundary_pair(gas, sim.trace("b"), target).state)
-    sim.inject_boundary_riemann(
-        "a", split_boundary_pair_reverse(gas, sim.trace("a"), target).state)
+    sim.inject_boundary_riemann("b", target)
+    sim.inject_boundary_riemann("a", target)
     sim.advance_to(1.0)
     assert (snap.time, snap.q) == (time, q)
     for name, values in before.items():

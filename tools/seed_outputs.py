@@ -9,7 +9,8 @@ OUT/extra/<name>, so two runs, or two checkouts, compare with ``diff -r``.
 The extra requests are a gas and a custom-table ``curves`` run, a 6-jump
 custom-table ``evolve``, whose rarefaction fans integrate chartless curves,
 a ``riemann`` run on a 3x3 custom table, whose speeds come from LAPACK, a
-2-variant gas ``sweep`` on one worker, a linear ``steer``, a
+2-variant gas ``sweep`` on one worker, a 2x2 and a 3x3 linear ``steer``,
+the second injecting two families at a time at x = b, a
 ``linear_control`` run, a ``stabilize`` run that starts far from its
 target, so its steering pre-phase runs, and a ``counterexample`` whose
 initial jumps hold a rarefaction, so the density bins and the kappa fit
@@ -63,6 +64,13 @@ EXTRA = {
                      "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
                      "domain": [0.0, 1.0], "omega": [0.0, 0.0],
                      "omega_prime": [0.3, -0.2]},
+    # p = 2: each hop's x = b split injects a group of two families
+    "steer_linear3": {"experiment": "steer",
+                      "model": {"kind": "linear",
+                                "A": [[-2.0, 0.1, 0.0], [0.0, -1.0, 0.2],
+                                      [0.0, 0.0, 1.0]]},
+                      "domain": [0.0, 1.0], "omega": [0.0, 0.0, 0.0],
+                      "omega_prime": [0.3, -0.2, 0.1]},
     "linear_control": {"experiment": "linear_control", "model": _LINEAR,
                        "domain": [0.0, 1.0], "T": 1.0,
                        "phi": {"xs": [0.5], "values": [[0.0, 0.0], [0.1, 0.2]]},
