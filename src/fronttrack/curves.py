@@ -8,6 +8,7 @@ chartless rarefaction integrates that flow with the package's own DOP853
 (Hairer, Norsett & Wanner 1993, section II.5).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,21 +113,21 @@ def rarefaction_curve(model, u0, family, sigma):
 def _oriented_field(model, family, r0):
     """The field u -> r_family(u), oriented continuously from r0 = r_family
     at the base point: each evaluation takes the unit column of
-    ``model._sorted_basis``, in closed form for n = 2 and from
-    np.linalg.eig otherwise, and flips it where it points against the
-    previous evaluation.  Where the Hessian rule of ``model.eigen`` holds
-    the same sign, the two fields agree bitwise; near a point where
-    grad(lambda) . r vanishes the Hessian rule can flip between stages,
-    and the continuous one does not."""
-    prev = r0
+    ``model._sorted_basis`` as Python floats, flips it where its dot
+    product with the previous evaluation is negative, and returns it as
+    one array.  Where the Hessian rule of ``model.eigen`` holds the same
+    sign, the two fields agree bitwise; near a point where grad(lambda) . r
+    vanishes the Hessian rule can flip between stages, and the continuous
+    one does not."""
+    prev = r0.tolist()
 
     def field(u):
         nonlocal prev
-        r = model._sorted_basis(u)[1][:, family - 1]
-        if r @ prev < 0.0:
-            r = r * -1.0
+        r = model._sorted_basis(u)[1][family - 1]
+        if sum(map(operator.mul, r, prev)) < 0.0:
+            r = [-x for x in r]
         prev = r
-        return r
+        return np.array(r)
     return field
 
 

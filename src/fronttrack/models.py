@@ -17,7 +17,6 @@ np.linalg.eig otherwise.
 
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -171,7 +170,7 @@ class FluxModel:
     # -- eigenstructure ----------------------------------------------------
 
     def lambdas(self, u):
-        return self._sorted_basis(np.asarray(u, dtype=float))[0]
+        return np.array(self._sorted_basis(np.asarray(u, dtype=float))[0])
 
     def eigen(self, u):
         return self._numeric_eigen(np.asarray(u, dtype=float))
@@ -181,18 +180,27 @@ class FluxModel:
         eig = self.eigen(u)
         return _curvature(self.hessian(u), eig.right, eig.left).diagonal()
 
+    def _flat_jacobian(self, u):
+        """The Jacobian at u as one list of floats, row by row."""
+        return np.ravel(self.jacobian(u)).tolist()
+
     def _sorted_basis(self, u):
-        """Ascending speeds and unit right eigenvectors, as columns, of the
-        Jacobian: in closed form for a 2x2 one (``_basis_2x2``), else from
+        """Ascending speeds and unit right eigenvectors of the Jacobian, as
+        a list of floats and a list of columns, each a list of floats: in
+        closed form for a 2x2 one (``_basis_2x2``), else from
         np.linalg.eig, in the signs eig returns, each column's residual
-        checked.  The tests run on Python floats: numpy reductions on arrays
-        of a few entries cost more than their arithmetic."""
-        jac = self.jacobian(u)
-        entries = jac.ravel().tolist()
+        checked.  Every call checks that the Jacobian is finite and that
+        its speeds are real and distinct.  The size is read from the
+        Jacobian, not from ``self.n``, which LinearModel sets after its
+        first call.  The 2x2 path runs on Python floats: numpy calls on
+        arrays of a few entries cost more than their arithmetic."""
+        entries = self._flat_jacobian(u)
         if not all(map(math.isfinite, entries)):
             raise DomainError(f"flux Jacobian is not finite at {u}")
-        if jac.shape == (2, 2):
+        if len(entries) == 4:
             return _basis_2x2(*entries, u)
+        n = math.isqrt(len(entries))
+        jac = np.reshape(entries, (n, n))
         vals, vecs = np.linalg.eig(jac)
         # eig returns real arrays when every imaginary part is zero, and
         # then no speed can be complex
@@ -211,8 +219,8 @@ class FluxModel:
         misses = (np.max(np.abs(jac @ right - right * vals), axis=0)
                   > EIG_RESIDUAL_TOL * max(map(abs, entries)))
         for i in np.flatnonzero(misses).tolist():
-            right[:, i] = np.linalg.svd(jac - vals[i] * np.eye(len(vals)))[2][-1]
-        return vals, right
+            right[:, i] = np.linalg.svd(jac - vals[i] * np.eye(n))[2][-1]
+        return vals.tolist(), right.T.tolist()
 
     def _numeric_eigen(self, u):
         """Eigenstructure from ``_sorted_basis``, oriented by the Hessian.
@@ -223,17 +231,18 @@ class FluxModel:
         needs the Hessian, so ``lambdas`` and the chartless rarefaction's
         field, which orients each column against the previous one, read
         ``_sorted_basis`` alone."""
-        vals, right = self._sorted_basis(u)
+        speeds, columns = self._sorted_basis(u)
+        right = np.array(list(zip(*columns)))
         left = np.linalg.inv(right)
         # flipping column i of right flips row i of its inverse, exactly
         g = _curvature(self.hessian(u), right, left).diagonal()
         flip = [(gi if abs(gi) > GNL_FLOOR
                  else next((x for x in col if abs(x) > 1e-12), col[0])) < 0
-                for gi, col in zip(g.tolist(), right.T.tolist())]
+                for gi, col in zip(g.tolist(), columns)]
         if any(flip):
             signs = np.array([-1.0 if f else 1.0 for f in flip])
             right, left = right * signs, left * signs[:, None]
-        return EigenStructure(vals, right, left)
+        return EigenStructure(np.array(speeds), right, left)
 
     # -- Riemann coordinates ------------------------------------------------
 
@@ -536,9 +545,10 @@ class TableModel(FluxModel):
 
     ``terms[k]`` is a list of (coefficient, exponents) pairs: a number and a
     length-n tuple of integers, negatives allowed.  The table is compiled
-    once into the coefficients and exponents of the flux and of its first
-    and second derivatives, which one evaluator sums; the eigenstructure is
-    the generic numeric one.
+    once into plain rows per derivative order, (entry, coefficient,
+    powers), where powers pairs a component with its nonzero exponent;
+    ``_entries`` sums the rows of one order on Python floats, and the
+    eigenstructure is the generic numeric one.
     """
 
     kind = "custom-table"
@@ -555,85 +565,109 @@ class TableModel(FluxModel):
                    for e in ex):
                 raise TypeError(f"term exponents {ex!r} are not integers")
         super().__init__(n, p, box, **kw)
-        index = np.array([k for k, _, _ in rows], dtype=int)
-        coef = np.array([c for _, c, _ in rows], dtype=float)
-        exps = np.array([ex for _, _, ex in rows], dtype=int).reshape(-1, n)
-        # order d + 1 differentiates each order-d term in every direction j;
-        # a vanishing term gets exponents 0, so 0 ** -1 never enters a sum
-        self._orders = [(index, coef, exps)]
+        # an exponent beyond int64, which numpy's power took, raises
+        # OverflowError here
+        exps = np.array([ex for _, _, ex in rows], dtype=int).tolist()
+        rows = [(k, float(c), ex) for (k, c, _), ex in zip(rows, exps)]
+        # order d + 1 differentiates each order-d row in every direction j;
+        # a row whose coefficient vanishes adds nothing to a sum that starts
+        # at 0.0, so it is dropped, and 0 ** -1 never enters a sum
+        orders = [rows]
         for _ in range(2):
-            index = (index[:, None] * n + np.arange(n)).ravel()
-            coef = (coef[:, None] * exps).ravel()
-            exps = (exps[:, None, :] - np.eye(n, dtype=int)).reshape(-1, n)
-            exps[coef == 0.0] = 0
-            self._orders.append((index, coef, exps))
+            orders.append([(k * n + j, c * e, [*ex[:j], e - 1, *ex[j + 1:]])
+                           for k, c, ex in orders[-1]
+                           for j, e in enumerate(ex) if c * e != 0.0])
+        self._rows = [[(k, c, tuple((j, float(e)) for j, e in enumerate(ex)
+                                    if e)) for k, c, ex in rows]
+                      for rows in orders]
 
-    @np.errstate(over="ignore")
-    def _derivative(self, u, order):
-        """The order-th derivative of the flux at u, shape (n,) * (order + 1).
+    def _entries(self, u, order):
+        """The order-th derivative of the flux at u, its n ** (order + 1)
+        entries as one list of floats, in C order.
 
-        A power that overflows gives inf without a warning; the eigensolve
-        rejects a non-finite Jacobian with a DomainError.  The product is
-        the reduction np.prod runs, without its dispatch."""
-        index, coef, exps = self._orders[order]
-        values = coef * np.multiply.reduce(np.asarray(u, dtype=float) ** exps,
-                                           axis=1)
-        return np.bincount(index, weights=values, minlength=self.n ** (
-            order + 1)).reshape((self.n,) * (order + 1))
+        Each entry sums c * (u_j1 ** e1 * u_j2 ** e2 ...) over its rows in
+        table order, from 0.0.  A power that overflows, or 0.0 to a negative
+        power, is the value numpy's power gives: inf, negative for a
+        negative base and an odd exponent, without a warning; the eigensolve
+        rejects a non-finite Jacobian with a DomainError."""
+        u = np.asarray(u, dtype=float).tolist()
+        out = [0.0] * self.n ** (order + 1)
+        for k, c, powers in self._rows[order]:
+            prod = 1.0
+            for j, e in powers:
+                x = u[j]
+                try:
+                    prod *= x ** e
+                except (OverflowError, ZeroDivisionError):
+                    prod *= math.copysign(math.inf, x) if e % 2 else math.inf
+            out[k] += c * prod
+        return out
 
     def flux(self, u):
-        return self._derivative(u, 0)
+        return np.array(self._entries(u, 0))
 
     def jacobian(self, u):
-        return self._derivative(u, 1)
+        return np.array(self._entries(u, 1)).reshape(self.n, self.n)
 
     def hessian(self, u):
-        return self._derivative(u, 2)
+        return np.array(self._entries(u, 2)).reshape((self.n,) * 3)
+
+    def _flat_jacobian(self, u):
+        return self._entries(u, 1)
 
 
 def _check_speeds(speeds, imag, u):
     """Raise HyperbolicityError where the ascending speeds at u, whose
     largest imaginary part is imag, are complex or coincide."""
-    top = max(1.0, max(speeds), -min(speeds))
+    top = max(1.0, speeds[-1], -speeds[0])
     if imag > 1e-12 * top:
         raise HyperbolicityError(f"complex characteristic speeds at {u}")
-    gaps = map(operator.sub, speeds[1:], speeds)
-    if min(gaps, default=math.inf) < 1e-10 * top:
-        raise HyperbolicityError(f"coincident characteristic speeds at {u}")
+    for lo, hi in zip(speeds, speeds[1:]):
+        if hi - lo < 1e-10 * top:
+            raise HyperbolicityError(f"coincident characteristic speeds at {u}")
 
 
 def _basis_2x2(a, b, c, d, u):
-    """``_sorted_basis`` of the finite Jacobian J = [[a, b], [c, d]] at u.
+    """``_sorted_basis`` of the finite Jacobian J = [[a, b], [c, d]] at u, in
+    Python floats: the speeds, and the columns r_1 and r_2.
 
     With m = (a + d) / 2, h = (a - d) / 2 and q = h^2 + bc the speeds are
     m -/+ sqrt(q): the one farther from 0 as written, the other as det J
     over it, which cancels nothing.  r_i is the longer of the rows
     (b, lambda_i - a) and (lambda_i - d, c) of adj(J - lambda_i I),
-    normalized.  J is first scaled by the power of two of its largest entry,
-    which is exact, so that no square or product overflows."""
-    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
-    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
-    c, d = math.ldexp(c, -e), math.ldexp(d, -e)
-    m, h = 0.5 * (a + d), 0.5 * (a - d)
-    q = h * h + b * c
+    normalized.  The speeds are formed in the power of two of the largest
+    of |a|, |d| and sqrt|bc|, with bc the product of the mantissas of b and
+    c, so that neither a tiny b nor a tiny c loses bc; the rows in the
+    power of two of the largest entry.  Both scalings are exact, and no
+    square or product overflows."""
+    (mb, eb), (mc, ec) = math.frexp(b), math.frexp(c)
+    e = math.frexp(max(abs(a), abs(d),
+                       math.sqrt(abs(b)) * math.sqrt(abs(c))))[1]
+    sa, sd = math.ldexp(a, -e), math.ldexp(d, -e)
+    bc = math.ldexp(mb * mc, eb + ec - 2 * e)
+    m, h = 0.5 * (sa + sd), 0.5 * (sa - sd)
+    q = h * h + bc
     if q > 0.0:
         far = m + math.copysign(math.sqrt(q), m)
-        lo, hi = sorted((far, (a * d - b * c) / far))
+        lo, hi = sorted((far, (sa * sd - bc) / far))
     else:
         lo = hi = m
     speeds = [math.ldexp(lo, e), math.ldexp(hi, e)]
     _check_speeds(speeds, math.ldexp(math.sqrt(max(-q, 0.0)), e), u)
-    x1, y1 = _longer_unit(b, lo - a, lo - d, c)
-    x2, y2 = _longer_unit(b, hi - a, hi - d, c)
-    return np.array(speeds), np.array([[x1, x2], [y1, y2]])
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b = math.ldexp(a, -k), math.ldexp(b, -k)
+    c, d = math.ldexp(c, -k), math.ldexp(d, -k)
+    lo, hi = math.ldexp(lo, e - k), math.ldexp(hi, e - k)
+    return speeds, [_longer_unit(b, lo - a, lo - d, c),
+                    _longer_unit(b, hi - a, hi - d, c)]
 
 
 def _longer_unit(x, y, z, w):
-    """The longer of the vectors (x, y) and (z, w), normalized."""
+    """The longer of the vectors (x, y) and (z, w), normalized, as a list."""
     if z * z + w * w > x * x + y * y:
         x, y = z, w
     norm = math.hypot(x, y)
-    return x / norm, y / norm
+    return [x / norm, y / norm]
 
 
 def _curvature(hessian, right, left):

@@ -206,6 +206,32 @@ def test_riemann_waves_follow_eigenvectors_of_a_badly_scaled_jacobian(
         assert np.max(np.abs(jac @ du - wave["speed_lo"] * du)) <= 1e-12
 
 
+def test_riemann_resolves_the_speeds_of_a_jacobian_with_a_tiny_entry(
+        tmp_path, capsys):
+    # f = (1e-200 v, 1e200 u + v^2 / 2): J = [[0, 1e-200], [1e200, v]], whose
+    # speeds (v -/+ sqrt(v^2 + 4)) / 2 need the product 1e-200 * 1e200; the
+    # 2x2 closed form once scaled 1e-200 to 0 and called them coincident
+    config = {"schema": "scenario-v1", "experiment": "riemann",
+              "model": {"kind": "custom-table", "p": 1,
+                        "box": [[0.5, 1.5], [0.5, 1.5]],
+                        "terms": [[[1e-200, [0, 1]]],
+                                  [[1e200, [1, 0]], [0.5, [0, 2]]]]},
+              "riemann": {"ul": [1.0, 1.0], "ur": [1.0, 1.05]}}
+    cfg = _write(tmp_path, "tiny_entry.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((out_dir / "riemann.json").read_text())
+    assert [w["kind"] for w in payload["waves"]] == ["rarefaction"] * 2
+    first, second = payload["waves"]
+    assert first["speed_lo"] == pytest.approx((1.0 - math.sqrt(5.0)) / 2.0,
+                                              abs=1e-12)
+    assert second["speed_hi"] == pytest.approx(
+        (1.05 + math.sqrt(1.05 ** 2 + 4.0)) / 2.0, abs=1e-12)
+
+
 def test_curves_experiment_writes_csv(tmp_path):
     config = {"schema": "scenario-v1", "experiment": "curves",
               "model": dict(GAS_BLOCK),

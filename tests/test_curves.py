@@ -286,6 +286,27 @@ def test_chartless_rarefaction_is_solve_ivp_bitwise(data):
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_field_and_the_eigenstructure_read_one_basis(data):
+    # each field evaluation is +-eigen(u).r(family), and lambdas(u) is
+    # eigen(u).lams, bitwise: no second Jacobian or basis path
+    model = data.draw(st.sampled_from([GAS_TWIN, MIRROR_TWIN, TABLE3]),
+                      label="model")
+    state = st.tuples(*[st.floats(lo, hi) for lo, hi
+                        in zip(model.box.lows, model.box.highs)])
+    states = [np.array(u) for u in
+              data.draw(st.lists(state, min_size=1, max_size=6), label="states")]
+    family = data.draw(st.integers(1, model.n), label="family")
+    field = curves._oriented_field(model, family,
+                                   model.eigen(states[0]).r(family))
+    for u in states:
+        eig = model.eigen(u)
+        r = field(u).tobytes()
+        assert r in (eig.r(family).tobytes(), (-eig.r(family)).tobytes()), u
+        assert model.lambdas(u).tobytes() == eig.lams.tobytes(), u
+
+
 @pytest.mark.parametrize("model, u0", [(GAS_TWIN, U0),
                                        (TABLE3, np.array([0.1, -0.2, 0.3]))],
                          ids=["gas_twin", "table3"])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -366,28 +368,43 @@ def reference_orient(model, u, right):
     return out
 
 
-def reference_flux(terms, u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(len(terms))
-    for k, comp in enumerate(terms):
-        for c, ex in comp:
-            out[k] += c * np.prod(u ** np.asarray(ex))
+def numpy_powers(u, ex):
+    """prod_j u_j ** ex_j in numpy's array power."""
+    return np.prod(np.asarray(u, dtype=float) ** np.asarray(ex))
+
+
+def float_powers(u, ex):
+    """prod_j u_j ** ex_j in Python's float power, multiplied in the order
+    of the compiled table's rows."""
+    return math.prod(float(x) ** e for x, e in zip(u, ex))
+
+
+def reference_terms(terms, u, order, powers=numpy_powers):
+    """The terms of the order-th derivative of the flux at u, as (entry,
+    value) pairs in table order, each differentiated in its own loop; as in
+    the compiled table, a derivative whose coefficient vanishes adds no
+    term, not 0 * inf."""
+    out = []
+    with np.errstate(all="ignore"):
+        for k, comp in enumerate(terms):
+            for c, ex in comp:
+                for js in itertools.product(range(len(terms)), repeat=order):
+                    coef, dex = c, list(ex)
+                    for j in js:
+                        coef *= dex[j]
+                        dex[j] -= 1
+                    if order == 0 or coef != 0.0:
+                        out.append(((k, *js), coef * powers(u, dex)))
     return out
 
 
-def reference_jacobian(terms, u):
-    u = np.asarray(u, dtype=float)
-    n = len(terms)
-    J = np.zeros((n, n))
-    for k, comp in enumerate(terms):
-        for c, ex in comp:
-            for j in range(n):
-                if ex[j] == 0:
-                    continue
-                dex = list(ex)
-                dex[j] -= 1
-                J[k, j] += c * ex[j] * np.prod(u ** np.asarray(dex))
-    return J
+def reference_derivative(terms, u, order, powers=numpy_powers):
+    """The sum of reference_terms, entry by entry, in table order."""
+    out = np.zeros((len(terms),) * (order + 1))
+    with np.errstate(all="ignore"):
+        for entry, value in reference_terms(terms, u, order, powers):
+            out[entry] += value
+    return out
 
 
 LINEAR_TABLE = TableModel([[(-1.0, (1, 0))], [(1.0, (0, 1))]], 1,
@@ -439,6 +456,21 @@ def test_an_empty_grid_raises_on_every_call():
     assert model._facts == {}
 
 
+def assert_term_sums_agree(got, terms, u, order):
+    """got, the order-th derivative at u, has NaN, inf and -inf where the
+    numpy reference has them, and elsewhere is within 1e-14 of it relative
+    to the sum of the terms' magnitudes: where terms cancel, a power rounded
+    an ulp apart, as numpy's array power and Python's can be, moves the sum
+    by an ulp of the terms."""
+    want = reference_derivative(terms, u, order)
+    scale = np.zeros(got.shape)
+    for entry, value in reference_terms(terms, u, order):
+        scale[entry] += abs(value)
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-14 * scale[finite])
+
+
 @st.composite
 def tables(draw):
     n = draw(st.integers(1, 3))
@@ -456,14 +488,49 @@ def test_compiled_table_matches_the_term_loops(table):
     terms, u = table
     n = len(terms)
     model = TableModel(terms, 0, Box(np.zeros(n), 2 * np.ones(n)))
-    np.testing.assert_allclose(model.flux(u), reference_flux(terms, u),
+    np.testing.assert_allclose(model.flux(u),
+                               reference_derivative(terms, u, 0, float_powers),
                                rtol=1e-14, atol=0)
-    np.testing.assert_allclose(model.jacobian(u), reference_jacobian(terms, u),
+    np.testing.assert_allclose(model.jacobian(u),
+                               reference_derivative(terms, u, 1, float_powers),
                                rtol=1e-14, atol=0)
     h = 1e-6
     fd = np.stack([(model.jacobian(u + h * e) - model.jacobian(u - h * e)) / (2 * h)
                    for e in np.eye(n)], axis=-1)
     np.testing.assert_allclose(model.hessian(u), fd, rtol=1e-6, atol=1e-6)
+
+
+# states where a power overflows, divides by zero or underflows
+EDGE_STATES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+
+@st.composite
+def edge_tables(draw):
+    """Tables of exponents in -3..3 and -10**18, the overflowing exponent of
+    the CLI's overflow check, at states drawn from EDGE_STATES and [-2, 2]."""
+    n = draw(st.integers(1, 3))
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+    exponents = st.tuples(*[st.integers(-3, 3) | st.just(-10 ** 18)] * n)
+    terms = draw(st.lists(st.lists(st.tuples(coefficient, exponents),
+                                   max_size=3), min_size=n, max_size=n))
+    u = draw(st.lists(st.sampled_from(EDGE_STATES) | st.floats(-2.0, 2.0),
+                      min_size=n, max_size=n))
+    return terms, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_tables())
+def test_table_values_are_numpy_values_at_edge_states(table):
+    # NaN, inf and -inf where numpy's array power gives them, the same
+    # sums elsewhere, and no warning
+    terms, u = table
+    n = len(terms)
+    model = TableModel(terms, 0, Box(-np.ones(n), np.ones(n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [model.flux(u), model.jacobian(u), model.hessian(u)]
+    for order, values in enumerate(got):
+        assert_term_sums_agree(values, terms, u, order)
 
 
 def test_vanishing_derivative_terms_stay_finite_at_zero():
@@ -678,6 +745,9 @@ def on_a_speed_threshold(jac):
 # u = 0.01 of test_non_finite_sweep_values_fail_their_checks: h^2 overflows
 # unless J is scaled first
 @example(jac=np.array([[-1.52e308, 0.0], [0.0, 1.0]]))
+# speeds (1 -/+ sqrt(5)) / 2: bc = 1 is lost unless b = 1e-200 is kept apart
+# from the scaling by the largest entry
+@example(jac=np.array([[0.0, 1e-200], [1e200, 1.0]]))
 @given(jac=matrices_2x2())
 def test_closed_form_basis_has_the_outcome_of_lapack(jac):
     model, u = MatrixModel(jac), np.zeros(2)
@@ -691,6 +761,18 @@ def test_closed_form_basis_has_the_outcome_of_lapack(jac):
             assert_close_eigen(jac, got, want)
     elif got != want:
         assert on_a_speed_threshold(jac), (got, want)
+
+
+def test_closed_form_basis_keeps_the_product_of_a_tiny_and_a_huge_entry():
+    # J = [[0, 1e-200], [1e200, 1]]: scaled by its largest entry, b = 1e-200
+    # underflows, and the coincidence test once refused the speeds
+    # (1 -/+ sqrt(5)) / 2, which LAPACK resolves
+    jac = np.array([[0.0, 1e-200], [1e200, 1.0]])
+    eig = MatrixModel(jac)._numeric_eigen(np.zeros(2))
+    assert eig.lams.tolist() == pytest.approx(
+        [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2], rel=2 * EPS)
+    # the rows of J r - lambda r hold terms of size 1, not of max|J|
+    assert np.max(np.abs(jac @ eig.right - eig.right * eig.lams)) <= 2 * EPS
 
 
 # -- the curvature matrix against the finite-difference probes ---------------

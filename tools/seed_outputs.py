@@ -8,7 +8,8 @@ into OUT/<workload>/<index>, and each request of EXTRA into
 OUT/extra/<name>, so two runs, or two checkouts, compare with ``diff -r``.
 The extra requests are a gas and a custom-table ``curves`` run, a 6-jump
 custom-table ``evolve``, whose rarefaction fans integrate chartless curves,
-a ``riemann`` run on a 3x3 custom table, whose speeds come from LAPACK, a
+a ``riemann`` run on a 3x3 custom table, whose speeds come from LAPACK, and
+one on the p-system table, whose exponents are negative, a
 2-variant gas ``sweep`` on one worker, a 2x2 and a 3x3 linear ``steer``,
 the second injecting two families at a time at x = b, a
 ``linear_control`` run, a ``stabilize`` run that starts far from its
@@ -45,6 +46,9 @@ _TABLE3 = {"kind": "custom-table",
                      [[0.5, [0, 2, 0]], [1.0, [1, 1, 0]]],
                      [[2.0, [0, 0, 1]], [0.5, [0, 0, 2]], [1.0, [1, 1, 0]]]],
            "p": 1, "box": [[-0.5, 0.5]] * 3}
+# f = (-v, u^-2): the p-system with p(u) = u^-2
+_PSYSTEM = {"kind": "custom-table", "terms": [[[-1, [0, 1]]], [[1, [-2, 0]]]],
+            "p": 1, "box": [[0.5, 1.5], [-0.5, 0.5]]}
 _LINEAR = {"kind": "linear", "A": [[-1.0, 0.0], [0.0, 1.0]]}
 EXTRA = {
     "curves_gas": {"experiment": "curves", "model": _GAS,
@@ -56,6 +60,10 @@ EXTRA = {
     "riemann_table3": {"experiment": "riemann", "model": _TABLE3,
                        "riemann": {"ul": [0.1, 0.2, 0.0],
                                    "ur": [0.15, 0.17, 0.04]}},
+    # the p-system with p(u) = u^-2: the only table of negative exponents
+    "riemann_table_psystem": {"experiment": "riemann", "model": _PSYSTEM,
+                              "riemann": {"ul": [1.0, 0.0],
+                                          "ur": [1.1, 0.05]}},
     "sweep_gas": {"experiment": "curves", "model": _GAS,
                   "curves": {"u0": [1.0, 0.0], "samples": 3}, "workers": 1,
                   "sweep": [{"curves": {"u0": [1.1, 0.05], "samples": 3}},
