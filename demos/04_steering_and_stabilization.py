@@ -21,14 +21,14 @@ omega_prime = np.array([1.10, 0.06])
 res = steer_constant_states(gas, omega, omega_prime, (0.0, 1.0),
                             eps_fronts=0.01, chain_step=0.05)
 print(f"crossing time tau = {res.tau:.4f}")
-print(f"chain of {len(res.plan.actions) // 2} hops, "
-      f"horizon T = {res.plan.horizon:.4f}")
-for action in res.plan.actions:
+print(f"chain of {len(res.actions) // 2} hops, "
+      f"horizon T = {res.sim.time:.4f}")
+for action in res.actions:
     print(f"  t={action.time:8.4f}  impose at {action.side}: "
           f"({action.outer_state[0]:.6f}, {action.outer_state[1]:+.6f})")
 print(f"terminal distance to the target: "
-      f"{res.final_snapshot.sup_distance(omega_prime):.2e}, "
-      f"fronts left: {res.final_snapshot.n_fronts}")
+      f"{res.sim.now.sup_distance(omega_prime):.2e}, "
+      f"fronts left: {res.sim.now.n_fronts}")
 
 print("\n== stabilization of a shock-laden profile ==")
 slow = GasModel(K=1.0, gamma=2.0, box=Box([0.95, 0.88], [1.10, 1.00]),

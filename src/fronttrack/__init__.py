@@ -14,9 +14,9 @@ from .analysis import (
     track_shock_strength,
 )
 from .control import (
-    ContractionRecord, ControlPlan, LinearControlSolution, StabilizeResult,
-    SteerResult, StepResult, crossing_time, linear_exact_control,
-    stabilization_step, stabilize, steer_constant_states,
+    ContractionRecord, LinearControlSolution, StabilizeResult, SteerResult,
+    StepResult, crossing_time, linear_exact_control, stabilization_step,
+    stabilize, steer_constant_states,
 )
 from .curves import (
     CurvePoint, hugoniot_offset, lax_curve, rarefaction_curve,

@@ -1,9 +1,9 @@
 """Command-line entry point: scenario runner and report utilities.
 
 Exit codes: 0 success, 2 config error or a report that `plots` cannot read,
-3 solver divergence, a state leaving the admissible domain, a flux Jacobian
-that is not finite or characteristic speeds that are not real and distinct,
-4 invariant violation.  FAILURES maps each error class to its code.
+3 solver divergence, a state leaving the admissible domain, a non-finite
+flux Jacobian or characteristic speed, or speeds that are not real and
+distinct, 4 invariant violation.  FAILURES maps each error class to its code.
 """
 
 import argparse
@@ -44,10 +44,6 @@ def _build_parser():
     run = sub.add_parser("run", help="run a scenario and write reports")
     run.add_argument("--config", required=True, help="scenario JSON file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--epsilon", type=float, default=None,
-                     help="override front-tracking accuracy; only the "
-                          "experiments that track fronts read it, so on "
-                          "riemann, curves and linear_control it exits 2")
     run.add_argument("--quiet", action="store_true")
     v = sub.add_parser("validate", help="check a scenario config")
     v.add_argument("--config", required=True)
@@ -74,8 +70,6 @@ def _cmd_run(args):
     # run_scenario validates one config; a sweep is validated whole, every
     # variant included, before its first variant writes a file
     config = scenarios.read_config(args.config)
-    if args.epsilon is not None:
-        config["epsilon"] = args.epsilon
     if config.get("sweep"):
         scenarios.checked_model(config)
         manifests = scenarios.run_sweep(config, args.out)

@@ -6,7 +6,8 @@ crossing time tau, reverse-splits the x = a trace so that only families
 >= p+1 enter, and waits tau again.  Steering between constant states is N
 hops along a Riemann-coordinate chain; the 3 tau stabilization step is a
 tau wait followed by one hop toward u_star, iterated to quadratic-type
-contraction.  Plans, actions and step snapshots carry absolute time.
+contraction.  A plan is its list of actions; actions and step snapshots
+carry absolute time, and a plan's horizon is read from the run.
 
 All constants of the contraction estimates (step constant, admissible
 smallness, doubly-exponential rate) are measured from runs and reported;
@@ -29,7 +30,7 @@ LOGLOG_FLOOR = 1e-13  # deltas at or below are round-off to the log-log fit
 
 __all__ = [
     "crossing_time", "linear_exact_control", "steer_constant_states",
-    "stabilization_step", "stabilize", "ControlPlan", "ContractionRecord",
+    "stabilization_step", "stabilize", "ContractionRecord",
     "LinearControlSolution", "SteerResult", "StepResult", "StabilizeResult",
 ]
 
@@ -42,17 +43,6 @@ class ControlAction:
     time: float
     side: str
     outer_state: np.ndarray
-
-
-@dataclass
-class ControlPlan:
-    actions: list
-    horizon: float
-
-    def as_dicts(self):
-        return [{"time": a.time, "side": a.side,
-                 "outer_state": a.outer_state}
-                for a in self.actions]
 
 
 @dataclass
@@ -237,19 +227,25 @@ def _hop(sim, target, tau, actions, t0=0.0):
     return stuck
 
 
-def _profile_and_time(snapshot_or_profile):
-    """A snapshot's profile and time; a bare profile starts at t = 0."""
-    if hasattr(snapshot_or_profile, "profile"):
-        return snapshot_or_profile.profile(), snapshot_or_profile.time
-    return snapshot_or_profile, 0.0
+def _steer(sim, omega, omega_prime, chain_step, tau, actions):
+    """Hop ``sim`` toward each point of the Riemann-coordinate chain from
+    omega to omega_prime, appending the hops' actions to ``actions``, and
+    return the sup distance to each point after its hop."""
+    hop_errors = []
+    for target in _riemann_chain(sim.model, omega, omega_prime, chain_step):
+        _hop(sim, target, tau, actions)
+        hop_errors.append(sim.now.sup_distance(target))
+    return hop_errors
 
 
 @dataclass
 class SteerResult:
-    plan: ControlPlan
+    """A steer's run, crossing time, plan and per-hop errors: its final
+    snapshot is ``sim.now`` and its horizon ``sim.time``."""
+
     sim: Simulation
     tau: float
-    final_snapshot: object
+    actions: list          # ControlAction per injection, in time order
     hop_errors: list
 
 
@@ -260,47 +256,44 @@ def steer_constant_states(model, omega, omega_prime, interval, eps_fronts,
 
     The x = a trace after a hop's first half lies on the upper-family curve
     through the chain point, so the reverse split imposes the chain point
-    itself (bitwise on a Riemann chart) and each hop ends on it.
+    itself (bitwise on a Riemann chart) and each hop ends on it.  With
+    omega = omega_prime the chain is empty: no hop, no action, horizon 0.
     """
     omega = np.asarray(omega, dtype=float)
     a, b = interval
     tau = crossing_time(model, interval)
     sim = Simulation(model, constant_profile(a, b, omega), eps_fronts)
     actions = []
-    hop_errors = []
-    for target in _riemann_chain(model, omega, omega_prime, chain_step):
-        _hop(sim, target, tau, actions)
-        hop_errors.append(sim.now.sup_distance(target))
-    final = sim.now
-    return SteerResult(ControlPlan(actions, final.time), sim, tau, final,
-                       hop_errors)
+    hop_errors = _steer(sim, omega, omega_prime, chain_step, tau, actions)
+    return SteerResult(sim, tau, actions, hop_errors)
 
 
 @dataclass
 class StepResult:
+    """A stabilization step's snapshot at its absolute end time, its run,
+    its actions and its timing violations.  The step's horizon is
+    ``snapshot.time``."""
+
     snapshot: object
     sim: Simulation
-    plan: ControlPlan
-    sup_dist: float
-    tv: float
+    actions: list          # ControlAction per injection, in time order
     violations: list
 
 
-def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
-                       delta0=0.1):
-    """One 3 tau stabilization round toward the constant state u_star: a
-    tau wait, then one hop toward u_star.
+def stabilization_step(model, profile, u_star, eps_fronts, delta0=0.1,
+                       t0=0.0):
+    """One 3 tau stabilization round of ``profile``, taken at time t0,
+    toward the constant state u_star: a tau wait, then one hop toward
+    u_star.
 
     The wait lets every generation-1 front leave through the absorbing
-    boundaries.  Returns the profile at +3 tau with its distance metrics;
-    timing violations (generation-1 fronts surviving the wait, injected
-    fronts missing their exit deadline) are recorded, not raised.  The
-    step's simulation runs its own clock from 0, but the snapshot, the
-    actions and the plan carry absolute times, counted from the time of
-    ``snapshot_or_profile`` (0 for a bare profile).
+    boundaries.  Returns the snapshot at +3 tau; timing violations
+    (generation-1 fronts surviving the wait, injected fronts missing their
+    exit deadline) are recorded, not raised.  The step's simulation runs
+    its own clock from 0, but the snapshot and the actions carry absolute
+    times, counted from t0.
     """
     u_star = np.asarray(u_star, dtype=float)
-    profile, t0 = _profile_and_time(snapshot_or_profile)
     rho = profile.sup_distance(u_star)
     tv = profile.total_variation()
     if rho > delta0 or tv > delta0:
@@ -323,18 +316,16 @@ def stabilization_step(model, snapshot_or_profile, u_star, eps_fronts,
         if ids:
             violations.append((f"phase{phase}_injected_survivors", ids))
 
-    out = replace(sim.now, time=t0 + 3 * tau)
-    return StepResult(out, sim, ControlPlan(actions, t0 + 3 * tau),
-                      out.sup_distance(u_star), out.tv(), violations)
+    return StepResult(replace(sim.now, time=t0 + 3 * tau), sim, actions,
+                      violations)
 
 
 @dataclass
 class StabilizeResult:
     record: ContractionRecord
     steps: list            # StepResult per iteration
-    pre_plan: ControlPlan
+    pre_actions: list      # the steering pre-phase's ControlActions
     tau: float
-    u_star: np.ndarray
 
 
 def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1):
@@ -346,26 +337,23 @@ def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1):
     Riemann-coordinate chain toward it.  Records delta_k = max(sup distance,
     TV) at each step boundary, at absolute times, up to step k_max or a
     delta below DELTA_FLOOR; a non-decreasing delta above 10 DELTA_FLOOR
-    is a contraction failure, which ``record.failure`` states and the
-    caller acts on.
+    is a contraction failure: ``record.failure`` states the first, and the
+    caller acts on it.  The pre-phase's horizon is ``record.rows[0].time``.
     """
     u_star = np.asarray(u_star, dtype=float)
     tau = crossing_time(model, (phi.a, phi.b))
     record = ContractionRecord()
     steps = []
-    pre_plan = ControlPlan([], 0.0)
+    pre_actions = []
 
-    current = phi           # a bare profile at t = 0, later a snapshot
+    profile, t = phi, 0.0
     if phi.sup_distance(u_star) > delta0:
         sim = Simulation(model, phi, eps0)
         sim.advance_to(tau)
-        for target in _riemann_chain(model, phi.mean(), u_star, chain_step):
-            _hop(sim, target, tau, pre_plan.actions)
-        current = sim.now
-        pre_plan.horizon = current.time
+        _steer(sim, phi.mean(), u_star, chain_step, tau, pre_actions)
+        profile, t = sim.now.profile(), sim.time
 
     for k in range(k_max + 1):
-        profile, t = _profile_and_time(current)
         sup = profile.sup_distance(u_star)
         tv = profile.total_variation()
         delta = max(sup, tv)
@@ -373,19 +361,16 @@ def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1):
         if record.rows:
             prev = record.rows[-1].delta
             ratio = delta / prev ** 2 if prev > 0 else float("nan")
+            if (not record.failure and prev <= delta0 and delta >= prev
+                    and delta > 10 * DELTA_FLOOR):
+                record.failure = (f"delta did not decrease at step {k}: "
+                                  f"{prev:.3e} -> {delta:.3e}")
         record.rows.append(ContractionRow(k, t, sup, tv, delta, ratio))
         if k == k_max or delta < DELTA_FLOOR:
             break
         eps_k = max(eps0 * EPS_FACTOR ** k, 1e-11)
-        step = stabilization_step(model, current, u_star, eps_k, delta0=delta0)
+        step = stabilization_step(model, profile, u_star, eps_k,
+                                  delta0=delta0, t0=t)
         steps.append(step)
-        current = step.snapshot
-
-    deltas = record.deltas
-    for k in range(1, len(deltas)):
-        if deltas[k - 1] <= delta0 and deltas[k] >= deltas[k - 1] \
-                and deltas[k] > 10 * DELTA_FLOOR:
-            record.failure = (f"delta did not decrease at step {k}: "
-                              f"{deltas[k - 1]:.3e} -> {deltas[k]:.3e}")
-            break
-    return StabilizeResult(record, steps, pre_plan, tau, u_star)
+        profile, t = step.snapshot.profile(), step.snapshot.time
+    return StabilizeResult(record, steps, pre_actions, tau)

@@ -157,7 +157,10 @@ def _dop853(field, y0, f0, t_bound):
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    d2 = _rms((field(y0 + h0 * direction * f0) - f0) / scale) / h0
+    # over a subnormal interval d2 overflows to inf, as in scipy, and the
+    # first step is then the least one
+    with np.errstate(over="ignore"):
+        d2 = _rms((field(y0 + h0 * direction * f0) - f0) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
     h_abs = min(100 * h0, h1, interval)

@@ -617,8 +617,12 @@ class TableModel(FluxModel):
 
 
 def _check_speeds(speeds, imag, u):
-    """Raise HyperbolicityError where the ascending speeds at u, whose
-    largest imaginary part is imag, are complex or coincide."""
+    """Raise DomainError where one of the ascending speeds at u is not
+    finite (a finite Jacobian whose speed overflows), and
+    HyperbolicityError where the speeds, whose largest imaginary part is
+    imag, are complex or coincide."""
+    if not all(map(math.isfinite, speeds)):
+        raise DomainError(f"characteristic speeds are not finite at {u}")
     top = max(1.0, speeds[-1], -speeds[0])
     if imag > 1e-12 * top:
         raise HyperbolicityError(f"complex characteristic speeds at {u}")
@@ -639,7 +643,8 @@ def _basis_2x2(a, b, c, d, u):
     of |a|, |d| and sqrt|bc|, with bc the product of the mantissas of b and
     c, so that neither a tiny b nor a tiny c loses bc; the rows in the
     power of two of the largest entry.  Both scalings are exact, and no
-    square or product overflows."""
+    square or product overflows; a speed (or imaginary part) beyond the
+    largest float is inf, which ``_check_speeds`` refuses."""
     (mb, eb), (mc, ec) = math.frexp(b), math.frexp(c)
     e = math.frexp(max(abs(a), abs(d),
                        math.sqrt(abs(b)) * math.sqrt(abs(c))))[1]
@@ -652,14 +657,22 @@ def _basis_2x2(a, b, c, d, u):
         lo, hi = sorted((far, (sa * sd - bc) / far))
     else:
         lo = hi = m
-    speeds = [math.ldexp(lo, e), math.ldexp(hi, e)]
-    _check_speeds(speeds, math.ldexp(math.sqrt(max(-q, 0.0)), e), u)
+    speeds = [_unscale(lo, e), _unscale(hi, e)]
+    _check_speeds(speeds, _unscale(math.sqrt(max(-q, 0.0)), e), u)
     k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     a, b = math.ldexp(a, -k), math.ldexp(b, -k)
     c, d = math.ldexp(c, -k), math.ldexp(d, -k)
     lo, hi = math.ldexp(lo, e - k), math.ldexp(hi, e - k)
     return speeds, [_longer_unit(b, lo - a, lo - d, c),
                     _longer_unit(b, hi - a, hi - d, c)]
+
+
+def _unscale(x, e):
+    """x * 2**e, exact, and +-inf where that is beyond the largest float."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _longer_unit(x, y, z, w):

@@ -202,13 +202,14 @@ def _split(model, a, b, label, d):
     (d = -1).  A chartless model raises NotImplementedError before any Lax
     curve is evaluated.  The gas crosses its two curves from a and b, and
     raises RadiusError on a jump beyond DELTA_RIEMANN.  A linear model's Lax
-    curves are the lines u + sigma r_i, so it splits a jump of any size by
-    one projection on the left eigenbasis: its strengths are L (d (b - a))
-    with the upper group negated (in reverse, L (w - u*) with the lower
-    group negated), and its state is
-    a + d R_lower sigma_lower.  Strengths below SIGMA_NULL are zeroed first,
-    so u* comes back when w lies on its upper-family curve.  The residual
-    is the gap at b between the two groups' recompositions."""
+    curves are the lines u + sigma r_i, so its split, of a jump of any size,
+    is the Riemann solution from a to b grouped by side: its strengths are
+    sigma = L(a) (b - a), with those below SIGMA_NULL zeroed, so u* comes
+    back when w lies on its upper-family curve; its state is the solution's
+    state after family p; its entering waves are families <= p forward and
+    > p in reverse; and its residual is the solution's.  The strengths of
+    the group that does not enter are negated, the sign convention of both
+    directions."""
     if not model.has_chart:
         raise NotImplementedError(f"{model.kind} model has no Riemann chart")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -221,16 +222,13 @@ def _split(model, a, b, label, d):
         return BoundarySplit(state, sig, sol.waves, residual)
     model.check_domain(a)
     model.check_domain(b)
-    p, eig = model.p, model.eigen(a)
-    sig = eig.left @ (d * (b - a))
-    sig[p:] = -sig[p:]
+    sig = model.eigen(a).left @ (b - a)
     sig[np.abs(sig) < SIGMA_NULL] = 0.0
-    state = a + d * (eig.right[:, :p] @ sig[:p])
-    model.check_domain(state)
-    gap = b + d * (eig.right[:, p:] @ sig[p:]) - state
-    sol = _solution_from_sigmas(model, a if d == 1 else state,
-                                np.where(enters, sig, 0.0), state if d == 1 else b)
-    return BoundarySplit(state, sig, sol.waves, float(np.max(np.abs(gap))))
+    sol = _solution_from_sigmas(model, a, sig, b)
+    waves = tuple(w for w in sol.waves if enters[w.family - 1])
+    # 0.0 - sig, not -sig: a zeroed strength stays +0.0
+    return BoundarySplit(sol.states[model.p], np.where(enters, sig, 0.0 - sig),
+                         waves, sol.residual)
 
 
 def split_boundary_pair(model, v, v_prime):

@@ -705,23 +705,23 @@ def _run_steer(config, model, out):
         np.asarray(config["omega_prime"], dtype=float),
         domain, float(config["epsilon"]),
         chain_step=float(config["delta_chain"]))
-    out.write_json("plan.json", {"horizon": res.plan.horizon,
-                                 "tau": res.tau,
-                                 "actions": res.plan.as_dicts()})
+    final = res.sim.now
+    out.write_json("plan.json", {"horizon": res.sim.time, "tau": res.tau,
+                                 "actions": [vars(a) for a in res.actions]})
     _write_sim_logs(out, res.sim)
-    _write_snapshot(out, "snapshots/final", res.final_snapshot)
-    final_dist = res.final_snapshot.sup_distance(
+    _write_snapshot(out, "snapshots/final", final)
+    final_dist = final.sup_distance(
         np.asarray(config["omega_prime"], dtype=float))
-    if res.final_snapshot.n_fronts > 0 or final_dist > 1e-6:
+    if final.n_fronts > 0 or final_dist > 1e-6:
         raise ContractViolationError(
-            f"steering left {res.final_snapshot.n_fronts} fronts and "
+            f"steering left {final.n_fronts} fronts and "
             f"terminal distance {final_dist:.3e}")
     metrics = {
         "tau": res.tau,
-        "hops": len(res.plan.actions) // 2,
-        "horizon": res.plan.horizon,
+        "hops": len(res.actions) // 2,
+        "horizon": res.sim.time,
         "final_sup_dist": final_dist,
-        "fronts_final": res.final_snapshot.n_fronts,
+        "fronts_final": final.n_fronts,
         "hop_errors": res.hop_errors,
     }
     return metrics
@@ -739,10 +739,9 @@ def _run_stabilize(config, model, out):
     out.write_csv("contraction.csv", ["k", "t", "sup_dist", "tv", "ratio"],
                   [[r.k, r.time, r.sup_dist, r.tv, r.ratio]
                    for r in res.record.rows])
-    actions = res.pre_plan.as_dicts()
-    for step in res.steps:
-        actions.extend(step.plan.as_dicts())
-    out.write_json("plan.json", {"tau": res.tau, "actions": actions})
+    actions = res.pre_actions + [a for step in res.steps for a in step.actions]
+    out.write_json("plan.json", {"tau": res.tau,
+                                 "actions": [vars(a) for a in actions]})
     slope, intercept, r2 = res.record.loglog_fit()
     violations = [v for step in res.steps for v in step.violations]
     metrics = {

@@ -177,11 +177,10 @@ def test_criterion_4_constant_state_steering(wide_gas, steer_runs):
         dist = float(np.linalg.norm(wide_gas.to_riemann(omega_prime)
                                     - wide_gas.to_riemann(omega)))
         n_hops = int(np.ceil(dist / 0.05)) if dist > 0 else 0
-        if abs(res.plan.horizon - 2 * n_hops * tau) > 1e-9:
+        if abs(res.sim.time - 2 * n_hops * tau) > 1e-9:
             ok_time = False
-        worst_dist = max(worst_dist,
-                         res.final_snapshot.sup_distance(omega_prime))
-        worst_fronts = max(worst_fronts, res.final_snapshot.n_fronts)
+        worst_dist = max(worst_dist, res.sim.now.sup_distance(omega_prime))
+        worst_fronts = max(worst_fronts, res.sim.now.n_fronts)
     _report(4, worst_dist < 1e-8 and worst_fronts == 0 and ok_time,
             f"20 random pairs steered in 2N tau, worst terminal distance "
             f"{worst_dist:.2e}, residual fronts {worst_fronts}")

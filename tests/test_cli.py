@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fronttrack import scenarios, tracking
+from fronttrack import control, scenarios, tracking
 from fronttrack.analysis import dense_strengths
 from fronttrack.control import LOGLOG_FLOOR, crossing_time
 from fronttrack.curves import SIGMA_NULL, lax_curve
@@ -24,6 +24,11 @@ from fronttrack.scenarios import validate_config
 
 GAS_BLOCK = {"kind": "gas", "K": 1.0, "gamma": 2.0,
              "box": [[0.5, 1.5], [-0.4, 0.4]]}
+
+# perfbench's STAB_GAS: the slow gas of the stabilize runs
+STAB_BLOCK = {"kind": "gas", "K": 1.0, "gamma": 2.0,
+              "box": [[0.95, 1.10], [0.88, 1.00]],
+              "ref_state": [1.0, 0.98], "min_speed": 0.002}
 
 NEAR_SONIC_BLOCK = {"kind": "gas", "K": 1.0, "gamma": 2.0,
                     "box": [[0.96, 1.08], [0.90, 1.0]],
@@ -286,19 +291,6 @@ def test_run_and_riemann_build_the_model_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_epsilon_override_is_validated_and_recorded(tmp_path, capsys):
-    cfg = _write(tmp_path, "ok.json", _evolve_config())
-    out_dir = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out_dir),
-                 "--epsilon", "-1", "--quiet"]) == 2
-    assert "epsilon=-1.0 must be positive" in capsys.readouterr().err
-    assert not out_dir.exists()
-    assert main(["run", "--config", cfg, "--out", str(out_dir),
-                 "--epsilon", "0.02", "--quiet"]) == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["config"]["epsilon"] == 0.02
-
-
 @pytest.mark.parametrize("text, diagnostic", [
     ("[1, 2]", "config must be a JSON object"),
     ("{not json", "invalid JSON"),
@@ -368,6 +360,34 @@ def test_stabilize_scenario_and_plots(tmp_path):
     assert expected
     assert _dat_rows(out_dir / "contraction_loglog.dat",
                      "# k  loglog_inv_delta") == expected
+
+
+def test_contraction_failure_exits_4_with_its_reports(tmp_path, capsys,
+                                                     monkeypatch):
+    # a hop that injects nothing leaves each step's end state where the
+    # absorbing boundaries put it: delta stalls at step 2
+    def no_hop(sim, target, tau, actions, *args):
+        sim.advance_to(sim.time + 2 * tau)
+        return [[], []]
+    monkeypatch.setattr(control, "_hop", no_hop)
+    config = {"schema": "scenario-v1", "experiment": "stabilize",
+              "model": dict(STAB_BLOCK), "domain": [0.0, 1.0],
+              "initial": {"kind": "dense_shocks", "n": 15, "budget": 0.04,
+                          "base": [1.0, 0.98]},
+              "u_star": [1.0, 0.98], "epsilon": 0.005, "k_max": 3}
+    cfg = _write(tmp_path, "stab.json", config)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 4
+    assert capsys.readouterr().err == (
+        "invariant violation: delta did not decrease at step 2: "
+        "2.836e-02 -> 2.836e-02\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "contraction.csv", "plan.json"]
+    rows = _csv_rows(out_dir / "contraction.csv")
+    assert [int(row["k"]) for row in rows] == [0, 1, 2, 3]
+    assert len({row["sup_dist"] for row in rows}) == 1
+    assert json.loads((out_dir / "plan.json").read_text())["actions"] == []
 
 
 def test_counterexample_scenario_plots(tmp_path):
@@ -469,8 +489,9 @@ def test_sweep_mode_writes_subdirectories(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out_dir),
                  "--quiet"]) == 0
-    assert (out_dir / "sweep_000" / "manifest.json").exists()
-    assert (out_dir / "sweep_001" / "manifest.json").exists()
+    epsilons = [json.loads((out_dir / sub / "manifest.json").read_text())
+                ["config"]["epsilon"] for sub in ("sweep_000", "sweep_001")]
+    assert epsilons == [0.02, 0.01]
 
 
 def test_sweep_mode_with_worker_pool(tmp_path):
@@ -1262,6 +1283,36 @@ def test_overflowing_table_flux_exits_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == (
         "domain error: flux Jacobian is not finite at [1.05 0.1 ]\n")
+
+
+# J = 1e308 [[1.7, 1], [1, 1.5]] is finite, but its larger speed, about
+# 2.6e308, is not a float
+_HUGE_SPEED_TERMS = [[[1.7e308, [1, 0]], [1e308, [0, 1]]],
+                     [[1e308, [1, 0]], [1.5e308, [0, 1]]]]
+
+
+@pytest.mark.parametrize("n, state", [(2, "[1.   1.05]"),
+                                      (3, "[1.   1.05 1.  ]")])
+def test_speed_beyond_the_largest_float_exits_3(tmp_path, capsys, n, state):
+    # the 2x2 closed form once raised OverflowError (exit 1), and LAPACK's
+    # inf speed of the 3x3 was reported as coincident speeds
+    terms = [[[c, e + [0] * (n - 2)] for c, e in row]
+             for row in _HUGE_SPEED_TERMS]
+    terms += [[[1.0, [0, 0, 2]]]] * (n - 2)
+    model = {"kind": "custom-table", "p": 0, "box": [[0.5, 1.5]] * n,
+             "terms": terms}
+    config = {"schema": "scenario-v1", "experiment": "riemann", "model": model,
+              "riemann": {"ul": [1.0] * n,
+                          "ur": [1.0, 1.05] + [1.0] * (n - 2)}}
+    cfg = _write(tmp_path, "huge_speed.json", config)
+    assert main(["validate", "--config", cfg, "--quiet"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"domain error: characteristic speeds are not finite at {state}\n")
 
 
 def test_riemann_middle_state_below_the_box_exits_3(tmp_path, capsys):

@@ -74,19 +74,19 @@ def test_crossing_time_examples(gas, diag_linear):
 
 def test_steer_identity_is_empty_plan(gas):
     res = steer_constant_states(gas, U0, U0, (0.0, 1.0), 0.05)
-    assert res.plan.actions == []
-    assert res.plan.horizon == 0.0
-    assert res.final_snapshot.sup_distance(U0) == 0.0
+    assert res.actions == []
+    assert res.sim.time == 0.0
+    assert res.sim.now.sup_distance(U0) == 0.0
 
 
 def test_steer_single_hop(gas):
     target = np.array([1.05, 0.02])
     res = steer_constant_states(gas, U0, target, (0.0, 1.0), 0.01,
                                 chain_step=0.1)
-    assert len(res.plan.actions) == 2
-    assert res.plan.horizon == pytest.approx(2 * res.tau)
-    assert res.final_snapshot.sup_distance(target) < 1e-8
-    assert res.final_snapshot.n_fronts == 0
+    assert len(res.actions) == 2
+    assert res.sim.time == pytest.approx(2 * res.tau)
+    assert res.sim.now.sup_distance(target) < 1e-8
+    assert res.sim.now.n_fronts == 0
 
 
 def test_steer_four_hop_chain(gas):
@@ -98,11 +98,11 @@ def test_steer_four_hop_chain(gas):
     assert 0.15 < dist <= 0.2
     res = steer_constant_states(gas, U0, target, (0.0, 1.0), 0.01,
                                 chain_step=0.05)
-    assert len(res.plan.actions) == 8
-    assert res.plan.horizon == pytest.approx(8 * res.tau)
+    assert len(res.actions) == 8
+    assert res.sim.time == pytest.approx(8 * res.tau)
     assert all(err < 1e-8 for err in res.hop_errors)
-    assert res.final_snapshot.sup_distance(target) < 1e-8
-    assert res.final_snapshot.n_fronts == 0
+    assert res.sim.now.sup_distance(target) < 1e-8
+    assert res.sim.now.n_fronts == 0
 
 
 def test_steer_injections_respect_family_sides(gas):
@@ -133,8 +133,8 @@ def test_stabilization_step_fixed_point(gas_slow):
     u_star = np.array([1.0, 0.98])
     step = stabilization_step(gas_slow, constant_profile(0.0, 1.0, u_star),
                               u_star, 0.01)
-    assert step.sup_dist == 0.0
-    assert step.tv == 0.0
+    assert step.snapshot.sup_distance(u_star) == 0.0
+    assert step.snapshot.tv() == 0.0
     assert step.violations == []
 
 
@@ -145,8 +145,9 @@ def test_stabilization_step_contracts_dense_shocks(gas_slow):
     delta0 = max(prof.sup_distance(u_star), prof.total_variation())
     step = stabilization_step(gas_slow, prof, u_star, 0.005)
     assert step.violations == []
-    assert max(step.sup_dist, step.tv) < delta0
-    assert step.tv < delta0 ** 2        # at least quadratic improvement
+    tv = step.snapshot.tv()
+    assert max(step.snapshot.sup_distance(u_star), tv) < delta0
+    assert tv < delta0 ** 2             # at least quadratic improvement
 
 
 def test_stabilization_step_precondition(gas_slow):
@@ -208,7 +209,7 @@ def test_stabilize_pre_phase_reaches_far_target(gas_slow):
                               base_state=[1.0, 0.98])
     res = stabilize(gas_slow, prof, u_star, k_max=2, eps0=0.002, delta0=0.03)
     assert res.record.failure == ""
-    assert len(res.pre_plan.actions) >= 2
+    assert len(res.pre_actions) >= 2
     assert res.record.rows[0].delta < 0.03
     assert res.record.rows[-1].delta < 1e-8
 
@@ -223,14 +224,14 @@ def test_stabilize_reports_absolute_time(gas_slow, case, monkeypatch):
                                   base_state=u_star)
         res = stabilize(gas_slow, prof, u_star, k_max=3, eps0=0.01)
         start = 0.0
-        assert res.pre_plan.actions == []
+        assert res.pre_actions == []
     else:
         u_star = np.array([1.04, 0.93])
         prof = dense_initial_data(gas_slow, 7, -0.01, (0.0, 1.0),
                                   base_state=[1.0, 0.98])
         res = stabilize(gas_slow, prof, u_star, k_max=2, eps0=0.002,
                         delta0=0.03)
-        n_hops = len(res.pre_plan.actions) // 2
+        n_hops = len(res.pre_actions) // 2
         assert n_hops >= 1
         start = (1 + 2 * n_hops) * res.tau
     assert res.record.failure == ""
@@ -238,13 +239,11 @@ def test_stabilize_reports_absolute_time(gas_slow, case, monkeypatch):
     k_max = len(res.record.rows) - 1
     assert [row.time for row in res.record.rows] == pytest.approx(
         [start + 3 * k * tau for k in range(k_max + 1)])
-    assert res.pre_plan.horizon == res.record.rows[0].time
     assert len(res.steps) == k_max
     for step, row in zip(res.steps, res.record.rows[1:]):
         assert step.snapshot.time == row.time
-        assert step.plan.horizon == row.time
-        assert [a.time for a in step.plan.actions] == pytest.approx(
+        assert [a.time for a in step.actions] == pytest.approx(
             [row.time - 2 * tau, row.time - tau])
-    times = [a.time for a in res.pre_plan.actions]
-    times += [a.time for step in res.steps for a in step.plan.actions]
+    times = [a.time for a in res.pre_actions]
+    times += [a.time for step in res.steps for a in step.actions]
     assert np.all(np.diff(times) > 0)

@@ -119,11 +119,10 @@ def test_linear3_steering(linear3):
     omega_prime = np.array([0.3, -0.2, 0.1])
     res = steer_constant_states(linear3, omega, omega_prime, (0.0, 1.0),
                                 eps_fronts=0.05, chain_step=0.2)
-    assert res.final_snapshot.sup_distance(omega_prime) < 1e-8
-    assert res.final_snapshot.n_fronts == 0
+    assert res.sim.now.sup_distance(omega_prime) < 1e-8
+    assert res.sim.now.n_fronts == 0
     tau = crossing_time(linear3, (0.0, 1.0))
-    assert res.plan.horizon == pytest.approx(
-        2 * tau * (len(res.plan.actions) // 2))
+    assert res.sim.time == pytest.approx(2 * tau * (len(res.actions) // 2))
     families = res.sim.fronts["families"]
     for rec in res.sim.records:
         if rec.kind == "inject_b":

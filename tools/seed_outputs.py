@@ -10,8 +10,9 @@ The extra requests are a gas and a custom-table ``curves`` run, a 6-jump
 custom-table ``evolve``, whose rarefaction fans integrate chartless curves,
 a ``riemann`` run on a 3x3 custom table, whose speeds come from LAPACK, and
 one on the p-system table, whose exponents are negative, a
-2-variant gas ``sweep`` on one worker, a 2x2 and a 3x3 linear ``steer``,
-the second injecting two families at a time at x = b, a
+2-variant gas ``sweep`` on one worker, a gas ``steer`` whose two states
+are equal, so it makes no hop, a 2x2 and a 3x3 linear ``steer``, the
+second injecting two families at a time at x = b, a
 ``linear_control`` run, a ``stabilize`` run that starts far from its
 target, so its steering pre-phase runs, and a ``counterexample`` whose
 initial jumps hold a rarefaction, so the density bins and the kappa fit
@@ -68,6 +69,11 @@ EXTRA = {
                   "curves": {"u0": [1.0, 0.0], "samples": 3}, "workers": 1,
                   "sweep": [{"curves": {"u0": [1.1, 0.05], "samples": 3}},
                             {"curves": {"u0": [0.9, -0.05], "samples": 4}}]},
+    # omega = omega_prime: a steer with no hops, whose plan is empty
+    "steer_identity": {"experiment": "steer",
+                       "model": {**_GAS, "box": [[0.5, 1.5], [-0.6, 0.6]]},
+                       "domain": [0.0, 1.0], "omega": [1.0, 0.0],
+                       "omega_prime": [1.0, 0.0]},
     "steer_linear": {"experiment": "steer",
                      "model": {"kind": "linear", "A": [[-1.0, 0.2], [0.1, 1.0]]},
                      "domain": [0.0, 1.0], "omega": [0.0, 0.0],
