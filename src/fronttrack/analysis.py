@@ -11,8 +11,8 @@ from .curves import lax_curve
 from .profiles import PiecewiseConstant
 from .tracking import TIME_TIE
 
-DEFAULT_CENSUS_FLOOR = 1e-6      # below this a jump counts as wave dust
-DEFAULT_SIGN_FLOOR = 1e-11       # opposite-family output resolvable above this
+DEFAULT_CENSUS_FLOOR = 1e-6      # strength: below this a jump is wave dust
+DEFAULT_SIGN_FLOOR = 1e-11       # strength: opposite-family outputs resolve above it
 PROBE_MARGIN = 0.05              # default boundary-layer exclusion, per side x2
 DEFAULT_LEVEL_DECAY = 2.0        # dense data: strength ratio between dyadic levels
 

@@ -332,13 +332,14 @@ def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1):
     """Iterated stabilization toward u_star with geometrically tightening
     front-tracking accuracy (eps_k = eps0 * EPS_FACTOR^k).
 
-    When the initial profile sits farther than delta0 from u_star, a
-    steering pre-phase first waits tau and then hops along a
-    Riemann-coordinate chain toward it.  Records delta_k = max(sup distance,
-    TV) at each step boundary, at absolute times, up to step k_max or a
-    delta below DELTA_FLOOR; a non-decreasing delta above 10 DELTA_FLOOR
-    is a contraction failure: ``record.failure`` states the first, and the
-    caller acts on it.  The pre-phase's horizon is ``record.rows[0].time``.
+    Records delta_k = max(sup distance to u_star, TV), the measure a
+    step's precondition bounds by delta0, at each step boundary, at
+    absolute times, up to step k_max or a delta below DELTA_FLOOR.  When
+    the initial delta exceeds delta0, a steering pre-phase first waits
+    tau and then hops along a Riemann-coordinate chain toward u_star; its
+    horizon is ``record.rows[0].time``.  A non-decreasing delta above 10
+    DELTA_FLOOR is a contraction failure: ``record.failure`` states the
+    first, and the caller acts on it.
     """
     u_star = np.asarray(u_star, dtype=float)
     tau = crossing_time(model, (phi.a, phi.b))
@@ -347,7 +348,7 @@ def stabilize(model, phi, u_star, k_max, eps0, chain_step=0.05, delta0=0.1):
     pre_actions = []
 
     profile, t = phi, 0.0
-    if phi.sup_distance(u_star) > delta0:
+    if max(phi.sup_distance(u_star), phi.total_variation()) > delta0:
         sim = Simulation(model, phi, eps0)
         sim.advance_to(tau)
         _steer(sim, phi.mean(), u_star, chain_step, tau, pre_actions)

@@ -17,7 +17,7 @@ from .errors import DomainError, RadiusError
 from .models import GNL_FLOOR, _curvature, wedge
 from .newton import newton_solve, scalar_root
 
-SIGMA_NULL = 1e-12
+SIGMA_NULL = 1e-12   # strength: a wave weaker than this is null
 
 # DOP853 as scipy.integrate's solve_ivp steps it, with its coefficients and
 # arithmetic, so a curve point is the one solve_ivp(..., method="DOP853")

@@ -27,8 +27,8 @@ from .newton import RES_TOL, scalar_root
 
 SPEED_FLOOR = 1e-6     # least admissible |characteristic speed|
 SPEED_SAMPLES = 33     # grid points per axis of the least-speed sweep
-DOMAIN_SLACK = 1e-9    # box widening of the admissible-domain test
-GNL_FLOOR = 1e-7       # least |grad(lambda_i) . r_i| of a nonlinear family
+DOMAIN_SLACK = 1e-9    # state: box widening of the admissible-domain test
+GNL_FLOOR = 1e-7       # speed/strength: least |grad(lambda_i) . r_i| of a GNL family
 EIG_RESIDUAL_TOL = 1e-10  # bound of |J r - lambda r| over max |J_ij|
 
 
@@ -127,13 +127,15 @@ class FluxModel:
     """Base class for a strictly hyperbolic system u_t + f(u)_x = 0.
 
     A model is immutable after construction, so the facts that depend only
-    on it (hypothesis reports, least speeds, c0) are memoised on it.
+    on it (hypothesis reports, least speeds, c0) are memoised on it.  Its
+    wave curves run to |sigma| = curve_radius, a constant of its kind.
     """
 
     kind = "custom"
     has_chart = False
+    curve_radius = 0.5
 
-    def __init__(self, n, p, box, ref_state=None, curve_radius=0.5):
+    def __init__(self, n, p, box, ref_state=None):
         self.n = int(n)
         self.p = int(p)
         if box.lows.shape != (self.n,):
@@ -142,7 +144,6 @@ class FluxModel:
         self.box = box
         if not 0 <= self.p <= self.n:
             raise ValueError(f"p={self.p} must be a family count in 0..{self.n}")
-        self.curve_radius = float(curve_radius)
         if ref_state is None:
             ref_state = 0.5 * (box.lows + box.highs)
         self.ref_state = np.asarray(ref_state, dtype=float)
@@ -290,8 +291,9 @@ class LinearModel(FluxModel):
 
     kind = "linear"
     has_chart = True
+    curve_radius = 1e9    # linear curves are exact at any strength
 
-    def __init__(self, A, box=None, ref_state=None, **kw):
+    def __init__(self, A, box=None, ref_state=None):
         self.A = np.asarray(A, dtype=float)
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be square")
@@ -301,9 +303,8 @@ class LinearModel(FluxModel):
         if ref_state is None:
             ref_state = np.zeros(n)
         self._eig = self._numeric_eigen(np.asarray(ref_state, dtype=float))
-        kw.setdefault("curve_radius", 1e9)   # linear curves are globally exact
         super().__init__(n, int(np.sum(self._eig.lams < 0)), box,
-                         ref_state=ref_state, **kw)
+                         ref_state=ref_state)
 
     def flux(self, u):
         return self.A @ np.asarray(u, dtype=float)
@@ -344,7 +345,7 @@ class GasModel(FluxModel):
     has_chart = True
 
     def __init__(self, K=1.0, gamma=2.0, box=None, ref_state=None,
-                 min_speed=0.0, **kw):
+                 min_speed=0.0):
         if not (1.0 < gamma < 3.0):
             raise ValueError("gas model requires 1 < gamma < 3")
         if K <= 0:
@@ -356,7 +357,7 @@ class GasModel(FluxModel):
             box = Box([0.5, -0.2], [1.5, 0.2])
         if ref_state is None:
             ref_state = np.array([1.0, 0.0])
-        super().__init__(2, 1, box, ref_state=ref_state, **kw)
+        super().__init__(2, 1, box, ref_state=ref_state)
         self.min_speed = float(min_speed)
         self._w_ref = self._w_raw(self.ref_state)
 
@@ -553,7 +554,7 @@ class TableModel(FluxModel):
 
     kind = "custom-table"
 
-    def __init__(self, terms, p, box, **kw):
+    def __init__(self, terms, p, box, ref_state=None):
         n = len(terms)
         rows = [(k, c, ex) for k, comp in enumerate(terms) for c, ex in comp]
         for _, c, ex in rows:
@@ -564,7 +565,7 @@ class TableModel(FluxModel):
             if any(isinstance(e, bool) or not isinstance(e, numbers.Integral)
                    for e in ex):
                 raise TypeError(f"term exponents {ex!r} are not integers")
-        super().__init__(n, p, box, **kw)
+        super().__init__(n, p, box, ref_state=ref_state)
         # an exponent beyond int64, which numpy's power took, raises
         # OverflowError here
         exps = np.array([ex for _, _, ex in rows], dtype=int).tolist()

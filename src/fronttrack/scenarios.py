@@ -247,8 +247,7 @@ _BOX = _is(lambda v, m: isinstance(v, list) and all(
     "{name}={value!r} must be finite [low, high] pairs with low < high")
 _FINITE_STATE = _is(lambda v, m: _numbers(v, None, _finite),
                     "{name}={value!r} must be a state of finite numbers")
-_MODEL_COMMON = {"box": (None, _BOX), "ref_state": (None, _FINITE_STATE),
-                 "curve_radius": (None, _POSITIVE)}
+_MODEL_COMMON = {"box": (None, _BOX), "ref_state": (None, _FINITE_STATE)}
 _DENSE = {
     "n": (_REQUIRED, _COUNT),
     "budget": (_REQUIRED, _POSITIVE),
@@ -264,7 +263,6 @@ _COMMON = {
                              f"schema must be '{SCHEMA_ID}'")),
     "model": (_REQUIRED, None),
     "sweep": (None, _sweep),
-    "workers": (1, _COUNT),
 }
 _DOMAIN = {"domain": (_REQUIRED, _INTERVAL)}
 _TRACKED = {**_COMMON, **_DOMAIN, "epsilon": (0.01, _POSITIVE)}
@@ -890,12 +888,7 @@ def run_scenario(config, out_dir):
 
 def run_sweep(config, out_dir):
     """Run each variant of the config's sweep into a sweep_NNN subdirectory,
-    on a process pool when the config asks for more than one worker."""
-    variants = [_variant(config, overrides) for overrides in config["sweep"]]
-    dirs = [str(Path(out_dir) / f"sweep_{k:03d}") for k in range(len(variants))]
-    workers = resolve_config(config)["workers"]
-    if workers == 1:
-        return list(map(run_scenario, variants, dirs))
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, variants, dirs))
+    in order, in this process."""
+    return [run_scenario(_variant(config, overrides),
+                         str(Path(out_dir) / f"sweep_{k:03d}"))
+            for k, overrides in enumerate(config["sweep"])]

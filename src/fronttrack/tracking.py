@@ -67,7 +67,7 @@ CALIBRATION_SEED = 0                # seed of the calibration draws
 CALIBRATION_DRAWS_PER_SAMPLE = 100  # draws allowed per accepted sample
 CALIBRATION_SIGMAS = (0.01, 0.1)    # range of the drawn |strengths|
 CALIBRATION_BOX_MARGIN = 0.25       # box shrink factor, per side
-Q_NOISE = 1e-12         # float noise of the local update dQ of the potential
+Q_NOISE = 1e-12         # strength^2: float noise of the potential's update dQ
 # A time t queued at one instant and the same time evaluated later differ
 # by roundoff of at most about 3e-15 (|a| + |b|) / closing speed + 5e-16 t;
 # its heap key is t less KEY_SLACK times the same two terms.
@@ -591,6 +591,7 @@ class Simulation:
             raise
         _, speeds = self._step(lo, hi + 1, ul, self._carried(sol), event.x,
                                "collision")
+        # ordered up to a slack of 1e-9, in speed units
         if any(s2 - s1 < -1e-9 for s1, s2 in zip(speeds, speeds[1:])):
             raise ContractViolationError(
                 f"outgoing wave speeds not ordered at t={self.time}",

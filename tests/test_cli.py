@@ -390,6 +390,29 @@ def test_contraction_failure_exits_4_with_its_reports(tmp_path, capsys,
     assert json.loads((out_dir / "plan.json").read_text())["actions"] == []
 
 
+def test_stabilize_steers_first_when_only_the_tv_exceeds_delta0(tmp_path):
+    # sup distance 0.0361 but TV 0.144 > delta0 = 0.1: a step's
+    # precondition refuses this profile, so the pre-phase must run
+    config = {"schema": "scenario-v1", "experiment": "stabilize",
+              "model": dict(STAB_BLOCK), "domain": [0.0, 1.0],
+              "initial": {"kind": "jumps", "left": [1.0, 0.98], "jumps": [
+                  [0.2, [1.03, 0.96]], [0.4, [1.0, 0.98]],
+                  [0.6, [1.03, 0.96]], [0.8, [1.0, 0.98]]]},
+              "u_star": [1.0, 0.98], "epsilon": 0.005, "k_max": 3}
+    cfg = _write(tmp_path, "stab_tv.json", config)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir),
+                 "--quiet"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "contraction.csv", "manifest.json", "plan.json"]
+    plan = json.loads((out_dir / "plan.json").read_text())
+    assert len(plan["actions"]) == 2
+    first = _csv_rows(out_dir / "contraction.csv")[0]
+    assert int(first["k"]) == 0
+    assert float(first["t"]) >= plan["actions"][-1]["time"] > 0.0
+    assert float(first["sup_dist"]) <= 0.1 and float(first["tv"]) <= 0.1
+
+
 def test_counterexample_scenario_plots(tmp_path):
     config = {
         "schema": "scenario-v1",
@@ -482,6 +505,12 @@ def _dat_rows(path, header):
     return [[float(x) for x in row.split()] for row in rows]
 
 
+def _tree(out_dir):
+    """Each file of a run directory, by its relative path, as bytes."""
+    return {p.relative_to(out_dir): p.read_bytes()
+            for p in out_dir.rglob("*") if p.is_file()}
+
+
 def test_sweep_mode_writes_subdirectories(tmp_path):
     config = _evolve_config()
     config["sweep"] = [{"epsilon": 0.02}, {"epsilon": 0.01}]
@@ -492,23 +521,14 @@ def test_sweep_mode_writes_subdirectories(tmp_path):
     epsilons = [json.loads((out_dir / sub / "manifest.json").read_text())
                 ["config"]["epsilon"] for sub in ("sweep_000", "sweep_001")]
     assert epsilons == [0.02, 0.01]
-
-
-def test_sweep_mode_with_worker_pool(tmp_path):
-    config = _evolve_config()
-    del config["snapshot_times"]    # [0.5, 1.0] would outrun horizon 0.4
-    config["sweep"] = [{"horizon": 0.4}, {"horizon": 0.8}]
-    config["workers"] = 2
-    cfg = _write(tmp_path, "sweep.json", config)
-    out_dir = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out_dir),
-                 "--quiet"]) == 0
-    horizons = []
-    for sub in ("sweep_000", "sweep_001"):
-        manifest = json.loads((out_dir / sub / "manifest.json").read_text())
-        horizons.append(manifest["config"]["horizon"])
-        assert manifest["metrics"]["events"] >= 0
-    assert horizons == [0.4, 0.8]
+    # each variant writes the bytes of the same config run alone
+    del config["sweep"]
+    for k, epsilon in enumerate(epsilons):
+        alone = tmp_path / f"alone_{k}"
+        cfg = _write(tmp_path, f"alone_{k}.json", {**config, "epsilon": epsilon})
+        assert main(["run", "--config", cfg, "--out", str(alone),
+                     "--quiet"]) == 0
+        assert _tree(out_dir / f"sweep_{k:03d}") == _tree(alone)
 
 
 @pytest.mark.parametrize("key, value, diagnostic", [
@@ -517,10 +537,11 @@ def test_sweep_mode_with_worker_pool(tmp_path):
     ("sweep", [{"epsilon": 0.02}, {"speed": 2}], "sweep[1]: unknown key 'speed'"),
     ("sweep", [{"epsilon": 0.02}, {"epsilon": -1.0}],
      "sweep[1]: epsilon=-1.0 must be positive"),
-    ("workers", "two", "workers='two' must be a positive integer"),
-    ("workers", 0, "workers=0 must be a positive integer"),
+    ("workers", "two", "unknown key 'workers'"),
+    ("workers", 0, "unknown key 'workers'"),
     ("sweep", [{"sweep": [{"horizon": 0.5}]}],
      "sweep[0]: a sweep variant cannot hold a sweep"),
+    ("sweep", [{"workers": 2}], "sweep[0]: unknown key 'workers'"),
 ])
 def test_malformed_sweep_or_workers_exits_2(tmp_path, capsys, key, value,
                                             diagnostic):

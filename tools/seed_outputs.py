@@ -10,11 +10,13 @@ The extra requests are a gas and a custom-table ``curves`` run, a 6-jump
 custom-table ``evolve``, whose rarefaction fans integrate chartless curves,
 a ``riemann`` run on a 3x3 custom table, whose speeds come from LAPACK, and
 one on the p-system table, whose exponents are negative, a
-2-variant gas ``sweep`` on one worker, a gas ``steer`` whose two states
+2-variant gas ``sweep``, a gas ``steer`` whose two states
 are equal, so it makes no hop, a 2x2 and a 3x3 linear ``steer``, the
 second injecting two families at a time at x = b, a
 ``linear_control`` run, a ``stabilize`` run that starts far from its
-target, so its steering pre-phase runs, and a ``counterexample`` whose
+target, so its steering pre-phase runs, one whose sup distance to its
+target is within ``delta0`` but whose TV is not, so the pre-phase runs
+too, and a ``counterexample`` whose
 initial jumps hold a rarefaction, so the density bins and the kappa fit
 see positive atoms; ``fronttrack plots`` then
 writes its .dat files into copies of the first counterexample and
@@ -66,7 +68,7 @@ EXTRA = {
                               "riemann": {"ul": [1.0, 0.0],
                                           "ur": [1.1, 0.05]}},
     "sweep_gas": {"experiment": "curves", "model": _GAS,
-                  "curves": {"u0": [1.0, 0.0], "samples": 3}, "workers": 1,
+                  "curves": {"u0": [1.0, 0.0], "samples": 3},
                   "sweep": [{"curves": {"u0": [1.1, 0.05], "samples": 3}},
                             {"curves": {"u0": [0.9, -0.05], "samples": 4}}]},
     # omega = omega_prime: a steer with no hops, whose plan is empty
@@ -95,6 +97,13 @@ EXTRA = {
                                   "base": [1.03, 0.96]},
                       "u_star": [1.0, 0.98], "epsilon": 0.005, "k_max": 4,
                       "delta0": 0.05},
+    # sup distance 0.0361, TV 0.144: only the TV exceeds delta0 = 0.1
+    "stabilize_tv": {"experiment": "stabilize", "model": STAB_GAS,
+                     "domain": [0.0, 1.0],
+                     "initial": {"kind": "jumps", "left": [1.0, 0.98], "jumps": [
+                         [0.2, [1.03, 0.96]], [0.4, [1.0, 0.98]],
+                         [0.6, [1.03, 0.96]], [0.8, [1.0, 0.98]]]},
+                     "u_star": [1.0, 0.98], "epsilon": 0.005, "k_max": 3},
     # family-1 strengths -0.01, +0.015 and -0.01 from the left state
     "counterexample_mixed": {
         "experiment": "counterexample", "model": COUNTEREXAMPLE["model"],
